@@ -3,10 +3,10 @@ on the ground-state energy density of translationally invariant
 nearest-neighbour lattice Hamiltonians."""
 
 from .anderson import (AndersonResult, anderson_bound, anderson_formula,
-                       anderson_guarantee, anderson_sweep, guarantee_formula)
-from .eigensolver import EigResult, min_eig_dense, min_eig_lanczos
+                       anderson_sweep, guarantee_formula)
+from .eigensolver import EigResult, min_eig, min_eig_lanczos
 from .marginal import (MarginalBoundResult, MarginalProblemSpec, build_marginal_sdp,
-                       full_program_oracle, improved_anderson_bound, partial_trace)
+                       improved_anderson_bound, partial_trace)
 from .models import (ModelSpec, PatchSpec, build_patch, build_ring, builtin_model,
                      embed_on_sites, operator_norm, parse_model)
 from .moment import (MomentBoundResult, build_basis, build_structure,

@@ -55,21 +55,6 @@ def guarantee_formula(lambda_min_patch: float, h_norm: float, m: int, D: int) ->
     return D / m * h_norm - lambda_min_patch * (1.0 / (m - 1) ** D - 1.0 / m ** D)
 
 
-def patch_min_eig(model: ModelSpec, m: int, D: int, tol: float = 1e-8,
-                  seed: int = 0) -> eigensolver.EigResult:
-    """Smallest eigenvalue of the open m^D patch; dense below 2^12, Lanczos above."""
-    if D not in (1, 2):
-        raise ValueError("patch diagonalization supports D in {1, 2} only")
-    h = build_patch(model, PatchSpec(m, D, "open"))
-    if h.shape[0] <= eigensolver.DENSE_CAP:
-        return eigensolver.min_eig_dense_certified(h)
-    res = eigensolver.min_eig_lanczos(h, h.shape[0], tol=tol, seed=seed)
-    if not res.converged:
-        raise RuntimeError(
-            f"Lanczos did not converge for m={m}, D={D} (residual {res.residual:g})")
-    return res
-
-
 def anderson_bound(model: ModelSpec, m: int, D: int = 1, tol: float = 1e-8,
                    seed: int = 0) -> AndersonResult:
     """The Anderson bound with guarantee for one patch size.
@@ -79,7 +64,10 @@ def anderson_bound(model: ModelSpec, m: int, D: int = 1, tol: float = 1e-8,
     the lower-bound claim.
     """
     t0 = time.perf_counter()
-    eig = patch_min_eig(model, m, D, tol=tol, seed=seed)
+    if D not in (1, 2):
+        raise ValueError("patch diagonalization supports D in {1, 2} only")
+    h = build_patch(model, PatchSpec(m, D, "open"))
+    eig = eigensolver.min_eig(h, tol=tol, seed=seed)
     width = guarantee_formula(eig.value, operator_norm(model), m, D)
     return AndersonResult(
         m=m, D=D,
@@ -91,13 +79,6 @@ def anderson_bound(model: ModelSpec, m: int, D: int = 1, tol: float = 1e-8,
         converged=eig.converged,
         seconds=time.perf_counter() - t0,
     )
-
-
-def anderson_guarantee(model: ModelSpec, m: int, D: int = 1, tol: float = 1e-8,
-                       seed: int = 0) -> float:
-    """Guarantee width epsilon(m, D); the certified interval is [A, A + epsilon]."""
-    eig = patch_min_eig(model, m, D, tol=tol, seed=seed)
-    return guarantee_formula(eig.value, operator_norm(model), m, D)
 
 
 def anderson_sweep(model: ModelSpec, m_values, D: int = 1, tol: float = 1e-8,

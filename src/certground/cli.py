@@ -12,6 +12,8 @@ import argparse
 import os
 import sys
 
+import numpy as np
+
 from . import anderson, marginal, moment, reports, upper
 from .models import BUILTIN_MODELS, ModelSpec, builtin_model, parse_model
 
@@ -231,7 +233,7 @@ def run(argv) -> int:
         elif args.command == "sandwich":
             _emit(args, _run_sandwich(model, args))
         elif args.command == "oracle":
-            val = marginal.full_program_oracle(model, args.n)
+            val = upper.ring_reference(model, args.n)
             _emit(args, {"method": "ring_oracle", "model": model.name, "n": args.n,
                          "density": val,
                          "note": "exact tiny-ring value; reference, not certified"})
@@ -239,6 +241,9 @@ def run(argv) -> int:
     except ValidationError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
+    except np.linalg.LinAlgError as e:  # a ValueError subclass, but a solver failure
+        print(f"solver failure: {e}", file=sys.stderr)
+        return 3
     except ValueError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

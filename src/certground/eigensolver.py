@@ -1,5 +1,6 @@
 """Smallest-eigenvalue solvers: dense for small operators, matrix-free
-Lanczos with full reorthogonalization for large sparse patches.
+Lanczos with full reorthogonalization for large sparse patches. `min_eig`
+is the one entry point that chooses between them.
 
 The Lanczos result carries an explicitly recomputed residual; `value` is a
 Rayleigh quotient (an upper bound on the smallest eigenvalue) and
@@ -29,23 +30,14 @@ class EigResult:
         return self.value - self.residual
 
 
-def min_eig_dense(m) -> float:
-    """Full-accuracy smallest eigenvalue of a Hermitian matrix (dim <= 4096)."""
-    if hasattr(m, "toarray"):
-        m = m.toarray()
-    m = np.asarray(m)
-    if m.shape[0] > DENSE_CAP:
-        raise ValueError(f"dense path capped at dimension {DENSE_CAP}")
-    return float(np.linalg.eigvalsh(m)[0])
-
-
 def min_eig_dense_certified(m) -> EigResult:
-    """Dense smallest eigenpair with an explicit residual for certification."""
+    """Dense smallest eigenpair with an explicit residual for certification.
+
+    Sized for dimensions up to DENSE_CAP; `min_eig` sends nothing larger here.
+    """
     if hasattr(m, "toarray"):
         m = m.toarray()
     m = np.asarray(m)
-    if m.shape[0] > DENSE_CAP:
-        raise ValueError(f"dense path capped at dimension {DENSE_CAP}")
     w, v = np.linalg.eigh(m)
     vec = v[:, 0]
     mv = m @ vec
@@ -109,6 +101,22 @@ def min_eig_lanczos(apply, dim: int, tol: float = 1e-8, seed: int = 0,
         q[:, j + 1] = w / beta
 
     raise AssertionError("unreachable")  # loop always returns
+
+
+def min_eig(h, tol: float = 1e-8, seed: int = 0) -> EigResult:
+    """Certified smallest eigenpair of a Hermitian operator.
+
+    Dense up to DENSE_CAP, Lanczos above; a Lanczos run that does not reach
+    `tol` raises RuntimeError rather than returning an uncertified value.
+    """
+    dim = h.shape[0]
+    if dim <= DENSE_CAP:
+        return min_eig_dense_certified(h)
+    res = min_eig_lanczos(h, dim, tol=tol, seed=seed)
+    if not res.converged:
+        raise RuntimeError(
+            f"Lanczos did not converge at dimension {dim} (residual {res.residual:g})")
+    return res
 
 
 def _smallest_ritz(alphas, betas):

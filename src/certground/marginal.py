@@ -23,8 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import sdp
-from .eigensolver import min_eig_dense, min_eig_lanczos, DENSE_CAP
-from .models import ModelSpec, PatchSpec, build_patch, build_ring, embed_on_sites, max_qubits
+from .models import ModelSpec, PatchSpec, build_patch, embed_on_sites
 
 MARGINAL_CSV_COLUMNS = ("model", "m", "s", "mode", "placement", "z",
                         "density_bound", "gap", "seconds")
@@ -222,24 +221,3 @@ def improved_anderson_bound(spec: MarginalProblemSpec, gap_tol: float = 1e-9,
         iterations=sol.iterations, seconds=time.perf_counter() - t0,
         diagnostics={"primal_obj": sol.primal_obj, "dual_obj": sol.dual_obj,
                      "status": sol.status})
-
-
-def full_program_oracle(model: ModelSpec, n: int, tol: float = 1e-10) -> float:
-    """Exact energy density of the n-site periodic ring (tiny-n oracle).
-
-    The unrelaxed convex program over the full ring state collapses to the
-    ring ground-state problem, so its optimum is lambda_min(H_ring)/n.
-    """
-    if n < 2:
-        raise ValueError("need n >= 2")
-    if n * np.log2(model.d) > min(max_qubits(), 24):
-        raise ValueError("ring size exceeds the oracle cap")
-    ring = build_ring(model, n)
-    if ring.shape[0] <= DENSE_CAP:
-        lam = min_eig_dense(ring)
-    else:
-        res = min_eig_lanczos(ring, ring.shape[0], tol=tol)
-        if not res.converged:
-            raise RuntimeError("ring diagonalization did not converge")
-        lam = res.value
-    return lam / n

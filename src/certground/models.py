@@ -19,7 +19,6 @@ import scipy.sparse as sp
 from .pauli import PauliSum, decompose_hermitian
 
 DEFAULT_MAX_QUBITS = 26
-MAX_DENSE_QUBITS = 12
 _HERM_TOL = 1e-12
 
 BUILTIN_MODELS = ("heisenberg", "xxz", "tfim", "random_twosite")

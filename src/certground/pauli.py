@@ -78,10 +78,6 @@ class PauliString:
     def is_identity(self) -> bool:
         return self.support_mask == 0
 
-    def is_hermitian(self) -> bool:
-        """Exact Hermiticity test: the phase must compensate the Y i-factors."""
-        return (self.phase_exp - (self.x_mask & self.z_mask).bit_count()) % 2 == 0
-
     def __mul__(self, other: "PauliString") -> "PauliString":
         return multiply(self, other)
 
@@ -173,13 +169,13 @@ def _parity(v: np.ndarray) -> np.ndarray:
 
 
 _MAX_DENSE_SITES = 12
+_MAX_SPARSE_SITES = 30
 
 
-def string_to_sparse(p: PauliString, sites: int, max_sites: int | None = None) -> sp.csr_matrix:
+def string_to_sparse(p: PauliString, sites: int) -> sp.csr_matrix:
     """Exact sparse matrix of p acting on the first `p.width` of `sites` qubits."""
-    cap = max_sites if max_sites is not None else 30
-    if sites > cap:
-        raise ValueError(f"{sites} sites exceeds the configured cap {cap}")
+    if sites > _MAX_SPARSE_SITES:
+        raise ValueError(f"{sites} sites exceeds the cap {_MAX_SPARSE_SITES}")
     if p.width > sites:
         raise ValueError("string wider than the requested site count")
     dim = 1 << sites
@@ -247,12 +243,6 @@ class PauliSum:
         """Yield (coefficient, Hermitian PauliString) pairs."""
         for x, z, c in self.terms:
             yield c, PauliString(self.width, x, z, (x & z).bit_count() % 4)
-
-    def to_sparse(self, sites: int, max_sites: int | None = None) -> sp.csr_matrix:
-        out = sp.csr_matrix((1 << sites, 1 << sites), dtype=complex)
-        for c, p in self.strings():
-            out = out + c * string_to_sparse(p, sites, max_sites)
-        return out
 
     def to_dense(self, sites: int | None = None) -> np.ndarray:
         sites = self.width if sites is None else sites

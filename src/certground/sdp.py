@@ -105,6 +105,13 @@ def _sym(m: np.ndarray) -> np.ndarray:
     return (m + m.T) / 2.0
 
 
+def _data_norm(C, A) -> float:
+    """Largest |entry| of C or A (at least 1): the dual-residual normaliser
+    shared by `solve` and `validate_certificate`."""
+    return max(1.0, max(float(np.max(np.abs(c))) for c in C),
+               max(float(np.max(np.abs(a))) if a.size else 1.0 for a in A))
+
+
 def _max_step(m_psd: np.ndarray, direction: np.ndarray) -> float:
     """Largest alpha with m_psd + alpha*direction staying PSD (m_psd > 0)."""
     try:
@@ -144,8 +151,7 @@ def solve(problem: SdpProblem, gap_tol: float = 1e-9, feas_tol: float = 1e-9,
     n_tot = sum(problem.blocks)
 
     norm_b = max(1.0, float(np.linalg.norm(b)))
-    norm_data = max(1.0, max(float(np.max(np.abs(c))) for c in C),
-                    max(float(np.max(np.abs(a))) if a.size else 1.0 for a in A))
+    norm_data = _data_norm(C, A)
 
     tau_p = max(1.0, float(np.max(np.abs(b)))) * np.sqrt(max(n_tot, 1))
     tau_d = norm_data
@@ -350,10 +356,9 @@ def dual_lower_bound(problem: SdpProblem, solution: SdpSolution,
     subtracts that worst case, and additionally any negative part of S.
     """
     correction = 0.0
-    for k, tb in enumerate(trace_bounds):
-        Aty = np.tensordot(solution.y, problem.A[k], axes=1)
-        R = problem.C[k] - solution.S[k] - Aty
-        s_min = float(np.min(np.linalg.eigvalsh(_sym(solution.S[k]))))
+    R_d = dual_residual_matrices(problem, solution)
+    for tb, R, S in zip(trace_bounds, R_d, solution.S):
+        s_min = float(np.min(np.linalg.eigvalsh(_sym(S))))
         r_norm = float(np.max(np.abs(np.linalg.eigvalsh(_sym(R)))))
         correction += (r_norm + max(0.0, -s_min)) * tb
     return solution.dual_obj - correction
@@ -372,7 +377,7 @@ def validate_certificate(problem: SdpProblem, solution: SdpSolution,
     norm_b = max(1.0, float(np.linalg.norm(problem.b)))
     feas_p = float(np.linalg.norm(problem.b - ax)) / norm_b
     R_d = dual_residual_matrices(problem, solution)
-    norm_data = max(1.0, max(float(np.max(np.abs(c))) for c in problem.C))
+    norm_data = _data_norm(problem.C, problem.A)
     feas_d = max(float(np.max(np.abs(r))) for r in R_d) / norm_data
     gap = abs(p_obj - d_obj) / (1.0 + abs(p_obj) + abs(d_obj))
     x_min = min(float(np.min(np.linalg.eigvalsh(_sym(x)))) for x in solution.X)

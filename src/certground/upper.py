@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .eigensolver import min_eig_dense, min_eig_lanczos, DENSE_CAP
+from .eigensolver import min_eig
 from .models import ModelSpec, build_ring, max_qubits
 
 
@@ -70,19 +70,15 @@ def product_state_upper(model: ModelSpec, restarts: int = 8, seed: int = 0,
 
 def ring_reference(model: ModelSpec, n: int, tol: float = 1e-10, seed: int = 0) -> float:
     """Finite periodic-ring density lambda_min/n. Reference only, NOT a
-    certified bound in either direction."""
+    certified bound in either direction.
+
+    This is also the exact optimum of the unrelaxed convex program over the
+    full ring state (the tiny-n oracle behind `certground oracle`).
+    """
     qubits = n * np.log2(model.d)
     if qubits > min(max_qubits(), 24):
         raise ValueError("ring reference capped at 24 qubit equivalents")
-    ring = build_ring(model, n)
-    if ring.shape[0] <= DENSE_CAP:
-        lam = min_eig_dense(ring)
-    else:
-        res = min_eig_lanczos(ring, ring.shape[0], tol=tol, seed=seed)
-        if not res.converged:
-            raise RuntimeError("ring reference did not converge")
-        lam = res.value
-    return lam / n
+    return min_eig(build_ring(model, n), tol=tol, seed=seed).value / n
 
 
 @dataclass(frozen=True)

@@ -13,14 +13,12 @@ import pytest
 import scipy.sparse.linalg as spla
 
 import certground as cg
-from certground.anderson import (anderson_bound, anderson_guarantee,
-                                 anderson_sweep)
-from certground.marginal import (MarginalProblemSpec, full_program_oracle,
-                                 improved_anderson_bound)
+from certground.anderson import anderson_bound, anderson_sweep
+from certground.marginal import MarginalProblemSpec, improved_anderson_bound
 from certground.models import PatchSpec, build_patch, build_ring
 from certground.moment import build_basis, oracle_moment_matrix, ti_moment_bound
 from certground.sdp import SdpProblem, solve
-from certground.upper import product_state_upper
+from certground.upper import product_state_upper, ring_reference
 from tests.conftest import CHAIN, EMIN, PATCH2D_3
 
 ARTIFACT_DIR = os.path.join(os.path.dirname(__file__), "artifacts")
@@ -81,8 +79,8 @@ def test_criterion_3_guarantee(capsys, sweep_rows, heisenberg):
         if not (r.certified_bound - 1e-9 <= EMIN
                 <= r.certified_bound + r.guarantee_width + 1e-9):
             ok_window = False
-    eps2 = anderson_guarantee(heisenberg, 2, 1)
-    eps3 = anderson_guarantee(heisenberg, 3, 1)
+    eps2 = anderson_bound(heisenberg, 2, 1).guarantee_width
+    eps3 = anderson_bound(heisenberg, 3, 1).guarantee_width
     ok_spot = abs(eps2 - 1.5) < 1e-9 and abs(eps3 - 5.0 / 6.0) < 1e-9
     ok = ok_window and ok_spot
     assert report(capsys, "criterion 3 (guarantee windows m=2..15)", ok,
@@ -141,7 +139,7 @@ def test_criterion_6_marginal_bounds(capsys, marginal_grid, heisenberg):
     for m in range(2, 7):
         res = improved_anderson_bound(
             MarginalProblemSpec(heisenberg, m, 1, "wrap", "middle"))
-        ring = full_program_oracle(heisenberg, m)
+        ring = ring_reference(heisenberg, m)
         good = abs(res.density_bound - ring) < 1e-6
         ok = ok and good
         wrap_detail.append(f"m={m}:{abs(res.density_bound - ring):.1e}")
@@ -192,7 +190,7 @@ def test_criterion_6_wrap_vs_consecutive_table(capsys, marginal_grid, heisenberg
     for m in range(2, 7):
         wrap = improved_anderson_bound(
             MarginalProblemSpec(heisenberg, m, 1, "wrap", "middle"))
-        ring = full_program_oracle(heisenberg, m)
+        ring = ring_reference(heisenberg, m)
         lines.append(f"{m},1,{marginal_grid[(m, 1)] / m:.12g},"
                      f"{wrap.density_bound:.12g},{ring:.12g}")
     with open(path, "w") as f:

@@ -1,8 +1,7 @@
 import numpy as np
 import pytest
 
-from certground.anderson import (anderson_bound, anderson_formula,
-                                 anderson_guarantee, anderson_sweep,
+from certground.anderson import (anderson_bound, anderson_formula, anderson_sweep,
                                  guarantee_formula)
 from tests.conftest import CHAIN, EMIN
 
@@ -43,7 +42,7 @@ class TestBound:
     def test_zero_model(self, zero_model):
         res = anderson_bound(zero_model, 4, 1)
         assert abs(res.certified_bound) < 1e-9
-        assert anderson_guarantee(zero_model, 4, 1) == 0.0
+        assert anderson_bound(zero_model, 4, 1).guarantee_width == 0.0
 
     def test_certified_below_point_estimate(self, heisenberg):
         res = anderson_bound(heisenberg, 12, 1)
@@ -76,5 +75,5 @@ class TestSweep:
     def test_guarantee_covers_emin(self, heisenberg):
         for m in (2, 3, 6, 9):
             res = anderson_bound(heisenberg, m, 1)
-            eps = anderson_guarantee(heisenberg, m, 1)
+            eps = res.guarantee_width
             assert res.certified_bound - 1e-9 <= EMIN <= res.certified_bound + eps + 1e-9

@@ -1,7 +1,9 @@
 import json
 
+import numpy as np
 import pytest
 
+from certground import sdp
 from certground.cli import run
 
 
@@ -118,6 +120,15 @@ class TestMisc:
     def test_no_model(self, capsys):
         code = run(["anderson", "--m", "3"])
         assert code == 2
+
+    def test_linalg_breakdown_is_solver_failure(self, capsys, monkeypatch):
+        # LinAlgError subclasses ValueError but must not read as a validation error
+        def broken(*args, **kwargs):
+            raise np.linalg.LinAlgError("Matrix is not positive definite")
+        monkeypatch.setattr(sdp, "solve", broken)
+        code = run(["marginal", "--model", "heisenberg", "--m", "4", "--s", "1"])
+        assert code == 3
+        assert "solver failure" in capsys.readouterr().err
 
     def test_json_file_output(self, capsys, tmp_path):
         p = tmp_path / "out.json"

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
-from certground.eigensolver import (min_eig_dense, min_eig_dense_certified,
+from certground import eigensolver
+from certground.eigensolver import (DENSE_CAP, EigResult, min_eig, min_eig_dense_certified,
                                     min_eig_lanczos)
 from certground.models import PatchSpec, build_patch
 from tests.conftest import CHAIN
@@ -9,17 +11,17 @@ from tests.conftest import CHAIN
 
 class TestDense:
     def test_diagonal(self):
-        assert min_eig_dense(np.diag([3.0, -1.0, 2.0])) == -1.0
+        assert min_eig(np.diag([3.0, -1.0, 2.0])).value == -1.0
 
     def test_heisenberg_term(self, heisenberg):
-        assert abs(min_eig_dense(np.asarray(heisenberg.term).real) + 1.5) < 1e-12
+        assert abs(min_eig(np.asarray(heisenberg.term).real).value + 1.5) < 1e-12
 
     def test_shift_invariance(self):
         rng = np.random.default_rng(0)
         b = rng.standard_normal((6, 6))
         h = (b + b.T) / 2
-        assert abs(min_eig_dense(h + 2.5 * np.eye(6))
-                   - (min_eig_dense(h) + 2.5)) < 1e-12
+        assert abs(min_eig(h + 2.5 * np.eye(6)).value
+                   - (min_eig(h).value + 2.5)) < 1e-12
 
     def test_certified_residual(self):
         rng = np.random.default_rng(1)
@@ -71,3 +73,10 @@ class TestLanczos:
         h = (b + b.T) / 2
         res = min_eig_lanczos(h, 64, tol=1e-14, seed=0, max_iter=3)
         assert not res.converged
+
+    def test_unconverged_lanczos_raises(self, monkeypatch):
+        # above the dense cap min_eig refuses an uncertified Lanczos result
+        monkeypatch.setattr(eigensolver, "min_eig_lanczos",
+                            lambda *args, **kwargs: EigResult(0.0, 1.0, 500, False))
+        with pytest.raises(RuntimeError, match="did not converge"):
+            min_eig(sp.identity(DENSE_CAP + 1, format="csr"))

@@ -3,10 +3,10 @@ import pytest
 
 import certground as cg
 from certground.marginal import (MarginalProblemSpec, boundary_sites,
-                                 build_marginal_sdp, crossing_sites,
-                                 full_program_oracle, hermitian_basis,
+                                 build_marginal_sdp, crossing_sites, hermitian_basis,
                                  improved_anderson_bound, partial_trace)
 from certground.models import PatchSpec, build_patch
+from certground.upper import ring_reference
 from tests.conftest import CHAIN, EMIN, RING
 
 
@@ -113,15 +113,15 @@ class TestBounds:
         res = improved_anderson_bound(
             MarginalProblemSpec(model, 4, 1, "consecutive", "middle"))
         # valid lower bound: must sit below any small ring density
-        assert res.density_bound <= full_program_oracle(model, 6) + 1e-7
+        assert res.density_bound <= ring_reference(model, 6) + 1e-7
 
 
 class TestOracle:
     def test_ring4(self, heisenberg):
-        assert abs(full_program_oracle(heisenberg, 4) + 1.0) < 1e-10
+        assert abs(ring_reference(heisenberg, 4) + 1.0) < 1e-10
 
     def test_ring2(self, heisenberg):
-        assert abs(full_program_oracle(heisenberg, 2) + 1.5) < 1e-10
+        assert abs(ring_reference(heisenberg, 2) + 1.5) < 1e-10
 
     def test_zero_model(self, zero_model):
-        assert abs(full_program_oracle(zero_model, 4)) < 1e-12
+        assert abs(ring_reference(zero_model, 4)) < 1e-12

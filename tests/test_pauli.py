@@ -30,7 +30,7 @@ class TestMultiply:
     def test_involution(self):
         p = PauliString.from_label("XZ")
         q = multiply(p, p)
-        assert q.is_identity
+        assert q.is_identity()
         assert q.phase_exp == 0
 
     def test_against_dense(self):
@@ -94,7 +94,7 @@ class TestCanonicalize:
     def test_identity(self):
         off, can = canonicalize(PauliString.identity(5))
         assert off == 0
-        assert can.is_identity
+        assert can.is_identity()
 
     def test_two_site(self):
         off, can = canonicalize(PauliString.from_label("IIXY"))

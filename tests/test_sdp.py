@@ -135,6 +135,15 @@ class TestCertificate:
         sol.y = -sol.y
         assert validate_certificate(prob, sol)["dual_flag"]
 
+    def test_feas_dual_matches_solver_on_scaled_constraints(self):
+        # both normalise the dual residual by the largest |C| or |A| entry
+        b = np.random.default_rng(8).standard_normal((5, 5))
+        h = (b + b.T) / 2
+        prob = SdpProblem([5], [h], [1e3 * np.eye(5)[None, :, :]], np.array([1e3]))
+        sol = solve(prob)
+        assert sol.feas_dual > 0
+        assert validate_certificate(prob, sol)["feas_dual"] == sol.feas_dual
+
     def test_dual_lower_bound_is_lower(self):
         for seed in range(10):
             b = np.random.default_rng(seed).standard_normal((6, 6))
