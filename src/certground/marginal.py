@@ -17,6 +17,7 @@ last two factors.
 
 from __future__ import annotations
 
+import itertools
 import time
 from dataclasses import dataclass, field
 
@@ -157,8 +158,6 @@ def build_marginal_sdp(spec: MarginalProblemSpec,
     h = np.asarray(model.term, dtype=float if real else complex)
     h_m = build_patch(model, PatchSpec(m, 1, "open")).toarray()
     cross = embed_on_sites(h, crossing_sites(s, spec.placement), 2 * s, d).toarray()
-    if real:
-        h_m, cross = h_m.real, cross.real
 
     if spec.mode == "wrap":
         windows = [boundary_sites(m, s)]
@@ -166,33 +165,24 @@ def build_marginal_sdp(spec: MarginalProblemSpec,
         windows = [list(range(k, k + 2 * s)) for k in range(m - 2 * s + 1)]
 
     basis = hermitian_basis(dim_s, real_only=real)
-    ident = np.eye(dim_s)
+    n_cons = 2 if drop_marginal_constraints else 1 + len(windows) * len(basis)
+    blocks = [dim_w, dim_s] if real else [2 * dim_w, 2 * dim_s]
+    A = [np.zeros((n_cons, n, n)) for n in blocks]
+    b = np.zeros(n_cons)
 
-    constraints = [(np.eye(dim_w), None)]
-    b = [1.0]
+    def block(mat):
+        return mat.real if real else sdp.real_embed(mat) / 2.0
+
+    A[0][0] = block(np.eye(dim_w))
+    b[0] = 1.0
     if drop_marginal_constraints:
-        constraints.append((None, ident.copy()))
-        b.append(1.0)
+        A[1][1] = block(np.eye(dim_s))
+        b[1] = 1.0
     else:
-        for win in windows:
-            for B in basis:
-                lifted = embed_on_sites(B, win, m, d).toarray()
-                constraints.append((lifted, -np.asarray(B)))
-                b.append(0.0)
-
-    C = [h_m, cross]
-    if real:
-        blocks = [dim_w, dim_s]
-        C = [np.asarray(c, dtype=float) for c in C]
-        cons = [(aw, as_) for aw, as_ in constraints]
-    else:
-        blocks = [2 * dim_w, 2 * dim_s]
-        C = [sdp.real_embed(c) / 2.0 for c in C]
-        cons = []
-        for aw, as_ in constraints:
-            cons.append((None if aw is None else sdp.real_embed(aw) / 2.0,
-                         None if as_ is None else sdp.real_embed(as_) / 2.0))
-    return sdp.SdpProblem.from_constraint_list(blocks, C, cons, b)
+        for i, (win, B) in enumerate(itertools.product(windows, basis), start=1):
+            A[0][i] = block(embed_on_sites(B, win, m, d).toarray())
+            A[1][i] = block(-B)
+    return sdp.SdpProblem(blocks, [block(h_m), block(cross)], A, b)
 
 
 def improved_anderson_bound(spec: MarginalProblemSpec, gap_tol: float = 1e-9,

@@ -44,6 +44,8 @@ class ModelSpec:
         t = np.asarray(self.term)
         if t.shape != (self.d ** 2, self.d ** 2):
             raise ValueError("term size inconsistent with local dimension")
+        if not np.all(np.isfinite(t)):
+            raise ValueError("interaction term has a non-finite entry")
         if np.max(np.abs(t - t.conj().T)) > _HERM_TOL:
             raise ValueError("interaction term is not Hermitian")
 

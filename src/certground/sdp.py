@@ -61,18 +61,6 @@ class SdpProblem:
     def n_constraints(self) -> int:
         return self.b.size
 
-    @classmethod
-    def from_constraint_list(cls, blocks, C, constraints, b) -> "SdpProblem":
-        """Build from per-constraint lists of per-block matrices."""
-        m = len(constraints)
-        A = [np.zeros((m, n, n)) for n in blocks]
-        for i, blks in enumerate(constraints):
-            for k, mat in enumerate(blks):
-                if mat is not None:
-                    A[k][i] = mat
-        return cls(list(blocks), [np.asarray(c, dtype=float) for c in C], A,
-                   np.asarray(b, dtype=float))
-
 
 @dataclass
 class SdpSolution:
@@ -112,6 +100,36 @@ def _data_norm(C, A) -> float:
                max(float(np.max(np.abs(a))) if a.size else 1.0 for a in A))
 
 
+def _op_A(A, Xs) -> np.ndarray:
+    """The constraint map: (sum_k tr(A_{i,k} X_k))_i."""
+    m = A[0].shape[0]
+    out = np.zeros(m)
+    for a, x in zip(A, Xs):
+        out += a.reshape(m, -1) @ x.ravel()
+    return out
+
+
+def _op_At(A, y) -> list:
+    """Its adjoint: sum_i y_i A_{i,k} per block."""
+    return [np.tensordot(y, a, axes=1) for a in A]
+
+
+def _residuals(C, A, b, X, y, S, norm_data):
+    """Objectives, normalized gap, primal and dual feasibility of an iterate,
+    and the dual residual matrices R_d = C - S - A^T y.
+
+    The one evaluator behind `solve`, `dual_lower_bound` and
+    `validate_certificate`.
+    """
+    p_obj = sum(float(np.sum(c * x)) for c, x in zip(C, X))
+    d_obj = float(b @ y)
+    gap = abs(p_obj - d_obj) / (1.0 + abs(p_obj) + abs(d_obj))
+    feas_p = float(np.linalg.norm(b - _op_A(A, X))) / max(1.0, float(np.linalg.norm(b)))
+    R_d = [c - s - aty for c, s, aty in zip(C, S, _op_At(A, y))]
+    feas_d = max(float(np.max(np.abs(r))) for r in R_d) / norm_data
+    return p_obj, d_obj, gap, feas_p, feas_d, R_d
+
+
 def _max_step(m_psd: np.ndarray, direction: np.ndarray) -> float:
     """Largest alpha with m_psd + alpha*direction staying PSD (m_psd > 0)."""
     try:
@@ -149,8 +167,6 @@ def solve(problem: SdpProblem, gap_tol: float = 1e-9, feas_tol: float = 1e-9,
     C = [np.asarray(c, dtype=float) for c in problem.C]
     A = [np.asarray(a, dtype=float) for a in problem.A]
     n_tot = sum(problem.blocks)
-
-    norm_b = max(1.0, float(np.linalg.norm(b)))
     norm_data = _data_norm(C, A)
 
     tau_p = max(1.0, float(np.max(np.abs(b)))) * np.sqrt(max(n_tot, 1))
@@ -158,15 +174,6 @@ def solve(problem: SdpProblem, gap_tol: float = 1e-9, feas_tol: float = 1e-9,
     X = [tau_p * np.eye(n) for n in problem.blocks]
     S = [tau_d * np.eye(n) for n in problem.blocks]
     y = np.zeros(m)
-
-    def op_A(Xs):
-        out = np.zeros(m)
-        for k in range(nb):
-            out += A[k].reshape(m, -1) @ Xs[k].ravel()
-        return out
-
-    def op_At(yv):
-        return [np.tensordot(yv, A[k], axes=1) for k in range(nb)]
 
     status = "max_iter"
     it = 0
@@ -176,15 +183,7 @@ def solve(problem: SdpProblem, gap_tol: float = 1e-9, feas_tol: float = 1e-9,
     stall = 0
     for it in range(1, max_iter + 1):
         mu = sum(float(np.sum(X[k] * S[k])) for k in range(nb)) / n_tot
-        r_p = b - op_A(X)
-        Aty = op_At(y)
-        R_d = [C[k] - S[k] - Aty[k] for k in range(nb)]
-
-        p_obj = sum(float(np.sum(C[k] * X[k])) for k in range(nb))
-        d_obj = float(b @ y)
-        feas_p = float(np.linalg.norm(r_p)) / norm_b
-        feas_d = max(float(np.max(np.abs(R_d[k]))) for k in range(nb)) / norm_data
-        gap = abs(p_obj - d_obj) / (1.0 + abs(p_obj) + abs(d_obj))
+        p_obj, d_obj, gap, feas_p, feas_d, R_d = _residuals(C, A, b, X, y, S, norm_data)
 
         score = max(gap / gap_tol, feas_p / feas_tol, feas_d / feas_tol)
         if score < best_score:
@@ -205,17 +204,10 @@ def solve(problem: SdpProblem, gap_tol: float = 1e-9, feas_tol: float = 1e-9,
             diagnostics["stalled"] = True
             break
 
-        # factor S, X
-        Sinv = []
-        ok = True
-        for k in range(nb):
-            try:
-                cf = scipy.linalg.cho_factor(S[k], lower=True)
-                Sinv.append(scipy.linalg.cho_solve(cf, np.eye(problem.blocks[k])))
-            except np.linalg.LinAlgError:
-                ok = False
-                break
-        if not ok:
+        try:
+            Sinv = [scipy.linalg.cho_solve(scipy.linalg.cho_factor(s, lower=True),
+                                           np.eye(s.shape[0])) for s in S]
+        except np.linalg.LinAlgError:
             diagnostics["breakdown"] = "S factorization failed"
             break
 
@@ -232,14 +224,7 @@ def solve(problem: SdpProblem, gap_tol: float = 1e-9, feas_tol: float = 1e-9,
 
         try:
             Mf = scipy.linalg.cho_factor(M, lower=True)
-
-            def solve_M(rhs, _Mf=Mf):
-                # iterative refinement; the Schur complement gets severely
-                # ill-conditioned as mu -> 0
-                dy = scipy.linalg.cho_solve(_Mf, rhs)
-                for _ in range(2):
-                    dy += scipy.linalg.cho_solve(_Mf, rhs - M @ dy)
-                return dy
+            refine = 2
         except (np.linalg.LinAlgError, scipy.linalg.LinAlgError):
             if not _assume_independent:
                 # exactly dependent (consistent) constraints: prune and restart
@@ -252,6 +237,9 @@ def solve(problem: SdpProblem, gap_tol: float = 1e-9, feas_tol: float = 1e-9,
                     y_full = np.zeros(m)
                     y_full[keep] = sol.y
                     sol.y = y_full
+                    # report against the constraints the caller passed
+                    (sol.primal_obj, sol.dual_obj, sol.gap, sol.feas_primal,
+                     sol.feas_dual, _) = _residuals(C, A, b, sol.X, y_full, sol.S, norm_data)
                     sol.diagnostics["pruned_constraints"] = m - len(keep)
                     return sol
                 _assume_independent = True
@@ -269,25 +257,24 @@ def solve(problem: SdpProblem, gap_tol: float = 1e-9, feas_tol: float = 1e-9,
             if Mf is None:
                 diagnostics["breakdown"] = "Schur factorization failed"
                 break
+            refine = 3
 
-            def solve_M(rhs, _Mf=Mf):
-                dy = scipy.linalg.cho_solve(_Mf, rhs)
-                for _ in range(3):
-                    dy += scipy.linalg.cho_solve(_Mf, rhs - M @ dy)
-                return dy
+        def solve_M(rhs):
+            # iterative refinement against the unlifted M; the Schur
+            # complement gets severely ill-conditioned as mu -> 0
+            dy = scipy.linalg.cho_solve(Mf, rhs)
+            for _ in range(refine):
+                dy += scipy.linalg.cho_solve(Mf, rhs - M @ dy)
+            return dy
 
         XRS = [X[k] @ R_d[k] @ Sinv[k] for k in range(nb)]
 
         def newton(sigma_mu, cross=None):
-            rhs = b.copy()
-            for k in range(nb):
-                n = problem.blocks[k]
-                rhs -= sigma_mu * A[k].reshape(m, -1) @ Sinv[k].ravel()
-                rhs += A[k].reshape(m, -1) @ XRS[k].ravel()
-                if cross is not None:
-                    rhs += A[k].reshape(m, -1) @ (cross[k] @ Sinv[k]).ravel()
+            rhs = b - sigma_mu * _op_A(A, Sinv) + _op_A(A, XRS)
+            if cross is not None:
+                rhs += _op_A(A, [c @ si for c, si in zip(cross, Sinv)])
             dy = solve_M(rhs)
-            dS = [R_d[k] - np.tensordot(dy, A[k], axes=1) for k in range(nb)]
+            dS = [r - a for r, a in zip(R_d, _op_At(A, dy))]
             dX = []
             for k in range(nb):
                 t = sigma_mu * Sinv[k] - X[k] - X[k] @ dS[k] @ Sinv[k]
@@ -321,29 +308,13 @@ def solve(problem: SdpProblem, gap_tol: float = 1e-9, feas_tol: float = 1e-9,
     if status != "infeasible" and best is not None:
         # report the best iterate seen; late iterations can lose accuracy
         X, y, S = best
-    p_obj = sum(float(np.sum(C[k] * X[k])) for k in range(nb))
-    d_obj = float(b @ y)
-    r_p = b - op_A(X)
-    Aty = op_At(y)
-    R_d = [C[k] - S[k] - Aty[k] for k in range(nb)]
-    feas_p = float(np.linalg.norm(r_p)) / norm_b
-    feas_d = max(float(np.max(np.abs(R_d[k]))) for k in range(nb)) / norm_data
-    gap = abs(p_obj - d_obj) / (1.0 + abs(p_obj) + abs(d_obj))
+    p_obj, d_obj, gap, feas_p, feas_d, _ = _residuals(C, A, b, X, y, S, norm_data)
     if status != "infeasible" and gap <= gap_tol and feas_p <= feas_tol and feas_d <= feas_tol:
         status = "optimal"
     diagnostics.setdefault("mu", sum(float(np.sum(X[k] * S[k])) for k in range(nb)) / n_tot)
     return SdpSolution(status=status, X=X, y=y, S=S, primal_obj=p_obj, dual_obj=d_obj,
                        gap=gap, feas_primal=feas_p, feas_dual=feas_d,
                        iterations=it, diagnostics=diagnostics)
-
-
-def dual_residual_matrices(problem: SdpProblem, solution: SdpSolution) -> list:
-    """C_k - S_k - (A^T y)_k per block, recomputed from scratch."""
-    out = []
-    for k in range(len(problem.blocks)):
-        Aty = np.tensordot(solution.y, problem.A[k], axes=1)
-        out.append(problem.C[k] - solution.S[k] - Aty)
-    return out
 
 
 def dual_lower_bound(problem: SdpProblem, solution: SdpSolution,
@@ -354,12 +325,18 @@ def dual_lower_bound(problem: SdpProblem, solution: SdpSolution,
     ||R_d,k||_2 tr(X_k) when S >= 0; `trace_bounds` are per-block bounds on
     tr(X_k) over the feasible set (1 for state blocks). The returned value
     subtracts that worst case, and additionally any negative part of S.
+    Both eigenvalue computations are widened by n eps ||.||_F, a bound on
+    the rounding error of `eigvalsh` on an n x n block.
     """
     correction = 0.0
-    R_d = dual_residual_matrices(problem, solution)
+    *_, R_d = _residuals(problem.C, problem.A, problem.b, solution.X, solution.y,
+                         solution.S, 1.0)
     for tb, R, S in zip(trace_bounds, R_d, solution.S):
-        s_min = float(np.min(np.linalg.eigvalsh(_sym(S))))
-        r_norm = float(np.max(np.abs(np.linalg.eigvalsh(_sym(R)))))
+        margin = S.shape[0] * np.finfo(float).eps
+        s_min = (float(np.min(np.linalg.eigvalsh(_sym(S))))
+                 - margin * float(np.linalg.norm(S)))
+        r_norm = (float(np.max(np.abs(np.linalg.eigvalsh(_sym(R)))))
+                  + margin * float(np.linalg.norm(R)))
         correction += (r_norm + max(0.0, -s_min)) * tb
     return solution.dual_obj - correction
 
@@ -367,19 +344,9 @@ def dual_lower_bound(problem: SdpProblem, solution: SdpSolution,
 def validate_certificate(problem: SdpProblem, solution: SdpSolution,
                          gap_tol: float = 1e-9, feas_tol: float = 1e-9) -> dict:
     """Recompute residuals and gap from scratch; flag discrepancies > 10x tolerance."""
-    nb = len(problem.blocks)
-    m = problem.n_constraints
-    p_obj = sum(float(np.sum(problem.C[k] * solution.X[k])) for k in range(nb))
-    d_obj = float(problem.b @ solution.y)
-    ax = np.zeros(m)
-    for k in range(nb):
-        ax += problem.A[k].reshape(m, -1) @ solution.X[k].ravel()
-    norm_b = max(1.0, float(np.linalg.norm(problem.b)))
-    feas_p = float(np.linalg.norm(problem.b - ax)) / norm_b
-    R_d = dual_residual_matrices(problem, solution)
-    norm_data = _data_norm(problem.C, problem.A)
-    feas_d = max(float(np.max(np.abs(r))) for r in R_d) / norm_data
-    gap = abs(p_obj - d_obj) / (1.0 + abs(p_obj) + abs(d_obj))
+    p_obj, d_obj, gap, feas_p, feas_d, _ = _residuals(
+        problem.C, problem.A, problem.b, solution.X, solution.y, solution.S,
+        _data_norm(problem.C, problem.A))
     x_min = min(float(np.min(np.linalg.eigvalsh(_sym(x)))) for x in solution.X)
     s_min = min(float(np.min(np.linalg.eigvalsh(_sym(s)))) for s in solution.S)
     report = {

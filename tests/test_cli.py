@@ -117,6 +117,22 @@ class TestMisc:
         code = run(["anderson", "--model-file", str(p), "--m", "3"])
         assert code == 2
 
+    @pytest.mark.parametrize("argv", [["anderson", "--m", "3"],
+                                      ["marginal", "--m", "4", "--s", "1"],
+                                      ["moment", "--l", "2"],
+                                      ["sandwich", "--anderson-m", "4"]])
+    def test_non_finite_model_file(self, capsys, tmp_path, argv):
+        entries = [[0.0, 0.0]] * 16
+        entries[5] = [float("nan"), 0.0]
+        p = tmp_path / "nan.json"
+        p.write_text(json.dumps({"name": "nan", "d": 2, "D": 1,
+                                 "term": {"dense": entries}}))
+        code = run(argv + ["--model-file", str(p)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err.startswith("error:")
+        assert captured.out == ""
+
     def test_no_model(self, capsys):
         code = run(["anderson", "--m", "3"])
         assert code == 2

@@ -2,10 +2,11 @@ import numpy as np
 import pytest
 
 import certground as cg
+from certground import sdp
 from certground.marginal import (MarginalProblemSpec, boundary_sites,
                                  build_marginal_sdp, crossing_sites, hermitian_basis,
                                  improved_anderson_bound, partial_trace)
-from certground.models import PatchSpec, build_patch
+from certground.models import PatchSpec, build_patch, embed_on_sites
 from certground.upper import ring_reference
 from tests.conftest import CHAIN, EMIN, RING
 
@@ -67,6 +68,30 @@ class TestBuildSdp:
             MarginalProblemSpec(model, 4, 1, "consecutive", "middle"))
         assert prob.n_constraints == 49  # 3 windows x 16 + 1 trace
         assert prob.blocks == [32, 8]   # real-embedded
+
+    def test_constraint_rows_real(self, heisenberg):
+        # row 1 + j pairs basis element j lifted onto the first window with -B_j
+        prob = build_marginal_sdp(
+            MarginalProblemSpec(heisenberg, 4, 1, "consecutive", "middle"))
+        basis = hermitian_basis(4, True)
+        for j, B in enumerate(basis):
+            np.testing.assert_array_equal(prob.A[0][1 + j],
+                                          embed_on_sites(B, [0, 1], 4).toarray())
+            np.testing.assert_array_equal(prob.A[1][1 + j], -B)
+        np.testing.assert_array_equal(prob.A[0][0], np.eye(16))
+        np.testing.assert_array_equal(prob.A[1][0], np.zeros((4, 4)))
+        np.testing.assert_array_equal(prob.b, [1.0] + [0.0] * 30)
+
+    def test_validate_certificate_matches_solver(self, heisenberg):
+        # the solver and the certificate check share one residual evaluator,
+        # also after the solver pruned dependent constraints and restarted
+        prob = build_marginal_sdp(
+            MarginalProblemSpec(heisenberg, 4, 1, "consecutive", "middle"))
+        sol = sdp.solve(prob)
+        report = sdp.validate_certificate(prob, sol)
+        for key in ("primal_obj", "dual_obj", "gap", "feas_primal", "feas_dual"):
+            assert report[key] == getattr(sol, key), key
+        assert report["all_clear"]
 
     def test_hermitian_basis_sizes(self):
         assert len(hermitian_basis(4, True)) == 10

@@ -50,6 +50,14 @@ class TestParseModel:
         np.testing.assert_allclose(np.asarray(m.term).real,
                                    np.diag([1.0, 0.0, 0.0, 1.0]), atol=1e-14)
 
+    def test_non_finite_rejected(self):
+        entries = [[0.0, 0.0]] * 16
+        entries[5] = [float("nan"), 0.0]
+        doc = json.dumps({"name": "nan", "d": 2, "D": 1,
+                          "term": {"dense": entries}})
+        with pytest.raises(ValueError, match="non-finite"):
+            parse_model(doc)
+
     def test_non_hermitian_rejected(self):
         entries = [[0.0, 0.0]] * 16
         entries[1] = [1.0, 0.0]  # upper off-diagonal only

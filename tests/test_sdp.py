@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from certground.sdp import (SdpProblem, dual_lower_bound, real_embed, solve,
-                            validate_certificate, write_sdpa)
+from certground.sdp import (SdpProblem, SdpSolution, dual_lower_bound, real_embed,
+                            solve, validate_certificate, write_sdpa)
 
 
 def lambda_min_problem(h):
@@ -152,6 +152,18 @@ class TestCertificate:
             sol = solve(prob)
             z = dual_lower_bound(prob, sol, trace_bounds=(1.0,))
             assert z <= np.linalg.eigvalsh(h)[0] + 1e-12
+
+    def test_dual_lower_bound_has_rounding_margin(self):
+        # C = diag(1, 2), y = 1: S = diag(0, 1) is exactly singular and the
+        # dual residual is exactly zero, yet eigvalsh rounding still costs
+        # a strictly positive margin
+        prob = lambda_min_problem(np.diag([1.0, 2.0]))
+        sol = SdpSolution(status="optimal", X=[np.diag([1.0, 0.0])], y=np.array([1.0]),
+                          S=[np.diag([0.0, 1.0])], primal_obj=1.0, dual_obj=1.0,
+                          gap=0.0, feas_primal=0.0, feas_dual=0.0, iterations=0)
+        z = dual_lower_bound(prob, sol, trace_bounds=(1.0,))
+        assert z < sol.dual_obj
+        assert sol.dual_obj - z < 1e-14
 
 
 class TestSdpa:
