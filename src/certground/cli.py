@@ -138,7 +138,8 @@ def _marginal_report(model, args, m, s, mode, placement):
         params={"m": m, "s": s, "mode": mode, "placement": placement},
         lower=res.density_bound, certified=certified,
         diagnostics={"z": res.z, "gap": res.gap, "dual_residual": res.feas_dual,
-                     "iterations": res.iterations})
+                     "iterations": res.iterations,
+                     "status": res.diagnostics["status"]})
 
 
 def _moment_report(model, args, window):

@@ -1,14 +1,13 @@
 """Improved Anderson bounds from the quantum marginal problem.
 
-The bound z/m comes from an SDP over a patch state omega on m sites and a
-boundary-window state sigma on 2s sites, linked by partial-trace equality
-constraints. Two constraint readings are available:
+The bound z/m comes from an SDP over one patch state omega on m sites. The
+boundary-window state sigma on 2s sites is not a variable but the marginal
+of omega on the first window. Two window readings are available:
 
-  wrap         sigma equals the marginal of omega on the ordered wrap set
-               (m-s+1..m, 1..s) of patch sites (one equation family);
-  consecutive  sigma equals the marginal of omega on every consecutive
-               2s-site window (the default; its lower-bound property follows
-               from feasibility of the true translation-invariant state).
+  wrap         one window, the ordered wrap set (m-s+1..m, 1..s) of sites;
+  consecutive  every consecutive 2s-site window, all with equal marginals
+               (the default; its lower-bound property follows from
+               feasibility of the true translation-invariant state).
 
 The crossing term places the two-site interaction either on sigma's middle
 factor pair (s, s+1) -- the actual inter-patch bond -- or literally on the
@@ -17,7 +16,6 @@ last two factors.
 
 from __future__ import annotations
 
-import itertools
 import time
 from dataclasses import dataclass, field
 
@@ -132,62 +130,58 @@ def boundary_sites(m: int, s: int) -> list:
 
 
 def crossing_sites(s: int, placement: str) -> tuple:
-    """The two sigma factors carrying the inter-patch interaction term."""
+    """The two window factors carrying the inter-patch interaction term."""
     if placement == "middle":
         return (s - 1, s)
     return (2 * s - 2, 2 * s - 1)
 
 
-def build_marginal_sdp(spec: MarginalProblemSpec,
-                       drop_marginal_constraints: bool = False) -> sdp.SdpProblem:
-    """Assemble the two-block SDP (omega on m sites, sigma on 2s sites).
+def build_marginal_sdp(spec: MarginalProblemSpec) -> sdp.SdpProblem:
+    """Assemble the one-block SDP over the patch state omega on m sites.
 
-    Constraints: tr(omega) = 1 and, per window, one equation per Hermitian
-    basis element B of the window space: tr(omega * lift(B)) - tr(sigma B) = 0.
-    tr(sigma) = 1 is implied by the basis equations and the omega trace; with
-    several windows the implied copies are redundant but consistent (the
-    solver prunes exact dependencies). Real models use the real-symmetric
-    restriction; complex ones are real-embedded (matrices halved so traces
-    match the complex problem).
+    sigma is the marginal of omega on the first window W_0, so the crossing
+    term is lifted onto W_0. Constraints: tr(omega) = 1 and, per later window
+    W_k and Hermitian basis element B of the window space,
+    tr(omega (lift_{W_k}(B) - lift_{W_0}(B))) = 0. Overlapping windows make
+    some rows dependent (the solver prunes exact dependencies). Real models
+    use the real-symmetric restriction; complex ones are real-embedded
+    (matrices halved so traces match the complex problem).
     """
     model, m, s = spec.model, spec.m, spec.s
-    d = model.d
-    real = model.is_real
-    dim_w, dim_s = d ** m, d ** (2 * s)
-
-    h = np.asarray(model.term, dtype=float if real else complex)
-    h_m = build_patch(model, PatchSpec(m, 1, "open")).toarray()
-    cross = embed_on_sites(h, crossing_sites(s, spec.placement), 2 * s, d).toarray()
+    d, real = model.d, model.is_real
 
     if spec.mode == "wrap":
         windows = [boundary_sites(m, s)]
     else:
         windows = [list(range(k, k + 2 * s)) for k in range(m - 2 * s + 1)]
+    first, later = windows[0], windows[1:]
 
-    basis = hermitian_basis(dim_s, real_only=real)
-    n_cons = 2 if drop_marginal_constraints else 1 + len(windows) * len(basis)
-    blocks = [dim_w, dim_s] if real else [2 * dim_w, 2 * dim_s]
-    A = [np.zeros((n_cons, n, n)) for n in blocks]
-    b = np.zeros(n_cons)
+    h = np.asarray(model.term, dtype=float if real else complex)
+    cross = embed_on_sites(h, [first[j] for j in crossing_sites(s, spec.placement)],
+                           m, d)
+    objective = (build_patch(model, PatchSpec(m, 1, "open")) + cross).toarray()
+
+    basis = hermitian_basis(d ** (2 * s), real_only=real)
+    n = d ** m if real else 2 * d ** m
+    A = np.zeros((1 + len(later) * len(basis), n, n))
+    b = np.zeros(A.shape[0])
 
     def block(mat):
         return mat.real if real else sdp.real_embed(mat) / 2.0
 
-    A[0][0] = block(np.eye(dim_w))
+    A[0] = block(np.eye(d ** m))
     b[0] = 1.0
-    if drop_marginal_constraints:
-        A[1][1] = block(np.eye(dim_s))
-        b[1] = 1.0
-    else:
-        for i, (win, B) in enumerate(itertools.product(windows, basis), start=1):
-            A[0][i] = block(embed_on_sites(B, win, m, d).toarray())
-            A[1][i] = block(-B)
-    return sdp.SdpProblem(blocks, [block(h_m), block(cross)], A, b)
+    for j, B in enumerate(basis):
+        on_first = embed_on_sites(B, first, m, d)
+        for k, win in enumerate(later):
+            A[1 + k * len(basis) + j] = block(
+                (embed_on_sites(B, win, m, d) - on_first).toarray())
+    return sdp.SdpProblem([n], [block(objective)], [A], b)
 
 
 def improved_anderson_bound(spec: MarginalProblemSpec, gap_tol: float = 1e-9,
-                            feas_tol: float = 1e-9, quality_tol: float = 1e-6,
-                            drop_marginal_constraints: bool = False) -> MarginalBoundResult:
+                            feas_tol: float = 1e-9,
+                            quality_tol: float = 1e-6) -> MarginalBoundResult:
     """Solve the marginal SDP; z is the rigorous dual-side value, z/m the bound.
 
     The returned bound comes from the dual certificate, which is valid for any
@@ -195,16 +189,16 @@ def improved_anderson_bound(spec: MarginalProblemSpec, gap_tol: float = 1e-9,
     still accepted as long as its duality gap is below quality_tol.
     """
     t0 = time.perf_counter()
-    problem = build_marginal_sdp(spec, drop_marginal_constraints=drop_marginal_constraints)
+    problem = build_marginal_sdp(spec)
     sol = sdp.solve(problem, gap_tol=gap_tol, feas_tol=feas_tol)
     if sol.status != "optimal" and not (sol.gap <= quality_tol
                                         and sol.feas_primal <= quality_tol):
         raise RuntimeError(
             f"marginal SDP solve failed (status {sol.status}, "
             f"gap {sol.gap:g}, primal residual {sol.feas_primal:g})")
-    # state blocks have trace 1; real embedding doubles the block trace
+    # omega has trace 1; real embedding doubles the block trace
     tb = 1.0 if spec.model.is_real else 2.0
-    z = sdp.dual_lower_bound(problem, sol, trace_bounds=(tb, tb))
+    z = sdp.dual_lower_bound(problem, sol, trace_bounds=(tb,))
     return MarginalBoundResult(
         m=spec.m, s=spec.s, mode=spec.mode, placement=spec.placement,
         z=z, density_bound=z / spec.m, gap=sol.gap, feas_dual=sol.feas_dual,

@@ -21,8 +21,6 @@ from certground.sdp import SdpProblem, solve
 from certground.upper import product_state_upper, ring_reference
 from tests.conftest import CHAIN, EMIN, PATCH2D_3
 
-ARTIFACT_DIR = os.path.join(os.path.dirname(__file__), "artifacts")
-
 
 def report(capsys, name, ok, detail=""):
     with capsys.disabled():
@@ -182,10 +180,10 @@ def test_criterion_6_monotonicity_all_levels(capsys, marginal_grid):
     assert ok
 
 
-def test_criterion_6_wrap_vs_consecutive_table(capsys, marginal_grid, heisenberg):
-    """Archive the wrap-vs-consecutive comparison (evidence, no pass/fail)."""
-    os.makedirs(ARTIFACT_DIR, exist_ok=True)
-    path = os.path.join(ARTIFACT_DIR, "wrap_vs_consecutive.csv")
+def test_criterion_6_wrap_vs_consecutive_table(capsys, marginal_grid, heisenberg,
+                                                tmp_path):
+    """Print the wrap-vs-consecutive comparison (evidence, no pass/fail)."""
+    path = tmp_path / "wrap_vs_consecutive.csv"
     lines = ["m,s,consecutive_density,wrap_density,ring_density"]
     for m in range(2, 7):
         wrap = improved_anderson_bound(
@@ -193,10 +191,9 @@ def test_criterion_6_wrap_vs_consecutive_table(capsys, marginal_grid, heisenberg
         ring = ring_reference(heisenberg, m)
         lines.append(f"{m},1,{marginal_grid[(m, 1)] / m:.12g},"
                      f"{wrap.density_bound:.12g},{ring:.12g}")
-    with open(path, "w") as f:
-        f.write("\n".join(lines) + "\n")
-    assert report(capsys, "criterion 6 (comparison table archived)",
-                  os.path.exists(path), path)
+    path.write_text("\n".join(lines) + "\n")
+    assert report(capsys, "criterion 6 (comparison table)", path.exists(),
+                  " ".join(lines))
 
 
 def test_criterion_7_moment_bounds(capsys, heisenberg, zz_model):

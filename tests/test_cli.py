@@ -39,6 +39,12 @@ class TestMarginalMoment:
         assert abs(doc["lower"] + 0.934258546) < 1e-6
         assert doc["certified"] is True
 
+    def test_marginal_reports_solver_status(self, capsys):
+        code, out = run_capture(capsys, ["marginal", "--model", "heisenberg",
+                                         "--m", "4", "--s", "1"])
+        assert code == 0
+        assert json.loads(out)["diagnostics"]["status"] == "optimal"
+
     def test_wrap_not_certified(self, capsys):
         code, out = run_capture(capsys, ["marginal", "--model", "heisenberg",
                                          "--m", "3", "--s", "1", "--mode", "wrap"])

@@ -54,33 +54,47 @@ class TestGeometry:
 
 class TestBuildSdp:
     def test_constraint_count_real(self, heisenberg):
-        # 3 windows x 10 symmetric basis elements + 1 trace (the real-
+        # 2 later windows x 10 symmetric basis elements + 1 trace (the real-
         # symmetric restriction uses the 10-element symmetric basis on two
         # qubits, not the full 16-element Hermitian one)
         prob = build_marginal_sdp(
             MarginalProblemSpec(heisenberg, 4, 1, "consecutive", "middle"))
-        assert prob.n_constraints == 31
-        assert prob.blocks == [16, 4]
+        assert prob.n_constraints == 21
+        assert prob.blocks == [16]
 
     def test_constraint_count_complex(self):
         model = cg.builtin_model("random_twosite", [3.0])
         prob = build_marginal_sdp(
             MarginalProblemSpec(model, 4, 1, "consecutive", "middle"))
-        assert prob.n_constraints == 49  # 3 windows x 16 + 1 trace
-        assert prob.blocks == [32, 8]   # real-embedded
+        assert prob.n_constraints == 33  # 2 later windows x 16 + 1 trace
+        assert prob.blocks == [32]   # real-embedded
 
     def test_constraint_rows_real(self, heisenberg):
-        # row 1 + j pairs basis element j lifted onto the first window with -B_j
+        # row 1 + j equates the marginals on the second and the first window
+        # along basis element j; the objective charges the crossing bond to
+        # the first window
         prob = build_marginal_sdp(
             MarginalProblemSpec(heisenberg, 4, 1, "consecutive", "middle"))
         basis = hermitian_basis(4, True)
         for j, B in enumerate(basis):
-            np.testing.assert_array_equal(prob.A[0][1 + j],
-                                          embed_on_sites(B, [0, 1], 4).toarray())
-            np.testing.assert_array_equal(prob.A[1][1 + j], -B)
+            np.testing.assert_array_equal(
+                prob.A[0][1 + j], (embed_on_sites(B, [1, 2], 4)
+                                   - embed_on_sites(B, [0, 1], 4)).toarray())
         np.testing.assert_array_equal(prob.A[0][0], np.eye(16))
-        np.testing.assert_array_equal(prob.A[1][0], np.zeros((4, 4)))
-        np.testing.assert_array_equal(prob.b, [1.0] + [0.0] * 30)
+        np.testing.assert_array_equal(prob.b, [1.0] + [0.0] * 20)
+        h = np.asarray(heisenberg.term).real
+        h4 = build_patch(heisenberg, PatchSpec(4, 1, "open")).toarray().real
+        np.testing.assert_array_equal(
+            prob.C[0], h4 + embed_on_sites(h, [0, 1], 4).toarray())
+
+    def test_window_marginals_agree(self, heisenberg):
+        # the solved omega has one marginal on all three 2-site windows
+        prob = build_marginal_sdp(
+            MarginalProblemSpec(heisenberg, 4, 1, "consecutive", "middle"))
+        omega = sdp.solve(prob).X[0]
+        first = partial_trace(omega, [0, 1])
+        for win in ([1, 2], [2, 3]):
+            np.testing.assert_allclose(partial_trace(omega, win), first, atol=1e-7)
 
     def test_validate_certificate_matches_solver(self, heisenberg):
         # the solver and the certificate check share one residual evaluator,
@@ -115,11 +129,23 @@ class TestBounds:
         low = (CHAIN[3] - 1.5) / 3.0
         assert low - 1e-7 <= res.density_bound <= EMIN + 1e-7
 
-    def test_dropped_constraints_diagnostic(self, heisenberg):
+    def test_single_window_is_min_eig(self, heisenberg):
+        # 2s = m and wrap mode have one window: only the trace row is left,
+        # so the bound is the smallest eigenvalue of the objective
+        for spec in (MarginalProblemSpec(heisenberg, 4, 2, "consecutive", "middle"),
+                     MarginalProblemSpec(heisenberg, 5, 1, "wrap", "middle")):
+            prob = build_marginal_sdp(spec)
+            assert prob.n_constraints == 1
+            res = improved_anderson_bound(spec)
+            assert abs(res.z - np.linalg.eigvalsh(prob.C[0])[0]) < 1e-7
+
+    @pytest.mark.parametrize("m, s, density", [
+        (4, 1, -1.0), (4, 2, -1.0),
+        (5, 1, RING[6]), (5, 2, RING[6]), (6, 1, RING[6])])
+    def test_frozen_consecutive_densities(self, heisenberg, m, s, density):
         res = improved_anderson_bound(
-            MarginalProblemSpec(heisenberg, 4, 1, "consecutive", "middle"),
-            drop_marginal_constraints=True)
-        assert abs(res.z - (CHAIN[4] - 1.5)) < 1e-6
+            MarginalProblemSpec(heisenberg, m, s, "consecutive", "middle"))
+        assert abs(res.density_bound - density) < 1e-8
 
     def test_wrap_sigma_elimination_m2(self, heisenberg):
         res = improved_anderson_bound(
