@@ -29,6 +29,7 @@ class AndersonResult:
     certified_bound: float
     residual: float
     converged: bool
+    iterations: int
     seconds: float
 
     def csv_row(self, model_name: str) -> dict:
@@ -77,6 +78,7 @@ def anderson_bound(model: ModelSpec, m: int, D: int = 1, tol: float = 1e-8,
         certified_bound=anderson_formula(eig.lower_edge, m, D),
         residual=eig.residual,
         converged=eig.converged,
+        iterations=eig.iterations,
         seconds=time.perf_counter() - t0,
     )
 

@@ -126,7 +126,7 @@ def _anderson_report(model, args):
         guarantee_width=res.guarantee_width,
         diagnostics={"bound_point_estimate": res.bound,
                      "lambda_min_patch": res.lambda_min_patch,
-                     "residual": res.residual})
+                     "residual": res.residual, "iterations": res.iterations})
 
 
 def _marginal_report(model, args, m, s, mode, placement):
@@ -139,7 +139,8 @@ def _marginal_report(model, args, m, s, mode, placement):
         lower=res.density_bound, certified=certified,
         diagnostics={"z": res.z, "gap": res.gap, "dual_residual": res.feas_dual,
                      "iterations": res.iterations,
-                     "status": res.diagnostics["status"]})
+                     "status": res.diagnostics["status"],
+                     "stalled": res.diagnostics["stalled"]})
 
 
 def _moment_report(model, args, window):

@@ -15,6 +15,7 @@ import numpy as np
 import scipy.linalg
 
 DENSE_CAP = 1 << 12
+_BASIS_ROWS = 32  # initial Lanczos basis capacity; doubled when full
 
 
 @dataclass(frozen=True)
@@ -33,12 +34,14 @@ class EigResult:
 def min_eig_dense_certified(m) -> EigResult:
     """Dense smallest eigenpair with an explicit residual for certification.
 
-    Sized for dimensions up to DENSE_CAP; `min_eig` sends nothing larger here.
+    Only the lowest eigenpair is computed; the Rayleigh quotient and the
+    residual are recomputed from the returned vector. Sized for dimensions up
+    to DENSE_CAP; `min_eig` sends nothing larger here.
     """
     if hasattr(m, "toarray"):
         m = m.toarray()
     m = np.asarray(m)
-    w, v = np.linalg.eigh(m)
+    _, v = scipy.linalg.eigh(m, subset_by_index=[0, 0])
     vec = v[:, 0]
     mv = m @ vec
     val = float(np.real(np.vdot(vec, mv)))
@@ -54,7 +57,12 @@ def min_eig_lanczos(apply, dim: int, tol: float = 1e-8, seed: int = 0,
     keeps the basis orthonormal; convergence is decided on the tridiagonal
     Ritz pair and certified by recomputing the residual with a final matvec.
     Deterministic for a fixed seed. `apply` may be a callable or anything
-    supporting `@` (e.g. a scipy sparse matrix).
+    supporting `@` (e.g. a scipy sparse matrix); it is always given a
+    contiguous vector.
+
+    The basis is stored one contiguous row per Lanczos vector, in an array
+    that doubles when full, so memory grows with the iteration count and not
+    with `max_iter`.
     """
     if not callable(apply):
         op = apply
@@ -66,29 +74,29 @@ def min_eig_lanczos(apply, dim: int, tol: float = 1e-8, seed: int = 0,
     v /= np.linalg.norm(v)
     w0 = apply(v)
     dtype = np.result_type(w0.dtype, np.float64)
-    q = np.zeros((dim, min(max_iter, dim) + 1), dtype=dtype)
-    q[:, 0] = v
+    kmax = min(max_iter, dim)
+    q = np.empty((min(kmax + 1, _BASIS_ROWS), dim), dtype=dtype)
+    q[0] = v
     alphas: list[float] = []
     betas: list[float] = []
-    kmax = min(max_iter, dim)
     w = np.asarray(w0, dtype=dtype)
-    exhausted = False
 
     for j in range(kmax):
         if j > 0:
-            w = apply(q[:, j])
-        a = float(np.real(np.vdot(q[:, j], w)))
+            w = apply(q[j])
+        a = float(np.real(np.vdot(q[j], w)))
         alphas.append(a)
-        w = w - a * q[:, j]
+        w = w - a * q[j]
         if j > 0:
-            w = w - betas[-1] * q[:, j - 1]
-        for _ in range(2):  # full reorthogonalization
-            w = w - q[:, : j + 1] @ (q[:, : j + 1].conj().T @ w)
+            w = w - betas[-1] * q[j - 1]
+        basis = q[: j + 1]
+        for _ in range(2):  # full reorthogonalization: w -= Q (Q^H w)
+            w = w - (basis @ w.conj()).conj() @ basis
         beta = float(np.linalg.norm(w))
         theta, u = _smallest_ritz(alphas, betas)
         est = beta * abs(u[-1])
         if est <= 0.1 * tol or beta <= 1e-14 or j == kmax - 1:
-            vec = q[:, : j + 1] @ u
+            vec = u @ basis
             vec /= np.linalg.norm(vec)
             mv = apply(vec)
             val = float(np.real(np.vdot(vec, mv)))
@@ -98,7 +106,11 @@ def min_eig_lanczos(apply, dim: int, tol: float = 1e-8, seed: int = 0,
             if j == kmax - 1:
                 return EigResult(val, res, j + 1, False)
         betas.append(beta)
-        q[:, j + 1] = w / beta
+        if j + 1 == len(q):  # basis full: double it, never beyond kmax + 1 rows
+            grown = np.empty((min(2 * len(q), kmax + 1), dim), dtype=dtype)
+            grown[: len(q)] = q
+            q = grown
+        q[j + 1] = w / beta
 
     raise AssertionError("unreachable")  # loop always returns
 

@@ -204,4 +204,5 @@ def improved_anderson_bound(spec: MarginalProblemSpec, gap_tol: float = 1e-9,
         z=z, density_bound=z / spec.m, gap=sol.gap, feas_dual=sol.feas_dual,
         iterations=sol.iterations, seconds=time.perf_counter() - t0,
         diagnostics={"primal_obj": sol.primal_obj, "dual_obj": sol.dual_obj,
-                     "status": sol.status})
+                     "status": sol.status,
+                     "stalled": bool(sol.diagnostics.get("stalled", False))})

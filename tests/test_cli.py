@@ -24,6 +24,14 @@ class TestAnderson:
         assert doc["guarantee_width"] > 0
         assert doc["certified"] is True
 
+    @pytest.mark.parametrize("m, iterations", [(6, 1), (15, 54)])
+    def test_reports_eigensolver_iterations(self, capsys, m, iterations):
+        # dense solves count as one iteration; Lanczos reports its step count
+        code, out = run_capture(capsys, ["anderson", "--model", "heisenberg",
+                                         "--m", str(m)])
+        assert code == 0
+        assert json.loads(out)["diagnostics"]["iterations"] == iterations
+
     def test_deterministic_output(self, capsys):
         _, a = run_capture(capsys, ["anderson", "--model", "heisenberg", "--m", "6"])
         _, b = run_capture(capsys, ["anderson", "--model", "heisenberg", "--m", "6"])
@@ -43,7 +51,23 @@ class TestMarginalMoment:
         code, out = run_capture(capsys, ["marginal", "--model", "heisenberg",
                                          "--m", "4", "--s", "1"])
         assert code == 0
-        assert json.loads(out)["diagnostics"]["status"] == "optimal"
+        diagnostics = json.loads(out)["diagnostics"]
+        assert diagnostics["status"] == "optimal"
+        assert diagnostics["stalled"] is False
+
+    def test_marginal_reports_stall(self, capsys, monkeypatch):
+        solve = sdp.solve
+
+        def stalled_solve(*args, **kwargs):
+            sol = solve(*args, **kwargs)
+            sol.diagnostics["stalled"] = True
+            return sol
+
+        monkeypatch.setattr(sdp, "solve", stalled_solve)
+        code, out = run_capture(capsys, ["marginal", "--model", "heisenberg",
+                                         "--m", "4", "--s", "1"])
+        assert code == 0
+        assert json.loads(out)["diagnostics"]["stalled"] is True
 
     def test_wrap_not_certified(self, capsys):
         code, out = run_capture(capsys, ["marginal", "--model", "heisenberg",

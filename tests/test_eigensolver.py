@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -5,7 +7,7 @@ import scipy.sparse as sp
 from certground import eigensolver
 from certground.eigensolver import (DENSE_CAP, EigResult, min_eig, min_eig_dense_certified,
                                     min_eig_lanczos)
-from certground.models import PatchSpec, build_patch
+from certground.models import PatchSpec, build_patch, builtin_model
 from tests.conftest import CHAIN
 
 
@@ -31,6 +33,16 @@ class TestDense:
         assert res.converged
         assert res.residual < 1e-12
         assert res.lower_edge <= np.linalg.eigvalsh(h)[0] + 1e-14
+
+    def test_complex_hermitian(self):
+        rng = np.random.default_rng(4)
+        b = rng.standard_normal((40, 40)) + 1j * rng.standard_normal((40, 40))
+        h = (b + b.conj().T) / 2
+        res = min_eig_dense_certified(h)
+        ref = np.linalg.eigvalsh(h)[0]
+        assert abs(res.value - ref) < 1e-12
+        assert res.residual < 1e-12
+        assert res.lower_edge <= ref + 1e-14
 
 
 class TestLanczos:
@@ -65,6 +77,50 @@ class TestLanczos:
         h = build_patch(heisenberg, PatchSpec(9))
         res = min_eig_lanczos(h, h.shape[0], tol=1e-8, seed=0)
         assert res.lower_edge <= CHAIN[9] + 1e-12
+
+    def test_complex_hermitian_patch(self):
+        h = build_patch(builtin_model("random_twosite", [3.0]), PatchSpec(10))
+        assert h.dtype == np.complex128
+        res = min_eig_lanczos(h, h.shape[0], tol=1e-10, seed=0)
+        ref = np.linalg.eigvalsh(h.toarray())[0]
+        assert res.converged
+        assert abs(res.value - ref) < 1e-9
+        assert res.lower_edge <= ref + 1e-12
+
+    def test_contiguous_vectors_past_initial_capacity(self):
+        # a random spectrum needs more steps than the initial basis holds
+        rng = np.random.default_rng(5)
+        b = rng.standard_normal((300, 300))
+        h = (b + b.T) / 2
+
+        def apply(v):
+            assert v.flags.c_contiguous
+            return h @ v
+
+        res = min_eig_lanczos(apply, 300, tol=1e-10, seed=0)
+        assert res.converged
+        assert res.iterations > eigensolver._BASIS_ROWS
+        assert abs(res.value - np.linalg.eigvalsh(h)[0]) < 1e-9
+
+    @pytest.mark.parametrize("m, iterations", [(13, 46), (14, 52), (15, 54)])
+    def test_frozen_iteration_counts(self, heisenberg, m, iterations):
+        h = build_patch(heisenberg, PatchSpec(m))
+        res = min_eig_lanczos(h, h.shape[0], tol=1e-8, seed=0)
+        assert res.iterations == iterations
+        assert abs(res.value - CHAIN[m]) < 1e-10
+
+    def test_basis_memory_grows_with_iterations(self, heisenberg):
+        # the basis must not be sized by max_iter (501 rows at dim 8192)
+        h = build_patch(heisenberg, PatchSpec(13))
+        dim = h.shape[0]
+        tracemalloc.start()
+        try:
+            res = min_eig_lanczos(h, dim, tol=1e-8, seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert res.converged
+        assert peak <= 4 * (res.iterations + 1) * dim * 8
 
     def test_nonconvergence_reported(self):
         # a single matvec budget cannot converge a 64-dim problem
