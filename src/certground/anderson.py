@@ -31,6 +31,8 @@ class AndersonResult:
     converged: bool
     iterations: int
     seconds: float
+    lambda_min_certified: float  # the lower edge certified_bound is computed from
+    minimality: str              # "cholesky" (proven) or "unverified"
 
     def csv_row(self, model_name: str) -> dict:
         return {
@@ -61,8 +63,9 @@ def anderson_bound(model: ModelSpec, m: int, D: int = 1, tol: float = 1e-8,
     """The Anderson bound with guarantee for one patch size.
 
     `bound` uses the eigensolver's point estimate; `certified_bound` uses
-    its lower edge (value - residual) so floating point cannot invalidate
-    the lower-bound claim.
+    its lower edge, proven below lambda_min up to DENSE_CAP and
+    value - residual above it, so floating point cannot invalidate the
+    lower-bound claim.
     """
     t0 = time.perf_counter()
     if D not in (1, 2):
@@ -80,6 +83,8 @@ def anderson_bound(model: ModelSpec, m: int, D: int = 1, tol: float = 1e-8,
         converged=eig.converged,
         iterations=eig.iterations,
         seconds=time.perf_counter() - t0,
+        lambda_min_certified=eig.lower_edge,
+        minimality=eig.minimality,
     )
 
 

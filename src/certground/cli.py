@@ -126,7 +126,9 @@ def _anderson_report(model, args):
         guarantee_width=res.guarantee_width,
         diagnostics={"bound_point_estimate": res.bound,
                      "lambda_min_patch": res.lambda_min_patch,
-                     "residual": res.residual, "iterations": res.iterations})
+                     "residual": res.residual, "iterations": res.iterations,
+                     "minimality": res.minimality,
+                     "lambda_min_certified": res.lambda_min_certified})
 
 
 def _marginal_report(model, args, m, s, mode, placement):

@@ -24,13 +24,24 @@ class TestAnderson:
         assert doc["guarantee_width"] > 0
         assert doc["certified"] is True
 
-    @pytest.mark.parametrize("m, iterations", [(6, 1), (15, 54)])
+    @pytest.mark.parametrize("m, iterations", [(6, 20), (15, 54)])
     def test_reports_eigensolver_iterations(self, capsys, m, iterations):
-        # dense solves count as one iteration; Lanczos reports its step count
+        # Lanczos steps at seed 0, on both sides of DENSE_CAP
         code, out = run_capture(capsys, ["anderson", "--model", "heisenberg",
                                          "--m", str(m)])
         assert code == 0
         assert json.loads(out)["diagnostics"]["iterations"] == iterations
+
+    @pytest.mark.parametrize("m, minimality", [(6, "cholesky"), (13, "unverified")])
+    def test_reports_minimality(self, capsys, m, minimality):
+        code, out = run_capture(capsys, ["anderson", "--model", "heisenberg",
+                                         "--m", str(m)])
+        assert code == 0
+        doc = json.loads(out)
+        diagnostics = doc["diagnostics"]
+        assert diagnostics["minimality"] == minimality
+        assert diagnostics["lambda_min_certified"] <= diagnostics["lambda_min_patch"]
+        assert abs(doc["lower"] - diagnostics["lambda_min_certified"] / (m - 1)) < 1e-11
 
     def test_deterministic_output(self, capsys):
         _, a = run_capture(capsys, ["anderson", "--model", "heisenberg", "--m", "6"])

@@ -5,10 +5,19 @@ import pytest
 import scipy.sparse as sp
 
 from certground import eigensolver
+from certground.cli import run
 from certground.eigensolver import (DENSE_CAP, EigResult, min_eig, min_eig_dense_certified,
                                     min_eig_lanczos)
 from certground.models import PatchSpec, build_patch, builtin_model
 from tests.conftest import CHAIN
+
+
+def _random_hermitian(n, seed, complex_=False):
+    rng = np.random.default_rng(seed)
+    b = rng.standard_normal((n, n))
+    if complex_:
+        b = b + 1j * rng.standard_normal((n, n))
+    return (b + b.conj().T) / 2
 
 
 class TestDense:
@@ -136,3 +145,75 @@ class TestLanczos:
                             lambda *args, **kwargs: EigResult(0.0, 1.0, 500, False))
         with pytest.raises(RuntimeError, match="did not converge"):
             min_eig(sp.identity(DENSE_CAP + 1, format="csr"))
+
+
+class TestMinimalityProof:
+    """Below DENSE_CAP, lambda_min > lower_edge is proven by a shifted Cholesky."""
+
+    @staticmethod
+    def _fake_lanczos(pick):
+        # a Lanczos stand-in that reports pick(spectrum) with residual 0
+        def fake(apply, dim, tol=1e-8, seed=0, max_iter=500):
+            h = apply.toarray() if hasattr(apply, "toarray") else apply
+            return EigResult(pick(np.linalg.eigvalsh(h)), 0.0, 1, True)
+        return fake
+
+    @pytest.mark.parametrize("pick", [lambda w: w[1], lambda w: w[0] + 1e-6],
+                             ids=["second_lowest", "lowest_plus_1e-6"])
+    def test_non_minimal_ritz_value_refused(self, monkeypatch, pick):
+        h = _random_hermitian(12, 6)
+        monkeypatch.setattr(eigensolver, "min_eig_lanczos", self._fake_lanczos(pick))
+        with pytest.raises(RuntimeError, match="minimality not proven"):
+            min_eig(h)
+
+    def test_non_minimal_ritz_value_exits_3(self, monkeypatch, capsys):
+        # the open 4-site Heisenberg chain: singlet ground state, triplet above it
+        monkeypatch.setattr(eigensolver, "min_eig_lanczos",
+                            self._fake_lanczos(lambda w: w[w > w[0] + 1e-9][0]))
+        assert run(["anderson", "--model", "heisenberg", "--m", "4"]) == 3
+        captured = capsys.readouterr()
+        assert "solver failure" in captured.err
+        assert "minimality not proven" in captured.err
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("complex_", [False, True], ids=["real", "complex"])
+    @pytest.mark.parametrize("n", [8, 40, 300])
+    def test_edge_below_lambda_min(self, n, complex_):
+        h = _random_hermitian(n, n, complex_)
+        ref = np.linalg.eigvalsh(h)[0]
+        res = min_eig(h)
+        assert res.minimality == "cholesky"
+        assert ref - 1e-7 <= res.lower_edge <= ref
+        assert abs(res.value - ref) < 1e-12
+        assert res.residual < 1e-12
+
+    @pytest.mark.parametrize("m", range(2, 13))
+    def test_heisenberg_edge_brackets_chain(self, heisenberg, m):
+        res = min_eig(build_patch(heisenberg, PatchSpec(m)))
+        assert res.minimality == "cholesky"
+        assert CHAIN[m] - 1e-7 <= res.lower_edge <= CHAIN[m]
+
+    def test_zero_model(self, zero_model):
+        # the shift sits a subnormal margin below 0; inverse iteration must not overflow
+        res = min_eig(build_patch(zero_model, PatchSpec(4)))
+        assert res.value == 0.0 and res.residual == 0.0
+        assert res.lower_edge <= 0.0
+        assert abs(res.lower_edge) < 1e-9
+
+    def test_factors_in_place(self, heisenberg):
+        # one dense n x n array: the factorization must not copy it
+        h = build_patch(heisenberg, PatchSpec(11))
+        dim = h.shape[0]
+        tracemalloc.start()
+        try:
+            min_eig_dense_certified(h)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * dim * dim * 8
+
+    def test_four_field_result_is_unverified(self):
+        res = EigResult(1.0, 0.25, 3, True)
+        assert res.lower_edge == 0.75
+        assert res.minimality == "unverified"
+        assert EigResult(1.0, 0.25, 3, True, 0.5).lower_edge == 0.5
