@@ -151,7 +151,7 @@ def _moment_report(model, args, window):
         method="moment", model=model.name, params={"l": window},
         lower=res.bound, certified=True,
         diagnostics={"variables": res.variables, "matrix_size": res.matrix_size,
-                     "gap": res.gap})
+                     "gap": res.gap, "iterations": res.iterations})
 
 
 def _run_sweep(model, args):

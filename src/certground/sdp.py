@@ -6,8 +6,11 @@ Primal standard form over symmetric blocks X_k >= 0:
     subject to  sum_k tr(A_{i,k} X_k) = b_i,   i = 1..m
 
 solved by a dense symmetric primal-dual path-following method with a
-Mehrotra predictor-corrector step (HKM direction); the Schur complement
-normal equations are assembled densely and solved by Cholesky. The dual
+Mehrotra predictor-corrector step (HKM direction). Each iterate factors
+every X and S block once by Cholesky; the inverse factors give S^{-1},
+both step-length searches (the step to the PSD boundary is read off
+L^{-1} D L^{-T}) and the Schur complement, assembled as the Gram matrix
+M_ij = <P_i, P_j> of P_i = L_S^{-1} A_i L_X and solved by Cholesky. The dual
 objective b^T y is a certified lower bound on the optimum whenever the
 dual residual is small; `dual_lower_bound` turns it into a rigorous one
 for trace-bounded problems. Complex Hermitian data enters through
@@ -130,18 +133,46 @@ def _residuals(C, A, b, X, y, S, norm_data):
     return p_obj, d_obj, gap, feas_p, feas_d, R_d
 
 
-def _max_step(m_psd: np.ndarray, direction: np.ndarray) -> float:
-    """Largest alpha with m_psd + alpha*direction staying PSD (m_psd > 0)."""
+def _psd_factor(m_psd: np.ndarray) -> np.ndarray:
+    """Lower Cholesky factor of a PSD block; a numerically singular block is
+    lifted by a ridge of 1e-12 tr(m_psd) first."""
     try:
-        L = np.linalg.cholesky(m_psd)
+        return np.linalg.cholesky(m_psd)
     except np.linalg.LinAlgError:
-        L = np.linalg.cholesky(m_psd + 1e-12 * np.trace(m_psd) * np.eye(m_psd.shape[0]))
-    w = scipy.linalg.solve_triangular(L, direction, lower=True)
-    w = scipy.linalg.solve_triangular(L, w.T, lower=True)
-    lam = float(np.min(np.linalg.eigvalsh(_sym(w))))
+        return np.linalg.cholesky(m_psd + 1e-12 * np.trace(m_psd) * np.eye(m_psd.shape[0]))
+
+
+def _tri_inv(L: np.ndarray) -> np.ndarray:
+    """Inverse of a nonsingular lower-triangular factor."""
+    Linv, info = scipy.linalg.lapack.dtrtri(L, lower=1)
+    if info != 0:
+        raise np.linalg.LinAlgError("singular triangular factor")
+    return Linv
+
+
+def _max_step(Linv: np.ndarray, direction: np.ndarray) -> float:
+    """Largest alpha with M + alpha*direction staying PSD, where M = L L^T > 0
+    and Linv = L^{-1}: the step is -1/lambda_min(L^{-1} D L^{-T})."""
+    lam = float(np.min(np.linalg.eigvalsh(_sym(Linv @ direction @ Linv.T))))
     if lam >= -1e-14:
         return np.inf
     return -1.0 / lam
+
+
+def _schur(A, LX, LinvS) -> np.ndarray:
+    """Schur complement M_ij = sum_k tr(A_{i,k} X_k A_{j,k} S_k^{-1}) as a Gram
+    matrix: M_ij = <P_i, P_j> with P_i = L_S^{-1} A_i L_X, X = L_X L_X^T and
+    S = L_S L_S^T, so one temporary as large as A[k] holds every P_i."""
+    m = A[0].shape[0]
+    M = np.zeros((m, m))
+    for a, lx, lsi in zip(A, LX, LinvS):
+        n = lx.shape[0]
+        P = (a.reshape(m * n, n) @ lx).reshape(m, n, n)
+        for i in range(m):
+            P[i] = lsi @ P[i]
+        P = P.reshape(m, n * n)
+        M += P @ P.T
+    return M
 
 
 def _independent_rows(A, m: int, tol: float = 1e-11) -> np.ndarray:
@@ -204,23 +235,17 @@ def solve(problem: SdpProblem, gap_tol: float = 1e-9, feas_tol: float = 1e-9,
             diagnostics["stalled"] = True
             break
 
+        # one Cholesky factor of each X and S block per iterate feeds S^{-1},
+        # the Schur complement and both step-length searches
         try:
-            Sinv = [scipy.linalg.cho_solve(scipy.linalg.cho_factor(s, lower=True),
-                                           np.eye(s.shape[0])) for s in S]
+            LinvS = [_tri_inv(np.linalg.cholesky(s)) for s in S]
         except np.linalg.LinAlgError:
             diagnostics["breakdown"] = "S factorization failed"
             break
-
-        # Schur complement M_ij = tr(A_i X A_j S^{-1}).  Symmetric positive
-        # definite by cyclicity; note the G factor must hold S^{-1} A_j, not
-        # A_j S^{-1}, or the product assembles tr(A_i X S^{-1} A_j) instead.
-        M = np.zeros((m, m))
-        for k in range(nb):
-            n = problem.blocks[k]
-            Fk = (A[k].reshape(m * n, n) @ X[k]).reshape(m, n * n)
-            Gk = (A[k].reshape(m * n, n) @ Sinv[k]).reshape(m, n, n)
-            M += Fk @ Gk.transpose(0, 2, 1).reshape(m, n * n).T
-        M = _sym(M)
+        LX = [_psd_factor(x) for x in X]
+        LinvX = [_tri_inv(lx) for lx in LX]
+        Sinv = [lsi.T @ lsi for lsi in LinvS]
+        M = _schur(A, LX, LinvS)
 
         try:
             Mf = scipy.linalg.cho_factor(M, lower=True)
@@ -285,8 +310,8 @@ def solve(problem: SdpProblem, gap_tol: float = 1e-9, feas_tol: float = 1e-9,
 
         # predictor
         dXa, dya, dSa = newton(0.0)
-        ap = min(1.0, 0.98 * min(_max_step(X[k], dXa[k]) for k in range(nb)))
-        ad = min(1.0, 0.98 * min(_max_step(S[k], dSa[k]) for k in range(nb)))
+        ap = min(1.0, 0.98 * min(_max_step(LinvX[k], dXa[k]) for k in range(nb)))
+        ad = min(1.0, 0.98 * min(_max_step(LinvS[k], dSa[k]) for k in range(nb)))
         mu_aff = sum(float(np.sum((X[k] + ap * dXa[k]) * (S[k] + ad * dSa[k])))
                      for k in range(nb)) / n_tot
         sigma = min(1.0, max(1e-8, (max(mu_aff, 0.0) / mu) ** 3))
@@ -294,8 +319,8 @@ def solve(problem: SdpProblem, gap_tol: float = 1e-9, feas_tol: float = 1e-9,
         # corrector
         cross = [dXa[k] @ dSa[k] for k in range(nb)]
         dX, dy, dS = newton(sigma * mu, cross)
-        ap = min(1.0, 0.98 * min(_max_step(X[k], dX[k]) for k in range(nb)))
-        ad = min(1.0, 0.98 * min(_max_step(S[k], dS[k]) for k in range(nb)))
+        ap = min(1.0, 0.98 * min(_max_step(LinvX[k], dX[k]) for k in range(nb)))
+        ad = min(1.0, 0.98 * min(_max_step(LinvS[k], dS[k]) for k in range(nb)))
         if ap < 1e-10 and ad < 1e-10:
             diagnostics["breakdown"] = "step length collapsed"
             break

@@ -92,6 +92,12 @@ class TestMarginalMoment:
         assert code == 0
         assert abs(json.loads(out)["lower"] + 1.5) < 1e-6
 
+    def test_moment_reports_solver_iterations(self, capsys):
+        code, out = run_capture(capsys, ["moment", "--model", "heisenberg",
+                                         "--l", "2"])
+        assert code == 0
+        assert json.loads(out)["diagnostics"]["iterations"] == 9
+
 
 class TestSweep:
     def test_anderson_csv(self, capsys, tmp_path):

@@ -1,6 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+import scipy.linalg
 
+from certground import builtin_model, moment, sdp
 from certground.sdp import (SdpProblem, SdpSolution, dual_lower_bound, real_embed,
                             solve, validate_certificate, write_sdpa)
 
@@ -81,6 +85,95 @@ class TestSolve:
         assert abs(sol.primal_obj - np.linalg.eigvalsh(h)[0]) < 1e-7
 
 
+def random_psd(rng, n):
+    b = rng.standard_normal((n, n))
+    return b @ b.T + 0.1 * np.eye(n)
+
+
+def random_symmetric(rng, *shape):
+    b = rng.standard_normal(shape)
+    return (b + np.swapaxes(b, -1, -2)) / 2
+
+
+class TestFactoredKernels:
+    def test_gram_schur_matches_trace_formula(self):
+        rng = np.random.default_rng(9)
+        m, blocks = 5, (4, 3)
+        A = [random_symmetric(rng, m, n, n) for n in blocks]
+        X = [random_psd(rng, n) for n in blocks]
+        S = [random_psd(rng, n) for n in blocks]
+        M = sdp._schur(A, [np.linalg.cholesky(x) for x in X],
+                       [sdp._tri_inv(np.linalg.cholesky(s)) for s in S])
+        expect = sum(np.einsum("iab,bc,jcd,da->ij", a, x, a, np.linalg.inv(s))
+                     for a, x, s in zip(A, X, S))
+        np.testing.assert_allclose(M, expect, rtol=1e-10, atol=1e-10)
+
+    def test_factored_step_matches_generalized_eigenvalue(self):
+        rng = np.random.default_rng(10)
+        for n in (1, 4, 9):
+            X = random_psd(rng, n)
+            D = random_symmetric(rng, n, n) - 2 * np.eye(n)
+            lam = scipy.linalg.eigh(D, X, eigvals_only=True)[0]
+            assert lam < 0
+            step = sdp._max_step(sdp._tri_inv(np.linalg.cholesky(X)), D)
+            assert abs(step - (-1.0 / lam)) <= 1e-10 * step
+            assert sdp._max_step(sdp._tri_inv(np.linalg.cholesky(X)), D @ D.T) == np.inf
+
+    def test_singular_x_takes_ridge_fallback(self):
+        v = np.arange(1.0, 5.0)
+        X = np.outer(v, v)                   # rank one, not positive definite
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.cholesky(X)
+        L = sdp._psd_factor(X)
+        Linv = sdp._tri_inv(L)
+        assert np.all(np.isfinite(Linv))
+        np.testing.assert_allclose(L @ L.T, X + 1e-12 * np.trace(X) * np.eye(4),
+                                   rtol=0, atol=1e-12)
+
+    def test_one_factorization_per_block_per_iterate(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("triangular solve on a block")
+
+        calls = []
+        cholesky = np.linalg.cholesky
+
+        def counted(a):
+            calls.append(a.shape)
+            return cholesky(a)
+
+        monkeypatch.setattr(scipy.linalg, "solve_triangular", forbidden)
+        monkeypatch.setattr(np.linalg, "cholesky", counted)
+        h = random_symmetric(np.random.default_rng(11), 6, 6)
+        sol = solve(SdpProblem([6, 3], [h, np.eye(3)],
+                               [np.stack([np.eye(6)]), np.stack([np.eye(3)])],
+                               np.array([1.0])))
+        assert sol.status == "optimal"
+        # the last iteration only checks convergence
+        assert len(calls) == 2 * 2 * (sol.iterations - 1)
+
+    def test_solve_peak_memory_below_three_constraint_tensors(self, monkeypatch):
+        # heisenberg l = 3 has no dependent constraints, so no restart
+        captured = []
+        real_solve = sdp.solve
+
+        def capture(problem, **kwargs):
+            captured.append(problem)
+            return real_solve(problem, **kwargs)
+
+        monkeypatch.setattr(sdp, "solve", capture)
+        moment.ti_moment_bound(builtin_model("heisenberg", []), 3)
+        (problem,) = captured
+        tracemalloc.start()
+        try:
+            sol = real_solve(problem, gap_tol=1e-10, feas_tol=1e-10)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert sol.status == "optimal"
+        assert "pruned_constraints" not in sol.diagnostics
+        assert peak < 3 * problem.A[0].nbytes
+
+
 class TestRealEmbed:
     def test_real_input(self):
         h = np.array([[1.0, 2.0], [2.0, -1.0]])
@@ -136,11 +229,13 @@ class TestCertificate:
         assert validate_certificate(prob, sol)["dual_flag"]
 
     def test_feas_dual_matches_solver_on_scaled_constraints(self):
-        # both normalise the dual residual by the largest |C| or |A| entry
+        # both normalise the dual residual by the largest |C| or |A| entry;
+        # one iteration returns the starting point, whose dual residual
+        # C - S is nonzero by construction
         b = np.random.default_rng(8).standard_normal((5, 5))
         h = (b + b.T) / 2
         prob = SdpProblem([5], [h], [1e3 * np.eye(5)[None, :, :]], np.array([1e3]))
-        sol = solve(prob)
+        sol = solve(prob, max_iter=1)
         assert sol.feas_dual > 0
         assert validate_certificate(prob, sol)["feas_dual"] == sol.feas_dual
 
