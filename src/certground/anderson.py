@@ -33,6 +33,7 @@ class AndersonResult:
     seconds: float
     lambda_min_certified: float  # the lower edge certified_bound is computed from
     minimality: str              # "cholesky" (proven) or "unverified"
+    reorthogonalized: int        # Lanczos steps that reorthogonalized against the basis
 
     def csv_row(self, model_name: str) -> dict:
         return {
@@ -85,6 +86,7 @@ def anderson_bound(model: ModelSpec, m: int, D: int = 1, tol: float = 1e-8,
         seconds=time.perf_counter() - t0,
         lambda_min_certified=eig.lower_edge,
         minimality=eig.minimality,
+        reorthogonalized=eig.reorthogonalized,
     )
 
 

@@ -128,7 +128,8 @@ def _anderson_report(model, args):
                      "lambda_min_patch": res.lambda_min_patch,
                      "residual": res.residual, "iterations": res.iterations,
                      "minimality": res.minimality,
-                     "lambda_min_certified": res.lambda_min_certified})
+                     "lambda_min_certified": res.lambda_min_certified,
+                     "reorthogonalized_steps": res.reorthogonalized})
 
 
 def _marginal_report(model, args, m, s, mode, placement):

@@ -1,4 +1,4 @@
-"""Smallest-eigenvalue solvers: matrix-free Lanczos with full
+"""Smallest-eigenvalue solvers: matrix-free Lanczos with partial
 reorthogonalization, plus a Cholesky proof of minimality for operators up to
 DENSE_CAP. `min_eig` is the one entry point that chooses between them.
 
@@ -20,7 +20,9 @@ import scipy.sparse
 DENSE_CAP = 1 << 12  # largest dimension whose minimality is proven
 _U = np.finfo(np.float64).eps / 2  # unit roundoff
 _ETA = float(np.nextafter(0.0, 1.0))  # smallest subnormal
-_BASIS_ROWS = 32  # initial Lanczos basis capacity; doubled when full
+_EPS = 2 * _U
+_BASIS_ROWS = 32  # rows per block of the Lanczos basis
+_REORTH_TOL = _EPS ** 0.75  # omega estimate above which Lanczos reorthogonalizes
 
 
 @dataclass(frozen=True)
@@ -30,6 +32,7 @@ class EigResult:
     iterations: int
     converged: bool
     proven_edge: float | None = None  # lambda_min > proven_edge, shown by a factorization
+    reorthogonalized: int = 0  # Lanczos steps that read the stored basis
 
     @property
     def lower_edge(self) -> float:
@@ -120,23 +123,29 @@ def min_eig_dense_certified(h, tol: float = 1e-8, seed: int = 0) -> EigResult:
         res = float(np.linalg.norm(hy - val * y))
         if res < residual:
             value, residual = val, res
-    return EigResult(value, residual, ritz.iterations, residual <= tol, proven)
+    return EigResult(value, residual, ritz.iterations, residual <= tol, proven,
+                     ritz.reorthogonalized)
 
 
 def min_eig_lanczos(apply, dim: int, tol: float = 1e-8, seed: int = 0,
                     max_iter: int = 500) -> EigResult:
     """Smallest eigenvalue of a Hermitian operator given by its matvec.
 
-    Full reorthogonalization (two classical Gram-Schmidt passes per step)
-    keeps the basis orthonormal; convergence is decided on the tridiagonal
-    Ritz pair and certified by recomputing the residual with a final matvec.
+    Partial reorthogonalization (Simon, Math. Comp. 42, 1984) keeps the basis
+    orthogonal to about eps^(3/4): the three-term omega recurrence estimates
+    |q_{j+1}^H q_k| at every step, and the stored basis is read only when the
+    largest estimate passes `_REORTH_TOL`, and at the step after that. Such a
+    step makes one Gram-Schmidt pass, and a second one when the pass removed
+    more than 1 - 1/sqrt(2) of the norm (Daniel, Gragg, Kaufman & Stewart,
+    Math. Comp. 30, 1976). Convergence is decided on the tridiagonal Ritz pair
+    and certified by recomputing the residual with a final matvec.
     Deterministic for a fixed seed. `apply` may be a callable or anything
     supporting `@` (e.g. a scipy sparse matrix); it is always given a
     contiguous vector.
 
-    The basis is stored one contiguous row per Lanczos vector, in an array
-    that doubles when full, so memory grows with the iteration count and not
-    with `max_iter`.
+    The basis is stored one contiguous row per Lanczos vector, in blocks of
+    `_BASIS_ROWS` rows that are allocated as needed and never copied, so
+    memory grows with the iteration count and not with `max_iter`.
     """
     if not callable(apply):
         op = apply
@@ -146,47 +155,80 @@ def min_eig_lanczos(apply, dim: int, tol: float = 1e-8, seed: int = 0,
     rng = np.random.default_rng(seed)
     v = rng.standard_normal(dim)
     v /= np.linalg.norm(v)
-    w0 = apply(v)
-    dtype = np.result_type(w0.dtype, np.float64)
+    w = apply(v)
+    dtype = np.result_type(w.dtype, np.float64)
     kmax = min(max_iter, dim)
-    q = np.empty((min(kmax + 1, _BASIS_ROWS), dim), dtype=dtype)
-    q[0] = v
-    alphas: list[float] = []
-    betas: list[float] = []
-    w = np.asarray(w0, dtype=dtype)
+    blocks = [np.empty((min(_BASIS_ROWS, kmax), dim), dtype=dtype)]
+    blocks[0][0] = v
+    # alpha[k] = alpha_k, beta[k + 1] = beta_k (so beta[0] = 0), and
+    # omega[k + 1] estimates q_j^H q_k for the current j (omega[0] = 0);
+    # omega_prev holds those of q_{j-1}, omega_next receives those of q_{j+1}
+    alpha, beta, omega, omega_prev, omega_next = np.zeros((5, kmax + 2))
+    omega[1] = 1.0
+    anorm = 0.0  # running estimate of ||T_j||, the scale of rounding errors
+    second = False  # the step after a reorthogonalization reorthogonalizes too
+    reorthogonalized = 0
 
     for j in range(kmax):
+        qj = blocks[j // _BASIS_ROWS][j % _BASIS_ROWS]
         if j > 0:
-            w = apply(q[j])
-        a = float(np.real(np.vdot(q[j], w)))
-        alphas.append(a)
-        w = w - a * q[j]
+            w = apply(qj)
+        a = float(np.real(np.vdot(qj, w)))
+        alpha[j] = a
+        w = w - a * qj
         if j > 0:
-            w = w - betas[-1] * q[j - 1]
-        basis = q[: j + 1]
-        for _ in range(2):  # full reorthogonalization: w -= Q (Q^H w)
-            w = w - (basis @ w.conj()).conj() @ basis
-        beta = float(np.linalg.norm(w))
-        theta, u = _smallest_ritz(alphas, betas)
-        est = beta * abs(u[-1])
-        if est <= 0.1 * tol or beta <= 1e-14 or j == kmax - 1:
-            vec = u @ basis
+            w -= beta[j] * qprev
+        b = float(np.linalg.norm(w))
+        anorm = max(anorm, abs(a) + beta[j] + b)
+        if b > 1e-14:
+            # beta_j omega_{j+1,k} = beta_k omega_{j,k+1} + (alpha_k - alpha_j) omega_{j,k}
+            #     + beta_{k-1} omega_{j,k-1} - beta_{j-1} omega_{j-1,k} + rounding, for k < j
+            t = (beta[1:j + 1] * omega[2:j + 2] + (alpha[:j] - a) * omega[1:j + 1]
+                 + beta[:j] * omega[:j] - beta[j] * omega_prev[1:j + 1])
+            t += np.copysign(_EPS * anorm, t)
+            omega_next[1:j + 1] = t / b
+            omega_next[j + 1] = _EPS * anorm / b
+            omega_next[j + 2] = 1.0
+            if second or (j > 0 and float(np.max(np.abs(omega_next[1:j + 1]))) > _REORTH_TOL):
+                second = not second
+                reorthogonalized += 1
+                w = _orthogonalize(blocks, j + 1, w)
+                b0, b = b, float(np.linalg.norm(w))
+                if b < b0 / np.sqrt(2):
+                    w = _orthogonalize(blocks, j + 1, w)
+                    b = float(np.linalg.norm(w))
+                omega_next[1:j + 2] = _EPS
+        u = _lowest_ritz_vector(alpha[:j + 1], beta[1:j + 1])
+        est = b * abs(u[-1])
+        if est <= 0.1 * tol or b <= 1e-14 or j == kmax - 1:
+            vec = np.zeros(dim, dtype=dtype)
+            for i, blk in enumerate(blocks):
+                part = u[i * _BASIS_ROWS:(i + 1) * _BASIS_ROWS]
+                vec += part @ blk[:len(part)]
             vec /= np.linalg.norm(vec)
             mv = apply(vec)
             val = float(np.real(np.vdot(vec, mv)))
             res = float(np.linalg.norm(mv - val * vec))
-            if res <= tol or beta <= 1e-14:
-                return EigResult(val, res, j + 1, True)
+            if res <= tol or b <= 1e-14:
+                return EigResult(val, res, j + 1, True, reorthogonalized=reorthogonalized)
             if j == kmax - 1:
-                return EigResult(val, res, j + 1, False)
-        betas.append(beta)
-        if j + 1 == len(q):  # basis full: double it, never beyond kmax + 1 rows
-            grown = np.empty((min(2 * len(q), kmax + 1), dim), dtype=dtype)
-            grown[: len(q)] = q
-            q = grown
-        q[j + 1] = w / beta
+                return EigResult(val, res, j + 1, False, reorthogonalized=reorthogonalized)
+        beta[j + 1] = b
+        if (j + 1) % _BASIS_ROWS == 0:  # block full: start the next one
+            blocks.append(np.empty((min(_BASIS_ROWS, kmax - j - 1), dim), dtype=dtype))
+        blocks[-1][(j + 1) % _BASIS_ROWS] = w / b
+        qprev = qj
+        omega_prev, omega, omega_next = omega, omega_next, omega_prev
 
     raise AssertionError("unreachable")  # loop always returns
+
+
+def _orthogonalize(blocks, rows, w):
+    """One Gram-Schmidt pass of w against the first `rows` basis rows, block by block."""
+    for i, blk in enumerate(blocks):
+        q = blk[:rows - i * _BASIS_ROWS]
+        w -= (q @ w.conj()).conj() @ q
+    return w
 
 
 def min_eig(h, tol: float = 1e-8, seed: int = 0) -> EigResult:
@@ -207,6 +249,8 @@ def min_eig(h, tol: float = 1e-8, seed: int = 0) -> EigResult:
     return res
 
 
-def _smallest_ritz(alphas, betas):
-    w, v = scipy.linalg.eigh_tridiagonal(np.asarray(alphas), np.asarray(betas[: len(alphas) - 1]))
-    return float(w[0]), v[:, 0]
+def _lowest_ritz_vector(alpha, beta):
+    """Eigenvector of the lowest eigenvalue of the tridiagonal matrix with
+    diagonal alpha and off-diagonal beta; no other eigenpair is computed."""
+    _, v = scipy.linalg.eigh_tridiagonal(alpha, beta, select="i", select_range=(0, 0))
+    return v[:, 0]

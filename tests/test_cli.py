@@ -32,6 +32,14 @@ class TestAnderson:
         assert code == 0
         assert json.loads(out)["diagnostics"]["iterations"] == iterations
 
+    @pytest.mark.parametrize("m, steps", [(6, 3), (15, 2)])
+    def test_reports_reorthogonalized_steps(self, capsys, m, steps):
+        # Lanczos steps that read the stored basis, at seed 0
+        code, out = run_capture(capsys, ["anderson", "--model", "heisenberg",
+                                         "--m", str(m)])
+        assert code == 0
+        assert json.loads(out)["diagnostics"]["reorthogonalized_steps"] == steps
+
     @pytest.mark.parametrize("m, minimality", [(6, "cholesky"), (13, "unverified")])
     def test_reports_minimality(self, capsys, m, minimality):
         code, out = run_capture(capsys, ["anderson", "--model", "heisenberg",

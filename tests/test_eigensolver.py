@@ -111,12 +111,48 @@ class TestLanczos:
         assert res.iterations > eigensolver._BASIS_ROWS
         assert abs(res.value - np.linalg.eigvalsh(h)[0]) < 1e-9
 
-    @pytest.mark.parametrize("m, iterations", [(13, 46), (14, 52), (15, 54)])
-    def test_frozen_iteration_counts(self, heisenberg, m, iterations):
-        h = build_patch(heisenberg, PatchSpec(m))
-        res = min_eig_lanczos(h, h.shape[0], tol=1e-8, seed=0)
+    # the step counts and values of full reorthogonalization (two Gram-Schmidt
+    # passes every step); partial reorthogonalization must reproduce them
+    @pytest.mark.parametrize("name, params, m, tol, iterations, value", [
+        pytest.param("heisenberg", [], 13, 1e-8, 46, CHAIN[13], id="13-46"),
+        pytest.param("heisenberg", [], 14, 1e-8, 52, CHAIN[14], id="14-52"),
+        pytest.param("heisenberg", [], 15, 1e-8, 54, CHAIN[15], id="15-54"),
+        pytest.param("heisenberg", [], 18, 1e-8, 67, -15.594022137073, id="18-67"),
+        pytest.param("random_twosite", [3.0], 10, 1e-10, 91, -11.156550671486,
+                     id="random_twosite-10-91"),
+        pytest.param("tfim", [1.0], 14, 1e-10, 105, -16.679134278796, id="tfim-14-105"),
+        pytest.param("xxz", [0.5], 14, 1e-8, 63, -10.173180822918, id="xxz-14-63"),
+    ])
+    def test_frozen_iteration_counts(self, name, params, m, tol, iterations, value):
+        h = build_patch(builtin_model(name, params), PatchSpec(m))
+        res = min_eig_lanczos(h, h.shape[0], tol=tol, seed=0)
+        assert res.converged
         assert res.iterations == iterations
-        assert abs(res.value - CHAIN[m]) < 1e-10
+        assert abs(res.value - value) < 1e-10
+
+    def test_reorthogonalizes_rarely(self, heisenberg):
+        h = build_patch(heisenberg, PatchSpec(15))
+        res = min_eig_lanczos(h, h.shape[0], tol=1e-8, seed=0)
+        assert res.converged
+        assert 0 < res.reorthogonalized < res.iterations / 4
+
+    def test_fast_orthogonality_loss(self):
+        # well separated large eigenvalues converge, and so destroy orthogonality,
+        # long before the clustered lowest one does
+        d = np.geomspace(1e-6, 1.0, 300)
+        basis = []
+
+        def apply(v):
+            basis.append(v.copy())
+            return d * v
+
+        res = min_eig_lanczos(apply, 300, tol=1e-10, seed=0)
+        assert res.converged
+        assert res.reorthogonalized > 0
+        assert abs(res.value - np.linalg.eigvalsh(np.diag(d))[0]) < 1e-9
+        q = np.array(basis[:-1])  # the last vector is the final Ritz vector
+        loss = np.max(np.abs(q @ q.T - np.eye(len(q))))
+        assert loss < np.sqrt(np.finfo(np.float64).eps)  # semi-orthogonal
 
     def test_basis_memory_grows_with_iterations(self, heisenberg):
         # the basis must not be sized by max_iter (501 rows at dim 8192)
@@ -216,4 +252,5 @@ class TestMinimalityProof:
         res = EigResult(1.0, 0.25, 3, True)
         assert res.lower_edge == 0.75
         assert res.minimality == "unverified"
+        assert res.reorthogonalized == 0
         assert EigResult(1.0, 0.25, 3, True, 0.5).lower_edge == 0.5
