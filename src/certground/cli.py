@@ -129,7 +129,8 @@ def _anderson_report(model, args):
                      "residual": res.residual, "iterations": res.iterations,
                      "minimality": res.minimality,
                      "lambda_min_certified": res.lambda_min_certified,
-                     "reorthogonalized_steps": res.reorthogonalized})
+                     "reorthogonalized_steps": res.reorthogonalized,
+                     "sectors": res.sectors, "sector_dim": res.sector_dim})
 
 
 def _marginal_report(model, args, m, s, mode, placement):

@@ -74,8 +74,9 @@ def min_eig_dense_certified(h, tol: float = 1e-8, seed: int = 0) -> EigResult:
     """Smallest eigenpair with a proof that it is the smallest.
 
     Lanczos gives a Ritz value theta and residual r. The shift
-    s = theta - r - c (c = `_cholesky_margin`) is subtracted from the diagonal
-    of a dense copy of h, which is then factored once by Cholesky. Success
+    s = theta - r - c, with c the larger of `_cholesky_margin` and 4u times
+    the largest of |h_ii| and |theta - r|, is subtracted from the diagonal of
+    a dense copy of h, which is then factored once by Cholesky. Success
     proves lambda_min(h) > s - c' (Sylvester's law of inertia, with c' the
     margin of the matrix actually factored); failure raises RuntimeError.
     Two inverse-iteration steps through the same factor then give a value and
@@ -86,7 +87,10 @@ def min_eig_dense_certified(h, tol: float = 1e-8, seed: int = 0) -> EigResult:
     ritz = min_eig_lanczos(h, dim, tol=tol, seed=seed)
     hdiag = np.real(h.diagonal())
     edge = ritz.value - ritz.residual
-    shift = edge - _cholesky_margin(hdiag - edge)
+    # at least the rounding of h_ii - s below the edge, so that an exact
+    # eigenpair (h_ii == edge, e.g. a 1 x 1 block) does not leave h - sI singular
+    scale = max(float(np.max(np.abs(hdiag))), abs(edge))
+    shift = edge - max(_cholesky_margin(hdiag - edge), 4 * _U * scale)
     # the factorization reads one triangle, i.e. the Hermitian matrix built
     # from it; h's own Hermitian part differs from that by at most ||h - h^H||_F / 2
     skew = h - h.conj().T
@@ -209,10 +213,9 @@ def min_eig_lanczos(apply, dim: int, tol: float = 1e-8, seed: int = 0,
             mv = apply(vec)
             val = float(np.real(np.vdot(vec, mv)))
             res = float(np.linalg.norm(mv - val * vec))
-            if res <= tol or b <= 1e-14:
-                return EigResult(val, res, j + 1, True, reorthogonalized=reorthogonalized)
-            if j == kmax - 1:
-                return EigResult(val, res, j + 1, False, reorthogonalized=reorthogonalized)
+            if res <= tol or b <= 1e-14 or j == kmax - 1:
+                return EigResult(val, res, j + 1, res <= tol,
+                                 reorthogonalized=reorthogonalized)
         beta[j + 1] = b
         if (j + 1) % _BASIS_ROWS == 0:  # block full: start the next one
             blocks.append(np.empty((min(_BASIS_ROWS, kmax - j - 1), dim), dtype=dtype))

@@ -169,13 +169,15 @@ def build_marginal_sdp(spec: MarginalProblemSpec) -> sdp.SdpProblem:
     def block(mat):
         return mat.real if real else sdp.real_embed(mat) / 2.0
 
+    def lift(B, k):  # B on the consecutive window starting at site k
+        return np.kron(np.kron(np.eye(d ** k), B), np.eye(d ** (m - k - 2 * s)))
+
     A[0] = block(np.eye(d ** m))
     b[0] = 1.0
-    for j, B in enumerate(basis):
-        on_first = embed_on_sites(B, first, m, d)
+    for j, B in enumerate(basis if later else ()):  # one window: no rows to build
+        on_first = lift(B, 0)
         for k, win in enumerate(later):
-            A[1 + k * len(basis) + j] = block(
-                (embed_on_sites(B, win, m, d) - on_first).toarray())
+            A[1 + k * len(basis) + j] = block(lift(B, win[0]) - on_first)
     return sdp.SdpProblem([n], [block(objective)], [A], b)
 
 

@@ -243,6 +243,36 @@ def build_patch(model: ModelSpec, patch: PatchSpec) -> sp.csr_matrix:
     return out
 
 
+def charge_sectors(model: ModelSpec, n: int) -> list[np.ndarray]:
+    """Blocks of an n-site patch whose minima give its lambda_min, as sorted
+    basis-index arrays.
+
+    The charge of a basis state is the sum of its local digits (total S^z up
+    to an offset when d = 2). Both tests below are exact and structural:
+
+    - SU(2): d = 2 and the term equals a I + b SWAP entrywise. Such terms
+      commute with the total spin, so every multiplet of the ground
+      eigenspace has a member in the floor(n/2) sector; only it is returned.
+    - U(1): term[(a, b), (c, e)] == 0 whenever a + b != c + e. The patch is
+      then block diagonal in the charge; every sector is returned.
+    - Otherwise the whole space is one sector.
+    """
+    d = model.d
+    term = np.asarray(model.term)
+    swap = np.eye(4)[[0, 2, 1, 3]]
+    su2 = d == 2 and np.array_equal(term, term[1, 1] * np.eye(4) + term[1, 2] * swap)
+    pair = np.add.outer(np.arange(d), np.arange(d)).ravel()
+    if not su2 and np.any(term[pair[:, None] != pair[None, :]]):
+        return [np.arange(d ** n)]
+    charge = np.zeros(1, dtype=np.int32)
+    for _ in range(n):  # state index in base d, site 0 most significant
+        charge = (charge[:, None] + np.arange(d, dtype=np.int32)).ravel()
+    if su2:
+        return [np.flatnonzero(charge == n // 2)]
+    order = np.argsort(charge, kind="stable")
+    return np.split(order, np.cumsum(np.bincount(charge))[:-1])
+
+
 def build_ring(model: ModelSpec, n: int) -> sp.csr_matrix:
     """Periodic 1D ring on n sites."""
     return build_patch(model, PatchSpec(n, 1, "periodic"))

@@ -1,9 +1,31 @@
+import json
+
 import numpy as np
 import pytest
 
 from certground.anderson import (anderson_bound, anderson_formula, anderson_sweep,
                                  guarantee_formula)
+from certground.eigensolver import min_eig
+from certground.models import (PatchSpec, build_patch, builtin_model, charge_sectors,
+                               parse_model)
 from tests.conftest import CHAIN, EMIN
+
+# SU(2) invariant with a fully polarized ground multiplet: -(XX + YY + ZZ)/2
+FERROMAGNET = json.dumps({
+    "name": "ferromagnet", "d": 2, "D": 1,
+    "term": {"pauli_sum": [{"paulis": p, "coeff": -0.5} for p in ("XX", "YY", "ZZ")]},
+})
+
+SECTOR_MODELS = {
+    "heisenberg": lambda: builtin_model("heisenberg"),
+    "xxz(0.5)": lambda: builtin_model("xxz", [0.5]),
+    # Ising-dominated: the minimum sits in the all-up and all-down sectors,
+    # which an S^z = 0 shortcut would miss
+    "xxz(-2)": lambda: builtin_model("xxz", [-2.0]),
+    "tfim(1)": lambda: builtin_model("tfim", [1.0]),
+    "random_twosite(3)": lambda: builtin_model("random_twosite", [3.0]),
+    "ferromagnet": lambda: parse_model(FERROMAGNET),
+}
 
 
 class TestFormulas:
@@ -77,3 +99,41 @@ class TestSweep:
             res = anderson_bound(heisenberg, m, 1)
             eps = res.guarantee_width
             assert res.certified_bound - 1e-9 <= EMIN <= res.certified_bound + eps + 1e-9
+
+
+class TestSectors:
+    @pytest.mark.parametrize("m", range(2, 11))
+    @pytest.mark.parametrize("name", SECTOR_MODELS)
+    def test_sector_minimum_is_lambda_min(self, name, m):
+        model = SECTOR_MODELS[name]()
+        res = anderson_bound(model, m, 1)
+        ref = np.linalg.eigvalsh(build_patch(model, PatchSpec(m)).toarray())[0]
+        assert abs(res.lambda_min_patch - ref) < 1e-9
+        assert res.lambda_min_certified <= ref
+        assert res.minimality == "cholesky"
+
+    @pytest.mark.parametrize("name, sectors, sector_dim", [
+        ("heisenberg", 1, 252),   # S^z = 0 only: C(10, 5)
+        ("xxz(0.5)", 11, 252),    # every S^z sector, m + 1 of them
+        ("tfim(1)", 1, 1024),     # no conserved charge: the whole space
+    ])
+    def test_sector_counts(self, name, sectors, sector_dim):
+        res = anderson_bound(SECTOR_MODELS[name](), 10, 1)
+        assert res.sectors == sectors
+        assert res.sector_dim == sector_dim
+
+    def test_counts_sum_over_sectors(self):
+        model = SECTOR_MODELS["xxz(0.5)"]()
+        h = build_patch(model, PatchSpec(6))
+        eigs = [min_eig(h[idx][:, idx]) for idx in charge_sectors(model, 6)]
+        res = anderson_bound(model, 6, 1)
+        assert res.iterations == sum(e.iterations for e in eigs)
+        assert res.reorthogonalized == sum(e.reorthogonalized for e in eigs)
+        assert res.lambda_min_certified == min(e.lower_edge for e in eigs)
+
+    @pytest.mark.parametrize("m", [13, 14])
+    def test_proven_to_m14(self, heisenberg, m):
+        # the S^z = 0 block has C(14, 7) = 3432 <= DENSE_CAP states at m = 14
+        res = anderson_bound(heisenberg, m, 1)
+        assert res.minimality == "cholesky"
+        assert CHAIN[m] - 1e-7 <= res.lambda_min_certified <= CHAIN[m]

@@ -24,9 +24,9 @@ class TestAnderson:
         assert doc["guarantee_width"] > 0
         assert doc["certified"] is True
 
-    @pytest.mark.parametrize("m, iterations", [(6, 20), (15, 54)])
+    @pytest.mark.parametrize("m, iterations", [(6, 19), (15, 54)])
     def test_reports_eigensolver_iterations(self, capsys, m, iterations):
-        # Lanczos steps at seed 0, on both sides of DENSE_CAP
+        # Lanczos steps at seed 0 in the S^z = 0 block, on both sides of DENSE_CAP
         code, out = run_capture(capsys, ["anderson", "--model", "heisenberg",
                                          "--m", str(m)])
         assert code == 0
@@ -40,7 +40,9 @@ class TestAnderson:
         assert code == 0
         assert json.loads(out)["diagnostics"]["reorthogonalized_steps"] == steps
 
-    @pytest.mark.parametrize("m, minimality", [(6, "cholesky"), (13, "unverified")])
+    # Heisenberg solves one S^z block: C(14, 7) = 3432 <= DENSE_CAP < C(15, 7) = 6435
+    @pytest.mark.parametrize("m, minimality", [(6, "cholesky"), (13, "cholesky"),
+                                               (15, "unverified")])
     def test_reports_minimality(self, capsys, m, minimality):
         code, out = run_capture(capsys, ["anderson", "--model", "heisenberg",
                                          "--m", str(m)])
@@ -50,6 +52,14 @@ class TestAnderson:
         assert diagnostics["minimality"] == minimality
         assert diagnostics["lambda_min_certified"] <= diagnostics["lambda_min_patch"]
         assert abs(doc["lower"] - diagnostics["lambda_min_certified"] / (m - 1)) < 1e-11
+
+    def test_reports_sectors(self, capsys):
+        # xxz(0.5) at m = 6: every S^z sector, the largest C(6, 3) = 20 states
+        code, out = run_capture(capsys, ["anderson", "--model", "xxz", "--params", "0.5",
+                                         "--m", "6"])
+        assert code == 0
+        diagnostics = json.loads(out)["diagnostics"]
+        assert (diagnostics["sectors"], diagnostics["sector_dim"]) == (7, 20)
 
     def test_deterministic_output(self, capsys):
         _, a = run_capture(capsys, ["anderson", "--model", "heisenberg", "--m", "6"])

@@ -20,6 +20,12 @@ def _random_hermitian(n, seed, complex_=False):
     return (b + b.conj().T) / 2
 
 
+def _xxz_all_up_block():
+    # the 1-state all-up sector of xxz(0.5) at m = 6: the matrix [[1.25]]
+    h = build_patch(builtin_model("xxz", [0.5]), PatchSpec(6))
+    return h[[0]][:, [0]]
+
+
 class TestDense:
     def test_diagonal(self):
         assert min_eig(np.diag([3.0, -1.0, 2.0])).value == -1.0
@@ -167,6 +173,14 @@ class TestLanczos:
         assert res.converged
         assert peak <= 4 * (res.iterations + 1) * dim * 8
 
+    def test_converged_means_residual_below_tol(self):
+        # the Krylov space is exhausted (beta <= 1e-14) at a residual above tol
+        res = min_eig_lanczos(np.diag(-np.geomspace(1.0, 1e6, 300)), 300, tol=1e-11,
+                              seed=0)
+        assert res.iterations == 300
+        assert res.residual > 1e-11
+        assert not res.converged
+
     def test_nonconvergence_reported(self):
         # a single matvec budget cannot converge a 64-dim problem
         rng = np.random.default_rng(3)
@@ -235,6 +249,23 @@ class TestMinimalityProof:
         assert res.value == 0.0 and res.residual == 0.0
         assert res.lower_edge <= 0.0
         assert abs(res.lower_edge) < 1e-9
+
+    @pytest.mark.parametrize("make", [
+        lambda: sp.csr_matrix([[2.5]]),
+        lambda: sp.csr_matrix([[-3.0]]),
+        lambda: np.diag([1.0, -2.0, 4.0, -2.0]),
+        _xxz_all_up_block,
+    ], ids=["2.5", "-3.0", "repeated_minimum", "xxz_all_up"])
+    def test_exact_eigenpair_proven(self, make):
+        # the Ritz value is an exact eigenvalue with residual 0: the shift
+        # must still sit below it by the rounding of the shifted diagonal
+        h = make()
+        res = min_eig(h)
+        dense = h.toarray() if hasattr(h, "toarray") else h
+        assert res.minimality == "cholesky"
+        assert res.proven_edge <= res.value
+        assert res.proven_edge <= np.linalg.eigvalsh(dense)[0]
+        assert res.value - res.proven_edge <= 1e-12 * abs(res.value)
 
     def test_factors_in_place(self, heisenberg):
         # one dense n x n array: the factorization must not copy it

@@ -87,6 +87,18 @@ class TestBuildSdp:
         np.testing.assert_array_equal(
             prob.C[0], h4 + embed_on_sites(h, [0, 1], 4).toarray())
 
+    def test_kronecker_rows_match_site_embedding(self, heisenberg):
+        # the rows lift B as I (x) B (x) I; the sparse site embedding gives the
+        # same bits
+        prob = build_marginal_sdp(
+            MarginalProblemSpec(heisenberg, 5, 2, "consecutive", "middle"))
+        basis = hermitian_basis(16, True)
+        assert prob.n_constraints == 1 + len(basis)
+        for j, B in enumerate(basis):
+            row = (embed_on_sites(B, [1, 2, 3, 4], 5)
+                   - embed_on_sites(B, [0, 1, 2, 3], 5)).toarray()
+            assert prob.A[0][1 + j].tobytes() == row.tobytes()
+
     def test_window_marginals_agree(self, heisenberg):
         # the solved omega has one marginal on all three 2-site windows
         prob = build_marginal_sdp(

@@ -5,8 +5,8 @@ import pytest
 
 import certground as cg
 from certground.models import (PatchSpec, build_patch, build_ring, builtin_model,
-                               embed_on_sites, operator_norm, parse_model,
-                               patch_bonds)
+                               charge_sectors, embed_on_sites, operator_norm,
+                               parse_model, patch_bonds)
 from tests.conftest import CHAIN, RING
 
 
@@ -100,6 +100,45 @@ class TestPatch:
         monkeypatch.setenv("CERTGROUND_MAX_QUBITS", "4")
         with pytest.raises(ValueError):
             build_patch(heisenberg, PatchSpec(5))
+
+
+def _spin_one_heisenberg():
+    # S.S for spin 1 (d = 3): conserves the digit sum; only the U(1) test applies
+    sz = np.diag([1.0, 0.0, -1.0])
+    sp_ = np.sqrt(2.0) * np.eye(3, k=1)
+    term = np.kron(sz, sz) + 0.5 * (np.kron(sp_, sp_.T) + np.kron(sp_.T, sp_))
+    return parse_model(json.dumps({
+        "name": "spin1", "d": 3, "D": 1,
+        "term": {"dense": [[float(x), 0.0] for x in term.ravel()]}}))
+
+
+class TestChargeSectors:
+    @pytest.mark.parametrize("make, count", [
+        (lambda: builtin_model("xxz", [0.5]), 7),
+        (_spin_one_heisenberg, 13),
+    ], ids=["xxz", "spin1"])
+    def test_u1_sectors_partition_a_block_diagonal_patch(self, make, count):
+        model = make()
+        sectors = charge_sectors(model, 6)
+        assert len(sectors) == count
+        label = np.empty(model.d ** 6, dtype=int)
+        for k, idx in enumerate(sectors):
+            assert np.all(np.diff(idx) > 0)
+            label[idx] = k
+        assert sorted(np.concatenate(sectors)) == list(range(model.d ** 6))
+        rows, cols = build_patch(model, PatchSpec(6)).nonzero()
+        assert np.array_equal(label[rows], label[cols])
+
+    def test_su2_term_keeps_the_middle_sector(self, heisenberg):
+        (idx,) = charge_sectors(heisenberg, 7)
+        assert len(idx) == 35  # C(7, 3)
+        assert np.all(np.diff(idx) > 0)
+        assert all(bin(i).count("1") == 3 for i in idx)
+
+    def test_no_charge_gives_the_whole_space(self):
+        for model in (builtin_model("tfim", [1.0]), builtin_model("random_twosite", [3.0])):
+            (idx,) = charge_sectors(model, 5)
+            assert np.array_equal(idx, np.arange(32))
 
 
 class TestOperatorNorm:
