@@ -11,8 +11,7 @@ from .models import (ModelSpec, PatchSpec, build_patch, build_ring, builtin_mode
                      embed_on_sites, operator_norm, parse_model)
 from .moment import (MomentBoundResult, build_basis, build_structure,
                      oracle_moment_matrix, ti_moment_bound)
-from .pauli import (PauliString, PauliSum, canonicalize, dagger, decompose_hermitian,
-                    multiply, translate)
+from .pauli import PauliString, canonicalize, dagger, multiply
 from .sdp import (SdpProblem, SdpSolution, real_embed, solve, validate_certificate,
                   write_sdpa)
 from .upper import SandwichReport, product_state_upper, ring_reference

@@ -107,14 +107,9 @@ def anderson_bound(model: ModelSpec, m: int, D: int = 1, tol: float = 1e-8,
 
 
 def anderson_sweep(model: ModelSpec, m_values, D: int = 1, tol: float = 1e-8,
-                   seed: int = 0, jobs: int = 1) -> list:
-    """One AndersonResult per m; failures are recorded per row, the sweep continues."""
-    m_values = list(m_values)
-    if jobs > 1:
-        from concurrent.futures import ProcessPoolExecutor
-        from functools import partial
-        with ProcessPoolExecutor(max_workers=jobs) as ex:
-            return list(ex.map(partial(_sweep_point, model, D, tol, seed), m_values))
+                   seed: int = 0) -> list:
+    """One AndersonResult per m, computed in order in this process; failures
+    are recorded per row, the sweep continues."""
     return [_sweep_point(model, D, tol, seed, m) for m in m_values]
 
 

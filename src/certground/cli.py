@@ -9,7 +9,6 @@ stdout as JSON unless --json/--csv paths are given.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 
 import numpy as np
@@ -99,7 +98,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=("consecutive", "wrap"), default="consecutive")
     p.add_argument("--placement", choices=("middle", "literal_last"), default="middle")
     p.add_argument("--csv", help="write CSV rows to this path")
-    p.add_argument("--jobs", type=int, default=os.cpu_count() or 1)
+    p.add_argument("--jobs", type=int, default=1,
+                   help="ignored; kept for old scripts (sweeps run in one process)")
 
     p = sub.add_parser("sandwich", help="best certified lower bound + variational upper")
     _add_common(p)
@@ -161,7 +161,7 @@ def _run_sweep(model, args):
         if not args.m:
             raise ValidationError("sweep anderson requires --m a..b")
         results = anderson.anderson_sweep(model, _parse_range(args.m), args.dim,
-                                          tol=args.tol, seed=args.seed, jobs=args.jobs)
+                                          tol=args.tol, seed=args.seed)
         rows = [r.csv_row(model.name) if isinstance(r, anderson.AndersonResult) else r
                 for r in results]
         return rows, anderson.ANDERSON_CSV_COLUMNS
@@ -186,7 +186,22 @@ def _run_sweep(model, args):
     return rows, marginal.MARGINAL_CSV_COLUMNS
 
 
+def _parse_marginal(text: str):
+    """'m=5,s=2[,mode=..][,placement=..]' -> (m, s, mode, placement)."""
+    kv = {}
+    for item in text.split(","):
+        key, eq, value = item.partition("=")
+        if not eq or key not in ("m", "s", "mode", "placement"):
+            raise ValidationError(f"bad --marginal item {item!r}; "
+                                  "expected m=..,s=..[,mode=..][,placement=..]")
+        kv[key] = value
+    if "m" not in kv or "s" not in kv:
+        raise ValidationError("--marginal needs both m and s")
+    return int(kv["m"]), int(kv["s"]), kv.get("mode", "consecutive"), kv.get("placement", "middle")
+
+
 def _run_sandwich(model, args):
+    marginal_args = _parse_marginal(args.marginal) if args.marginal else None
     lower_rows = []
     if args.anderson_m:
         r = _anderson_report(model, argparse.Namespace(m=args.anderson_m, dim=args.dim,
@@ -197,10 +212,8 @@ def _run_sandwich(model, args):
         r = _moment_report(model, args, args.moment_l)
         lower_rows.append({"method": "moment", "bound": r.lower, "certified": True,
                            "params": r.params, "diagnostics": r.diagnostics})
-    if args.marginal:
-        kv = dict(item.split("=", 1) for item in args.marginal.split(","))
-        r = _marginal_report(model, args, int(kv["m"]), int(kv["s"]),
-                             kv.get("mode", "consecutive"), kv.get("placement", "middle"))
+    if marginal_args:
+        r = _marginal_report(model, args, *marginal_args)
         lower_rows.append({"method": "marginal", "bound": r.lower,
                            "certified": r.certified, "params": r.params,
                            "diagnostics": r.diagnostics})

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .pauli import PauliSum, decompose_hermitian
+from .pauli import labels_to_dense
 
 DEFAULT_MAX_QUBITS = 26
 _HERM_TOL = 1e-12
@@ -32,13 +32,12 @@ def max_qubits() -> int:
 @dataclass(frozen=True)
 class ModelSpec:
     """A nearest-neighbour model: local dimension d, lattice dimension D and
-    the two-site Hermitian term (with its Pauli form when d = 2)."""
+    the two-site Hermitian term as a dense d^2 x d^2 matrix."""
 
     name: str
     d: int
     D: int
     term: np.ndarray          # dense d^2 x d^2, Hermitian
-    pauli: PauliSum | None    # present iff d == 2
 
     def __post_init__(self):
         t = np.asarray(self.term)
@@ -78,9 +77,7 @@ def _realify(m: np.ndarray) -> np.ndarray:
 
 
 def _make_model(name: str, d: int, D: int, term: np.ndarray) -> ModelSpec:
-    term = _realify(np.asarray(term, dtype=complex))
-    pauli = decompose_hermitian(term) if d == 2 else None
-    return ModelSpec(name, d, D, term, pauli)
+    return ModelSpec(name, d, D, _realify(np.asarray(term, dtype=complex)))
 
 
 def builtin_model(name: str, params=(), D: int = 1) -> ModelSpec:
@@ -99,18 +96,18 @@ def builtin_model(name: str, params=(), D: int = 1) -> ModelSpec:
 
     if name == "heisenberg":
         need(0)
-        s = PauliSum.from_labels([(0.5, "XX"), (0.5, "YY"), (0.5, "ZZ")])
-        return _make_model("heisenberg", 2, D, s.to_dense())
+        term = labels_to_dense([(0.5, "XX"), (0.5, "YY"), (0.5, "ZZ")])
+        return _make_model("heisenberg", 2, D, term)
     if name == "xxz":
         need(1)
         delta = float(params[0])
-        s = PauliSum.from_labels([(0.5, "XX"), (0.5, "YY"), (0.5 * delta, "ZZ")])
-        return _make_model(f"xxz(delta={delta:g})", 2, D, s.to_dense())
+        term = labels_to_dense([(0.5, "XX"), (0.5, "YY"), (0.5 * delta, "ZZ")])
+        return _make_model(f"xxz(delta={delta:g})", 2, D, term)
     if name == "tfim":
         need(1)
         g = float(params[0])
-        s = PauliSum.from_labels([(-1.0, "ZZ"), (-0.5 * g, "XI"), (-0.5 * g, "IX")])
-        return _make_model(f"tfim(g={g:g})", 2, D, s.to_dense())
+        term = labels_to_dense([(-1.0, "ZZ"), (-0.5 * g, "XI"), (-0.5 * g, "IX")])
+        return _make_model(f"tfim(g={g:g})", 2, D, term)
     if name == "random_twosite":
         need(1)
         rng = np.random.default_rng(int(params[0]))
@@ -151,8 +148,7 @@ def parse_model(document: str) -> ModelSpec:
         for e in entries:
             if len(e["paulis"]) != 2:
                 raise ValueError("pauli_sum entries must be two-site labels")
-        s = PauliSum.from_labels([(float(e["coeff"]), e["paulis"]) for e in entries])
-        term = s.to_dense()
+        term = labels_to_dense([(float(e["coeff"]), e["paulis"]) for e in entries])
     else:
         rows = term_doc["dense"]
         if len(rows) != d ** 4:

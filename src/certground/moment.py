@@ -8,7 +8,9 @@ matrix inequality X(y) >= 0 with the identity class pinned to 1 is a lower
 bound on the energy density; it is solved through its Lagrangian dual in
 primal standard form, whose solution matrix doubles as a rigorous
 certificate (Pauli expectations are bounded by 1 in modulus, so constraint
-residuals enter the certified bound with unit weight).
+residuals enter the certified bound with unit weight). Models carry only
+their dense two-site term; `objective_vector` expands it in the two-site
+Pauli basis here, the one place the moment hierarchy needs Pauli strings.
 """
 
 from __future__ import annotations
@@ -19,9 +21,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import sdp
-from .models import ModelSpec
+from .models import ModelSpec, embed_on_sites
 from .pauli import (PauliString, all_strings, dagger, hermitian_class, multiply,
-                    string_to_sparse, translate)
+                    string_to_dense)
 
 MOMENT_CSV_COLUMNS = ("model", "l", "variables", "matrix_size", "bound", "gap", "seconds")
 
@@ -101,27 +103,30 @@ def coefficient_matrices(structure: MomentStructure):
 
 
 def objective_vector(structure: MomentStructure, model: ModelSpec):
-    """Map the Pauli decomposition of the two-site term onto class variables.
+    """Map the two-site term onto class variables.
 
-    Returns (f, constant): the energy density of a translation-invariant
-    state is constant + sum_c f_c y_c.
+    The term is expanded in the two-site Pauli basis with coefficients
+    tr(P term)/4 (real, since the term is Hermitian). Returns (f, constant):
+    the energy density of a translation-invariant state is
+    constant + sum_c f_c y_c.
     """
-    if model.d != 2 or model.pauli is None:
-        raise ValueError("the moment hierarchy requires a qubit model with a Pauli form")
+    if model.d != 2:
+        raise ValueError("the moment hierarchy requires a qubit model (d = 2)")
+    term = np.asarray(model.term)
     f = np.zeros(structure.n_variables)
     constant = 0.0
-    for coeff, p in model.pauli.strings():
-        key, factor = hermitian_class(p)
-        if key == (1, 0, 0):
-            constant += coeff * factor.real
+    for p in all_strings(2):
+        c = np.trace(string_to_dense(p) @ term) / 4
+        if abs(c) <= 1e-14:
             continue
-        if key[0] > structure.window:
-            raise ValueError("term support exceeds the moment window")
+        key, _ = hermitian_class(p)  # p is a standard Hermitian string: factor 1
+        if key == (1, 0, 0):
+            constant += float(c.real)
+            continue
         idx = structure.class_index.get(key)
         if idx is None:
             raise ValueError("term class missing from the moment structure")
-        assert abs(factor.imag) < 1e-14 and factor.real in (1.0, -1.0)
-        f[idx] += coeff * factor.real
+        f[idx] += float(c.real)
     return f, constant
 
 
@@ -197,8 +202,8 @@ def oracle_moment_matrix(state: np.ndarray, n_sites: int, basis: OperatorBasis) 
     X = np.zeros((nb, nb), dtype=complex)
     for j in range(n_sites):
         V = np.empty((dim, nb), dtype=complex)
+        sites = [(j + k) % n_sites for k in range(basis.window)]
         for a, op in enumerate(basis.operators):
-            shifted = translate(op, j, n_sites, periodic=True)
-            V[:, a] = string_to_sparse(shifted, n_sites) @ state
+            V[:, a] = embed_on_sites(string_to_dense(op), sites, n_sites) @ state
         X += V.conj().T @ V
     return X / n_sites

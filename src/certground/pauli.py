@@ -3,16 +3,15 @@
 An n-site Pauli string is encoded as i^phase_exp * prod_k X_k^{x_k} Z_k^{z_k}
 with per-site XZ ordering, so a site with both bits set carries Y = i*X*Z.
 Bit k of a mask refers to site k; site 0 is the leftmost tensor factor.
-Products, adjoints and translations are phase-exact integer arithmetic.
+Products and adjoints are phase-exact integer arithmetic.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 _SINGLE = {
     (0, 0): np.array([[1, 0], [0, 1]], dtype=complex),
@@ -100,29 +99,6 @@ def dagger(p: PauliString) -> PauliString:
     return PauliString(p.width, p.x_mask, p.z_mask, phase)
 
 
-def translate(p: PauliString, shift: int, target_width: int, periodic: bool = False) -> PauliString:
-    """Move the support of p by `shift` sites into a window of `target_width`.
-
-    Without `periodic` the shifted support must fit in the target window;
-    with it, bits wrap around modulo target_width. The phase is unchanged.
-    """
-    full = (1 << target_width) - 1
-
-    def mv(mask: int) -> int:
-        if periodic:
-            s = shift % target_width
-            wide = (mask & full) << s
-            return (wide | (wide >> target_width)) & full
-        shifted = mask << shift if shift >= 0 else mask >> (-shift)
-        if shift < 0 and (mask & ((1 << (-shift)) - 1)):
-            raise ValueError("translation pushes support below site 0")
-        if shifted & ~full:
-            raise ValueError("translation pushes support beyond the window")
-        return shifted
-
-    return PauliString(target_width, mv(p.x_mask), mv(p.z_mask), p.phase_exp)
-
-
 def canonicalize(p: PauliString) -> tuple[int, PauliString]:
     """Return (offset, canonical) with the leftmost non-identity site at 0.
 
@@ -144,7 +120,7 @@ def hermitian_class(p: PauliString) -> tuple[tuple[int, int, int], complex]:
 
     The key identifies the translation class of the standard (phase
     convention i^{#Y}) Hermitian Pauli pattern under p; the factor is the
-    residual global phase in {1, i, -1, -i} with p = factor * translate(std).
+    residual global phase in {1, i, -1, -i} with p = factor * (a translate of std).
     """
     _, c = canonicalize(p)
     std_phase = (c.x_mask & c.z_mask).bit_count() % 4
@@ -152,131 +128,33 @@ def hermitian_class(p: PauliString) -> tuple[tuple[int, int, int], complex]:
     return (c.width, c.x_mask, c.z_mask), 1j ** residue
 
 
-def _site_to_state_mask(mask: int, sites: int) -> int:
-    """Reverse the bit order: site 0 is the most significant state bit."""
-    out = 0
-    for k in range(sites):
-        if (mask >> k) & 1:
-            out |= 1 << (sites - 1 - k)
-    return out
-
-
-def _parity(v: np.ndarray) -> np.ndarray:
-    v = v.copy()
-    for s in (32, 16, 8, 4, 2, 1):
-        v ^= v >> s
-    return (v & 1).astype(np.int64)
-
-
 _MAX_DENSE_SITES = 12
-_MAX_SPARSE_SITES = 30
 
 
-def string_to_sparse(p: PauliString, sites: int) -> sp.csr_matrix:
-    """Exact sparse matrix of p acting on the first `p.width` of `sites` qubits."""
-    if sites > _MAX_SPARSE_SITES:
-        raise ValueError(f"{sites} sites exceeds the cap {_MAX_SPARSE_SITES}")
-    if p.width > sites:
-        raise ValueError("string wider than the requested site count")
-    dim = 1 << sites
-    xs = _site_to_state_mask(p.x_mask, sites)
-    zs = _site_to_state_mask(p.z_mask, sites)
-    cols = np.arange(dim, dtype=np.int64)
-    rows = cols ^ xs
-    vals = (1j ** p.phase_exp) * np.where(_parity(cols & zs) == 1, -1.0, 1.0)
-    return sp.csr_matrix((vals, (rows, cols)), shape=(dim, dim))
-
-
-def string_to_dense(p: PauliString, sites: int | None = None) -> np.ndarray:
-    sites = p.width if sites is None else sites
-    if sites > _MAX_DENSE_SITES:
-        raise ValueError("dense conversion capped at 12 sites")
+def string_to_dense(p: PauliString) -> np.ndarray:
+    """Dense 2^width matrix of p, site 0 as the leftmost Kronecker factor."""
+    if p.width > _MAX_DENSE_SITES:
+        raise ValueError(f"dense conversion capped at {_MAX_DENSE_SITES} sites")
     m = np.array([[1]], dtype=complex)
-    for k in range(sites):
-        bx = (p.x_mask >> k) & 1 if k < p.width else 0
-        bz = (p.z_mask >> k) & 1 if k < p.width else 0
-        m = np.kron(m, _SINGLE[bx, bz])
+    for k in range(p.width):
+        m = np.kron(m, _SINGLE[(p.x_mask >> k) & 1, (p.z_mask >> k) & 1])
     return (1j ** p.phase_exp) * m
 
 
-@dataclass(frozen=True)
-class PauliSum:
-    """A real combination of Hermitian Pauli strings on a common window.
+def labels_to_dense(pairs) -> np.ndarray:
+    """Dense sum of c * P over (coefficient, label) pairs such as (0.5, "XX").
 
-    Terms are stored against standard Hermitian representatives (phase
-    convention i^{#Y}); duplicate strings merge, zero coefficients drop.
+    All labels must have one width; repeated labels add up.
     """
-
-    width: int
-    terms: tuple[tuple[int, int, float], ...] = field(default_factory=tuple)
-    # each term is (x_mask, z_mask, real coefficient)
-
-    @classmethod
-    def from_terms(cls, width: int, pairs, tol: float = 1e-14) -> "PauliSum":
-        """Build from (coefficient, PauliString) pairs; coefficients may carry
-        the string's phase but the merged result must be Hermitian (real
-        coefficients against standard Paulis)."""
-        acc: dict[tuple[int, int], complex] = {}
-        for coeff, p in pairs:
-            if p.width != width:
-                raise ValueError("term width mismatch")
-            std = (p.x_mask & p.z_mask).bit_count() % 4
-            folded = coeff * (1j ** ((p.phase_exp - std) % 4))
-            key = (p.x_mask, p.z_mask)
-            acc[key] = acc.get(key, 0.0) + folded
-        terms = []
-        for (x, z), c in sorted(acc.items()):
-            if abs(c.imag) > tol * max(1.0, abs(c)):
-                raise ValueError("non-Hermitian Pauli combination")
-            if abs(c.real) > tol:
-                terms.append((x, z, float(c.real)))
-        return cls(width, tuple(terms))
-
-    @classmethod
-    def from_labels(cls, pairs) -> "PauliSum":
-        """Build from (coefficient, label) pairs such as (0.5, "XX")."""
-        pairs = list(pairs)
-        width = len(pairs[0][1])
-        return cls.from_terms(width, [(c, PauliString.from_label(l)) for c, l in pairs])
-
-    def strings(self):
-        """Yield (coefficient, Hermitian PauliString) pairs."""
-        for x, z, c in self.terms:
-            yield c, PauliString(self.width, x, z, (x & z).bit_count() % 4)
-
-    def to_dense(self, sites: int | None = None) -> np.ndarray:
-        sites = self.width if sites is None else sites
-        out = np.zeros((1 << sites, 1 << sites), dtype=complex)
-        for c, p in self.strings():
-            out += c * string_to_dense(p, sites)
-        return out
-
-    def __len__(self) -> int:
-        return len(self.terms)
+    pairs = list(pairs)
+    width = len(pairs[0][1])
+    out = np.zeros((1 << width, 1 << width), dtype=complex)
+    for c, label in pairs:
+        out += c * string_to_dense(PauliString.from_label(label))
+    return out
 
 
 def all_strings(width: int):
     """All 4^width standard Hermitian Pauli strings in lexical label order."""
     for labels in itertools.product("IXYZ", repeat=width):
         yield PauliString.from_label("".join(labels))
-
-
-def decompose_hermitian(m: np.ndarray, tol: float = 1e-12) -> PauliSum:
-    """Expand a Hermitian 2^k x 2^k matrix in the Pauli basis.
-
-    Coefficients are tr(P m)/2^k; the reconstruction is exact up to
-    floating point.
-    """
-    m = np.asarray(m, dtype=complex)
-    dim = m.shape[0]
-    k = dim.bit_length() - 1
-    if m.shape != (dim, dim) or (1 << k) != dim:
-        raise ValueError("matrix dimension is not a power of two")
-    if np.max(np.abs(m - m.conj().T)) > tol:
-        raise ValueError("matrix is not Hermitian within tolerance")
-    pairs = []
-    for p in all_strings(k):
-        c = np.trace(string_to_dense(p).conj().T @ m) / dim
-        if abs(c) > 1e-14:
-            pairs.append((c, p))
-    return PauliSum.from_terms(k, pairs)

@@ -54,11 +54,14 @@ class SdpProblem:
                 raise ValueError("block sizes must be >= 1")
             if c.shape != (n, n) or a.shape != (self.b.size, n, n):
                 raise ValueError("matrix shapes inconsistent with block sizes")
-            if np.max(np.abs(c - c.T)) > _SYM_TOL * max(1, np.max(np.abs(c))):
+            if np.max(np.abs(c - c.T)) > _SYM_TOL * max(1, _max_abs(c)):
                 raise ValueError("objective block is not symmetric")
-            dev = np.max(np.abs(a - a.transpose(0, 2, 1)))
-            if dev > _SYM_TOL * max(1, np.max(np.abs(a))):
-                raise ValueError("constraint block is not symmetric")
+            # one constraint matrix at a time into one buffer: no temporary as large as `a`
+            tol = _SYM_TOL * max(1, _max_abs(a))
+            dev = np.empty_like(a[0])
+            for ai in a:
+                if _max_abs(np.subtract(ai, ai.T, out=dev)) > tol:
+                    raise ValueError("constraint block is not symmetric")
 
     @property
     def n_constraints(self) -> int:
@@ -96,11 +99,16 @@ def _sym(m: np.ndarray) -> np.ndarray:
     return (m + m.T) / 2.0
 
 
+def _max_abs(x: np.ndarray) -> float:
+    """Largest |entry| of x without allocating |x|."""
+    return max(float(x.max()), -float(x.min()))
+
+
 def _data_norm(C, A) -> float:
     """Largest |entry| of C or A (at least 1): the dual-residual normaliser
     shared by `solve` and `validate_certificate`."""
-    return max(1.0, max(float(np.max(np.abs(c))) for c in C),
-               max(float(np.max(np.abs(a))) if a.size else 1.0 for a in A))
+    return max(1.0, max(_max_abs(c) for c in C),
+               max(_max_abs(a) if a.size else 1.0 for a in A))
 
 
 def _op_A(A, Xs) -> np.ndarray:

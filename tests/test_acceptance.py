@@ -5,7 +5,6 @@ capture) and then asserts, so a red run still reports every measured value.
 """
 
 import math
-import os
 import time
 
 import numpy as np
@@ -31,8 +30,7 @@ def report(capsys, name, ok, detail=""):
 @pytest.fixture(scope="module")
 def sweep_rows(heisenberg):
     t0 = time.perf_counter()
-    rows = anderson_sweep(heisenberg, list(range(2, 16)), 1,
-                          jobs=min(4, os.cpu_count() or 1))
+    rows = anderson_sweep(heisenberg, list(range(2, 16)), 1)
     return rows, time.perf_counter() - t0
 
 

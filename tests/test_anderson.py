@@ -77,18 +77,18 @@ class TestBound:
 
 class TestSweep:
     def test_length_one_equals_single_call(self, heisenberg):
-        (row,) = anderson_sweep(heisenberg, [5], 1, jobs=1)
+        (row,) = anderson_sweep(heisenberg, [5], 1)
         single = anderson_bound(heisenberg, 5, 1)
         assert row.certified_bound == single.certified_bound
 
     def test_parity_subsequences_monotone(self, heisenberg):
-        rows = anderson_sweep(heisenberg, list(range(2, 11)), 1, jobs=2)
+        rows = anderson_sweep(heisenberg, list(range(2, 11)), 1)
         bounds = {r.m: r.certified_bound for r in rows}
         for m in range(2, 9):
             assert bounds[m + 2] >= bounds[m] - 1e-9
 
     def test_ordering_and_csv_row(self, heisenberg):
-        rows = anderson_sweep(heisenberg, [4, 2, 3], 1, jobs=2)
+        rows = anderson_sweep(heisenberg, [4, 2, 3], 1)
         assert [r.m for r in rows] == [4, 2, 3]
         row = rows[0].csv_row("heisenberg")
         assert row["model"] == "heisenberg"

@@ -153,6 +153,14 @@ class TestSandwich:
         code = run(["sandwich", "--model", "heisenberg"])
         assert code == 2
 
+    @pytest.mark.parametrize("spec", ["m=5", "s=2", "m=5,s=2,k=1", "m=5,s", "m=x,s=2"])
+    def test_bad_marginal_spec(self, capsys, spec):
+        code = run(["sandwich", "--model", "heisenberg", "--marginal", spec])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err.startswith("error:")
+        assert captured.out == ""
+
 
 class TestMisc:
     def test_models_list(self, capsys):
@@ -193,6 +201,29 @@ class TestMisc:
         p.write_text(json.dumps({"name": "nan", "d": 2, "D": 1,
                                  "term": {"dense": entries}}))
         code = run(argv + ["--model-file", str(p)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err.startswith("error:")
+        assert captured.out == ""
+
+    def test_invalid_pauli_label(self, capsys, tmp_path):
+        p = tmp_path / "model.json"
+        p.write_text(json.dumps({"name": "bad", "d": 2, "D": 1,
+                                 "term": {"pauli_sum": [{"paulis": "XQ", "coeff": 1.0}]}}))
+        code = run(["anderson", "--model-file", str(p), "--m", "3"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert "invalid Pauli label" in captured.err
+        assert captured.out == ""
+
+    def test_moment_rejects_spin_one(self, capsys, tmp_path):
+        sz = np.diag([1.0, 0.0, -1.0])
+        sp_ = np.sqrt(2.0) * np.eye(3, k=1)
+        term = np.kron(sz, sz) + 0.5 * (np.kron(sp_, sp_.T) + np.kron(sp_.T, sp_))
+        p = tmp_path / "spin1.json"
+        p.write_text(json.dumps({"name": "spin1", "d": 3, "D": 1,
+                                 "term": {"dense": [[float(x), 0.0] for x in term.ravel()]}}))
+        code = run(["moment", "--model-file", str(p), "--l", "2"])
         captured = capsys.readouterr()
         assert code == 2
         assert captured.err.startswith("error:")

@@ -10,7 +10,19 @@ from certground.models import (PatchSpec, build_patch, build_ring, builtin_model
 from tests.conftest import CHAIN, RING
 
 
+_I, _X, _Z = np.eye(2), np.array([[0.0, 1.0], [1.0, 0.0]]), np.diag([1.0, -1.0])
+_Y = np.array([[0.0, -1j], [1j, 0.0]])
+
+
 class TestBuiltins:
+    @pytest.mark.parametrize("name, params, expected", [
+        ("heisenberg", [], 0.5 * (np.kron(_X, _X) + np.kron(_Y, _Y) + np.kron(_Z, _Z))),
+        ("xxz", [0.5], 0.5 * (np.kron(_X, _X) + np.kron(_Y, _Y)) + 0.25 * np.kron(_Z, _Z)),
+        ("tfim", [0.7], -np.kron(_Z, _Z) - 0.35 * (np.kron(_X, _I) + np.kron(_I, _X))),
+    ], ids=["heisenberg", "xxz", "tfim"])
+    def test_term_equals_kron_sum(self, name, params, expected):
+        np.testing.assert_array_equal(builtin_model(name, params).term, expected)
+
     def test_xxz_delta_one_is_heisenberg(self):
         hm = builtin_model("heisenberg")
         xxz = builtin_model("xxz", [1.0])
@@ -39,6 +51,13 @@ class TestParseModel:
             {"paulis": "ZZ", "coeff": 0.5}]}})
         np.testing.assert_allclose(parse_model(doc).term,
                                    builtin_model("heisenberg").term, atol=1e-14)
+
+    def test_duplicate_labels_add_up(self):
+        def term(entries):
+            return parse_model(json.dumps({"name": "xy", "d": 2, "D": 1, "term": {
+                "pauli_sum": [{"paulis": p, "coeff": c} for p, c in entries]}})).term
+        np.testing.assert_array_equal(term([("XY", 0.25), ("IZ", 1.0), ("XY", 0.5)]),
+                                      term([("XY", 0.75), ("IZ", 1.0)]))
 
     def test_dense_diagonal(self):
         entries = [[0.0, 0.0]] * 16

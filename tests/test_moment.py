@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 import scipy.sparse.linalg as spla
 
-from certground.models import build_ring
+from certground.models import build_ring, builtin_model
 from certground.moment import (assemble_moment_matrix, build_basis,
                                build_structure, objective_vector,
                                oracle_moment_matrix, ti_moment_bound)
@@ -55,25 +55,40 @@ class TestStructure:
         np.testing.assert_allclose(X, X.conj().T, atol=1e-13)
 
 
+def ring_energy(st, f, const, model):
+    """const + f.y on the 4-site ring ground state's moment variables, and
+    that state's exact energy density."""
+    vals, vecs = np.linalg.eigh(build_ring(model, 4).toarray())
+    X = oracle_moment_matrix(vecs[:, 0], 4, build_basis(2))
+    y = np.zeros(st.n_variables)
+    seen = np.zeros(st.n_variables, dtype=bool)
+    for a in range(st.size):
+        for b in range(st.size):
+            c = st.var_of[a, b]
+            if not seen[c] and abs(st.phases[a, b] - 1.0) < 1e-12:
+                y[c] = X[a, b].real
+                seen[c] = True
+    return const + f @ y, vals[0] / 4
+
+
 class TestObjective:
     def test_heisenberg_energy(self, heisenberg):
         st = build_structure(build_basis(2))
         f, const = objective_vector(st, heisenberg)
         assert abs(const) < 1e-14
-        # evaluate on the 4-site ring ground state's moment variables
-        H = build_ring(heisenberg, 4)
-        vals, vecs = np.linalg.eigh(H.toarray())
-        psi = vecs[:, 0]
-        X = oracle_moment_matrix(psi, 4, build_basis(2))
-        y = np.zeros(st.n_variables)
-        seen = np.zeros(st.n_variables, dtype=bool)
-        for a in range(st.size):
-            for b in range(st.size):
-                c = st.var_of[a, b]
-                if not seen[c] and abs(st.phases[a, b] - 1.0) < 1e-12:
-                    y[c] = X[a, b].real
-                    seen[c] = True
-        assert abs(const + f @ y - RING[4]) < 1e-9
+        energy, _ = ring_energy(st, f, const, heisenberg)
+        assert abs(energy - RING[4]) < 1e-9
+
+    # random_twosite has Y, one-site and identity components
+    @pytest.mark.parametrize("name, params", [("tfim", [1.0]), ("xxz", [0.5]),
+                                              ("random_twosite", [3.0])],
+                             ids=["tfim", "xxz", "random_twosite"])
+    def test_ring_energy(self, name, params):
+        model = builtin_model(name, params)
+        st = build_structure(build_basis(2))
+        f, const = objective_vector(st, model)
+        energy, exact = ring_energy(st, f, const, model)
+        assert abs(energy - exact) < 1e-9
 
 
 class TestBound:

@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 
-from certground.pauli import (PauliString, PauliSum, all_strings, canonicalize,
-                              dagger, decompose_hermitian, hermitian_class,
-                              multiply, string_to_dense, translate)
+from certground.models import ModelSpec, embed_on_sites
+from certground.moment import build_basis, build_structure, objective_vector
+from certground.pauli import (PauliString, all_strings, canonicalize, dagger,
+                              hermitian_class, labels_to_dense, multiply,
+                              string_to_dense)
 
 
 def rand_string(rng, width):
@@ -65,24 +67,31 @@ class TestDagger:
                                        string_to_dense(p).conj().T, atol=1e-14)
 
 
+def placed(label, sites, total):
+    """The string `label` placed on the listed ring sites, as a dense matrix."""
+    return embed_on_sites(string_to_dense(PauliString.from_label(label)),
+                          sites, total).toarray()
+
+
 class TestTranslate:
+    # the moment oracle shifts window strings along the ring by placing them
+    # on shifted sites with embed_on_sites
     def test_shift(self):
-        p = PauliString.from_label("XIII")
-        t = translate(p, 2, 4)
-        assert t == PauliString.from_label("IIXI")
+        np.testing.assert_array_equal(placed("X", [2], 4),
+                                      string_to_dense(PauliString.from_label("IIXI")))
 
     def test_zero_shift(self):
-        p = PauliString.from_label("XYZI")
-        assert translate(p, 0, 4) == p
+        np.testing.assert_array_equal(placed("XYZI", [0, 1, 2, 3], 4),
+                                      string_to_dense(PauliString.from_label("XYZI")))
 
     def test_periodic_wrap(self):
-        p = PauliString.from_label("IIIZ")
-        t = translate(p, 1, 4, periodic=True)
-        assert t == PauliString.from_label("ZIII")
+        # a window placed across the ring's end
+        np.testing.assert_array_equal(placed("ZXY", [3, 0, 1], 4),
+                                      string_to_dense(PauliString.from_label("XYIZ")))
 
     def test_open_overflow_raises(self):
         with pytest.raises(ValueError):
-            translate(PauliString.from_label("IIIZ"), 1, 4)
+            placed("XZ", [3, 4], 4)
 
 
 class TestCanonicalize:
@@ -106,7 +115,8 @@ class TestCanonicalize:
         for _ in range(30):
             p = rand_string(rng, 4)
             _, can = canonicalize(p)
-            _, can2 = canonicalize(translate(p, 1, 5))
+            shifted = PauliString(5, p.x_mask << 1, p.z_mask << 1, p.phase_exp)
+            _, can2 = canonicalize(shifted)
             assert can == can2
 
 
@@ -147,42 +157,52 @@ class TestDense:
 
     def test_sparse_matches_dense(self):
         rng = np.random.default_rng(5)
-        from certground.pauli import string_to_sparse
         for _ in range(20):
             p = rand_string(rng, 4)
-            np.testing.assert_allclose(string_to_sparse(p, 4).toarray(),
-                                       string_to_dense(p), atol=1e-14)
+            sites = rng.permutation(4)  # factor k of p acts on site sites[k]
+            x = sum(((p.x_mask >> k) & 1) << int(s) for k, s in enumerate(sites))
+            z = sum(((p.z_mask >> k) & 1) << int(s) for k, s in enumerate(sites))
+            np.testing.assert_allclose(embed_on_sites(string_to_dense(p), sites, 4).toarray(),
+                                       string_to_dense(PauliString(4, x, z, p.phase_exp)),
+                                       atol=1e-14)
 
 
 class TestPauliSum:
     def test_heisenberg_spectrum(self):
-        s = PauliSum.from_labels([(0.5, "XX"), (0.5, "YY"), (0.5, "ZZ")])
-        vals = np.linalg.eigvalsh(s.to_dense())
-        np.testing.assert_allclose(vals, [-1.5, 0.5, 0.5, 0.5], atol=1e-12)
+        h = labels_to_dense([(0.5, "XX"), (0.5, "YY"), (0.5, "ZZ")])
+        np.testing.assert_allclose(np.linalg.eigvalsh(h), [-1.5, 0.5, 0.5, 0.5], atol=1e-12)
 
     def test_merge_and_drop(self):
-        s = PauliSum.from_labels([(1.0, "XX"), (-1.0, "XX"), (2.0, "ZI")])
-        assert len(s) == 1
+        h = labels_to_dense([(1.0, "XX"), (-1.0, "XX"), (2.0, "ZI")])
+        np.testing.assert_array_equal(h, 2.0 * np.kron(np.diag([1.0, -1.0]), np.eye(2)))
 
     def test_non_hermitian_rejected(self):
+        with pytest.raises(ValueError, match="not Hermitian"):
+            ModelSpec("iz", 2, 1, labels_to_dense([(1j, "ZI")]))
+
+    def test_bad_label(self):
+        with pytest.raises(ValueError, match="invalid Pauli label"):
+            labels_to_dense([(1.0, "XQ")])
         with pytest.raises(ValueError):
-            PauliSum.from_terms(1, [(1j, PauliString.from_label("Z"))])
+            labels_to_dense([(1.0, "XX"), (1.0, "Z")])
 
 
 class TestDecompose:
+    # the two-site Pauli expansion, coefficient tr(P h)/4, that objective_vector uses
     def test_identity(self):
-        s = decompose_hermitian(np.eye(4))
-        assert len(s) == 1
-        ((x, z, c),) = s.terms
-        assert (x, z, c) == (0, 0, 1.0)
+        model = ModelSpec("id", 2, 1, np.eye(4))
+        f, const = objective_vector(build_structure(build_basis(2)), model)
+        assert const == 1.0
+        assert not f.any()
 
     def test_round_trip(self):
         rng = np.random.default_rng(6)
         for _ in range(10):
-            b = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
+            b = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
             h = (b + b.conj().T) / 2
-            s = decompose_hermitian(h)
-            np.testing.assert_allclose(s.to_dense(), h, atol=1e-12)
+            pairs = [(np.trace(string_to_dense(p) @ h).real / 4, p.label)
+                     for p in all_strings(2)]
+            np.testing.assert_allclose(labels_to_dense(pairs), h, atol=1e-12)
 
 
 def test_all_strings_count():

@@ -289,3 +289,20 @@ class TestValidation:
         bad[0, 0, 1] = 1.0
         with pytest.raises(ValueError):
             SdpProblem([2], [np.zeros((2, 2))], [bad], np.array([1.0]))
+
+    def test_check_allocates_under_a_quarter_of_a(self):
+        rng = np.random.default_rng(12)
+        n, m = 24, 64
+        C = random_symmetric(rng, n, n)
+        A = random_symmetric(rng, m, n, n)
+        b = np.ones(m)
+        tracemalloc.start()
+        try:
+            SdpProblem([n], [C], [A], b)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < A.nbytes / 4
+        A[m // 2, 0, 1] += 1e-6  # one non-symmetric row among symmetric ones
+        with pytest.raises(ValueError, match="constraint block is not symmetric"):
+            SdpProblem([n], [C], [A], b)
