@@ -4,8 +4,10 @@ performance-guarantee width, and sweep tooling.
 For a translationally invariant nearest-neighbour model, the smallest
 eigenvalue of an open m^D patch gives the density lower bound
 lambda_min(h_m)/(m-1)^D, with an explicit guarantee width so the true
-density lies in [bound, bound + width]. The patch is solved one conserved
-S^z block at a time when the term allows it (`models.charge_sectors`).
+density lies in [bound, bound + width]. The patch is solved one block at a
+time (`models.charge_sectors`): a conserved S^z block when the term allows
+it, reduced to its symmetric sector when the term is stoquastic, and each
+block is assembled directly (`models.build_patch`).
 """
 
 from __future__ import annotations
@@ -13,8 +15,11 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 
+import numpy as np
+
 from . import eigensolver
-from .models import ModelSpec, PatchSpec, build_patch, charge_sectors, operator_norm
+from .models import (SYMMETRIES, ModelSpec, PatchSpec, assembly_margin, build_patch,
+                     charge_sectors, operator_norm)
 
 ANDERSON_CSV_COLUMNS = ("model", "D", "m", "lambda_min_patch", "bound",
                         "certified_bound", "guarantee_width", "residual", "seconds")
@@ -35,8 +40,10 @@ class AndersonResult:
     lambda_min_certified: float  # the lower edge certified_bound is computed from
     minimality: str              # "cholesky" (proven) or "unverified"
     reorthogonalized: int        # Lanczos steps that reorthogonalized against the basis
-    sectors: int                 # conserved-charge blocks solved
+    sectors: int                 # blocks solved
     sector_dim: int              # dimension of the largest of them
+    symmetry: tuple              # reductions used, in models.SYMMETRIES order
+    assembly_margin: float       # largest assembly-rounding margin subtracted from an edge
 
     def csv_row(self, model_name: str) -> dict:
         return {
@@ -66,28 +73,38 @@ def anderson_bound(model: ModelSpec, m: int, D: int = 1, tol: float = 1e-8,
                    seed: int = 0) -> AndersonResult:
     """The Anderson bound with guarantee for one patch size.
 
-    The patch is solved one conserved-charge block at a time
-    (`models.charge_sectors`): lambda_min and its certified edge are the
-    minima over the blocks, and minimality is "cholesky" only when every
-    block was proven. `bound` uses the eigensolver's point estimate;
-    `certified_bound` uses its lower edge, proven below lambda_min for blocks
-    up to DENSE_CAP and value - residual above it, so floating point cannot
-    invalidate the lower-bound claim.
+    The patch is solved one block at a time (`models.charge_sectors`), each
+    block assembled on its own (`models.build_patch`): lambda_min and its
+    certified edge are the minima over the blocks. `bound` uses the
+    eigensolver's point estimate; `certified_bound` uses its lower edge,
+    proven below lambda_min when every block fits DENSE_CAP and
+    value - residual otherwise. Each block's edge also subtracts its
+    `models.assembly_margin`, so neither floating-point assembly nor the
+    eigensolver can invalidate the lower-bound claim. When a block exceeds
+    DENSE_CAP the result is "unverified" whatever happens, so no block is
+    then factored: all of them are solved by Lanczos alone.
     """
     t0 = time.perf_counter()
     if D not in (1, 2):
         raise ValueError("patch diagonalization supports D in {1, 2} only")
     patch = PatchSpec(m, D, "open")
-    h = build_patch(model, patch)
-    sectors = charge_sectors(model, patch.sites)
-    eigs = []
-    for idx in sectors:
-        block = h if idx.size == h.shape[0] else h[idx][:, idx]
-        eigs.append(eigensolver.min_eig(block, tol=tol, seed=seed))
+    sectors = charge_sectors(model, patch.sites, D)
+    prove = max(len(s) for s in sectors) <= eigensolver.DENSE_CAP
+    eigs, edges, margins = [], [], []
+    for sector in sectors:
+        eig = eigensolver.min_eig(build_patch(model, patch, sector), tol=tol, seed=seed,
+                                  prove=prove)
+        margin = assembly_margin(model, patch, sector)
+        eigs.append(eig)
+        margins.append(margin)
+        # rounded down, so the subtraction cannot lift the edge
+        edges.append(float(np.nextafter(eig.lower_edge - margin, -np.inf)) if margin
+                     else eig.lower_edge)
     eig = min(eigs, key=lambda e: e.value)
-    edge = min(e.lower_edge for e in eigs)
+    edge = min(edges)
     proven = all(e.minimality == "cholesky" for e in eigs)
     width = guarantee_formula(eig.value, operator_norm(model), m, D)
+    used = {name for s in sectors for name in s.symmetry}
     return AndersonResult(
         m=m, D=D,
         lambda_min_patch=eig.value,
@@ -102,7 +119,9 @@ def anderson_bound(model: ModelSpec, m: int, D: int = 1, tol: float = 1e-8,
         minimality="cholesky" if proven else "unverified",
         reorthogonalized=sum(e.reorthogonalized for e in eigs),
         sectors=len(sectors),
-        sector_dim=max(idx.size for idx in sectors),
+        sector_dim=max(len(s) for s in sectors),
+        symmetry=tuple(name for name in SYMMETRIES if name in used),
+        assembly_margin=max(margins),
     )
 
 

@@ -130,7 +130,9 @@ def _anderson_report(model, args):
                      "minimality": res.minimality,
                      "lambda_min_certified": res.lambda_min_certified,
                      "reorthogonalized_steps": res.reorthogonalized,
-                     "sectors": res.sectors, "sector_dim": res.sector_dim})
+                     "sectors": res.sectors, "sector_dim": res.sector_dim,
+                     "symmetry": list(res.symmetry),
+                     "assembly_margin": res.assembly_margin})
 
 
 def _marginal_report(model, args, m, s, mode, placement):

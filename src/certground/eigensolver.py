@@ -234,15 +234,16 @@ def _orthogonalize(blocks, rows, w):
     return w
 
 
-def min_eig(h, tol: float = 1e-8, seed: int = 0) -> EigResult:
+def min_eig(h, tol: float = 1e-8, seed: int = 0, prove: bool = True) -> EigResult:
     """Certified smallest eigenpair of a Hermitian operator.
 
     Lanczos at every size, with a Cholesky proof of minimality up to
-    DENSE_CAP; a result that does not reach `tol` raises RuntimeError rather
-    than returning an uncertified value, and so does a failed proof.
+    DENSE_CAP unless `prove` is False; a result that does not reach `tol`
+    raises RuntimeError rather than returning an uncertified value, and so
+    does a failed proof.
     """
     dim = h.shape[0]
-    if dim <= DENSE_CAP:
+    if prove and dim <= DENSE_CAP:
         res = min_eig_dense_certified(h, tol=tol, seed=seed)
     else:
         res = min_eig_lanczos(h, dim, tol=tol, seed=seed)

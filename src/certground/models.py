@@ -20,8 +20,10 @@ from .pauli import labels_to_dense
 
 DEFAULT_MAX_QUBITS = 26
 _HERM_TOL = 1e-12
+_U = float(np.finfo(np.float64).eps) / 2  # unit roundoff
 
 BUILTIN_MODELS = ("heisenberg", "xxz", "tfim", "random_twosite")
+SYMMETRIES = ("su2", "u1", "reflection", "flip")  # the order reports list them in
 
 
 def max_qubits() -> int:
@@ -143,10 +145,16 @@ def parse_model(document: str) -> ModelSpec:
         if d != 2:
             raise ValueError("pauli_sum terms require d = 2")
         entries = term_doc["pauli_sum"]
-        if not entries:
-            raise ValueError("empty pauli_sum")
+        if not isinstance(entries, list) or not entries:
+            raise ValueError("pauli_sum must be a non-empty list")
         for e in entries:
-            if len(e["paulis"]) != 2:
+            if not isinstance(e, dict) or not {"paulis", "coeff"} <= e.keys():
+                raise ValueError(f"pauli_sum entry {e!r} is not an object with "
+                                 "'paulis' and 'coeff'")
+            coeff = e["coeff"]
+            if isinstance(coeff, bool) or not isinstance(coeff, (int, float)):
+                raise ValueError(f"pauli_sum coeff {coeff!r} is not a number")
+            if not isinstance(e["paulis"], str) or len(e["paulis"]) != 2:
                 raise ValueError("pauli_sum entries must be two-site labels")
         term = labels_to_dense([(float(e["coeff"]), e["paulis"]) for e in entries])
     else:
@@ -224,27 +232,161 @@ def patch_bonds(patch: PatchSpec) -> list[tuple[int, int]]:
     raise ValueError("explicit patch construction supports D in {1, 2} only")
 
 
-def build_patch(model: ModelSpec, patch: PatchSpec) -> sp.csr_matrix:
-    """Sparse patch Hamiltonian: the two-site term summed over all bonds."""
-    n = patch.sites
-    qubits = n * (np.log2(model.d))
-    if qubits > max_qubits():
-        raise ValueError(
-            f"{n} sites of dimension {model.d} exceed the {max_qubits()}-qubit cap")
-    term = _realify(np.asarray(model.term, dtype=complex))
-    dim = model.d ** n
-    out = sp.csr_matrix((dim, dim), dtype=term.dtype)
-    for p, q in patch_bonds(patch):
-        out = out + embed_on_sites(term, (p, q), n, model.d)
+class Sector(np.ndarray):
+    """The sorted basis states that span one block of a patch.
+
+    `symmetry` names the reductions that produced the block, in the order of
+    `SYMMETRIES`: the charge ("su2" or "u1"), then "reflection" (site i to
+    n - 1 - i) and "flip" (every digit k to d - 1 - k). Under reflection or
+    flip the states are orbit representatives, each the smallest state of its
+    orbit, and the block is the symmetric sector: the span of the normalized
+    orbit sums.
+    """
+
+    symmetry: tuple = ()
+
+
+def _images(states, symmetry, n: int, d: int) -> list:
+    """Every group element but the identity, as (images of `states`, reverse,
+    flip): reverse the site order, then complement every digit (k to d - 1 - k)."""
+    top = d ** n - 1
+    out = []
+    if "reflection" in symmetry:
+        # s = hi d^h + lo reversed is reverse(lo) d^(n-h) + reverse(hi): two small tables
+        h = n // 2
+        hi, lo = np.divmod(states, d ** h)
+        rev = _reversals(h, d)[lo] * d ** (n - h) + _reversals(n - h, d)[hi]
+        out.append((rev, True, False))
+    if "flip" in symmetry:
+        out.append((top - states, False, True))
+        if "reflection" in symmetry:
+            out.append((top - rev, True, True))
     return out
 
 
-def charge_sectors(model: ModelSpec, n: int) -> list[np.ndarray]:
-    """Blocks of an n-site patch whose minima give its lambda_min, as sorted
-    basis-index arrays.
+def _reversals(k: int, d: int) -> np.ndarray:
+    """Every k-digit base-d number with its digit order reversed."""
+    out, rest = np.zeros(d ** k, dtype=np.int64), np.arange(d ** k)
+    for _ in range(k):
+        out = out * d + rest % d
+        rest //= d
+    return out
+
+
+def _check_cap(n: int, d: int) -> None:
+    if n * np.log2(d) > max_qubits():
+        raise ValueError(f"{n} sites of dimension {d} exceed the {max_qubits()}-qubit cap")
+
+
+def build_patch(model: ModelSpec, patch: PatchSpec, sector=None) -> sp.csr_matrix:
+    """The patch Hamiltonian on one block, assembled bond by bond.
+
+    `sector` is one block from `charge_sectors` (a plain sorted index array
+    is read as a block of charge alone); None is the whole space. For every
+    bond and every nonzero entry <a|term|c> with c != a, one vectorized pass
+    over the sector's states s whose digits on the bond read a gives the
+    states t that read c there instead. Each t is mapped to its orbit
+    representative r in O(1) from the precomputed images of s under the
+    sector's symmetries, and r to its column by searchsorted; entry (s, r)
+    gains <a|term|c> sqrt(|O_s| / |O_r|), the matrix element between
+    normalized orbit sums. Diagonal entries are summed per bond in a dense
+    vector. Row lengths are counted first, so every entry is written straight
+    into its CSR row and the d^n matrix exists only when the whole space is
+    asked for. Entries are rounded sums; `assembly_margin` bounds how far the
+    block is from the exact one.
+    """
+    n, d = patch.sites, model.d
+    _check_cap(n, d)
+    term = _realify(np.asarray(model.term, dtype=complex))
+    states = np.arange(d ** n) if sector is None else np.asarray(sector)
+    dim = states.size
+    images = _images(states, getattr(sector, "symmetry", ()), n, d)
+    whole = not images and dim == d ** n  # then states[i] == i: a state is its own column
+    if images:  # orbit sizes |G| / |stabilizer|: 1, 2 or 4, so ratios are exact
+        size = (len(images) + 1) / (1.0 + sum(img == states for img, _, _ in images))
+    strides = d ** np.arange(n - 1, -1, -1, dtype=np.int64)
+    outs = [[c for c in np.flatnonzero(term[a]) if c != a] for a in range(d * d)]
+    bonds = patch_bonds(patch)
+    # the digit pair (a, b) on each bond of every state, as a d + b
+    pairs = [(states // strides[p] % d * d + states // strides[q] % d)
+             .astype(np.min_scalar_type(d * d - 1)) for p, q in bonds]
+    # row s holds its diagonal, then one entry per bond and off-diagonal output
+    fanout = np.array([len(o) for o in outs])
+    length = 1 + sum(fanout[local] for local in pairs)
+    index = np.int32 if int(length.sum()) < 2 ** 31 else np.int64
+    indptr = np.zeros(dim + 1, dtype=index)
+    np.cumsum(length, out=indptr[1:])
+    indices = np.empty(indptr[-1], dtype=index)
+    data = np.empty(indptr[-1], dtype=term.dtype)
+    indices[indptr[:-1]] = np.arange(dim)
+    diag = np.zeros(dim, dtype=term.dtype)
+    free = indptr[:-1] + 1  # the next unwritten slot of each row
+    for (p, q), local in zip(bonds, pairs):
+        for a in range(d * d):
+            if term[a, a] == 0 and not outs[a]:
+                continue
+            src = np.flatnonzero(local == a)
+            diag[src] += term[a, a]
+            if not outs[a]:
+                continue
+            base, slot = states[src], free[src]
+            free[src] += len(outs[a])
+            moved = [(img[src], rev, flip) for img, rev, flip in images]
+            for c in outs[a]:
+                dp, dq = c // d - a // d, c % d - a % d
+                t = base + (dp * strides[p] + dq * strides[q])
+                for img, rev, flip in moved:
+                    jp, jq = (n - 1 - p, n - 1 - q) if rev else (p, q)
+                    shift = dp * strides[jp] + dq * strides[jq]
+                    np.minimum(t, img + (-shift if flip else shift), out=t)
+                col = t if whole else np.searchsorted(states, t)
+                indices[slot] = col
+                data[slot] = (term[a, c] * np.sqrt(size[src] / size[col]) if images
+                              else term[a, c])
+                slot += 1
+    data[indptr[:-1]] = diag
+    h = sp.csr_matrix((data, indices, indptr), shape=(dim, dim))
+    h.sum_duplicates()
+    h.eliminate_zeros()
+    return h
+
+
+def assembly_margin(model: ModelSpec, patch: PatchSpec, sector=None) -> float:
+    """A bound on ||B~ - B||_2 for the block B~ = build_patch(model, patch,
+    sector) and the exact matrix B of the patch Hamiltonian on that block.
+
+    An entry of B~ is a floating-point sum of at most k = bonds + 2 D |G|
+    contributions x: one diagonal term entry per bond, plus the bonds that
+    reach a member of the column's orbit, at most 2D per member. A symmetry
+    factor adds two roundings (square root and product), so
+    |B~_ij - B_ij| <= gamma_{k+2} sum |x| and, by Cauchy-Schwarz,
+    ||B~ - B||_F <= gamma_{k+2} sqrt(k sum x^2). Each of the N states of the
+    block meets every bond once, and the factors are at most sqrt|G|, so
+    sum x^2 <= |G| bonds N max_a ||term[a, :]||^2. Without a symmetry factor,
+    terms whose entries are multiples of 2^-30 with k max|entry| < 2^23 are
+    summed exactly, and the margin is 0.
+    """
+    symmetry = getattr(sector, "symmetry", ())
+    order = (1 + ("reflection" in symmetry)) * (1 + ("flip" in symmetry))
+    dim = model.d ** patch.sites if sector is None else len(sector)
+    bonds = len(patch_bonds(patch))
+    k = bonds + 2 * patch.D * order
+    term = np.asarray(model.term)
+    parts = np.stack([term.real, term.imag])
+    scaled = np.ldexp(parts, 30)
+    if order == 1 and np.all(scaled == np.round(scaled)) and k * np.max(np.abs(parts)) < 2.0 ** 23:
+        return 0.0
+    gamma = (k + 2) * _U / (1 - (k + 2) * _U)
+    row = float(np.max(np.linalg.norm(term, axis=1)))
+    return gamma * float(np.sqrt(k * order * bonds * dim)) * row * (1 + 1e-6)
+
+
+def charge_sectors(model: ModelSpec, n: int, D: int | None = None) -> list[Sector]:
+    """Blocks of an n-site patch whose minima give its lambda_min, as `Sector`
+    arrays of sorted basis states.
 
     The charge of a basis state is the sum of its local digits (total S^z up
-    to an offset when d = 2). Both tests below are exact and structural:
+    to an offset when d = 2). The tests below are exact and structural:
 
     - SU(2): d = 2 and the term equals a I + b SWAP entrywise. Such terms
       commute with the total spin, so every multiplet of the ground
@@ -252,21 +394,54 @@ def charge_sectors(model: ModelSpec, n: int) -> list[np.ndarray]:
     - U(1): term[(a, b), (c, e)] == 0 whenever a + b != c + e. The patch is
       then block diagonal in the charge; every sector is returned.
     - Otherwise the whole space is one sector.
+
+    Given the patch's lattice dimension D (None: the charge alone), a
+    stoquastic term (real, with no positive off-diagonal entry) also reduces
+    each block to its sector that
+    is symmetric under site reflection (D = 1 and SWAP term SWAP == term) and
+    the global flip (d = 2, (X x X) term (X x X) == term, and the block maps
+    to itself). This is exact by Perron-Frobenius: the block has a
+    nonnegative ground vector, and its sum over the symmetry group is
+    nonzero, symmetric and still a ground vector.
     """
     d = model.d
+    _check_cap(n, d)
     term = np.asarray(model.term)
-    swap = np.eye(4)[[0, 2, 1, 3]]
-    su2 = d == 2 and np.array_equal(term, term[1, 1] * np.eye(4) + term[1, 2] * swap)
+    swap = np.arange(d * d).reshape(d, d).T.ravel()  # index of (b, a) for (a, b)
+    su2 = d == 2 and np.array_equal(term, term[1, 1] * np.eye(4) + term[1, 2] * np.eye(4)[swap])
     pair = np.add.outer(np.arange(d), np.arange(d)).ravel()
-    if not su2 and np.any(term[pair[:, None] != pair[None, :]]):
-        return [np.arange(d ** n)]
-    charge = np.zeros(1, dtype=np.int32)
-    for _ in range(n):  # state index in base d, site 0 most significant
-        charge = (charge[:, None] + np.arange(d, dtype=np.int32)).ravel()
-    if su2:
-        return [np.flatnonzero(charge == n // 2)]
-    order = np.argsort(charge, kind="stable")
-    return np.split(order, np.cumsum(np.bincount(charge))[:-1])
+    u1 = su2 or not np.any(term[pair[:, None] != pair[None, :]])
+    reductions = []
+    real = not np.iscomplexobj(term) or not np.any(term.imag)
+    if D is not None and real and np.all(term.real[~np.eye(d * d, dtype=bool)] <= 0):
+        if D == 1 and np.array_equal(term[swap][:, swap], term):
+            reductions.append("reflection")
+        if d == 2 and np.array_equal(term[::-1, ::-1], term):
+            reductions.append("flip")
+    if not u1:
+        blocks = [(np.arange(d ** n), (), None)]
+    else:
+        charge = np.zeros(1, dtype=np.int32)
+        for _ in range(n):  # state index in base d, site 0 most significant
+            charge = (charge[:, None] + np.arange(d, dtype=np.int32)).ravel()
+        if su2:
+            blocks = [(np.flatnonzero(charge == n // 2), ("su2",), n // 2)]
+        else:
+            order = np.argsort(charge, kind="stable")
+            split = np.split(order, np.cumsum(np.bincount(charge))[:-1])
+            blocks = [(idx, ("u1",), q) for q, idx in enumerate(split)]
+    sectors = []
+    for states, symmetry, q in blocks:
+        # the flip maps charge q to (d - 1) n - q
+        symmetry += tuple(r for r in reductions
+                          if r != "flip" or q is None or 2 * q == (d - 1) * n)
+        keep = np.ones(states.size, dtype=bool)
+        for img, _, _ in _images(states, symmetry, n, d):  # the smallest state of each orbit
+            keep &= states <= img
+        sector = states[keep].view(Sector)
+        sector.symmetry = symmetry
+        sectors.append(sector)
+    return sectors
 
 
 def build_ring(model: ModelSpec, n: int) -> sp.csr_matrix:

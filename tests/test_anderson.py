@@ -3,11 +3,12 @@ import json
 import numpy as np
 import pytest
 
+from certground import eigensolver
 from certground.anderson import (anderson_bound, anderson_formula, anderson_sweep,
                                  guarantee_formula)
-from certground.eigensolver import min_eig
-from certground.models import (PatchSpec, build_patch, builtin_model, charge_sectors,
-                               parse_model)
+from certground.eigensolver import min_eig, min_eig_lanczos
+from certground.models import (PatchSpec, assembly_margin, build_patch, builtin_model,
+                               charge_sectors, parse_model)
 from tests.conftest import CHAIN, EMIN
 
 # SU(2) invariant with a fully polarized ground multiplet: -(XX + YY + ZZ)/2
@@ -115,7 +116,9 @@ class TestSectors:
     @pytest.mark.parametrize("name, sectors, sector_dim", [
         ("heisenberg", 1, 252),   # S^z = 0 only: C(10, 5)
         ("xxz(0.5)", 11, 252),    # every S^z sector, m + 1 of them
-        ("tfim(1)", 1, 1024),     # no conserved charge: the whole space
+        # no conserved charge; the orbits of reflection x flip on 2^10 states:
+        # (1024 + 32 + 0 + 32) / 4 by Burnside's lemma
+        ("tfim(1)", 1, 272),
     ])
     def test_sector_counts(self, name, sectors, sector_dim):
         res = anderson_bound(SECTOR_MODELS[name](), 10, 1)
@@ -137,3 +140,42 @@ class TestSectors:
         res = anderson_bound(heisenberg, m, 1)
         assert res.minimality == "cholesky"
         assert CHAIN[m] - 1e-7 <= res.lambda_min_certified <= CHAIN[m]
+
+    def test_tfim_proven_at_m13(self):
+        # the symmetric sector of 2^13 states has 2080 <= DENSE_CAP orbits
+        model = builtin_model("tfim", [1.0])
+        res = anderson_bound(model, 13, 1)
+        assert (res.minimality, res.sector_dim, res.symmetry) == (
+            "cholesky", 2080, ("reflection", "flip"))
+        whole = min_eig_lanczos(build_patch(model, PatchSpec(13)), 2 ** 13)
+        assert abs(res.lambda_min_patch - whole.value) < 1e-8
+        assert res.lambda_min_certified <= whole.value
+
+    @pytest.mark.parametrize("name", ["tfim(1)", "random_twosite(3)"])
+    def test_edges_subtract_the_assembly_margin(self, name):
+        model, patch = SECTOR_MODELS[name](), PatchSpec(8)
+        (sector,) = charge_sectors(model, 8, 1)
+        margin = assembly_margin(model, patch, sector)
+        edge = min_eig(build_patch(model, patch, sector)).lower_edge
+        res = anderson_bound(model, 8, 1)
+        assert margin > 0
+        assert res.assembly_margin == margin
+        assert res.lambda_min_certified == np.nextafter(edge - margin, -np.inf)
+
+    @pytest.mark.parametrize("m, calls, minimality", [(8, 9, "cholesky"), (15, 0, "unverified")])
+    def test_no_factorization_when_a_block_is_too_large(self, monkeypatch, m, calls,
+                                                        minimality):
+        # xxz(0.5): every S^z block; C(15, 7) = 6435 > DENSE_CAP leaves m = 15
+        # unverified whatever the smaller blocks show, so none of them is factored
+        factored = []
+        dense = eigensolver.min_eig_dense_certified
+
+        def counting(h, *args, **kwargs):
+            factored.append(h.shape[0])
+            return dense(h, *args, **kwargs)
+
+        monkeypatch.setattr(eigensolver, "min_eig_dense_certified", counting)
+        res = anderson_bound(SECTOR_MODELS["xxz(0.5)"](), m, 1)
+        assert len(factored) == calls
+        assert res.minimality == minimality
+        assert res.sectors == m + 1

@@ -61,6 +61,21 @@ class TestAnderson:
         diagnostics = json.loads(out)["diagnostics"]
         assert (diagnostics["sectors"], diagnostics["sector_dim"]) == (7, 20)
 
+    @pytest.mark.parametrize("argv, symmetry, exact", [
+        (["--model", "heisenberg", "--m", "6"], ["su2"], True),
+        (["--model", "xxz", "--params", "0.5", "--m", "6"], ["u1"], True),
+        (["--model", "tfim", "--params", "1", "--m", "6"], ["reflection", "flip"], False),
+        (["--model", "random_twosite", "--params", "3", "--m", "6"], [], False),
+    ], ids=["heisenberg", "xxz", "tfim", "random_twosite"])
+    def test_reports_symmetry_and_margin(self, capsys, argv, symmetry, exact):
+        code, out = run_capture(capsys, ["anderson"] + argv)
+        assert code == 0
+        diagnostics = json.loads(out)["diagnostics"]
+        assert diagnostics["symmetry"] == symmetry
+        # dyadic charge-only blocks are summed exactly; everything else pays a margin
+        assert (diagnostics["assembly_margin"] == 0) == exact
+        assert 0 <= diagnostics["assembly_margin"] < 1e-11
+
     def test_deterministic_output(self, capsys):
         _, a = run_capture(capsys, ["anderson", "--model", "heisenberg", "--m", "6"])
         _, b = run_capture(capsys, ["anderson", "--model", "heisenberg", "--m", "6"])
@@ -214,6 +229,24 @@ class TestMisc:
         captured = capsys.readouterr()
         assert code == 2
         assert "invalid Pauli label" in captured.err
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("entry", [
+        "ZZ",                                  # not an object
+        {"coeff": 1.0},                        # no "paulis"
+        {"paulis": "ZZ"},                      # no "coeff"
+        {"paulis": "ZZ", "coeff": "1.0"},      # coeff not a number
+        {"paulis": "ZZ", "coeff": True},
+        {"paulis": "ZZ", "coeff": None},
+    ], ids=["string", "no-paulis", "no-coeff", "string-coeff", "bool-coeff", "null-coeff"])
+    def test_malformed_pauli_sum_entry(self, capsys, tmp_path, entry):
+        p = tmp_path / "model.json"
+        p.write_text(json.dumps({"name": "bad", "d": 2, "D": 1,
+                                 "term": {"pauli_sum": [entry]}}))
+        code = run(["anderson", "--model-file", str(p), "--m", "3"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err.startswith("error:")
         assert captured.out == ""
 
     def test_moment_rejects_spin_one(self, capsys, tmp_path):

@@ -1,12 +1,13 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import certground as cg
-from certground.models import (PatchSpec, build_patch, build_ring, builtin_model,
-                               charge_sectors, embed_on_sites, operator_norm,
-                               parse_model, patch_bonds)
+from certground.models import (PatchSpec, assembly_margin, build_patch, build_ring,
+                               builtin_model, charge_sectors, embed_on_sites,
+                               operator_norm, parse_model, patch_bonds)
 from tests.conftest import CHAIN, RING
 
 
@@ -158,6 +159,132 @@ class TestChargeSectors:
         for model in (builtin_model("tfim", [1.0]), builtin_model("random_twosite", [3.0])):
             (idx,) = charge_sectors(model, 5)
             assert np.array_equal(idx, np.arange(32))
+
+
+def _ferromagnet():
+    # -(XX + YY + ZZ)/2: SU(2) invariant and stoquastic
+    return parse_model(json.dumps({"name": "ferromagnet", "d": 2, "D": 1, "term": {
+        "pauli_sum": [{"paulis": p, "coeff": -0.5} for p in ("XX", "YY", "ZZ")]}}))
+
+
+def _tfim_longitudinal():
+    # stoquastic and reflection symmetric; the ZI + IZ field breaks the flip (a
+    # dyadic field, so that the summed term is exactly symmetric)
+    return parse_model(json.dumps({"name": "tfim-h", "d": 2, "D": 1, "term": {"pauli_sum": [
+        {"paulis": "ZZ", "coeff": -1.0}, {"paulis": "XI", "coeff": -0.5},
+        {"paulis": "IX", "coeff": -0.5}, {"paulis": "ZI", "coeff": -0.25},
+        {"paulis": "IZ", "coeff": -0.25}]}}))
+
+
+ASSEMBLY_MODELS = {
+    "heisenberg": lambda: builtin_model("heisenberg"),
+    "xxz": lambda: builtin_model("xxz", [0.5]),
+    "tfim": lambda: builtin_model("tfim", [1.0]),
+    "random_twosite": lambda: builtin_model("random_twosite", [3.0]),
+    "spin1": _spin_one_heisenberg,
+    "ferromagnet": _ferromagnet,
+}
+PATCHES = [PatchSpec(m) for m in range(2, 10)] + [PatchSpec(2, 2), PatchSpec(3, 2)]
+
+
+def _lambda_min(model, patch):
+    """Smallest eigenvalue over the reduced sectors, each block diagonalized densely."""
+    sectors = charge_sectors(model, patch.sites, patch.D)
+    return min(np.linalg.eigvalsh(build_patch(model, patch, s).toarray())[0] for s in sectors)
+
+
+class TestSectorAssembly:
+    @pytest.mark.parametrize("patch", PATCHES, ids=lambda p: f"{p.m}^{p.D}")
+    @pytest.mark.parametrize("name", ASSEMBLY_MODELS)
+    def test_block_equals_sliced_full_patch(self, name, patch):
+        model = ASSEMBLY_MODELS[name]()
+        full = build_patch(model, patch)
+        for idx in charge_sectors(model, patch.sites):
+            block = build_patch(model, patch, idx)
+            assert np.array_equal(block.toarray(), full[idx][:, idx].toarray())
+
+    @pytest.mark.parametrize("patch", PATCHES + [PatchSpec(2, 1, "periodic"),
+                                           PatchSpec(5, 1, "periodic"),
+                                           PatchSpec(3, 2, "periodic")],
+                             ids=lambda p: f"{p.m}^{p.D}-{p.boundary}")
+    @pytest.mark.parametrize("name", ASSEMBLY_MODELS)
+    def test_whole_patch_equals_the_bond_sum(self, name, patch):
+        # reference: the term embedded on every bond and summed, in bond order
+        model = ASSEMBLY_MODELS[name]()
+        term = np.asarray(model.term)
+        ref = sum(embed_on_sites(term, bond, patch.sites, model.d)
+                  for bond in patch_bonds(patch))
+        assert abs(build_patch(model, patch) - ref).max() < 1e-13
+
+    @pytest.mark.parametrize("patch", PATCHES, ids=lambda p: f"{p.m}^{p.D}")
+    @pytest.mark.parametrize("make", [lambda: builtin_model("tfim", [0.3]),
+                                      lambda: builtin_model("tfim", [1.0]),
+                                      lambda: builtin_model("tfim", [2.0]),
+                                      _ferromagnet, _tfim_longitudinal],
+                             ids=["tfim(0.3)", "tfim(1)", "tfim(2)", "ferromagnet", "tfim-h"])
+    def test_symmetric_sector_keeps_lambda_min(self, make, patch):
+        model = make()
+        ref = np.linalg.eigvalsh(build_patch(model, patch).toarray())[0]
+        assert abs(_lambda_min(model, patch) - ref) < 1e-10
+
+    @pytest.mark.parametrize("make, n, D, symmetry, dim", [
+        # orbits of reflection x flip on 2^8 states: (256 + 16 + 0 + 16) / 4
+        (lambda: builtin_model("tfim", [1.0]), 8, 1, ("reflection", "flip"), 72),
+        # odd n: no state is fixed by the flip or by reflection x flip
+        (lambda: builtin_model("tfim", [1.0]), 13, 1, ("reflection", "flip"), 2080),
+        (lambda: builtin_model("tfim", [1.0]), 9, 2, ("flip",), 256),
+        # positive off-diagonal entries: not stoquastic, so not reduced
+        (lambda: builtin_model("tfim", [-1.0]), 8, 1, (), 256),
+        (_tfim_longitudinal, 8, 1, ("reflection",), 136),  # (256 + 16) / 2
+        # the middle S^z block maps to itself under the flip only for even n:
+        # (C(8, 4) + 6 palindromes + 0 + 16) / 4 and (C(7, 3) + 3 palindromes) / 2
+        (_ferromagnet, 8, 1, ("su2", "reflection", "flip"), 23),
+        (_ferromagnet, 7, 1, ("su2", "reflection"), 19),
+        (lambda: builtin_model("heisenberg"), 8, 1, ("su2",), 70),
+    ], ids=["tfim", "tfim-odd", "tfim-2d", "tfim(-1)", "tfim-h", "ferro-even", "ferro-odd",
+            "heisenberg"])
+    def test_reductions(self, make, n, D, symmetry, dim):
+        (sector,) = charge_sectors(make(), n, D)
+        assert sector.symmetry == symmetry
+        assert len(sector) == dim
+        assert np.all(np.diff(sector) > 0)
+
+    def test_margin_covers_the_assembly_rounding(self):
+        # the symmetric block against P^T H P over explicit orbit sums, in extended precision
+        model, patch = builtin_model("tfim", [0.3]), PatchSpec(7)
+        (sector,) = charge_sectors(model, 7, 1)
+        full = build_patch(model, patch).toarray().astype(np.longdouble)
+        basis = np.zeros((2 ** 7, len(sector)), dtype=np.longdouble)
+        for j, s in enumerate(sector):
+            r = int(format(int(s), "07b")[::-1], 2)
+            orbit = {int(s), r, 127 - int(s), 127 - r}
+            basis[sorted(orbit), j] = 1 / np.sqrt(np.longdouble(len(orbit)))
+        exact = basis.T @ full @ basis
+        error = np.linalg.norm((build_patch(model, patch, sector).toarray() - exact).astype(float), 2)
+        margin = assembly_margin(model, patch, sector)
+        assert 0 < error <= margin < 1e-12
+
+    def test_dyadic_charge_blocks_are_exact(self):
+        for name in ("heisenberg", "xxz"):
+            model = ASSEMBLY_MODELS[name]()
+            for sector in charge_sectors(model, 9, 1):
+                assert assembly_margin(model, PatchSpec(9), sector) == 0.0
+
+    def test_sector_assembly_stays_far_below_the_full_patch(self, heisenberg):
+        # the full 2^18 CSR: 2^18 diagonal entries and one flip-flop per
+        # antiparallel neighbour pair, 17 * 2^17, with 4-byte indices
+        full_bytes = (2 ** 18 + 17 * 2 ** 17) * 12 + (2 ** 18 + 1) * 4
+        tracemalloc.start()
+        try:
+            (sector,) = charge_sectors(heisenberg, 18, 1)
+            block = build_patch(heisenberg, PatchSpec(18), sector)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        block_bytes = block.data.nbytes + block.indices.nbytes + block.indptr.nbytes
+        assert block.shape == (48620, 48620)
+        assert peak < 3 * block_bytes
+        assert peak < full_bytes / 2
 
 
 class TestOperatorNorm:
