@@ -135,6 +135,11 @@ def _anderson_report(model, args):
                      "assembly_margin": res.assembly_margin})
 
 
+def _solve_counts(res) -> dict:
+    return {k: res.diagnostics[k]
+            for k in ("constraints", "schur_fallback", "pruned_constraints")}
+
+
 def _marginal_report(model, args, m, s, mode, placement):
     spec = marginal.MarginalProblemSpec(model, m, s, mode, placement)
     res = marginal.improved_anderson_bound(spec, gap_tol=args.gap_tol)
@@ -146,7 +151,8 @@ def _marginal_report(model, args, m, s, mode, placement):
         diagnostics={"z": res.z, "gap": res.gap, "dual_residual": res.feas_dual,
                      "iterations": res.iterations,
                      "status": res.diagnostics["status"],
-                     "stalled": res.diagnostics["stalled"]})
+                     "stalled": res.diagnostics["stalled"],
+                     **_solve_counts(res)})
 
 
 def _moment_report(model, args, window):
@@ -155,7 +161,8 @@ def _moment_report(model, args, window):
         method="moment", model=model.name, params={"l": window},
         lower=res.bound, certified=True,
         diagnostics={"variables": res.variables, "matrix_size": res.matrix_size,
-                     "gap": res.gap, "iterations": res.iterations})
+                     "gap": res.gap, "iterations": res.iterations,
+                     **_solve_counts(res)})
 
 
 def _run_sweep(model, args):

@@ -99,29 +99,55 @@ def partial_trace(rho: np.ndarray, keep, d: int = 2) -> np.ndarray:
     return t.reshape(d ** k, d ** k)
 
 
-def hermitian_basis(dim: int, real_only: bool):
-    """Orthonormal (Frobenius) basis of symmetric/Hermitian dim x dim matrices.
+def site_basis(d: int, real: bool) -> tuple:
+    """Orthonormal (Frobenius) basis of one site's operators, I/sqrt(d) first.
 
-    Symmetrized elementary matrices: E_ii, (E_ij + E_ji)/sqrt(2) and, unless
-    real_only, (-i E_ij + i E_ji)/sqrt(2).
+    Elements: I/sqrt(d); the traceless diagonal (generalized Gell-Mann)
+    matrices; per pair i < j, (E_ij + E_ji)/sqrt(2) and either
+    (E_ij - E_ji)/sqrt(2) (real) or i(E_ji - E_ij)/sqrt(2) (complex).
+    Returns the (d^2, d, d) stack and a mask of the antisymmetric / imaginary
+    elements, so a product of elements is real symmetric iff an even number of
+    its factors are masked.
     """
-    out = []
-    for i in range(dim):
-        e = np.zeros((dim, dim), dtype=float if real_only else complex)
-        e[i, i] = 1.0
-        out.append(e)
+    basis = np.zeros((d * d, d, d), dtype=float if real else complex)
+    odd = np.zeros(d * d, dtype=bool)
+    basis[0] = np.eye(d) / np.sqrt(d)
+    for k in range(1, d):
+        basis[k, range(k), range(k)] = 1.0
+        basis[k, k, k] = -k
+        basis[k] /= np.sqrt(k * (k + 1))
     r = 1.0 / np.sqrt(2.0)
-    for i in range(dim):
-        for j in range(i + 1, dim):
-            e = np.zeros((dim, dim), dtype=float if real_only else complex)
-            e[i, j] = e[j, i] = r
-            out.append(e)
-            if not real_only:
-                e2 = np.zeros((dim, dim), dtype=complex)
-                e2[i, j] = -1j * r
-                e2[j, i] = 1j * r
-                out.append(e2)
-    return out
+    idx = d
+    for i in range(d):
+        for j in range(i + 1, d):
+            basis[idx, i, j] = basis[idx, j, i] = r
+            if real:
+                basis[idx + 1, i, j], basis[idx + 1, j, i] = r, -r
+            else:
+                basis[idx + 1, i, j], basis[idx + 1, j, i] = -1j * r, 1j * r
+            odd[idx + 1] = True
+            idx += 2
+    return basis, odd
+
+
+def window_basis(d: int, sites: int, real: bool) -> tuple:
+    """Products of `site_basis` elements over a window, site 0 leftmost.
+
+    Complex models get all (d^2)^sites products, an orthonormal basis of the
+    Hermitian operators; real ones keep the real symmetric products (an even
+    number of antisymmetric factors). Returns the stack, with the identity
+    product first, and a mask of the products whose last factor is I/sqrt(d).
+    """
+    one, odd_one = site_basis(d, real)
+    prod, odd = one, odd_one
+    for _ in range(sites - 1):
+        dim = prod.shape[1] * d
+        prod = np.einsum("aij,bkl->abikjl", prod, one).reshape(-1, dim, dim)
+        odd = (odd[:, None] ^ odd_one[None, :]).ravel()
+    ends_in_identity = np.arange(odd.size) % (d * d) == 0
+    if real:
+        return prod[~odd], ends_in_identity[~odd]
+    return prod, ends_in_identity
 
 
 def boundary_sites(m: int, s: int) -> list:
@@ -136,16 +162,31 @@ def crossing_sites(s: int, placement: str) -> tuple:
     return (2 * s - 2, 2 * s - 1)
 
 
+def _place(out: np.ndarray, ops: np.ndarray, k: int, m: int, d: int):
+    """out[j] += the lift of ops[j] onto the consecutive window starting at
+    site k of m, I_{d^k} (x) ops[j] (x) I, written entry by entry; `out` is
+    C-contiguous, so the reshape is a view."""
+    dim = ops.shape[1]
+    head, tail = d ** k, d ** m // (d ** k * dim)
+    view = out.reshape(len(ops), head, dim, tail, head, dim, tail)
+    for a in range(head):
+        for c in range(tail):
+            view[:, a, :, c, a, :, c] += ops
+
+
 def build_marginal_sdp(spec: MarginalProblemSpec) -> sdp.SdpProblem:
     """Assemble the one-block SDP over the patch state omega on m sites.
 
     sigma is the marginal of omega on the first window W_0, so the crossing
-    term is lifted onto W_0. Constraints: tr(omega) = 1 and, per later window
-    W_k and Hermitian basis element B of the window space,
-    tr(omega (lift_{W_k}(B) - lift_{W_0}(B))) = 0. Overlapping windows make
-    some rows dependent (the solver prunes exact dependencies). Real models
-    use the real-symmetric restriction; complex ones are real-embedded
-    (matrices halved so traces match the complex problem).
+    term is lifted onto W_0. Constraints: tr(omega) = 1 and
+    tr(omega (lift_{W_k}(B) - lift_{W_0}(B))) = 0 for the products B of
+    `window_basis`: every B but the identity on W_1, and on each later W_k
+    only the B whose last factor is not the identity (a row whose last factor
+    is the identity is the sum of two rows already present). The rows are
+    therefore linearly independent and span the same constraints as every
+    basis element on every window. Real models use the real-symmetric
+    restriction; complex ones are real-embedded (matrices halved so traces
+    match the complex problem).
     """
     model, m, s = spec.model, spec.m, spec.s
     d, real = model.d, model.is_real
@@ -161,23 +202,32 @@ def build_marginal_sdp(spec: MarginalProblemSpec) -> sdp.SdpProblem:
                            m, d)
     objective = (build_patch(model, PatchSpec(m, 1, "open")) + cross).toarray()
 
-    basis = hermitian_basis(d ** (2 * s), real_only=real)
-    n = d ** m if real else 2 * d ** m
-    A = np.zeros((1 + len(later) * len(basis), n, n))
+    groups = []  # (window start, window operators) per later window
+    if later:
+        basis, ends_in_identity = window_basis(d, 2 * s, real)
+        groups = [(later[0][0], basis[1:])]
+        groups += [(win[0], basis[~ends_in_identity]) for win in later[1:]]
+    dim = d ** m
+    n = dim if real else 2 * dim
+    A = np.zeros((1 + sum(len(ops) for _, ops in groups), n, n))
     b = np.zeros(A.shape[0])
 
     def block(mat):
         return mat.real if real else sdp.real_embed(mat) / 2.0
 
-    def lift(B, k):  # B on the consecutive window starting at site k
-        return np.kron(np.kron(np.eye(d ** k), B), np.eye(d ** (m - k - 2 * s)))
-
-    A[0] = block(np.eye(d ** m))
+    A[0] = block(np.eye(dim))
     b[0] = 1.0
-    for j, B in enumerate(basis if later else ()):  # one window: no rows to build
-        on_first = lift(B, 0)
-        for k, win in enumerate(later):
-            A[1 + k * len(basis) + j] = block(lift(B, win[0]) - on_first)
+    row = 1
+    for k, ops in groups:
+        rows = slice(row, row + len(ops))
+        diff = A[rows] if real else np.zeros((len(ops), dim, dim), dtype=complex)
+        _place(diff, ops, k, m, d)
+        _place(diff, -ops, 0, m, d)
+        if not real:  # the real embedding [[Re, -Im], [Im, Re]] / 2 of each row
+            A[rows, :dim, :dim] = A[rows, dim:, dim:] = diff.real / 2.0
+            A[rows, :dim, dim:] = -diff.imag / 2.0
+            A[rows, dim:, :dim] = diff.imag / 2.0
+        row += len(ops)
     return sdp.SdpProblem([n], [block(objective)], [A], b)
 
 
@@ -207,4 +257,5 @@ def improved_anderson_bound(spec: MarginalProblemSpec, gap_tol: float = 1e-9,
         iterations=sol.iterations, seconds=time.perf_counter() - t0,
         diagnostics={"primal_obj": sol.primal_obj, "dual_obj": sol.dual_obj,
                      "status": sol.status,
-                     "stalled": bool(sol.diagnostics.get("stalled", False))})
+                     "stalled": bool(sol.diagnostics.get("stalled", False)),
+                     **sdp.solve_counts(problem, sol)})

@@ -180,7 +180,8 @@ def ti_moment_bound(model: ModelSpec, window: int, gap_tol: float = 1e-10,
         window=window, bound=bound, variables=nvar, matrix_size=structure.size,
         gap=sol.gap, iterations=sol.iterations, seconds=time.perf_counter() - t0,
         diagnostics={"primal_obj": sol.primal_obj, "dual_obj": sol.dual_obj,
-                     "residual_l1": float(np.sum(resid)), "status": sol.status})
+                     "residual_l1": float(np.sum(resid)), "status": sol.status,
+                     **sdp.solve_counts(problem, sol)})
 
 
 def oracle_moment_matrix(state: np.ndarray, n_sites: int, basis: OperatorBasis) -> np.ndarray:

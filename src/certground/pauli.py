@@ -9,6 +9,7 @@ Products and adjoints are phase-exact integer arithmetic.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -144,13 +145,17 @@ def string_to_dense(p: PauliString) -> np.ndarray:
 def labels_to_dense(pairs) -> np.ndarray:
     """Dense sum of c * P over (coefficient, label) pairs such as (0.5, "XX").
 
-    All labels must have one width; repeated labels add up.
+    All labels must have one width; repeated labels add up. Each entry is a
+    correctly rounded sum (`math.fsum` of the real and of the imaginary
+    parts), so it does not depend on the order of the pairs, and entries that
+    hold the same terms in another order, such as the mirrored diagonal
+    entries of a reflection-symmetric term, come out bitwise equal.
     """
-    pairs = list(pairs)
-    width = len(pairs[0][1])
-    out = np.zeros((1 << width, 1 << width), dtype=complex)
-    for c, label in pairs:
-        out += c * string_to_dense(PauliString.from_label(label))
+    terms = np.stack([c * string_to_dense(PauliString.from_label(label))
+                      for c, label in pairs])
+    out = np.zeros(terms.shape[1:], dtype=complex)
+    for i, j in zip(*np.nonzero(np.any(terms != 0, axis=0))):
+        out[i, j] = complex(math.fsum(terms[:, i, j].real), math.fsum(terms[:, i, j].imag))
     return out
 
 

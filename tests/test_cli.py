@@ -113,6 +113,23 @@ class TestMarginalMoment:
         assert code == 0
         assert json.loads(out)["diagnostics"]["stalled"] is True
 
+    @pytest.mark.parametrize("argv, constraints", [
+        (["--model", "heisenberg", "--m", "5", "--s", "2"], 136),
+        (["--model", "heisenberg", "--m", "6", "--s", "1"], 31),
+        (["--model", "random_twosite", "--params", "3", "--m", "4", "--s", "1"], 28),
+        (["--model", "random_twosite", "--params", "3", "--m", "4", "--s", "2"], 1)])
+    def test_marginal_reports_independent_rows(self, capsys, argv, constraints):
+        # the builder emits independent rows, so nothing is pruned; a second
+        # run prints the same bytes (the diagnostics hold no timing)
+        outs = [run_capture(capsys, ["marginal"] + argv) for _ in range(2)]
+        assert outs[0] == outs[1]
+        code, out = outs[0]
+        assert code == 0
+        diagnostics = json.loads(out)["diagnostics"]
+        assert diagnostics["constraints"] == constraints
+        assert diagnostics["pruned_constraints"] == 0
+        assert isinstance(diagnostics["schur_fallback"], bool)
+
     def test_wrap_not_certified(self, capsys):
         code, out = run_capture(capsys, ["marginal", "--model", "heisenberg",
                                          "--m", "3", "--s", "1", "--mode", "wrap"])
@@ -130,6 +147,15 @@ class TestMarginalMoment:
                                          "--l", "2"])
         assert code == 0
         assert json.loads(out)["diagnostics"]["iterations"] == 9
+
+    def test_moment_reports_solve_counts(self, capsys):
+        code, out = run_capture(capsys, ["moment", "--model", "heisenberg",
+                                         "--l", "2"])
+        assert code == 0
+        diagnostics = json.loads(out)["diagnostics"]
+        assert diagnostics["constraints"] == diagnostics["variables"] - 1 == 12
+        assert diagnostics["schur_fallback"] is False
+        assert diagnostics["pruned_constraints"] == 0
 
 
 class TestSweep:

@@ -249,6 +249,15 @@ class TestSectorAssembly:
         assert len(sector) == dim
         assert np.all(np.diff(sector) > 0)
 
+    def test_non_dyadic_field_keeps_reflection(self):
+        # -ZZ - (XI + IX)/2 - 0.15 (ZI + IZ): summed entry by entry with a
+        # correctly rounded sum, the mirrored diagonal entries agree bitwise
+        model = parse_model(json.dumps({"name": "tfim-h", "d": 2, "D": 1, "term": {
+            "pauli_sum": [{"paulis": p, "coeff": c} for p, c in (
+                ("ZZ", -1.0), ("XI", -0.5), ("IX", -0.5), ("ZI", -0.15), ("IZ", -0.15))]}}))
+        (sector,) = charge_sectors(model, 8, 1)
+        assert sector.symmetry == ("reflection",)
+
     def test_margin_covers_the_assembly_rounding(self):
         # the symmetric block against P^T H P over explicit orbit sums, in extended precision
         model, patch = builtin_model("tfim", [0.3]), PatchSpec(7)

@@ -176,6 +176,29 @@ class TestPauliSum:
         h = labels_to_dense([(1.0, "XX"), (-1.0, "XX"), (2.0, "ZI")])
         np.testing.assert_array_equal(h, 2.0 * np.kron(np.diag([1.0, -1.0]), np.eye(2)))
 
+    @pytest.mark.parametrize("pairs", [
+        [(0.5, "XX"), (0.5, "YY"), (0.5, "ZZ")],
+        [(0.5, "XX"), (0.5, "YY"), (0.5 * 0.3, "ZZ")],
+        [(-1.0, "ZZ"), (-0.5 * 0.3, "XI"), (-0.5 * 0.3, "IX")],
+        [(-1.0, "ZZ"), (-0.5 * 2.0, "XI"), (-0.5 * 2.0, "IX")]],
+        ids=["heisenberg", "xxz", "tfim(0.3)", "tfim(2)"])
+    def test_builtin_terms_unchanged(self, pairs):
+        # the builtin sums are exact in any order, so the correctly rounded
+        # sum gives the bits of the plain left-to-right sum
+        plain = np.zeros((4, 4), dtype=complex)
+        for c, label in pairs:
+            plain += c * string_to_dense(PauliString.from_label(label))
+        assert labels_to_dense(pairs).tobytes() == plain.tobytes()
+
+    def test_sum_does_not_depend_on_order(self):
+        pairs = [(-1.0, "ZZ"), (-0.5, "XI"), (-0.5, "IX"), (-0.15, "ZI"), (-0.15, "IZ")]
+        h = labels_to_dense(pairs)
+        # the plain sum gives 1 - 0.15 + 0.15 = 0.9999999999999999 at |10>
+        assert h[1, 1] == h[2, 2] == 1.0
+        assert labels_to_dense(pairs[::-1]).tobytes() == h.tobytes()
+        swap = np.eye(4)[[0, 2, 1, 3]]
+        assert np.array_equal(swap @ h @ swap, h)
+
     def test_non_hermitian_rejected(self):
         with pytest.raises(ValueError, match="not Hermitian"):
             ModelSpec("iz", 2, 1, labels_to_dense([(1j, "ZI")]))

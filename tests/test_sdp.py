@@ -148,8 +148,13 @@ class TestFactoredKernels:
                                [np.stack([np.eye(6)]), np.stack([np.eye(3)])],
                                np.array([1.0])))
         assert sol.status == "optimal"
-        # the last iteration only checks convergence
-        assert len(calls) == 2 * 2 * (sol.iterations - 1)
+        assert "schur_fallback" not in sol.diagnostics
+        # the last iteration only checks convergence; X and S are factored
+        # once per block, the 1 x 1 Schur complement once
+        iterates = sol.iterations - 1
+        assert calls.count((6, 6)) == calls.count((3, 3)) == 2 * iterates
+        assert calls.count((1, 1)) == iterates
+        assert len(calls) == 5 * iterates
 
     def test_solve_peak_memory_below_three_constraint_tensors(self, monkeypatch):
         # heisenberg l = 3 has no dependent constraints, so no restart
