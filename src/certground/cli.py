@@ -161,7 +161,9 @@ def _moment_report(model, args, window):
         method="moment", model=model.name, params={"l": window},
         lower=res.bound, certified=True,
         diagnostics={"variables": res.variables, "matrix_size": res.matrix_size,
+                     "psd_block": res.diagnostics["psd_block"],
                      "gap": res.gap, "iterations": res.iterations,
+                     "negative_part": res.diagnostics["negative_part"],
                      **_solve_counts(res)})
 
 
@@ -177,10 +179,11 @@ def _run_sweep(model, args):
     if args.method == "moment":
         if not args.l:
             raise ValidationError("sweep moment requires --l a..b")
-        rows = []
-        for window in _parse_range(args.l):
-            rows.append(moment.ti_moment_bound(model, window,
-                                               gap_tol=args.gap_tol).csv_row(model.name))
+        windows = _parse_range(args.l)
+        for window in windows:  # the whole range, before any solve
+            moment.check_window(window)
+        rows = [moment.ti_moment_bound(model, window, gap_tol=args.gap_tol).csv_row(model.name)
+                for window in windows]
         return rows, moment.MOMENT_CSV_COLUMNS
     if not args.m or not args.s:
         raise ValidationError("sweep marginal requires --m a..b and --s a..b")

@@ -1,16 +1,37 @@
-"""Translation-invariant Pauli moment-matrix lower bounds for qubit chains.
+"""Translation-invariant moment-hierarchy lower bounds for qubit chains.
 
 The operator set is all 4^l Pauli strings on an l-site contiguous window.
 Gram entries tr(O_a^dag O_b omega) are identified across lattice shifts:
 each product canonicalizes to one shared real variable per translation
-class, with a residual phase in {1, i, -1, -i}. The resulting linear
-matrix inequality X(y) >= 0 with the identity class pinned to 1 is a lower
-bound on the energy density; it is solved through its Lagrangian dual in
-primal standard form, whose solution matrix doubles as a rigorous
-certificate (Pauli expectations are bounded by 1 in modulus, so constraint
-residuals enter the certified bound with unit weight). Models carry only
-their dense two-site term; `objective_vector` expands it in the two-site
-Pauli basis here, the one place the moment hierarchy needs Pauli strings.
+class, with a residual phase in {1, i, -1, -i}. The moment matrix X(y), with
+the identity class pinned to 1, is positive semidefinite for the moments y
+of every translation-invariant state.
+
+The LMI is imposed on the l-site density matrix instead of on X. With
+rho(y) = sum_c y_c R_c, where R_c is 2^-l times the sum of the translates of
+class c's standard string that fit in the window, every entry of X is
+X_ab = tr(rho(y) P_a P_b) = <P_a, P_b rho(y)>. In the orthonormal operator
+basis P_a / 2^(l/2) that is X(y) = 2^l U^dag R_rho U, with U unitary and
+R_rho the right multiplication by rho(y), whose spectrum is spec(rho) with
+every eigenvalue repeated 2^l times. So X(y) >= 0 if and only if
+rho(y) >= 0, and the relaxation is solved on one 2^l block (2^(l+1) real
+embedded) rather than on the 4^l moment matrix (Barthel & Huebener, PRL 108,
+200404 (2012); Baumgratz & Plenio, NJP 14, 023027 (2012)). It is solved
+through its Lagrangian dual in primal standard form, whose solution matrix
+doubles as a rigorous certificate (Pauli expectations are bounded by 1 in
+modulus, so constraint residuals enter the certified bound with unit
+weight).
+
+`build_structure` and its Pauli product table stay on the path for now:
+the class table behind `variables`, `objective_vector` and the oracle tests
+comes from it, and the benchmark's trace (`perfbench/tracing.py`) wraps
+this module's Pauli seams and pins their call count. Deleting the table and
+the Pauli-string algebra waits until that trace is re-pinned; a
+translation-invariant state SDP builder then takes the class table's place.
+
+Models carry only their dense two-site term; `objective_vector` expands it
+in the two-site Pauli basis here, the one place the moment hierarchy needs
+Pauli strings.
 """
 
 from __future__ import annotations
@@ -20,7 +41,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import sdp
+from . import eigensolver, sdp
 from .models import ModelSpec, embed_on_sites
 from .pauli import (PauliString, all_strings, dagger, hermitian_class, multiply,
                     string_to_dense)
@@ -41,9 +62,14 @@ class OperatorBasis:
         return len(self.operators)
 
 
-def build_basis(window: int) -> OperatorBasis:
+def check_window(window: int) -> None:
+    """Raise ValueError unless `build_basis` accepts this window length."""
     if not _MIN_WINDOW <= window <= _MAX_WINDOW:
         raise ValueError(f"window length must be in [{_MIN_WINDOW}, {_MAX_WINDOW}]")
+
+
+def build_basis(window: int) -> OperatorBasis:
+    check_window(window)
     return OperatorBasis(window, tuple(all_strings(window)))
 
 
@@ -94,11 +120,30 @@ def assemble_moment_matrix(structure: MomentStructure, y: np.ndarray) -> np.ndar
 
 
 def coefficient_matrices(structure: MomentStructure):
-    """A_c with X(y) = sum_c y_c A_c; each A_c is Hermitian by construction."""
-    out = []
-    for c in range(structure.n_variables):
-        mask = structure.var_of == c
-        out.append(np.where(mask, structure.phases, 0.0))
+    """R_c with rho(y) = sum_c y_c R_c, as 2^l x 2^l Hermitian matrices.
+
+    R_0 = I / 2^l; for c >= 1, R_c is 2^-l times the sum of the translates
+    of class c's standard string inside the window. Then
+    X(y) = 2^l U^dag R_rho U (module docstring), so rho(y) >= 0 is the
+    moment-matrix LMI X(y) >= 0 on a block 2^l times smaller.
+    """
+    window = structure.window
+    dim = 1 << window
+    scale = 0.5 ** window
+    cols = np.arange(dim)
+    odd = np.array([j.bit_count() & 1 for j in range(dim)])
+
+    def index_bits(mask):  # site k is bit window - 1 - k of a basis index
+        return int(f"{mask:0{window}b}"[::-1], 2)
+
+    out = [np.eye(dim, dtype=complex) * scale]
+    for rep in structure.class_reps[1:]:
+        r = np.zeros((dim, dim), dtype=complex)
+        for s in range(window - rep.width + 1):
+            x, z = index_bits(rep.x_mask << s), index_bits(rep.z_mask << s)
+            # i^phase X^x Z^z |j> = i^phase (-1)^|j & z| |j ^ x>
+            r[cols ^ x, cols] += (scale * 1j ** rep.phase_exp) * (1 - 2 * odd[cols & z])
+        out.append(r)
     return out
 
 
@@ -135,7 +180,7 @@ class MomentBoundResult:
     window: int
     bound: float
     variables: int
-    matrix_size: int
+    matrix_size: int           # 4^l, the moment matrix; diagnostics["psd_block"] is solved
     gap: float
     iterations: int
     seconds: float
@@ -149,12 +194,18 @@ class MomentBoundResult:
 
 def ti_moment_bound(model: ModelSpec, window: int, gap_tol: float = 1e-10,
                     feas_tol: float = 1e-10) -> MomentBoundResult:
-    """Certified moment-matrix lower bound on the energy density.
+    """Certified moment-hierarchy lower bound on the energy density.
 
-    The LMI min f.y s.t. X(y) >= 0, y_identity = 1 is solved via its dual
-    min tr(A_0 Z) s.t. tr(A_c Z) = f_c, Z >= 0. Any PSD Z gives
-    0 <= tr(Z X(y*)) for the true state's moments y*, hence the certified
-    bound constant - tr(A_0 Z) - sum_c |tr(A_c Z) - f_c| using |y*_c| <= 1.
+    The LMI min f.y s.t. rho(y) >= 0, y_identity = 1, equivalent to the
+    moment-matrix LMI X(y) >= 0 since X(y) = 2^l U^dag R_rho U, is solved via
+    its dual min tr(A_0 Z) s.t. tr(A_c Z) = f_c, Z >= 0, with
+    A_c = real_embed(R_c) / 2 on one block of 2^(l+1). For the true state's
+    moments y*, tr(Z M*) >= -delta tr(M*) = -delta, where
+    M* = real_embed(rho(y*)) / 2 >= 0 has trace tr(rho) = 1 and
+    lambda_min(Z) > -delta is proven by a shifted Cholesky factorization with
+    Rump's margin (`eigensolver.min_eig_dense_certified`). Using |y*_c| <= 1,
+    the certified bound is
+    constant - tr(A_0 Z) - sum_c |tr(A_c Z) - f_c| - delta.
     """
     t0 = time.perf_counter()
     structure = build_structure(build_basis(window))
@@ -164,7 +215,7 @@ def ti_moment_bound(model: ModelSpec, window: int, gap_tol: float = 1e-10,
     emb = [sdp.real_embed(a) / 2.0 for a in mats]
     nvar = structure.n_variables
     problem = sdp.SdpProblem(
-        blocks=[2 * structure.size],
+        blocks=[emb[0].shape[0]],
         C=[emb[0]],
         A=[np.stack(emb[1:])],
         b=f[1:],
@@ -173,14 +224,18 @@ def ti_moment_bound(model: ModelSpec, window: int, gap_tol: float = 1e-10,
     if sol.status != "optimal":
         raise RuntimeError(f"moment SDP did not reach optimality (status {sol.status})")
     Z = sol.X[0]
+    # Z is at most 2^(l+1) wide, so Lanczos may run to exhaustion: the tight
+    # tol keeps value - residual, and so delta, at the rounding level
+    negative_part = max(0.0, -eigensolver.min_eig_dense_certified(Z, tol=1e-13).lower_edge)
     a0z = float(np.sum(emb[0] * Z))
     resid = np.array([abs(float(np.sum(emb[c] * Z)) - f[c]) for c in range(1, nvar)])
-    bound = constant - a0z - float(np.sum(resid))
+    bound = constant - a0z - float(np.sum(resid)) - negative_part
     return MomentBoundResult(
         window=window, bound=bound, variables=nvar, matrix_size=structure.size,
         gap=sol.gap, iterations=sol.iterations, seconds=time.perf_counter() - t0,
         diagnostics={"primal_obj": sol.primal_obj, "dual_obj": sol.dual_obj,
                      "residual_l1": float(np.sum(resid)), "status": sol.status,
+                     "psd_block": problem.blocks[0], "negative_part": negative_part,
                      **sdp.solve_counts(problem, sol)})
 
 

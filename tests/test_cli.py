@@ -1,4 +1,5 @@
 import json
+import time
 
 import numpy as np
 import pytest
@@ -146,7 +147,7 @@ class TestMarginalMoment:
         code, out = run_capture(capsys, ["moment", "--model", "heisenberg",
                                          "--l", "2"])
         assert code == 0
-        assert json.loads(out)["diagnostics"]["iterations"] == 9
+        assert json.loads(out)["diagnostics"]["iterations"] == 8
 
     def test_moment_reports_solve_counts(self, capsys):
         code, out = run_capture(capsys, ["moment", "--model", "heisenberg",
@@ -156,6 +157,15 @@ class TestMarginalMoment:
         assert diagnostics["constraints"] == diagnostics["variables"] - 1 == 12
         assert diagnostics["schur_fallback"] is False
         assert diagnostics["pruned_constraints"] == 0
+
+    def test_moment_reports_block_and_negative_part(self, capsys):
+        code, out = run_capture(capsys, ["moment", "--model", "heisenberg",
+                                         "--l", "3"])
+        assert code == 0
+        diagnostics = json.loads(out)["diagnostics"]
+        assert diagnostics["matrix_size"] == 64
+        assert diagnostics["psd_block"] == 16  # rho on 3 sites, real-embedded
+        assert diagnostics["negative_part"] >= 0.0
 
 
 class TestSweep:
@@ -176,6 +186,17 @@ class TestSweep:
     def test_missing_args(self, capsys):
         code = run(["sweep", "--model", "heisenberg", "--method", "moment"])
         assert code == 2
+
+    def test_moment_range_checked_before_any_solve(self, capsys):
+        t0 = time.perf_counter()
+        code = run(["sweep", "--model", "heisenberg", "--method", "moment",
+                    "--l", "2..7"])
+        seconds = time.perf_counter() - t0
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert "window length" in captured.err
+        assert seconds < 1.0
 
 
 class TestSandwich:

@@ -1,13 +1,26 @@
+import functools
+
 import numpy as np
 import pytest
 import scipy.sparse.linalg as spla
 
+from certground import sdp
+from certground.anderson import anderson_bound
 from certground.models import build_ring, builtin_model
 from certground.moment import (assemble_moment_matrix, build_basis,
-                               build_structure, objective_vector,
-                               oracle_moment_matrix, ti_moment_bound)
-from certground.pauli import PauliString
+                               build_structure, coefficient_matrices,
+                               objective_vector, oracle_moment_matrix,
+                               ti_moment_bound)
+from certground.pauli import PauliString, string_to_dense
 from tests.conftest import EMIN, RING
+
+# l = 3 bounds at the CLI's gap_tol 1e-9, frozen from the 4^l moment-matrix LMI
+FROZEN_L3 = {
+    "heisenberg": ([], -1.00000000037),
+    "tfim": ([1.0], -1.33333333435),
+    "xxz": ([0.5], -0.843070331207),
+    "random_twosite": ([3.0], -1.20106902895),
+}
 
 
 class TestBasis:
@@ -148,3 +161,130 @@ class TestOracleMatrix:
             psi = np.kron(psi, s)
         X = oracle_moment_matrix(psi, 4, build_basis(2))
         assert np.linalg.eigvalsh((X + X.conj().T) / 2)[0] > -1e-10
+
+
+def density_matrix(structure, y):
+    """rho(y) = sum_c y_c R_c."""
+    return np.tensordot(y, np.stack(coefficient_matrices(structure)), axes=1)
+
+
+def ring_moments(structure, X):
+    """Class variables y read off a moment matrix X (entries with phase +1)."""
+    y = np.zeros(structure.n_variables)
+    for a, b in zip(*np.nonzero(np.abs(structure.phases - 1.0) < 1e-12)):
+        y[structure.var_of[a, b]] = X[a, b].real
+    return y
+
+
+class TestDensityMatrixLmi:
+    @pytest.mark.parametrize("window", [2, 3])
+    def test_spectral_identity(self, window):
+        # X(y) = 2^l U^dag R_rho U: spec X is 2^l spec rho, each repeated 2^l times
+        st = build_structure(build_basis(window))
+        rng = np.random.default_rng(window)
+        y = rng.standard_normal(st.n_variables)
+        y[0] = 1.0
+        got = np.linalg.eigvalsh(assemble_moment_matrix(st, y))
+        want = np.repeat(2 ** window * np.linalg.eigvalsh(density_matrix(st, y)),
+                         2 ** window)
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+    def test_coefficients_rebuild_the_reduced_state(self, heisenberg):
+        # the 8-site ring ground state's moments give back its 3-site marginal
+        vals, vecs = np.linalg.eigh(build_ring(heisenberg, 8).toarray())
+        psi = vecs[:, 0].reshape(8, 32)  # site 0 is the leftmost factor
+        st = build_structure(build_basis(3))
+        y = ring_moments(st, oracle_moment_matrix(vecs[:, 0], 8, build_basis(3)))
+        np.testing.assert_allclose(density_matrix(st, y), psi @ psi.conj().T,
+                                   rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("window", [2, 3, 4])
+    def test_coefficients_are_the_translate_sums(self, window):
+        # R_c against dense Kronecker products of each translate's string
+        st = build_structure(build_basis(window))
+        mats = coefficient_matrices(st)
+        np.testing.assert_array_equal(mats[0], np.eye(2 ** window) / 2 ** window)
+        for rep, r in zip(st.class_reps[1:], mats[1:]):
+            want = sum(string_to_dense(PauliString(window, rep.x_mask << s,
+                                                   rep.z_mask << s, rep.phase_exp))
+                       for s in range(window - rep.width + 1))
+            np.testing.assert_array_equal(r, want / 2 ** window)
+
+    @pytest.mark.parametrize("window", [2, 3])
+    def test_solves_one_block_of_rho(self, monkeypatch, heisenberg, window):
+        captured = []
+        real_solve = sdp.solve
+
+        def capture(problem, **kwargs):
+            captured.append(problem)
+            return real_solve(problem, **kwargs)
+
+        monkeypatch.setattr(sdp, "solve", capture)
+        r = ti_moment_bound(heisenberg, window)
+        (problem,) = captured
+        assert problem.blocks == [2 * 2 ** window]
+        assert r.diagnostics["psd_block"] == 2 * 2 ** window
+        assert r.matrix_size == 4 ** window
+
+    @pytest.mark.parametrize("name", sorted(FROZEN_L3))
+    def test_l3_bounds_frozen(self, name):
+        params, ref = FROZEN_L3[name]
+        r = ti_moment_bound(builtin_model(name, params), 3, gap_tol=1e-9)
+        assert abs(r.bound - ref) <= 1e-9
+        assert 0.0 <= r.diagnostics["negative_part"] < 1e-12
+
+
+class TestCertificate:
+    def test_negative_part_of_z_is_charged(self, monkeypatch, heisenberg):
+        seen = []
+        real_solve = sdp.solve
+
+        def tilted(problem, **kwargs):
+            sol = real_solve(problem, **kwargs)
+            w, v = np.linalg.eigh(sol.X[0])
+            w[0] = -1e-12
+            sol.X[0] = (v * w) @ v.T
+            seen.append((problem, sol.X[0]))
+            return sol
+
+        monkeypatch.setattr(sdp, "solve", tilted)
+        r = ti_moment_bound(heisenberg, 3)
+        ((problem, Z),) = seen
+        _, constant = objective_vector(build_structure(build_basis(3)), heisenberg)
+        uncharged = (constant - np.sum(problem.C[0] * Z)
+                     - sum(abs(np.sum(a * Z) - f) for a, f in zip(problem.A[0], problem.b)))
+        assert r.diagnostics["negative_part"] >= 1e-12
+        assert r.bound <= uncharged - 1e-12
+
+
+CLAIM_MODELS = {"heisenberg": [], "tfim": [1.0], "xxz": [0.5]}
+
+
+@functools.cache
+def hierarchy(name):
+    """moment(l) for l = 2, 3, 4 at the CLI's gap_tol."""
+    model = builtin_model(name, CLAIM_MODELS[name])
+    return model, {window: ti_moment_bound(model, window, gap_tol=1e-9).bound
+                   for window in (2, 3, 4)}
+
+
+class TestHierarchyClaim:
+    """The moment hierarchy tightens with l and dominates the Anderson bound."""
+
+    @pytest.mark.parametrize("name", sorted(CLAIM_MODELS))
+    def test_non_decreasing_in_window(self, name):
+        _, bounds = hierarchy(name)
+        assert bounds[3] >= bounds[2] - 1e-8
+        assert bounds[4] >= bounds[3] - 1e-8
+
+    @pytest.mark.parametrize("name", sorted(CLAIM_MODELS))
+    def test_at_least_anderson(self, name):
+        # all l - 1 bonds of a consistent rho carry the same energy, so
+        # moment(l) >= lambda_min(h_l) / (l - 1)
+        model, bounds = hierarchy(name)
+        for window, bound in bounds.items():
+            assert bound >= anderson_bound(model, window).certified_bound - 1e-8
+
+    def test_heisenberg_below_exact_density(self):
+        _, bounds = hierarchy("heisenberg")
+        assert all(b <= EMIN for b in bounds.values())
