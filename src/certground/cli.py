@@ -9,6 +9,7 @@ stdout as JSON unless --json/--csv paths are given.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 import numpy as np
@@ -70,7 +71,10 @@ def _add_common(p):
     p.add_argument("--json", help="write the JSON report to this path")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process (`parse_args` leaves it
+    unchanged, so every `run` shares it)."""
     ap = argparse.ArgumentParser(prog="certground", description=__doc__)
     sub = ap.add_subparsers(dest="command", required=True)
 
@@ -152,6 +156,8 @@ def _marginal_report(model, args, m, s, mode, placement):
                      "iterations": res.iterations,
                      "status": res.diagnostics["status"],
                      "stalled": res.diagnostics["stalled"],
+                     "blocks": res.diagnostics["blocks"],
+                     "symmetry": res.diagnostics["symmetry"],
                      **_solve_counts(res)})
 
 
@@ -163,6 +169,7 @@ def _moment_report(model, args, window):
         diagnostics={"variables": res.variables, "matrix_size": res.matrix_size,
                      "psd_block": res.diagnostics["psd_block"],
                      "gap": res.gap, "iterations": res.iterations,
+                     "status": res.diagnostics["status"],
                      "negative_part": res.diagnostics["negative_part"],
                      **_solve_counts(res)})
 

@@ -12,6 +12,20 @@ of omega on the first window. Two window readings are available:
 The crossing term places the two-site interaction either on sigma's middle
 factor pair (s, s+1) -- the actual inter-patch bond -- or literally on the
 last two factors.
+
+The SDP is solved on the symmetry blocks of omega (Gatermann & Parrilo,
+J. Pure Appl. Algebra 192, 2004). When the term conserves the charge (the
+digit sum, S^z for qubits), averaging omega over the charge rotations keeps
+every constraint and the objective, so omega is block diagonal with one
+block omega_q per charge q, and only window operators that commute with the
+charge need rows. When the term is also flip symmetric (every digit k to
+d - 1 - k), omega can be taken flip invariant, omega_{(d-1)m-q} = F omega_q F^T:
+one variable X_q for 2q < (d - 1)m carries weight 2 in the trace row, the
+objective and every flip-even row, flip-odd rows act on the self-paired
+block alone, and sum_q w_q tr X_q = 1 bounds tr X_q by 1/w_q in the
+certificate. Without a charge, omega is one d^m block. Reflection and the
+flip of charge-free terms (tfim) would need a change of basis, not a
+selection of states, and are not used.
 """
 
 from __future__ import annotations
@@ -22,7 +36,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import sdp
-from .models import ModelSpec, PatchSpec, build_patch, embed_on_sites
+from .models import (ModelSpec, PatchSpec, build_patch, embed_on_sites, state_charges,
+                     term_symmetries)
 
 MARGINAL_CSV_COLUMNS = ("model", "m", "s", "mode", "placement", "z",
                         "density_bound", "gap", "seconds")
@@ -130,24 +145,110 @@ def site_basis(d: int, real: bool) -> tuple:
     return basis, odd
 
 
-def window_basis(d: int, sites: int, real: bool) -> tuple:
-    """Products of `site_basis` elements over a window, site 0 leftmost.
+def charge_basis(d: int) -> tuple:
+    """A real basis of one site's operators, graded by charge and mapped to
+    itself up to sign by the flip k -> d - 1 - k, I/sqrt(d) first.
 
-    Complex models get all (d^2)^sites products, an orthonormal basis of the
-    Hermitian operators; real ones keep the real symmetric products (an even
-    number of antisymmetric factors). Returns the stack, with the identity
-    product first, and a mask of the products whose last factor is I/sqrt(d).
+    Elements: I/sqrt(d); the diagonal (e_k - e_{d-1-k})/sqrt(2) for k < d/2
+    (flip-odd); (e_k + e_{d-1-k})/sqrt(2) for 0 < k < (d-1)/2 and, for odd d,
+    e_{(d-1)/2} (flip-even); then every E_ij with i != j, which moves the
+    charge by i - j. For d = 2: I/sqrt(2), Z/sqrt(2), |0><1| and |1><0|.
+    Returns the (d^2, d, d) stack and each element's charge.
     """
-    one, odd_one = site_basis(d, real)
-    prod, odd = one, odd_one
-    for _ in range(sites - 1):
-        dim = prod.shape[1] * d
-        prod = np.einsum("aij,bkl->abikjl", prod, one).reshape(-1, dim, dim)
-        odd = (odd[:, None] ^ odd_one[None, :]).ravel()
-    ends_in_identity = np.arange(odd.size) % (d * d) == 0
-    if real:
-        return prod[~odd], ends_in_identity[~odd]
-    return prod, ends_in_identity
+    eye = np.eye(d)
+    diagonals = [np.ones(d) / np.sqrt(d)]
+    diagonals += [(eye[k] - eye[d - 1 - k]) / np.sqrt(2.0) for k in range(d // 2)]
+    for k in range(1, (d + 1) // 2):
+        pair = eye[k] + eye[d - 1 - k]
+        diagonals.append(pair / np.linalg.norm(pair))
+    off = [(i, j) for i in range(d) for j in range(d) if i != j]
+    basis = np.zeros((d * d, d, d))
+    for k, diag in enumerate(diagonals):
+        basis[k] = np.diag(diag)
+    for k, (i, j) in enumerate(off, start=d):
+        basis[k, i, j] = 1.0
+    return basis, np.array([0] * d + [i - j for i, j in off])
+
+
+def _signed_images(basis: np.ndarray, images: np.ndarray) -> tuple:
+    """For each image, the index k and sign c with image == c basis[k] exactly."""
+    flat, img = basis.reshape(len(basis), -1), images.reshape(len(images), -1)
+    plus = np.all(img[:, None] == flat[None], axis=2)
+    minus = np.all(img[:, None] == -flat[None], axis=2)
+    if not np.all(np.any(plus | minus, axis=1)):
+        raise ValueError("the basis is not closed under the map")
+    index = np.argmax(plus | minus, axis=1)
+    return index, np.where(plus[np.arange(len(img)), index], 1, -1)
+
+
+def window_basis(d: int, sites: int, real: bool, symmetry=()) -> tuple:
+    """The operators behind the rows on one window of `sites` sites.
+
+    Without "u1" in `symmetry` they are products of `site_basis` elements,
+    site 0 leftmost: all (d^2)^sites for complex models, an orthonormal basis
+    of the Hermitian operators, and the real symmetric ones (an even number of
+    antisymmetric factors) for real models. With "u1" they come from the
+    charge-conserving products P of `charge_basis` elements, which span the
+    operators that commute with the charge: P + P^T for real models, and
+    P + P^dag and i(P - P^dag) for complex ones. With "flip" as well, each is
+    summed, with sign +1 and with sign -1, with its image under the global
+    flip, into operators of definite flip parity. A sum over an orbit counts
+    each distinct product once, with its sign, and sums that cancel are
+    dropped: a product that is its own orbit is kept alone or not at all.
+    Returns the stack, identity first, a mask of the operators whose last
+    factor is the identity, and each one's flip parity (+1 or -1).
+    """
+    if "u1" in symmetry:
+        one, charge = charge_basis(d)
+    else:
+        one, _ = site_basis(d, real)
+        charge = np.zeros(d * d, dtype=int)
+    dagger, dagger_sign = _signed_images(one, one.conj().transpose(0, 2, 1))
+    if "flip" in symmetry:
+        flip, flip_sign = _signed_images(one, one[:, ::-1, ::-1])
+    else:
+        flip, flip_sign = np.arange(d * d), np.ones(d * d, dtype=int)
+    n = d * d
+    words = np.indices((n,) * sites).reshape(sites, -1).T  # lexicographic, site 0 first
+    words = words[charge[words].sum(axis=1) == 0]
+    # the orbit of each word under flip and dagger: four images with signs
+    images = [words, flip[words], dagger[words], dagger[flip[words]]]
+    signs = [np.ones(len(words), dtype=int), flip_sign[words].prod(axis=1),
+             dagger_sign[words].prod(axis=1),
+             flip_sign[words].prod(axis=1) * dagger_sign[flip[words]].prod(axis=1)]
+    codes = np.stack([w @ n ** np.arange(sites - 1, -1, -1) for w in images], axis=1)
+    rep = codes[:, 0] == codes.min(axis=1)  # one word per orbit
+    words, signs, codes = words[rep], [s[rep] for s in signs], codes[rep]
+    same = codes[:, :, None] == codes[:, None, :]
+    first = ~np.any(np.tril(same, -1), axis=2)  # the first slot holding each product
+    rows = []  # (codes, coefficients, parity, kind, word) of the sums that survive
+    for parity in ((1, -1) if "flip" in symmetry else (1,)):
+        for kind in ((1,) if real else (1, -1)):  # P + P^dag, then i(P - P^dag)
+            coef = np.stack([signs[0], parity * signs[1], kind * signs[2],
+                             kind * parity * signs[3]], axis=1)
+            merged = np.where(first, (same * coef[:, None, :]).sum(axis=2), 0)
+            scale = np.abs(merged).max(axis=1)
+            live = scale > 0
+            rows.append((codes[live], merged[live] // scale[live, None], parity, kind,
+                         words[live]))
+    used = np.unique(np.concatenate([c[k != 0] for c, k, *_ in rows]))
+    factors = np.stack(np.unravel_index(used, (n,) * sites), axis=1)
+    prods = one[factors[:, 0]]
+    for f in range(1, sites):
+        dim = prods.shape[1] * d
+        prods = np.einsum("kij,kab->kiajb", prods, one[factors[:, f]]).reshape(-1, dim, dim)
+    stack, ends_in_identity, parities = [], [], []
+    for c, k, parity, kind, word in rows:
+        idx = np.searchsorted(used, c)
+        ops = prods[idx[:, 0]]  # a word's own coefficient is 1
+        for j in range(1, 4):
+            extra = k[:, j] != 0
+            ops[extra] += k[extra, j, None, None] * prods[idx[extra, j]]
+        stack.append(ops if kind > 0 else 1j * ops)
+        ends_in_identity.append(word[:, -1] == 0)
+        parities.append(np.full(len(word), parity))
+    return (np.concatenate(stack), np.concatenate(ends_in_identity),
+            np.concatenate(parities))
 
 
 def boundary_sites(m: int, s: int) -> list:
@@ -162,35 +263,68 @@ def crossing_sites(s: int, placement: str) -> tuple:
     return (2 * s - 2, 2 * s - 1)
 
 
-def _place(out: np.ndarray, ops: np.ndarray, k: int, m: int, d: int):
-    """out[j] += the lift of ops[j] onto the consecutive window starting at
-    site k of m, I_{d^k} (x) ops[j] (x) I, written entry by entry; `out` is
-    C-contiguous, so the reshape is a view."""
-    dim = ops.shape[1]
-    head, tail = d ** k, d ** m // (d ** k * dim)
-    view = out.reshape(len(ops), head, dim, tail, head, dim, tail)
-    for a in range(head):
-        for c in range(tail):
-            view[:, a, :, c, a, :, c] += ops
+def reduction(model: ModelSpec) -> tuple:
+    """The symmetries the marginal SDP is reduced by: "u1" when the term
+    conserves the charge, and "flip" as well when it is also flip-symmetric
+    (`models.term_symmetries`)."""
+    symmetries = term_symmetries(model)
+    if "u1" not in symmetries:
+        return ()
+    return ("u1", "flip") if "flip" in symmetries else ("u1",)
+
+
+def _blocks(m: int, d: int, symmetry) -> list:
+    """The SDP blocks of omega as (sorted basis states, weight).
+
+    Under "u1" omega is block diagonal in the charge q; under "flip" as well,
+    its block at (d - 1) m - q is F omega_q F^T, so the blocks with
+    2q < (d - 1) m stand for both and carry weight 2.
+    """
+    if "u1" not in symmetry:
+        return [(np.arange(d ** m), 1)]
+    charge, top, flip = state_charges(m, d), (d - 1) * m, "flip" in symmetry
+    return [(np.flatnonzero(charge == q), 2 if flip and 2 * q < top else 1)
+            for q in range(top // 2 + 1 if flip else top + 1)]
+
+
+def _window_pairs(states: np.ndarray, sites, m: int, d: int) -> tuple:
+    """The pairs (i, j) of `states` whose digits agree off the listed sites,
+    and the index of each state's digits on them (sites[0] most significant):
+    the nonzero pattern of any operator on those sites, lifted and restricted
+    to `states`."""
+    strides = d ** (m - 1 - np.asarray(sites))
+    digits = states[:, None] // strides % d
+    local = digits @ d ** np.arange(len(sites) - 1, -1, -1)
+    rest = states - digits @ strides
+    i, j = np.nonzero(rest[:, None] == rest[None, :])
+    return i, j, local[i], local[j]
 
 
 def build_marginal_sdp(spec: MarginalProblemSpec) -> sdp.SdpProblem:
-    """Assemble the one-block SDP over the patch state omega on m sites.
+    """Assemble the SDP over the patch state omega on m sites, one block per
+    symmetry block of omega (`reduction`, `_blocks`).
 
     sigma is the marginal of omega on the first window W_0, so the crossing
-    term is lifted onto W_0. Constraints: tr(omega) = 1 and
-    tr(omega (lift_{W_k}(B) - lift_{W_0}(B))) = 0 for the products B of
+    term is lifted onto W_0. Constraints: sum_q w_q tr(omega_q) = 1 and
+    tr(omega (lift_{W_k}(B) - lift_{W_0}(B))) = 0 for the operators B of
     `window_basis`: every B but the identity on W_1, and on each later W_k
     only the B whose last factor is not the identity (a row whose last factor
     is the identity is the sum of two rows already present). The rows are
     therefore linearly independent and span the same constraints as every
-    basis element on every window. Real models use the real-symmetric
-    restriction; complex ones are real-embedded (matrices halved so traces
-    match the complex problem).
+    basis element on every window. Averaging omega over the symmetry group
+    changes neither the objective nor feasibility, so only invariant B need
+    rows, and they are block diagonal. A block of weight 2 stands for omega_q
+    and its flip partner: flip-even rows and the objective count it twice, and
+    flip-odd rows vanish on it, so they act on the self-paired block alone.
+    Every row block and the objective block (`build_patch` on the block plus
+    the crossing term) are assembled from the block's basis states, so no
+    d^m x d^m row is built. Real models use the real-symmetric rows; complex
+    ones are real-embedded block by block (matrices halved so traces match
+    the complex problem).
     """
     model, m, s = spec.model, spec.m, spec.s
     d, real = model.d, model.is_real
-
+    symmetry = reduction(model)
     if spec.mode == "wrap":
         windows = [boundary_sites(m, s)]
     else:
@@ -200,35 +334,62 @@ def build_marginal_sdp(spec: MarginalProblemSpec) -> sdp.SdpProblem:
     h = np.asarray(model.term, dtype=float if real else complex)
     cross = embed_on_sites(h, [first[j] for j in crossing_sites(s, spec.placement)],
                            m, d)
-    objective = (build_patch(model, PatchSpec(m, 1, "open")) + cross).toarray()
-
-    groups = []  # (window start, window operators) per later window
+    blocks = _blocks(m, d, symmetry)
+    groups = []  # (window, window operators, their flip parities) per later window
     if later:
-        basis, ends_in_identity = window_basis(d, 2 * s, real)
-        groups = [(later[0][0], basis[1:])]
-        groups += [(win[0], basis[~ends_in_identity]) for win in later[1:]]
-    dim = d ** m
-    n = dim if real else 2 * dim
-    A = np.zeros((1 + sum(len(ops) for _, ops in groups), n, n))
-    b = np.zeros(A.shape[0])
+        ops, ends_in_identity, parity = window_basis(d, 2 * s, real, symmetry)
+        groups = [(later[0], ops[1:], parity[1:])]
+        groups += [(win, ops[~ends_in_identity], parity[~ends_in_identity])
+                   for win in later[1:]]
+    row_parity = np.concatenate([[1]] + [parity for _, _, parity in groups])
+    n_rows = row_parity.size
 
-    def block(mat):
-        return mat.real if real else sdp.real_embed(mat) / 2.0
-
-    A[0] = block(np.eye(dim))
+    C, A = [], []
+    for states, weight in blocks:
+        size = states.size
+        objective = (build_patch(model, PatchSpec(m, 1, "open"), states)
+                     + cross[states][:, states]).toarray()
+        diff = np.zeros((n_rows, size, size), dtype=float if real else complex)
+        diff[0] = np.eye(size)
+        i0, j0, a0, b0 = _window_pairs(states, first, m, d)
+        row = 1
+        for win, ops, parity in groups:
+            rows = np.arange(row, row + len(ops))
+            if weight == 2:  # flip-odd rows vanish on a merged block
+                rows, ops = rows[parity > 0], ops[parity > 0]
+            i, j, a, b = _window_pairs(states, win, m, d)
+            diff[rows[:, None], i, j] += ops[:, a, b]
+            diff[rows[:, None], i0, j0] -= ops[:, a0, b0]
+            row += len(parity)
+        if real:
+            block, rows_block = objective.real, diff
+        else:  # the real embedding [[Re, -Im], [Im, Re]] / 2 of each row
+            block = sdp.real_embed(objective) / 2.0
+            rows_block = np.empty((n_rows, 2 * size, 2 * size))
+            rows_block[:, :size, :size] = rows_block[:, size:, size:] = diff.real / 2.0
+            rows_block[:, :size, size:] = -diff.imag / 2.0
+            rows_block[:, size:, :size] = diff.imag / 2.0
+        if weight != 1:
+            block *= weight
+            rows_block *= weight
+        C.append(block)
+        A.append(rows_block)
+    b = np.zeros(n_rows)
     b[0] = 1.0
-    row = 1
-    for k, ops in groups:
-        rows = slice(row, row + len(ops))
-        diff = A[rows] if real else np.zeros((len(ops), dim, dim), dtype=complex)
-        _place(diff, ops, k, m, d)
-        _place(diff, -ops, 0, m, d)
-        if not real:  # the real embedding [[Re, -Im], [Im, Re]] / 2 of each row
-            A[rows, :dim, :dim] = A[rows, dim:, dim:] = diff.real / 2.0
-            A[rows, :dim, dim:] = -diff.imag / 2.0
-            A[rows, dim:, :dim] = diff.imag / 2.0
-        row += len(ops)
-    return sdp.SdpProblem([n], [block(objective)], [A], b)
+    odd = np.flatnonzero(row_parity < 0)
+    if odd.size:
+        # flip-odd rows act on the self-paired block alone (the last, if
+        # (d - 1)m is even), where some become combinations of others: keep
+        # each one that is not (unpivoted QR, so |R_jj| is row j's distance
+        # from the span of the rows before it; every row is zero, and goes,
+        # when the last block is merged)
+        K = A[-1][odd].reshape(odd.size, -1)
+        r = np.abs(np.diagonal(np.linalg.qr(K.T, mode="r")))
+        keep = np.ones(n_rows, dtype=bool)
+        keep[odd] = False
+        keep[odd[:r.size][r > 1e-9 * np.linalg.norm(K[:r.size], axis=1)]] = True
+        A, b = [a[keep] for a in A], b[keep]
+    return sdp.SdpProblem([c.shape[0] for c in C], C, A, b)
 
 
 def improved_anderson_bound(spec: MarginalProblemSpec, gap_tol: float = 1e-9,
@@ -248,9 +409,10 @@ def improved_anderson_bound(spec: MarginalProblemSpec, gap_tol: float = 1e-9,
         raise RuntimeError(
             f"marginal SDP solve failed (status {sol.status}, "
             f"gap {sol.gap:g}, primal residual {sol.feas_primal:g})")
-    # omega has trace 1; real embedding doubles the block trace
-    tb = 1.0 if spec.model.is_real else 2.0
-    z = sdp.dual_lower_bound(problem, sol, trace_bounds=(tb,))
+    # the trace row is sum_q c_q tr(X_q) = 1 with A_q[0] = c_q I (c_q the block's
+    # weight, halved by a real embedding), so tr(X_q) <= 1 / c_q
+    z = sdp.dual_lower_bound(problem, sol,
+                             trace_bounds=[1.0 / a[0, 0, 0] for a in problem.A])
     return MarginalBoundResult(
         m=spec.m, s=spec.s, mode=spec.mode, placement=spec.placement,
         z=z, density_bound=z / spec.m, gap=sol.gap, feas_dual=sol.feas_dual,
@@ -258,4 +420,6 @@ def improved_anderson_bound(spec: MarginalProblemSpec, gap_tol: float = 1e-9,
         diagnostics={"primal_obj": sol.primal_obj, "dual_obj": sol.dual_obj,
                      "status": sol.status,
                      "stalled": bool(sol.diagnostics.get("stalled", False)),
+                     "blocks": list(problem.blocks),
+                     "symmetry": list(reduction(spec.model)),
                      **sdp.solve_counts(problem, sol)})

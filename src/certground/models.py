@@ -159,8 +159,13 @@ def parse_model(document: str) -> ModelSpec:
         term = labels_to_dense([(float(e["coeff"]), e["paulis"]) for e in entries])
     else:
         rows = term_doc["dense"]
-        if len(rows) != d ** 4:
-            raise ValueError(f"dense term must have {d ** 4} entries (row-major d^2 x d^2)")
+        if not isinstance(rows, list) or len(rows) != d ** 4:
+            raise ValueError(f"dense term must be a list of {d ** 4} entries "
+                             "(row-major d^2 x d^2)")
+        for e in rows:
+            if (not isinstance(e, list) or len(e) != 2
+                    or any(isinstance(x, bool) or not isinstance(x, (int, float)) for x in e)):
+                raise ValueError(f"dense entry {e!r} is not an [re, im] pair of numbers")
         flat = np.array([complex(re, im) for re, im in rows])
         term = flat.reshape(d ** 2, d ** 2)
     return _make_model(str(doc["name"]), d, D, term)
@@ -381,50 +386,75 @@ def assembly_margin(model: ModelSpec, patch: PatchSpec, sector=None) -> float:
     return gamma * float(np.sqrt(k * order * bonds * dim)) * row * (1 + 1e-6)
 
 
+def term_symmetries(model: ModelSpec) -> tuple:
+    """The exact structural symmetries of the two-site term, in the order of
+    `SYMMETRIES`. Every test compares entries exactly:
+
+    - "su2": d = 2 and the term equals a I + b SWAP entrywise, so it commutes
+      with the total spin;
+    - "u1": term[(a, b), (c, e)] == 0 whenever a + b != c + e, so every patch
+      is block diagonal in the charge, the sum of its local digits (total S^z
+      up to an offset when d = 2); "su2" implies it;
+    - "reflection": SWAP term SWAP == term;
+    - "flip": the term is unchanged when every digit k becomes d - 1 - k, which
+      maps charge q on n sites to (d - 1) n - q.
+    """
+    d = model.d
+    term = np.asarray(model.term)
+    swap = np.arange(d * d).reshape(d, d).T.ravel()  # index of (b, a) for (a, b)
+    pair = np.add.outer(np.arange(d), np.arange(d)).ravel()
+    su2 = d == 2 and np.array_equal(term, term[1, 1] * np.eye(4) + term[1, 2] * np.eye(4)[swap])
+    tests = {"su2": su2,
+             "u1": su2 or not np.any(term[pair[:, None] != pair[None, :]]),
+             "reflection": np.array_equal(term[swap][:, swap], term),
+             "flip": np.array_equal(term[::-1, ::-1], term)}
+    return tuple(name for name in SYMMETRIES if tests[name])
+
+
+def state_charges(n: int, d: int) -> np.ndarray:
+    """The charge (sum of local digits) of every basis state of n sites."""
+    charge = np.zeros(1, dtype=np.int32)
+    for _ in range(n):  # state index in base d, site 0 most significant
+        charge = (charge[:, None] + np.arange(d, dtype=np.int32)).ravel()
+    return charge
+
+
 def charge_sectors(model: ModelSpec, n: int, D: int | None = None) -> list[Sector]:
     """Blocks of an n-site patch whose minima give its lambda_min, as `Sector`
     arrays of sorted basis states.
 
-    The charge of a basis state is the sum of its local digits (total S^z up
-    to an offset when d = 2). The tests below are exact and structural:
+    The charge reductions follow `term_symmetries`:
 
-    - SU(2): d = 2 and the term equals a I + b SWAP entrywise. Such terms
-      commute with the total spin, so every multiplet of the ground
-      eigenspace has a member in the floor(n/2) sector; only it is returned.
-    - U(1): term[(a, b), (c, e)] == 0 whenever a + b != c + e. The patch is
-      then block diagonal in the charge; every sector is returned.
+    - SU(2): every multiplet of the ground eigenspace has a member in the
+      floor(n/2) sector; only it is returned.
+    - U(1): the patch is block diagonal in the charge; every sector is
+      returned.
     - Otherwise the whole space is one sector.
 
     Given the patch's lattice dimension D (None: the charge alone), a
     stoquastic term (real, with no positive off-diagonal entry) also reduces
-    each block to its sector that
-    is symmetric under site reflection (D = 1 and SWAP term SWAP == term) and
-    the global flip (d = 2, (X x X) term (X x X) == term, and the block maps
-    to itself). This is exact by Perron-Frobenius: the block has a
-    nonnegative ground vector, and its sum over the symmetry group is
-    nonzero, symmetric and still a ground vector.
+    each block to its sector that is symmetric under site reflection (D = 1
+    and a reflection-symmetric term) and the global flip (d = 2, a
+    flip-symmetric term, and the block maps to itself). This is exact by
+    Perron-Frobenius: the block has a nonnegative ground vector, and its sum
+    over the symmetry group is nonzero, symmetric and still a ground vector.
     """
     d = model.d
     _check_cap(n, d)
     term = np.asarray(model.term)
-    swap = np.arange(d * d).reshape(d, d).T.ravel()  # index of (b, a) for (a, b)
-    su2 = d == 2 and np.array_equal(term, term[1, 1] * np.eye(4) + term[1, 2] * np.eye(4)[swap])
-    pair = np.add.outer(np.arange(d), np.arange(d)).ravel()
-    u1 = su2 or not np.any(term[pair[:, None] != pair[None, :]])
+    symmetries = term_symmetries(model)
     reductions = []
     real = not np.iscomplexobj(term) or not np.any(term.imag)
     if D is not None and real and np.all(term.real[~np.eye(d * d, dtype=bool)] <= 0):
-        if D == 1 and np.array_equal(term[swap][:, swap], term):
+        if D == 1 and "reflection" in symmetries:
             reductions.append("reflection")
-        if d == 2 and np.array_equal(term[::-1, ::-1], term):
+        if d == 2 and "flip" in symmetries:
             reductions.append("flip")
-    if not u1:
+    if "u1" not in symmetries:
         blocks = [(np.arange(d ** n), (), None)]
     else:
-        charge = np.zeros(1, dtype=np.int32)
-        for _ in range(n):  # state index in base d, site 0 most significant
-            charge = (charge[:, None] + np.arange(d, dtype=np.int32)).ravel()
-        if su2:
+        charge = state_charges(n, d)
+        if "su2" in symmetries:
             blocks = [(np.flatnonzero(charge == n // 2), ("su2",), n // 2)]
         else:
             order = np.argsort(charge, kind="stable")

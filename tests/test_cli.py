@@ -4,7 +4,7 @@ import time
 import numpy as np
 import pytest
 
-from certground import sdp
+from certground import cli, sdp
 from certground.cli import run
 
 
@@ -115,8 +115,8 @@ class TestMarginalMoment:
         assert json.loads(out)["diagnostics"]["stalled"] is True
 
     @pytest.mark.parametrize("argv, constraints", [
-        (["--model", "heisenberg", "--m", "5", "--s", "2"], 136),
-        (["--model", "heisenberg", "--m", "6", "--s", "1"], 31),
+        (["--model", "heisenberg", "--m", "5", "--s", "2"], 23),
+        (["--model", "heisenberg", "--m", "6", "--s", "1"], 14),
         (["--model", "random_twosite", "--params", "3", "--m", "4", "--s", "1"], 28),
         (["--model", "random_twosite", "--params", "3", "--m", "4", "--s", "2"], 1)])
     def test_marginal_reports_independent_rows(self, capsys, argv, constraints):
@@ -130,6 +130,20 @@ class TestMarginalMoment:
         assert diagnostics["constraints"] == constraints
         assert diagnostics["pruned_constraints"] == 0
         assert isinstance(diagnostics["schur_fallback"], bool)
+
+    @pytest.mark.parametrize("argv, blocks, symmetry", [
+        (["--model", "heisenberg", "--m", "5", "--s", "2"], [1, 5, 10], ["u1", "flip"]),
+        (["--model", "heisenberg", "--m", "6", "--s", "1"], [1, 6, 15, 20], ["u1", "flip"]),
+        (["--model", "tfim", "--params", "1", "--m", "4", "--s", "1"], [16], []),
+        (["--model", "random_twosite", "--params", "3", "--m", "4", "--s", "2"], [32], [])])
+    def test_marginal_reports_blocks_and_symmetry(self, capsys, argv, blocks, symmetry):
+        # the SDP blocks solved (real-embedded for complex models) and the
+        # symmetries that produced them
+        code, out = run_capture(capsys, ["marginal"] + argv)
+        assert code == 0
+        diagnostics = json.loads(out)["diagnostics"]
+        assert diagnostics["blocks"] == blocks
+        assert diagnostics["symmetry"] == symmetry
 
     def test_wrap_not_certified(self, capsys):
         code, out = run_capture(capsys, ["marginal", "--model", "heisenberg",
@@ -267,6 +281,37 @@ class TestMisc:
         assert code == 2
         assert captured.err.startswith("error:")
         assert captured.out == ""
+
+    @pytest.mark.parametrize("entries", [
+        list(range(1, 17)),                    # numbers, not pairs
+        [[1.0]] * 16,                          # one part
+        [[1.0, 0.0, 0.0]] * 16,                # three parts
+        [["1", 0.0]] * 16,                     # a string part
+        [[True, 0.0]] * 16,
+        [[None, 0.0]] * 16,
+        {"re": 1.0},                           # not a list
+    ], ids=["numbers", "short", "long", "string", "bool", "null", "object"])
+    def test_malformed_dense_entry(self, capsys, tmp_path, entries):
+        p = tmp_path / "model.json"
+        p.write_text(json.dumps({"name": "bad", "d": 2, "D": 1,
+                                 "term": {"dense": entries}}))
+        code = run(["anderson", "--model-file", str(p), "--m", "3"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err.startswith("error:")
+        assert captured.out == ""
+
+    def test_parser_is_built_once(self, capsys):
+        # every run in a process shares one parser; reusing it changes no
+        # report, and a bad flag after a good run is still a validation error
+        argv = ["marginal", "--model", "heisenberg", "--m", "4", "--s", "1"]
+        first = run_capture(capsys, argv)
+        second = run_capture(capsys, argv)
+        assert first[0] == 0 and first == second
+        assert cli.build_parser() is cli.build_parser()
+        assert run(argv + ["--no-such-flag"]) == 2
+        assert capsys.readouterr().out == ""
+        assert run_capture(capsys, argv) == first
 
     def test_invalid_pauli_label(self, capsys, tmp_path):
         p = tmp_path / "model.json"

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -7,10 +8,12 @@ import scipy.linalg
 import certground as cg
 from certground import sdp
 from certground.marginal import (MarginalProblemSpec, boundary_sites,
-                                 build_marginal_sdp, crossing_sites,
-                                 improved_anderson_bound, partial_trace, site_basis,
-                                 window_basis)
-from certground.models import PatchSpec, build_patch, embed_on_sites, parse_model
+                                 build_marginal_sdp, charge_basis, crossing_sites,
+                                 improved_anderson_bound, partial_trace, reduction,
+                                 site_basis, window_basis)
+from certground.models import (PatchSpec, build_patch, embed_on_sites, parse_model,
+                               state_charges)
+from certground.pauli import labels_to_dense
 from certground.upper import ring_reference
 from tests.conftest import CHAIN, EMIN, RING
 
@@ -65,14 +68,46 @@ def _qutrit_model():
         "term": {"dense": [[float(x), 0.0] for x in term.ravel()]}}))
 
 
+def _dense_model(name, term):
+    return parse_model(json.dumps({
+        "name": name, "d": int(round(np.sqrt(term.shape[0]))), "D": 1,
+        "term": {"dense": [[float(x.real), float(x.imag)] for x in term.ravel()]}}))
+
+
+def _dm_model():
+    # XX + YY plus a Dzyaloshinskii-Moriya term: complex, charge conserving,
+    # and odd under the flip
+    return _dense_model("xx+dm", labels_to_dense(
+        [(0.5, "XX"), (0.5, "YY"), (0.3, "XY"), (-0.3, "YX")]))
+
+
+def _spin1_xxz():
+    # S.S with an anisotropy on spin 1: d = 3, charge conserving, flip symmetric
+    sz = np.diag([1.0, 0.0, -1.0])
+    sp_ = np.sqrt(2.0) * np.eye(3, k=1)
+    return _dense_model("spin1-xxz", 0.7 * np.kron(sz, sz)
+                        + 0.5 * (np.kron(sp_, sp_.T) + np.kron(sp_.T, sp_)))
+
+
+def _complex_qutrit():
+    # a random complex d = 3 term, restricted to conserve the charge and
+    # symmetrized under the flip
+    a = np.random.default_rng(5).standard_normal((9, 9, 2)) @ [1.0, 1j]
+    term = (a + a.conj().T) / 2
+    charge = np.add.outer(np.arange(3), np.arange(3)).ravel()
+    term[charge[:, None] != charge[None, :]] = 0
+    return _dense_model("complex-qutrit", (term + term[::-1, ::-1]) / 2)
+
+
 def _rows_by_window(spec):
-    """The rows of a consecutive-mode problem as embed_on_sites differences:
-    every window product but the identity on window 1, then on each later
-    window the products whose last factor is not the identity."""
+    """The rows of the unreduced consecutive-mode problem on the whole d^m
+    space, as embed_on_sites differences: every window product but the
+    identity on window 1, then on each later window the products whose last
+    factor is not the identity."""
     d, m, w = spec.model.d, spec.m, 2 * spec.s
-    basis, ends_in_identity = window_basis(d, w, spec.model.is_real)
+    basis, ends_in_identity, _ = window_basis(d, w, spec.model.is_real)
     expect = []
-    for k in range(1, m - w + 1):
+    for k in range(1, m - w + 1) if spec.mode == "consecutive" else ():
         ops = basis[1:] if k == 1 else basis[~ends_in_identity]
         for B in ops:
             diff = (embed_on_sites(B, range(k, k + w), m, d)
@@ -81,14 +116,53 @@ def _rows_by_window(spec):
     return expect
 
 
+def _full_objective(spec):
+    """The objective on the whole d^m space: h_m plus the crossing term."""
+    model, m, s = spec.model, spec.m, spec.s
+    first = boundary_sites(m, s) if spec.mode == "wrap" else list(range(2 * s))
+    cross = embed_on_sites(np.asarray(model.term),
+                           [first[j] for j in crossing_sites(s, spec.placement)], m, model.d)
+    return (build_patch(model, PatchSpec(m, 1, "open")) + cross).toarray()
+
+
+def _unreduced_density(spec):
+    """The bound of the one-block SDP over omega on the whole d^m space."""
+    objective = _full_objective(spec)
+    dim = objective.shape[0]
+    if spec.model.is_real:
+        blocks = [np.eye(dim)] + _rows_by_window(spec)
+        C, tb = objective.real, 1.0
+    else:
+        blocks = [sdp.real_embed(np.eye(dim)) / 2.0] + _rows_by_window(spec)
+        C, tb = sdp.real_embed(objective) / 2.0, 2.0
+    b = np.zeros(len(blocks))
+    b[0] = 1.0
+    prob = sdp.SdpProblem([C.shape[0]], [C], [np.stack(blocks)], b)
+    sol = sdp.solve(prob)
+    assert sol.gap <= 1e-6 and sol.feas_primal <= 1e-6
+    return sdp.dual_lower_bound(prob, sol, trace_bounds=(tb,)) / spec.m
+
+
+def _block_states(prob, spec):
+    """The sorted basis states of each SDP block, charge 0 first."""
+    m, d = spec.m, spec.model.d
+    if not reduction(spec.model):
+        return [np.arange(d ** m)]
+    charge = state_charges(m, d)
+    return [np.flatnonzero(charge == q) for q in range(len(prob.blocks))]
+
+
 class TestBuildSdp:
     def test_constraint_count_real(self, heisenberg):
-        # 1 trace + 9 symmetric products on the second window (all 10 but the
-        # identity) + 7 on the third (those not ending in the identity)
+        # heisenberg conserves the charge and is flip symmetric: the charge
+        # blocks 0, 1 stand for 4, 3 (weight 2) and block 2 is self-paired.
+        # 1 trace row; the flip-even invariant rows ZZ and s+s- + s-s+ on the
+        # second and third window; the flip-odd IZ, ZI on the second window and
+        # IZ on the third, which act on block 2 alone
         prob = build_marginal_sdp(
             MarginalProblemSpec(heisenberg, 4, 1, "consecutive", "middle"))
-        assert prob.n_constraints == 17
-        assert prob.blocks == [16]
+        assert prob.n_constraints == 8
+        assert prob.blocks == [1, 4, 6]
 
     def test_constraint_count_complex(self):
         model = cg.builtin_model("random_twosite", [3.0])
@@ -98,21 +172,28 @@ class TestBuildSdp:
         assert prob.blocks == [32]   # real-embedded
 
     def test_constraint_rows_real(self, heisenberg):
-        # each row equates the marginals on a later and the first window along
-        # one product of the window basis; the objective charges the crossing
-        # bond to the first window
+        # each row is the restriction to a block of lift_{W_k}(B) - lift_{W_0}(B)
+        # for an invariant B of definite flip parity, times the block's weight;
+        # the objective charges the crossing bond to the first window
         spec = MarginalProblemSpec(heisenberg, 4, 1, "consecutive", "middle")
         prob = build_marginal_sdp(spec)
-        expect = _rows_by_window(spec)
-        assert prob.n_constraints == 1 + len(expect)
-        for row, ref in zip(prob.A[0][1:], expect):
-            np.testing.assert_array_equal(row, ref)
-        np.testing.assert_array_equal(prob.A[0][0], np.eye(16))
-        np.testing.assert_array_equal(prob.b, [1.0] + [0.0] * 16)
-        h = np.asarray(heisenberg.term).real
-        h4 = build_patch(heisenberg, PatchSpec(4, 1, "open")).toarray().real
-        np.testing.assert_array_equal(
-            prob.C[0], h4 + embed_on_sites(h, [0, 1], 4).toarray())
+        ops, ends_in_identity, parity = window_basis(2, 2, True, ("u1", "flip"))
+        lifts = [np.eye(16)]
+        lifts += [embed_on_sites(B, [k, k + 1], 4).toarray()
+                  - embed_on_sites(B, [0, 1], 4).toarray()
+                  for k, group in ((1, np.arange(1, len(ops))),
+                                   (2, np.flatnonzero(~ends_in_identity)))
+                  for B in ops[group]]
+        odd = np.concatenate([[False], parity[1:] < 0, parity[~ends_in_identity] < 0])
+        assert prob.n_constraints == len(lifts) == 8
+        objective = _full_objective(spec).real
+        for states, a, c, weight in zip(_block_states(prob, spec), prob.A, prob.C, (2, 2, 1)):
+            sub = np.ix_(states, states)
+            np.testing.assert_array_equal(c, weight * objective[sub])
+            for row, lift, is_odd in zip(a, lifts, odd):
+                expect = np.zeros(row.shape) if is_odd and weight == 2 else weight * lift[sub]
+                np.testing.assert_array_equal(row, expect)
+        np.testing.assert_array_equal(prob.b, [1.0] + [0.0] * 7)
 
     def test_constraint_rows_complex(self):
         spec = MarginalProblemSpec(cg.builtin_model("random_twosite", [3.0]), 4, 1)
@@ -123,26 +204,75 @@ class TestBuildSdp:
             np.testing.assert_array_equal(row, ref)
         np.testing.assert_array_equal(prob.A[0][0], np.eye(32) / 2.0)
 
+    @pytest.mark.parametrize("m, s, digest", [
+        (4, 1, "2eca140d1a177a2c0b491c85cb6b579d5cea916c46822a5d5ee5f516b93fc8b9"),
+        (5, 1, "6797d58d1cfa46815f46cea56f8ed87fc1d82667aa61f720f0af9f34871ad3c8"),
+        (5, 2, "82eba57a038c2ecfa34f6cf5921c0f12a44eee9cc4d92cdc38e0e4b50a99a347")])
+    def test_uncharged_rows_are_unchanged(self, m, s, digest):
+        # a model without a charge is the trivial group, one block: its rows
+        # are byte for byte those of the builder before the symmetry reduction
+        prob = build_marginal_sdp(
+            MarginalProblemSpec(cg.builtin_model("random_twosite", [3.0]), m, s))
+        assert len(prob.blocks) == 1
+        assert hashlib.sha256(prob.A[0].tobytes()).hexdigest() == digest
+
     def test_kronecker_rows_match_site_embedding(self, heisenberg):
-        # the builder lifts each product as I (x) B (x) I, entry by entry; the
-        # sparse site embedding gives the same bits
+        # the builder gathers each operator's entries on the pairs of block
+        # states that agree off the window; the sparse site embedding,
+        # restricted to the block, gives the same bits
         spec = MarginalProblemSpec(heisenberg, 5, 2, "consecutive", "middle")
         prob = build_marginal_sdp(spec)
-        expect = _rows_by_window(spec)
-        assert prob.n_constraints == 1 + len(expect) == 136
-        for row, ref in zip(prob.A[0][1:], expect):
-            assert row.tobytes() == ref.tobytes()
+        ops, _, parity = window_basis(2, 4, True, ("u1", "flip"))
+        ops = ops[parity > 0]  # 5 sites: no self-paired block, so no flip-odd row
+        assert prob.n_constraints == len(ops) == 23
+        assert prob.blocks == [1, 5, 10]
+        for states, a in zip(_block_states(prob, spec), prob.A):
+            sub = np.ix_(states, states)
+            for row, B in zip(a[1:], ops[1:]):
+                ref = 2.0 * (embed_on_sites(B, range(1, 5), 5)
+                             - embed_on_sites(B, range(4), 5)).toarray()[sub]
+                assert row.tobytes() == ref.tobytes()
 
     def test_window_basis_is_kronecker_products(self):
         for d, real in ((2, True), (2, False), (3, True)):
             one, odd = site_basis(d, real)
-            basis, ends_in_identity = window_basis(d, 2, real)
+            basis, ends_in_identity, parity = window_basis(d, 2, real)
             pairs = [(a, b) for a in range(d * d) for b in range(d * d)
                      if not (real and odd[a] != odd[b])]
             assert len(basis) == len(pairs)
+            assert np.all(parity == 1)
             for B, last, (a, b) in zip(basis, ends_in_identity, pairs):
                 np.testing.assert_array_equal(B, np.kron(one[a], one[b]))
                 assert last == (b == 0)
+
+    @pytest.mark.parametrize("d, real, symmetry, count", [
+        (2, True, ("u1",), 43), (2, True, ("u1", "flip"), 43),
+        (2, False, ("u1", "flip"), 70), (3, True, ("u1", "flip"), 14)])
+    def test_invariant_window_basis(self, d, real, symmetry, count):
+        # the operators commute with the charge, are symmetric (Hermitian),
+        # have their flip parity, are linearly independent and span every
+        # such operator: the real symmetric (Hermitian) matrices on each
+        # charge block of the window, dimension sum n_q (n_q + 1) / 2 (n_q^2)
+        sites = 4 if d == 2 else 2
+        ops, ends_in_identity, parity = window_basis(d, sites, real, symmetry)
+        assert len(ops) == count
+        np.testing.assert_allclose(ops[0], np.eye(d ** sites) / np.sqrt(d) ** sites,
+                                   rtol=1e-15)
+        charge = np.diag(state_charges(sites, d)).astype(float)
+        flip = np.eye(d ** sites)[::-1]
+        for B, p in zip(ops, parity):
+            np.testing.assert_allclose(B @ charge, charge @ B, atol=1e-14)
+            np.testing.assert_allclose(B.conj().T, B, atol=1e-14)
+            if "flip" in symmetry:
+                np.testing.assert_allclose(flip @ B @ flip, p * B, atol=1e-14)
+        flat = ops.reshape(len(ops), -1)
+        flat = np.hstack([flat.real, flat.imag])
+        assert np.linalg.matrix_rank(flat) == len(ops)
+        last = ops.reshape(len(ops), d ** (sites - 1), d, d ** (sites - 1), d)
+        for B, end in zip(last, ends_in_identity):
+            rest = np.einsum("iaja->ij", B) / d
+            expect = np.einsum("ij,ab->iajb", rest, np.eye(d))
+            assert np.allclose(B, expect, atol=1e-14) == end
 
     @pytest.mark.parametrize("d, real", [(2, True), (2, False), (3, True), (3, False)])
     def test_site_basis(self, d, real):
@@ -161,34 +291,88 @@ class TestBuildSdp:
                 np.testing.assert_array_equal(B.conj().T, B)
                 assert np.any(B.imag) == flag
 
-    @pytest.mark.parametrize("model", ["heisenberg", "random_twosite", "qutrit"])
+    @pytest.mark.parametrize("d", [2, 3, 4, 5])
+    def test_charge_basis(self, d):
+        one, charge = charge_basis(d)
+        np.testing.assert_allclose(one[0] * np.sqrt(d), np.eye(d), atol=1e-15)
+        assert np.linalg.matrix_rank(one.reshape(d * d, -1)) == d * d
+        digits = np.diag(np.arange(d)).astype(float)
+        for B, q in zip(one, charge):  # [N, B] = q B
+            np.testing.assert_allclose(digits @ B - B @ digits, q * B, atol=1e-15)
+            assert np.any(np.all(one == B[::-1, ::-1], axis=(1, 2))
+                          | np.all(one == -B[::-1, ::-1], axis=(1, 2)))
+
+    @pytest.mark.parametrize("model", ["heisenberg", "xxz", "random_twosite", "qutrit",
+                                       "xx+dm", "spin1", "complex-qutrit"])
     @pytest.mark.parametrize("mode", ["consecutive", "wrap"])
     def test_full_row_rank(self, heisenberg, model, mode):
-        # the rows are independent by construction, so the solver never has
-        # to prune; every m <= 7 whose constraint tensor stays small is checked
-        model = {"heisenberg": heisenberg, "qutrit": _qutrit_model(),
+        # the rows are independent by construction (flip-odd rows that become
+        # dependent on the self-paired block are dropped), so the solver never
+        # has to prune; the rows of every block are stacked, and every m <= 7
+        # whose constraint tensor stays small is checked
+        model = {"heisenberg": heisenberg, "xxz": cg.builtin_model("xxz", [0.5]),
+                 "qutrit": _qutrit_model(), "xx+dm": _dm_model(), "spin1": _spin1_xxz(),
+                 "complex-qutrit": _complex_qutrit(),
                  "random_twosite": cg.builtin_model("random_twosite", [3.0])}[model]
         d, checked = model.d, 0
         for m in range(2, 8):
-            n = d ** m if model.is_real else 2 * d ** m
+            if m * np.log2(d) > 8:  # d = 3: m <= 5
+                continue
             for s in range(1, m // 2 + 1):
-                if (1 + (m - 2 * s) * d ** (4 * s)) * n * n * 8 > 128e6:
+                spec = MarginalProblemSpec(model, m, s, mode, "middle")
+                n = d ** m if model.is_real else 2 * d ** m
+                if not reduction(model) and (1 + (m - 2 * s) * d ** (4 * s)) * n * n * 8 > 128e6:
                     continue
-                prob = build_marginal_sdp(MarginalProblemSpec(model, m, s, mode, "middle"))
-                K = prob.A[0].reshape(prob.n_constraints, -1)
+                prob = build_marginal_sdp(spec)
+                K = np.hstack([a.reshape(prob.n_constraints, -1) for a in prob.A])
                 gram = np.linalg.eigvalsh(K @ K.T)
                 assert gram[0] > 1e-8 * gram[-1], (m, s)
                 checked += 1
         assert checked >= 5
 
     def test_window_marginals_agree(self, heisenberg):
-        # the solved omega has one marginal on all three 2-site windows
-        prob = build_marginal_sdp(
-            MarginalProblemSpec(heisenberg, 4, 1, "consecutive", "middle"))
-        omega = sdp.solve(prob).X[0]
+        # omega, reassembled from its charge blocks and their flip partners,
+        # has one marginal on all three 2-site windows
+        spec = MarginalProblemSpec(heisenberg, 4, 1, "consecutive", "middle")
+        prob = build_marginal_sdp(spec)
+        X = sdp.solve(prob).X
+        omega = np.zeros((16, 16))
+        for states, x, weight in zip(_block_states(prob, spec), X, (2, 2, 1)):
+            omega[np.ix_(states, states)] = x
+            if weight == 2:  # the flip partner, its states in reversed order
+                omega[np.ix_(15 - states, 15 - states)] = x
+        assert abs(np.trace(omega) - 1.0) < 1e-8
         first = partial_trace(omega, [0, 1])
         for win in ([1, 2], [2, 3]):
             np.testing.assert_allclose(partial_trace(omega, win), first, atol=1e-7)
+
+    @pytest.mark.parametrize("name, m, s", [
+        ("heisenberg", 4, 1), ("heisenberg", 5, 2), ("heisenberg", 6, 1),
+        ("xxz", 5, 2)])
+    @pytest.mark.parametrize("mode", ["consecutive", "wrap"])
+    @pytest.mark.parametrize("placement", ["middle", "literal_last"])
+    def test_reduced_optimum_matches_unreduced(self, name, m, s, mode, placement):
+        # averaging omega over the charge rotations and the flip loses nothing
+        model = cg.builtin_model(name, [0.5] if name == "xxz" else [])
+        spec = MarginalProblemSpec(model, m, s, mode, placement)
+        res = improved_anderson_bound(spec)
+        assert res.diagnostics["symmetry"] == ["u1", "flip"]
+        assert abs(res.density_bound - _unreduced_density(spec)) < 1e-9
+
+    @pytest.mark.parametrize("make, m, s, blocks, symmetry", [
+        (_dm_model, 4, 1, [2, 8, 12, 8, 2], ["u1"]),
+        (_spin1_xxz, 4, 1, [1, 4, 10, 16, 19], ["u1", "flip"]),
+        (_complex_qutrit, 3, 1, [2, 6, 12, 14], ["u1", "flip"])],
+        ids=["xx+dm", "spin1-xxz", "complex-qutrit"])
+    def test_dense_model_file_is_reduced(self, make, m, s, blocks, symmetry):
+        # a complex charge-conserving term is real-embedded block by block; the
+        # flip-odd DM term keeps every charge block, the flip-symmetric terms
+        # merge them
+        spec = MarginalProblemSpec(make(), m, s)
+        res = improved_anderson_bound(spec)
+        assert res.diagnostics["blocks"] == blocks
+        assert res.diagnostics["symmetry"] == symmetry
+        assert abs(res.density_bound - _unreduced_density(spec)) < 1e-9
 
     def test_validate_certificate_matches_solver(self, heisenberg):
         # the solver and the certificate check share one residual evaluator
@@ -220,13 +404,13 @@ class TestBounds:
 
     def test_single_window_is_min_eig(self, heisenberg):
         # 2s = m and wrap mode have one window: only the trace row is left,
-        # so the bound is the smallest eigenvalue of the objective
+        # so the bound is the smallest eigenvalue of the full objective
         for spec in (MarginalProblemSpec(heisenberg, 4, 2, "consecutive", "middle"),
                      MarginalProblemSpec(heisenberg, 5, 1, "wrap", "middle")):
             prob = build_marginal_sdp(spec)
             assert prob.n_constraints == 1
             res = improved_anderson_bound(spec)
-            assert abs(res.z - np.linalg.eigvalsh(prob.C[0])[0]) < 1e-7
+            assert abs(res.z - np.linalg.eigvalsh(_full_objective(spec).real)[0]) < 1e-7
 
     @pytest.mark.parametrize("m, s, density", [
         (4, 1, -1.0), (4, 2, -1.0),
@@ -283,6 +467,18 @@ class TestSolverPath:
         assert res.diagnostics["status"] == "optimal"
         assert res.diagnostics["stalled"] is False
         assert res.diagnostics["pruned_constraints"] == 0
+        assert abs(res.density_bound - (-0.91277335224)) < 1e-9
+
+
+    def test_m8_s2_solves_on_small_blocks(self, heisenberg):
+        # blocks of at most C(8, 4) = 70 states instead of one of 256: the
+        # constraint tensor is a few MB instead of 286 MB
+        spec = MarginalProblemSpec(heisenberg, 8, 2)
+        prob = build_marginal_sdp(spec)
+        assert prob.blocks == [1, 8, 28, 56, 70]
+        assert sum(a.nbytes for a in prob.A) < 50e6
+        res = improved_anderson_bound(spec)
+        assert res.diagnostics["status"] == "optimal"
         assert abs(res.density_bound - (-0.91277335224)) < 1e-9
 
 

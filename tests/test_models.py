@@ -7,7 +7,7 @@ import pytest
 import certground as cg
 from certground.models import (PatchSpec, assembly_margin, build_patch, build_ring,
                                builtin_model, charge_sectors, embed_on_sites,
-                               operator_norm, parse_model, patch_bonds)
+                               operator_norm, parse_model, patch_bonds, term_symmetries)
 from tests.conftest import CHAIN, RING
 
 
@@ -154,6 +154,17 @@ class TestChargeSectors:
         assert len(idx) == 35  # C(7, 3)
         assert np.all(np.diff(idx) > 0)
         assert all(bin(i).count("1") == 3 for i in idx)
+
+    @pytest.mark.parametrize("make, symmetries", [
+        (lambda: builtin_model("heisenberg"), ("su2", "u1", "reflection", "flip")),
+        (lambda: builtin_model("xxz", [0.5]), ("u1", "reflection", "flip")),
+        (lambda: builtin_model("tfim", [1.0]), ("reflection", "flip")),
+        (lambda: builtin_model("random_twosite", [3.0]), ()),
+        (_spin_one_heisenberg, ("u1", "reflection", "flip")),
+    ], ids=["heisenberg", "xxz", "tfim", "random_twosite", "spin1"])
+    def test_term_symmetries(self, make, symmetries):
+        # the structural tests that charge_sectors and the marginal SDP share
+        assert term_symmetries(make()) == symmetries
 
     def test_no_charge_gives_the_whole_space(self):
         for model in (builtin_model("tfim", [1.0]), builtin_model("random_twosite", [3.0])):
