@@ -300,6 +300,18 @@ def _window_pairs(states: np.ndarray, sites, m: int, d: int) -> tuple:
     return i, j, local[i], local[j]
 
 
+def _place(out: np.ndarray, diff: np.ndarray, real: bool) -> None:
+    """Write rows into `out`: as they are when real, else their real
+    embedding [[Re, -Im], [Im, Re]] / 2 (halved so traces match)."""
+    if real:
+        out[:] = diff
+        return
+    size = diff.shape[-1]
+    out[:, :size, :size] = out[:, size:, size:] = diff.real / 2.0
+    out[:, :size, size:] = -diff.imag / 2.0
+    out[:, size:, :size] = diff.imag / 2.0
+
+
 def build_marginal_sdp(spec: MarginalProblemSpec) -> sdp.SdpProblem:
     """Assemble the SDP over the patch state omega on m sites, one block per
     symmetry block of omega (`reduction`, `_blocks`).
@@ -349,26 +361,27 @@ def build_marginal_sdp(spec: MarginalProblemSpec) -> sdp.SdpProblem:
         size = states.size
         objective = (build_patch(model, PatchSpec(m, 1, "open"), states)
                      + cross[states][:, states]).toarray()
-        diff = np.zeros((n_rows, size, size), dtype=float if real else complex)
-        diff[0] = np.eye(size)
+        # a complex term's rows are built one window group at a time in a
+        # complex buffer, then real-embedded into their rows
+        rows_block = np.zeros((n_rows, size, size)) if real else np.empty(
+            (n_rows, 2 * size, 2 * size))
+        _place(rows_block[:1], np.eye(size)[None], real)
         i0, j0, a0, b0 = _window_pairs(states, first, m, d)
         row = 1
         for win, ops, parity in groups:
-            rows = np.arange(row, row + len(ops))
+            group = slice(row, row + len(ops))
+            diff = rows_block[group] if real else np.zeros((len(ops), size, size),
+                                                           dtype=complex)
+            live = np.arange(len(ops))
             if weight == 2:  # flip-odd rows vanish on a merged block
-                rows, ops = rows[parity > 0], ops[parity > 0]
+                live, ops = live[parity > 0], ops[parity > 0]
             i, j, a, b = _window_pairs(states, win, m, d)
-            diff[rows[:, None], i, j] += ops[:, a, b]
-            diff[rows[:, None], i0, j0] -= ops[:, a0, b0]
+            diff[live[:, None], i, j] += ops[:, a, b]
+            diff[live[:, None], i0, j0] -= ops[:, a0, b0]
+            if not real:
+                _place(rows_block[group], diff, real)
             row += len(parity)
-        if real:
-            block, rows_block = objective.real, diff
-        else:  # the real embedding [[Re, -Im], [Im, Re]] / 2 of each row
-            block = sdp.real_embed(objective) / 2.0
-            rows_block = np.empty((n_rows, 2 * size, 2 * size))
-            rows_block[:, :size, :size] = rows_block[:, size:, size:] = diff.real / 2.0
-            rows_block[:, :size, size:] = -diff.imag / 2.0
-            rows_block[:, size:, :size] = diff.imag / 2.0
+        block = objective.real if real else sdp.real_embed(objective) / 2.0
         if weight != 1:
             block *= weight
             rows_block *= weight
@@ -378,23 +391,20 @@ def build_marginal_sdp(spec: MarginalProblemSpec) -> sdp.SdpProblem:
     b[0] = 1.0
     odd = np.flatnonzero(row_parity < 0)
     if odd.size:
-        # flip-odd rows act on the self-paired block alone (the last, if
-        # (d - 1)m is even), where some become combinations of others: keep
-        # each one that is not (unpivoted QR, so |R_jj| is row j's distance
-        # from the span of the rows before it; every row is zero, and goes,
-        # when the last block is merged)
-        K = A[-1][odd].reshape(odd.size, -1)
-        r = np.abs(np.diagonal(np.linalg.qr(K.T, mode="r")))
+        # flip-odd rows are zero on merged blocks and act on the self-paired
+        # block alone (the last, if (d - 1)m is even), where some become
+        # combinations of others: keep a maximal independent subset
         keep = np.ones(n_rows, dtype=bool)
         keep[odd] = False
-        keep[odd[:r.size][r > 1e-9 * np.linalg.norm(K[:r.size], axis=1)]] = True
+        if blocks[-1][1] == 1:
+            keep[odd[sdp._independent_rows([A[-1][odd]], odd.size)]] = True
         A, b = [a[keep] for a in A], b[keep]
     return sdp.SdpProblem([c.shape[0] for c in C], C, A, b)
 
 
 def improved_anderson_bound(spec: MarginalProblemSpec, gap_tol: float = 1e-9,
                             feas_tol: float = 1e-9,
-                            quality_tol: float = 1e-6) -> MarginalBoundResult:
+                            quality_tol: float = sdp.QUALITY_TOL) -> MarginalBoundResult:
     """Solve the marginal SDP; z is the rigorous dual-side value, z/m the bound.
 
     The returned bound comes from the dual certificate, which is valid for any

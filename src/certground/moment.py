@@ -193,7 +193,7 @@ class MomentBoundResult:
 
 
 def ti_moment_bound(model: ModelSpec, window: int, gap_tol: float = 1e-10,
-                    feas_tol: float = 1e-10, quality_tol: float = 1e-6) -> MomentBoundResult:
+                    feas_tol: float = 1e-10) -> MomentBoundResult:
     """Certified moment-hierarchy lower bound on the energy density.
 
     The LMI min f.y s.t. rho(y) >= 0, y_identity = 1, equivalent to the
@@ -208,7 +208,7 @@ def ti_moment_bound(model: ModelSpec, window: int, gap_tol: float = 1e-10,
     constant - tr(A_0 Z) - sum_c |tr(A_c Z) - f_c| - delta.
     It charges every residual, so a solve that stalls just short of the
     target tolerances is still accepted as long as its duality gap and
-    primal residual are below quality_tol; diagnostics["status"] tells.
+    primal residual are below sdp.QUALITY_TOL; diagnostics["status"] tells.
     """
     t0 = time.perf_counter()
     structure = build_structure(build_basis(window))
@@ -224,8 +224,8 @@ def ti_moment_bound(model: ModelSpec, window: int, gap_tol: float = 1e-10,
         b=f[1:],
     )
     sol = sdp.solve(problem, gap_tol=gap_tol, feas_tol=feas_tol)
-    if sol.status != "optimal" and not (sol.gap <= quality_tol
-                                        and sol.feas_primal <= quality_tol):
+    if sol.status != "optimal" and not (sol.gap <= sdp.QUALITY_TOL
+                                        and sol.feas_primal <= sdp.QUALITY_TOL):
         raise RuntimeError(
             f"moment SDP solve failed (status {sol.status}, "
             f"gap {sol.gap:g}, primal residual {sol.feas_primal:g})")

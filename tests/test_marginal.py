@@ -330,6 +330,22 @@ class TestBuildSdp:
                 checked += 1
         assert checked >= 5
 
+    @pytest.mark.parametrize("m, s, dropped", [(4, 1, 0), (6, 1, 0), (6, 2, 3)])
+    def test_flip_odd_rows_keep_their_span(self, monkeypatch, heisenberg, m, s, dropped):
+        # the flip-odd rows kept on the self-paired block are a maximal
+        # independent subset: they have the rank of all of them
+        spec = MarginalProblemSpec(heisenberg, m, s)
+        kept = build_marginal_sdp(spec)
+        monkeypatch.setattr(sdp, "_independent_rows", lambda A, n, tol=1e-11: np.arange(n))
+        full = build_marginal_sdp(spec)
+
+        def rank(prob):
+            return np.linalg.matrix_rank(
+                np.hstack([a.reshape(prob.n_constraints, -1) for a in prob.A]))
+
+        assert full.n_constraints - kept.n_constraints == dropped
+        assert rank(kept) == kept.n_constraints == rank(full)
+
     def test_window_marginals_agree(self, heisenberg):
         # omega, reassembled from its charge blocks and their flip partners,
         # has one marginal on all three 2-site windows

@@ -126,21 +126,23 @@ class TestBound:
         assert r.bound >= anderson_bound(model, 4).certified_bound - 1e-8
 
     def test_stall_status_is_reported(self, monkeypatch, heisenberg):
-        # a stalled solve within quality_tol is accepted and says so; one
-        # outside it still fails
-        solve = sdp.solve
+        # a stalled solve within sdp.QUALITY_TOL is accepted and says so; one
+        # whose gap is outside it still fails
+        solve, gap = sdp.solve, [0.0]
 
         def stalled_solve(*args, **kwargs):
             sol = solve(*args, **kwargs)
             sol.status = "max_iter"
+            sol.gap = max(sol.gap, gap[0])
             return sol
 
         monkeypatch.setattr(sdp, "solve", stalled_solve)
         r = ti_moment_bound(heisenberg, 2)
         assert r.diagnostics["status"] == "max_iter"
         assert abs(r.bound + 1.5) < 1e-6
+        gap[0] = 10 * sdp.QUALITY_TOL
         with pytest.raises(RuntimeError, match="moment SDP solve failed"):
-            ti_moment_bound(heisenberg, 2, quality_tol=0.0)
+            ti_moment_bound(heisenberg, 2)
 
     def test_report_fields(self, heisenberg):
         r = ti_moment_bound(heisenberg, 2)

@@ -95,6 +95,23 @@ def random_symmetric(rng, *shape):
     return (b + np.swapaxes(b, -1, -2)) / 2
 
 
+class TestIndependentRows:
+    def test_dependent_row_before_an_independent_one(self):
+        # a row that depends on earlier ones must not hide a later row that
+        # does not: a maximal independent subset spans every row
+        rng = np.random.default_rng(3)
+        a, b, c = (x + x.T for x in rng.standard_normal((3, 4, 4)))
+        rows = np.stack([a, 2 * a, a - b, b, c, a + c])
+        keep = sdp._independent_rows([rows], len(rows))
+        assert len(keep) == 3
+        K = rows.reshape(len(rows), -1)
+        assert np.linalg.matrix_rank(K[keep]) == np.linalg.matrix_rank(K) == 3
+
+    def test_independent_rows_are_all_kept(self):
+        rows = np.eye(4).reshape(4, 2, 2)
+        np.testing.assert_array_equal(sdp._independent_rows([rows], 4), np.arange(4))
+
+
 class TestFactoredKernels:
     def test_gram_schur_matches_trace_formula(self):
         rng = np.random.default_rng(9)
