@@ -6,8 +6,10 @@ eigenvalue of an open m^D patch gives the density lower bound
 lambda_min(h_m)/(m-1)^D, with an explicit guarantee width so the true
 density lies in [bound, bound + width]. The patch is solved one block at a
 time (`models.charge_sectors`): a conserved S^z block when the term allows
-it, reduced to its symmetric sector when the term is stoquastic, and each
-block is assembled directly (`models.build_patch`).
+it (one of each pair of flip partners), reduced to its reflection- and
+flip-symmetric sector when the term is stoquastic, or becomes so under the
+sublattice sign gauge (Heisenberg, XXZ), and each block is assembled
+directly (`models.build_patch`).
 """
 
 from __future__ import annotations

@@ -23,6 +23,8 @@ _ETA = float(np.nextafter(0.0, 1.0))  # smallest subnormal
 _EPS = 2 * _U
 _BASIS_ROWS = 32  # rows per block of the Lanczos basis
 _REORTH_TOL = _EPS ** 0.75  # omega estimate above which Lanczos reorthogonalizes
+# bisection and inverse iteration on a real symmetric tridiagonal matrix
+_STEBZ, _STEIN = scipy.linalg.get_lapack_funcs(("stebz", "stein"), (np.empty(0),))
 
 
 @dataclass(frozen=True)
@@ -255,6 +257,19 @@ def min_eig(h, tol: float = 1e-8, seed: int = 0, prove: bool = True) -> EigResul
 
 def _lowest_ritz_vector(alpha, beta):
     """Eigenvector of the lowest eigenvalue of the tridiagonal matrix with
-    diagonal alpha and off-diagonal beta; no other eigenpair is computed."""
-    _, v = scipy.linalg.eigh_tridiagonal(alpha, beta, select="i", select_range=(0, 0))
+    diagonal alpha and off-diagonal beta; no other eigenpair is computed.
+
+    The LAPACK pair behind `scipy.linalg.eigh_tridiagonal(alpha, beta,
+    select="i", select_range=(0, 0))`, bisection (?stebz) then inverse
+    iteration (?stein), called directly: the same vector, bit for bit,
+    without the wrapper's argument checks at every Lanczos step.
+    """
+    if len(alpha) == 1:
+        return np.ones(1)
+    m, w, iblock, isplit, info = _STEBZ(alpha, beta, 2, 0.0, 1.0, 1, 1, 0.0, "B")
+    if info != 0:
+        raise np.linalg.LinAlgError(f"stebz failed (LAPACK info={info})")
+    v, info = _STEIN(alpha, beta, w[:m], iblock, isplit)
+    if info != 0:
+        raise np.linalg.LinAlgError(f"stein failed (LAPACK info={info})")
     return v[:, 0]

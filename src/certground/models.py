@@ -5,6 +5,12 @@ lattice; patches are open or periodic m^D regions assembled as sparse
 operators. One-site fields are not separate inputs: fold them into the
 two-site term, symmetrized as (g/2)(X otimes I + I otimes X) per bond in 1D
 (divide by the coordination number 2D in higher dimensions).
+
+`charge_sectors` splits a patch into the blocks whose minima give its
+lambda_min: conserved-charge blocks, each reduced to its reflection- and
+flip-symmetric sector when the term is stoquastic, directly or after
+Marshall's sublattice sign gauge (open patches are bipartite, so Heisenberg
+and XXZ qualify). `build_patch` assembles one such block from its states.
 """
 
 from __future__ import annotations
@@ -23,7 +29,7 @@ _HERM_TOL = 1e-12
 _U = float(np.finfo(np.float64).eps) / 2  # unit roundoff
 
 BUILTIN_MODELS = ("heisenberg", "xxz", "tfim", "random_twosite")
-SYMMETRIES = ("su2", "u1", "reflection", "flip")  # the order reports list them in
+SYMMETRIES = ("su2", "u1", "sign_gauge", "reflection", "flip")  # the order reports list them in
 
 
 def max_qubits() -> int:
@@ -241,11 +247,12 @@ class Sector(np.ndarray):
     """The sorted basis states that span one block of a patch.
 
     `symmetry` names the reductions that produced the block, in the order of
-    `SYMMETRIES`: the charge ("su2" or "u1"), then "reflection" (site i to
-    n - 1 - i) and "flip" (every digit k to d - 1 - k). Under reflection or
-    flip the states are orbit representatives, each the smallest state of its
-    orbit, and the block is the symmetric sector: the span of the normalized
-    orbit sums.
+    `SYMMETRIES`: the charge ("su2" or "u1"), "sign_gauge" when the block is
+    that of the gauged patch (`sign_gauge`; open patches only), then
+    "reflection" (site i to n - 1 - i) and "flip" (every digit k to d - 1 - k).
+    Under reflection or flip the states are orbit representatives, each the
+    smallest state of its orbit, and the block is the symmetric sector: the
+    span of the normalized orbit sums.
     """
 
     symmetry: tuple = ()
@@ -287,28 +294,37 @@ def build_patch(model: ModelSpec, patch: PatchSpec, sector=None) -> sp.csr_matri
     """The patch Hamiltonian on one block, assembled bond by bond.
 
     `sector` is one block from `charge_sectors` (a plain sorted index array
-    is read as a block of charge alone); None is the whole space. For every
-    bond and every nonzero entry <a|term|c> with c != a, one vectorized pass
-    over the sector's states s whose digits on the bond read a gives the
-    states t that read c there instead. Each t is mapped to its orbit
-    representative r in O(1) from the precomputed images of s under the
-    sector's symmetries, and r to its column by searchsorted; entry (s, r)
-    gains <a|term|c> sqrt(|O_s| / |O_r|), the matrix element between
-    normalized orbit sums. Diagonal entries are summed per bond in a dense
-    vector. Row lengths are counted first, so every entry is written straight
-    into its CSR row and the d^n matrix exists only when the whole space is
-    asked for. Entries are rounded sums; `assembly_margin` bounds how far the
-    block is from the exact one.
+    is read as a block of charge alone); None is the whole space. A
+    "sign_gauge" sector is a block of the gauged patch, `sign_gauge(term)` on
+    every bond, and needs an open patch. For every bond and every nonzero
+    entry <a|term|c> with c != a, one vectorized pass over the sector's states
+    s whose digits on the bond read a gives the states t that read c there
+    instead. Each t is mapped to its orbit representative r in O(1) from the
+    precomputed images of s under the sector's symmetries, and r to its column
+    by a d^n rank table; entry (s, r) gains <a|term|c> sqrt(|O_s| / |O_r|),
+    the matrix element between normalized orbit sums. Diagonal entries are
+    summed per bond in a dense vector. Row lengths are counted first, so every
+    entry is written straight into its CSR row and the d^n matrix exists only
+    when the whole space is asked for. Entries are rounded sums;
+    `assembly_margin` bounds how far the block is from the exact one.
     """
     n, d = patch.sites, model.d
     _check_cap(n, d)
     term = _realify(np.asarray(model.term, dtype=complex))
     states = np.arange(d ** n) if sector is None else np.asarray(sector)
+    symmetry = getattr(sector, "symmetry", ())
+    if "sign_gauge" in symmetry:
+        if patch.boundary != "open":
+            raise ValueError("a sign-gauged sector needs an open (bipartite) patch")
+        term = sign_gauge(term, d)
     dim = states.size
-    images = _images(states, getattr(sector, "symmetry", ()), n, d)
-    whole = not images and dim == d ** n  # then states[i] == i: a state is its own column
+    images = _images(states, symmetry, n, d)
     if images:  # orbit sizes |G| / |stabilizer|: 1, 2 or 4, so ratios are exact
         size = (len(images) + 1) / (1.0 + sum(img == states for img, _, _ in images))
+    rank = None  # the whole space: a state is its own column
+    if dim < d ** n:  # the column of each representative, by state
+        rank = np.empty(d ** n, dtype=np.int32)
+        rank[states] = np.arange(dim, dtype=np.int32)
     strides = d ** np.arange(n - 1, -1, -1, dtype=np.int64)
     outs = [[c for c in np.flatnonzero(term[a]) if c != a] for a in range(d * d)]
     bonds = patch_bonds(patch)
@@ -344,7 +360,7 @@ def build_patch(model: ModelSpec, patch: PatchSpec, sector=None) -> sp.csr_matri
                     jp, jq = (n - 1 - p, n - 1 - q) if rev else (p, q)
                     shift = dp * strides[jp] + dq * strides[jq]
                     np.minimum(t, img + (-shift if flip else shift), out=t)
-                col = t if whole else np.searchsorted(states, t)
+                col = t if rank is None else rank[t]
                 indices[slot] = col
                 data[slot] = (term[a, c] * np.sqrt(size[src] / size[col]) if images
                               else term[a, c])
@@ -408,7 +424,26 @@ def term_symmetries(model: ModelSpec) -> tuple:
              "u1": su2 or not np.any(term[pair[:, None] != pair[None, :]]),
              "reflection": np.array_equal(term[swap][:, swap], term),
              "flip": np.array_equal(term[::-1, ::-1], term)}
-    return tuple(name for name in SYMMETRIES if tests[name])
+    return tuple(name for name in SYMMETRIES if tests.get(name))
+
+
+def sign_gauge(term: np.ndarray, d: int) -> np.ndarray:
+    """(P (x) I) term (P (x) I) for P = diag((-1)^k) on the local digit k.
+
+    For a term that conserves the charge this equals (I (x) P) term (I (x) P)
+    exactly, so on a bipartite patch conjugating by P on one sublattice turns
+    the term on every bond into this one (Marshall, Proc. R. Soc. A 232, 127,
+    1955). Only signs change: the gauged patch has the same spectrum, and
+    its entries are those of the original up to sign, bit for bit.
+    """
+    sign = 1 - 2 * (np.arange(d * d) // d % 2)  # (-1)^a for the digit pair (a, b)
+    return term * np.outer(sign, sign)
+
+
+def _stoquastic(term: np.ndarray) -> bool:
+    """Real with no positive off-diagonal entry."""
+    real = not np.iscomplexobj(term) or not np.any(term.imag)
+    return bool(real and np.all(term.real[~np.eye(len(term), dtype=bool)] <= 0))
 
 
 def state_charges(n: int, d: int) -> np.ndarray:
@@ -431,24 +466,37 @@ def charge_sectors(model: ModelSpec, n: int, D: int | None = None) -> list[Secto
       returned.
     - Otherwise the whole space is one sector.
 
-    Given the patch's lattice dimension D (None: the charge alone), a
-    stoquastic term (real, with no positive off-diagonal entry) also reduces
-    each block to its sector that is symmetric under site reflection (D = 1
-    and a reflection-symmetric term) and the global flip (d = 2, a
-    flip-symmetric term, and the block maps to itself). This is exact by
-    Perron-Frobenius: the block has a nonnegative ground vector, and its sum
-    over the symmetry group is nonzero, symmetric and still a ground vector.
+    Given the patch's lattice dimension D (None: the charge alone), the open
+    patch is reduced further:
+
+    - U(1) and flip symmetric: the flip maps block q onto block
+      (d - 1) n - q, so the two have the same spectrum, and only the blocks
+      with q <= (d - 1) n / 2 are returned.
+    - A stoquastic term (real, with no positive off-diagonal entry) reduces
+      each block to its sector that is symmetric under site reflection (D = 1
+      and a reflection-symmetric term) and the global flip (d = 2, a
+      flip-symmetric term, and the block maps to itself). This is exact by
+      Perron-Frobenius: the block has a nonnegative ground vector, and its sum
+      over the symmetry group is nonzero, symmetric and still a ground vector.
+    - A U(1) term that is not stoquastic but whose `sign_gauge` is (Heisenberg,
+      XXZ) is reduced the same way on the gauged patch, with every test run on
+      the gauged term; a block so reduced carries "sign_gauge", and
+      `build_patch` assembles it from the gauged term, on open patches only.
     """
     d = model.d
     _check_cap(n, d)
-    term = np.asarray(model.term)
     symmetries = term_symmetries(model)
+    term, tested, gauge = np.asarray(model.term), symmetries, ()
     reductions = []
-    real = not np.iscomplexobj(term) or not np.any(term.imag)
-    if D is not None and real and np.all(term.real[~np.eye(d * d, dtype=bool)] <= 0):
-        if D == 1 and "reflection" in symmetries:
+    if D is not None and "u1" in symmetries and not _stoquastic(term):
+        gauged = sign_gauge(term, d)
+        if _stoquastic(gauged):
+            term, gauge = gauged, ("sign_gauge",)
+            tested = term_symmetries(ModelSpec(model.name, d, model.D, gauged))
+    if D is not None and _stoquastic(term):
+        if D == 1 and "reflection" in tested:
             reductions.append("reflection")
-        if d == 2 and "flip" in symmetries:
+        if d == 2 and "flip" in tested:
             reductions.append("flip")
     if "u1" not in symmetries:
         blocks = [(np.arange(d ** n), (), None)]
@@ -459,12 +507,15 @@ def charge_sectors(model: ModelSpec, n: int, D: int | None = None) -> list[Secto
         else:
             order = np.argsort(charge, kind="stable")
             split = np.split(order, np.cumsum(np.bincount(charge))[:-1])
+            if D is not None and "flip" in symmetries:  # block q and its flip partner
+                split = split[:(d - 1) * n // 2 + 1]
             blocks = [(idx, ("u1",), q) for q, idx in enumerate(split)]
     sectors = []
     for states, symmetry, q in blocks:
-        # the flip maps charge q to (d - 1) n - q
-        symmetry += tuple(r for r in reductions
-                          if r != "flip" or q is None or 2 * q == (d - 1) * n)
+        # the flip maps charge q to (d - 1) n - q; a block that no permutation
+        # reduces is solved as it is, without the gauge
+        used = tuple(r for r in reductions if r != "flip" or q is None or 2 * q == (d - 1) * n)
+        symmetry += (gauge if used else ()) + used
         keep = np.ones(states.size, dtype=bool)
         for img, _, _ in _images(states, symmetry, n, d):  # the smallest state of each orbit
             keep &= states <= img

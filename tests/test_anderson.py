@@ -114,8 +114,12 @@ class TestSectors:
         assert res.minimality == "cholesky"
 
     @pytest.mark.parametrize("name, sectors, sector_dim", [
-        ("heisenberg", 1, 252),   # S^z = 0 only: C(10, 5)
-        ("xxz(0.5)", 11, 252),    # every S^z sector, m + 1 of them
+        # S^z = 0 only, gauged: the orbits of reflection x flip on its C(10, 5)
+        # states, (252 + 0 + 0 + 32) / 4
+        ("heisenberg", 1, 71),
+        # the S^z sectors q <= 5 (their flip partners have the same spectrum),
+        # gauged; q = 4 keeps reflection only, (210 + 10) / 2
+        ("xxz(0.5)", 6, 110),
         # no conserved charge; the orbits of reflection x flip on 2^10 states:
         # (1024 + 32 + 0 + 32) / 4 by Burnside's lemma
         ("tfim(1)", 1, 272),
@@ -126,13 +130,16 @@ class TestSectors:
         assert res.sector_dim == sector_dim
 
     def test_counts_sum_over_sectors(self):
-        model = SECTOR_MODELS["xxz(0.5)"]()
-        h = build_patch(model, PatchSpec(6))
-        eigs = [min_eig(h[idx][:, idx]) for idx in charge_sectors(model, 6)]
+        model, patch = SECTOR_MODELS["xxz(0.5)"](), PatchSpec(6)
+        sectors = charge_sectors(model, 6, 1)
+        eigs = [min_eig(build_patch(model, patch, s)) for s in sectors]
+        margins = [assembly_margin(model, patch, s) for s in sectors]
         res = anderson_bound(model, 6, 1)
         assert res.iterations == sum(e.iterations for e in eigs)
         assert res.reorthogonalized == sum(e.reorthogonalized for e in eigs)
-        assert res.lambda_min_certified == min(e.lower_edge for e in eigs)
+        assert res.lambda_min_certified == min(
+            np.nextafter(e.lower_edge - c, -np.inf) if c else e.lower_edge
+            for e, c in zip(eigs, margins))
 
     @pytest.mark.parametrize("m", [13, 14])
     def test_proven_to_m14(self, heisenberg, m):
@@ -140,6 +147,33 @@ class TestSectors:
         res = anderson_bound(heisenberg, m, 1)
         assert res.minimality == "cholesky"
         assert CHAIN[m] - 1e-7 <= res.lambda_min_certified <= CHAIN[m]
+
+    # the gauged S^z = 0 block reduced by reflection (x flip for even m):
+    # (C(15, 7) + 35) / 2 = 3235 and (C(16, 8) + 0 + 0 + 256) / 4 = 3299
+    @pytest.mark.parametrize("m, sector_dim", [(15, 3235), (16, 3299)])
+    def test_heisenberg_proven_to_m16(self, heisenberg, m, sector_dim):
+        res = anderson_bound(heisenberg, m, 1)
+        assert (res.minimality, res.sector_dim) == ("cholesky", sector_dim)
+        # Lanczos on the unreduced S^z = 0 block
+        (block,) = charge_sectors(heisenberg, m)
+        whole = min_eig_lanczos(build_patch(heisenberg, PatchSpec(m), block), len(block))
+        assert whole.value - 1e-7 <= res.lambda_min_certified <= whole.value
+        assert abs(res.lambda_min_patch - whole.value) < 1e-8
+
+    # 2D uses the flip only, and only on the self-paired middle block: none at 3x3
+    @pytest.mark.parametrize("name, m, symmetry", [
+        ("heisenberg", 3, ("su2",)),
+        ("heisenberg", 4, ("su2", "sign_gauge", "flip")),
+        ("xxz(-2)", 4, ("u1", "sign_gauge", "flip")),
+    ])
+    def test_2d_matches_the_unreduced_charge_blocks(self, name, m, symmetry):
+        model, patch = SECTOR_MODELS[name](), PatchSpec(m, 2)
+        blocks = charge_sectors(model, patch.sites)
+        ref = min(min_eig_lanczos(build_patch(model, patch, b), len(b)).value for b in blocks)
+        res = anderson_bound(model, m, 2)
+        assert res.symmetry == symmetry
+        assert abs(res.lambda_min_patch - ref) < 1e-8
+        assert res.lambda_min_certified <= ref
 
     def test_tfim_proven_at_m13(self):
         # the symmetric sector of 2^13 states has 2080 <= DENSE_CAP orbits
@@ -162,11 +196,13 @@ class TestSectors:
         assert res.assembly_margin == margin
         assert res.lambda_min_certified == np.nextafter(edge - margin, -np.inf)
 
-    @pytest.mark.parametrize("m, calls, minimality", [(8, 9, "cholesky"), (15, 0, "unverified")])
+    @pytest.mark.parametrize("m, calls, minimality", [(8, 5, "cholesky"), (16, 0, "unverified")])
     def test_no_factorization_when_a_block_is_too_large(self, monkeypatch, m, calls,
                                                         minimality):
-        # xxz(0.5): every S^z block; C(15, 7) = 6435 > DENSE_CAP leaves m = 15
-        # unverified whatever the smaller blocks show, so none of them is factored
+        # xxz(0.5): the S^z blocks q <= m / 2; at m = 16 the q = 7 block keeps
+        # (C(16, 7) + 0) / 2 = 5720 > DENSE_CAP states under reflection, which
+        # leaves the result unverified whatever the smaller blocks show, so
+        # none of them is factored
         factored = []
         dense = eigensolver.min_eig_dense_certified
 
@@ -178,4 +214,4 @@ class TestSectors:
         res = anderson_bound(SECTOR_MODELS["xxz(0.5)"](), m, 1)
         assert len(factored) == calls
         assert res.minimality == minimality
-        assert res.sectors == m + 1
+        assert res.sectors == m // 2 + 1

@@ -25,15 +25,15 @@ class TestAnderson:
         assert doc["guarantee_width"] > 0
         assert doc["certified"] is True
 
-    @pytest.mark.parametrize("m, iterations", [(6, 19), (15, 54)])
+    @pytest.mark.parametrize("m, iterations", [(6, 7), (15, 44), (17, 50)])
     def test_reports_eigensolver_iterations(self, capsys, m, iterations):
-        # Lanczos steps at seed 0 in the S^z = 0 block, on both sides of DENSE_CAP
+        # Lanczos steps at seed 0 in the reduced S^z = 0 block, on both sides of DENSE_CAP
         code, out = run_capture(capsys, ["anderson", "--model", "heisenberg",
                                          "--m", str(m)])
         assert code == 0
         assert json.loads(out)["diagnostics"]["iterations"] == iterations
 
-    @pytest.mark.parametrize("m, steps", [(6, 3), (15, 2)])
+    @pytest.mark.parametrize("m, steps", [(6, 1), (15, 2)])
     def test_reports_reorthogonalized_steps(self, capsys, m, steps):
         # Lanczos steps that read the stored basis, at seed 0
         code, out = run_capture(capsys, ["anderson", "--model", "heisenberg",
@@ -41,9 +41,11 @@ class TestAnderson:
         assert code == 0
         assert json.loads(out)["diagnostics"]["reorthogonalized_steps"] == steps
 
-    # Heisenberg solves one S^z block: C(14, 7) = 3432 <= DENSE_CAP < C(15, 7) = 6435
+    # Heisenberg solves one gauged S^z block, reduced by reflection (x flip for
+    # even m): 3235 at m = 15 and 3299 at m = 16 <= DENSE_CAP < 12190 at m = 17
     @pytest.mark.parametrize("m, minimality", [(6, "cholesky"), (13, "cholesky"),
-                                               (15, "unverified")])
+                                               (15, "cholesky"), (16, "cholesky"),
+                                               (17, "unverified")])
     def test_reports_minimality(self, capsys, m, minimality):
         code, out = run_capture(capsys, ["anderson", "--model", "heisenberg",
                                          "--m", str(m)])
@@ -55,19 +57,23 @@ class TestAnderson:
         assert abs(doc["lower"] - diagnostics["lambda_min_certified"] / (m - 1)) < 1e-11
 
     def test_reports_sectors(self, capsys):
-        # xxz(0.5) at m = 6: every S^z sector, the largest C(6, 3) = 20 states
+        # xxz(0.5) at m = 6: the S^z sectors q <= 3, gauged; the largest is
+        # q = 2 under reflection, (C(6, 2) + 3) / 2 = 9 states
         code, out = run_capture(capsys, ["anderson", "--model", "xxz", "--params", "0.5",
                                          "--m", "6"])
         assert code == 0
         diagnostics = json.loads(out)["diagnostics"]
-        assert (diagnostics["sectors"], diagnostics["sector_dim"]) == (7, 20)
+        assert (diagnostics["sectors"], diagnostics["sector_dim"]) == (4, 9)
 
     @pytest.mark.parametrize("argv, symmetry, exact", [
-        (["--model", "heisenberg", "--m", "6"], ["su2"], True),
-        (["--model", "xxz", "--params", "0.5", "--m", "6"], ["u1"], True),
+        (["--model", "heisenberg", "--m", "6"], ["su2", "sign_gauge", "reflection", "flip"],
+         False),
+        (["--model", "xxz", "--params", "0.5", "--m", "6"],
+         ["u1", "sign_gauge", "reflection", "flip"], False),
+        (["--model", "xxz", "--params", "0.5", "--m", "3", "--dim", "2"], ["u1"], True),
         (["--model", "tfim", "--params", "1", "--m", "6"], ["reflection", "flip"], False),
         (["--model", "random_twosite", "--params", "3", "--m", "6"], [], False),
-    ], ids=["heisenberg", "xxz", "tfim", "random_twosite"])
+    ], ids=["heisenberg", "xxz", "xxz-2d-odd", "tfim", "random_twosite"])
     def test_reports_symmetry_and_margin(self, capsys, argv, symmetry, exact):
         code, out = run_capture(capsys, ["anderson"] + argv)
         assert code == 0

@@ -2,6 +2,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.sparse as sp
 
 from certground import eigensolver
@@ -135,6 +136,16 @@ class TestLanczos:
         assert res.converged
         assert res.iterations == iterations
         assert abs(res.value - value) < 1e-10
+
+    def test_ritz_vector_is_that_of_eigh_tridiagonal(self):
+        # the same LAPACK bisection and inverse iteration, bit for bit
+        rng = np.random.default_rng(0)
+        for k in range(1, 120):
+            alpha, beta = rng.standard_normal(k), rng.standard_normal(k - 1)
+            _, v = scipy.linalg.eigh_tridiagonal(alpha, beta, select="i", select_range=(0, 0))
+            got = eigensolver._lowest_ritz_vector(alpha, beta)
+            assert got.dtype == v.dtype
+            assert np.array_equal(got, v[:, 0])
 
     def test_reorthogonalizes_rarely(self, heisenberg):
         h = build_patch(heisenberg, PatchSpec(15))

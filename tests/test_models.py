@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import certground as cg
-from certground.models import (PatchSpec, assembly_margin, build_patch, build_ring,
+from certground.models import (PatchSpec, Sector, assembly_margin, build_patch, build_ring,
                                builtin_model, charge_sectors, embed_on_sites,
                                operator_norm, parse_model, patch_bonds, term_symmetries)
 from tests.conftest import CHAIN, RING
@@ -166,6 +166,21 @@ class TestChargeSectors:
         # the structural tests that charge_sectors and the marginal SDP share
         assert term_symmetries(make()) == symmetries
 
+    def test_flip_partners_are_solved_once(self):
+        # xxz(0.5) at m = 15: blocks q and 15 - q have the same spectrum
+        sectors = charge_sectors(builtin_model("xxz", [0.5]), 15, 1)
+        assert len(sectors) == 8
+        assert [len(s) for s in sectors] == [1, 8, 56, 231, 693, 1512, 2520, 3235]
+
+    def test_gauge_that_is_not_stoquastic_is_not_used(self):
+        # XY - YX conserves the charge but is imaginary, gauged or not
+        term = np.kron(_X, _Y) - np.kron(_Y, _X)
+        model = parse_model(json.dumps({"name": "xy-yx", "d": 2, "D": 1, "term": {
+            "dense": [[x.real, x.imag] for x in term.ravel()]}}))
+        sectors = charge_sectors(model, 6, 1)
+        assert [s.symmetry for s in sectors] == [("u1",)] * 7
+        assert sorted(np.concatenate(sectors)) == list(range(2 ** 6))
+
     def test_no_charge_gives_the_whole_space(self):
         for model in (builtin_model("tfim", [1.0]), builtin_model("random_twosite", [3.0])):
             (idx,) = charge_sectors(model, 5)
@@ -251,9 +266,15 @@ class TestSectorAssembly:
         # (C(8, 4) + 6 palindromes + 0 + 16) / 4 and (C(7, 3) + 3 palindromes) / 2
         (_ferromagnet, 8, 1, ("su2", "reflection", "flip"), 23),
         (_ferromagnet, 7, 1, ("su2", "reflection"), 19),
-        (lambda: builtin_model("heisenberg"), 8, 1, ("su2",), 70),
+        # the same orbits of the gauged antiferromagnet's middle block
+        (lambda: builtin_model("heisenberg"), 8, 1, ("su2", "sign_gauge", "reflection", "flip"),
+         23),
+        (lambda: builtin_model("heisenberg"), 8, None, ("su2",), 70),  # the charge alone
+        # 2D: the flip only; the 3x3 middle block does not map to itself
+        (lambda: builtin_model("heisenberg"), 16, 2, ("su2", "sign_gauge", "flip"), 6435),
+        (lambda: builtin_model("heisenberg"), 9, 2, ("su2",), 126),
     ], ids=["tfim", "tfim-odd", "tfim-2d", "tfim(-1)", "tfim-h", "ferro-even", "ferro-odd",
-            "heisenberg"])
+            "heisenberg", "heisenberg-charge", "heisenberg-4x4", "heisenberg-3x3"])
     def test_reductions(self, make, n, D, symmetry, dim):
         (sector,) = charge_sectors(make(), n, D)
         assert sector.symmetry == symmetry
@@ -287,12 +308,36 @@ class TestSectorAssembly:
     def test_dyadic_charge_blocks_are_exact(self):
         for name in ("heisenberg", "xxz"):
             model = ASSEMBLY_MODELS[name]()
-            for sector in charge_sectors(model, 9, 1):
+            for sector in charge_sectors(model, 9):
                 assert assembly_margin(model, PatchSpec(9), sector) == 0.0
+
+    @pytest.mark.parametrize("patch", [PatchSpec(7), PatchSpec(8), PatchSpec(3, 2)],
+                             ids=lambda p: f"{p.m}^{p.D}")
+    @pytest.mark.parametrize("name", ["heisenberg", "xxz", "spin1"])
+    def test_gauged_block_is_the_sign_conjugated_block(self, name, patch):
+        # U B U with U = (-1)^(digits on the sublattice of even r + c), entry for entry
+        model = ASSEMBLY_MODELS[name]()
+        n, d = patch.sites, model.d
+        even = [s for s in range(n) if sum(divmod(s, patch.m)) % 2 == 0]
+        digits = np.arange(d ** n)[:, None] // d ** (n - 1 - np.array(even)) % d
+        for states in charge_sectors(model, n):
+            gauged = states.view(Sector)
+            gauged.symmetry = states.symmetry + ("sign_gauge",)
+            u = 1 - 2 * (digits[states].sum(axis=1) % 2)
+            block = build_patch(model, patch, states).toarray()
+            assert np.array_equal(build_patch(model, patch, gauged).toarray(),
+                                  u[:, None] * block * u[None, :])
+
+    def test_gauged_sector_needs_an_open_patch(self, heisenberg):
+        (sector,) = charge_sectors(heisenberg, 6, 1)
+        assert "sign_gauge" in sector.symmetry
+        with pytest.raises(ValueError, match="open"):
+            build_patch(heisenberg, PatchSpec(6, 1, "periodic"), sector)
 
     def test_sector_assembly_stays_far_below_the_full_patch(self, heisenberg):
         # the full 2^18 CSR: 2^18 diagonal entries and one flip-flop per
-        # antiparallel neighbour pair, 17 * 2^17, with 4-byte indices
+        # antiparallel neighbour pair, 17 * 2^17, with 4-byte indices; the block
+        # is the gauged S^z = 0 sector under reflection x flip, (C(18, 9) + 2^9) / 4
         full_bytes = (2 ** 18 + 17 * 2 ** 17) * 12 + (2 ** 18 + 1) * 4
         tracemalloc.start()
         try:
@@ -302,7 +347,7 @@ class TestSectorAssembly:
         finally:
             tracemalloc.stop()
         block_bytes = block.data.nbytes + block.indices.nbytes + block.indptr.nbytes
-        assert block.shape == (48620, 48620)
+        assert block.shape == (12283, 12283)
         assert peak < 3 * block_bytes
         assert peak < full_bytes / 2
 
