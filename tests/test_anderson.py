@@ -149,7 +149,7 @@ class TestSectors:
         assert CHAIN[m] - 1e-7 <= res.lambda_min_certified <= CHAIN[m]
 
     # the gauged S^z = 0 block reduced by reflection (x flip for even m):
-    # (C(15, 7) + 35) / 2 = 3235 and (C(16, 8) + 0 + 0 + 256) / 4 = 3299
+    # (C(15, 7) + 35) / 2 = 3235 and (C(16, 8) + 70 + 0 + 256) / 4 = 3299
     @pytest.mark.parametrize("m, sector_dim", [(15, 3235), (16, 3299)])
     def test_heisenberg_proven_to_m16(self, heisenberg, m, sector_dim):
         res = anderson_bound(heisenberg, m, 1)
