@@ -12,8 +12,7 @@ from .models import (ModelSpec, PatchSpec, build_patch, build_ring, builtin_mode
 from .moment import (MomentBoundResult, build_basis, build_structure,
                      oracle_moment_matrix, ti_moment_bound)
 from .pauli import PauliString, canonicalize, dagger, multiply
-from .sdp import (SdpProblem, SdpSolution, real_embed, solve, validate_certificate,
-                  write_sdpa)
+from .sdp import SdpProblem, SdpSolution, real_embed, solve
 from .upper import SandwichReport, product_state_upper, ring_reference
 
 __version__ = "0.1.0"

@@ -15,13 +15,13 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
-import scipy.sparse
 
 DENSE_CAP = 1 << 12  # largest dimension whose minimality is proven
 _U = np.finfo(np.float64).eps / 2  # unit roundoff
 _ETA = float(np.nextafter(0.0, 1.0))  # smallest subnormal
 _EPS = 2 * _U
 _BASIS_ROWS = 32  # rows per block of the Lanczos basis
+_SKEW_COLS = 16  # columns per panel of the asymmetry norm in `cholesky_edge`
 _REORTH_TOL = _EPS ** 0.75  # omega estimate above which Lanczos reorthogonalizes
 # bisection and inverse iteration on a real symmetric tridiagonal matrix
 _STEBZ, _STEIN = scipy.linalg.get_lapack_funcs(("stebz", "stein"), (np.empty(0),))
@@ -72,48 +72,66 @@ def _cholesky_margin(diag) -> float:
     return ((g / (1 - g) + 2 * _U) * (1 + g) * float(np.sum(diag)) + under) * (1 + 16 * _U)
 
 
+def cholesky_edge(a: np.ndarray, estimate: float):
+    """Proven t < lambda_min(a) from one shifted Cholesky factorization.
+
+    `a` is a dense Hermitian array, overwritten by the factor, and `estimate`
+    an estimate of lambda_min(a) that only places the shift. The shift
+    s = estimate - c, with c the larger of `_cholesky_margin` and 4u times the
+    largest of |a_ii| and |estimate|, is subtracted from the diagonal and
+    a - sI is factored once.
+    Success proves lambda_min(a) > s - c' (Sylvester's law of inertia, with
+    c' the margin of the matrix actually factored); failure raises
+    RuntimeError. Returns (t, r) with r^H r = conj(a) - sI, r upper
+    triangular.
+    """
+    n = a.shape[0]
+    idx = np.arange(n)
+    diag = np.real(a[idx, idx])
+    # at least the rounding of a_ii - s below the estimate, so that an exact
+    # eigenpair (a_ii == estimate, e.g. a 1 x 1 block) does not leave a - sI singular
+    scale = max(float(np.max(np.abs(diag))), abs(estimate))
+    shift = estimate - max(_cholesky_margin(diag - estimate), 4 * _U * scale)
+    # the factorization reads one triangle, i.e. the Hermitian matrix built
+    # from it; a's own Hermitian part differs from that by at most
+    # ||a - a^H||_F / 2. Column panels from the diagonal down: the transposed
+    # read stays within a few pages, no second n x n array is made, and no
+    # BLAS call lets idle threads spin through the factorization (see `sdp`)
+    sq = 0.0
+    for i in range(0, n, _SKEW_COLS):
+        skew = np.abs(a[i:, i:i + _SKEW_COLS] - a[i:i + _SKEW_COLS, i:].conj().T) ** 2
+        # the diagonal block once, the entries below it for themselves and their mirrors
+        sq += float(np.sum(skew[:_SKEW_COLS])) + 2 * float(np.sum(skew[_SKEW_COLS:]))
+    asym = float(np.sqrt(sq)) * (1 + 1e-6) / 2
+    # a^T in Fortran order is the same memory: conj(a) for Hermitian a, which
+    # has the same spectrum, so potrf overwrites it without a second n x n array
+    at = a.T
+    at[idx, idx] -= shift
+    try:
+        r = scipy.linalg.cholesky(at, overwrite_a=True, check_finite=False)
+    except np.linalg.LinAlgError:
+        raise RuntimeError(
+            f"minimality not proven at dimension {n}: the Cholesky factorization "
+            f"of h - s I (s = {shift:.17g}) failed, so nothing shows that "
+            f"{estimate:.17g} is the smallest eigenvalue") from None
+    proven = shift - _cholesky_margin(diag - shift) - asym
+    # one step down per rounded subtraction
+    return float(np.nextafter(np.nextafter(proven, -np.inf), -np.inf)), r
+
+
 def min_eig_dense_certified(h, tol: float = 1e-8, seed: int = 0) -> EigResult:
     """Smallest eigenpair with a proof that it is the smallest.
 
-    Lanczos gives a Ritz value theta and residual r. The shift
-    s = theta - r - c, with c the larger of `_cholesky_margin` and 4u times
-    the largest of |h_ii| and |theta - r|, is subtracted from the diagonal of
-    a dense copy of h, which is then factored once by Cholesky. Success
-    proves lambda_min(h) > s - c' (Sylvester's law of inertia, with c' the
-    margin of the matrix actually factored); failure raises RuntimeError.
-    Two inverse-iteration steps through the same factor then give a value and
+    Lanczos gives a Ritz value theta and residual r; `cholesky_edge` proves
+    lambda_min(h) above a dense copy's edge from theta - r. Two
+    inverse-iteration steps through the same factor then give a value and
     residual of dense-eigensolver quality. Sized for dimensions up to
     DENSE_CAP; `min_eig` sends nothing larger here.
     """
     dim = h.shape[0]
     ritz = min_eig_lanczos(h, dim, tol=tol, seed=seed)
-    hdiag = np.real(h.diagonal())
-    edge = ritz.value - ritz.residual
-    # at least the rounding of h_ii - s below the edge, so that an exact
-    # eigenpair (h_ii == edge, e.g. a 1 x 1 block) does not leave h - sI singular
-    scale = max(float(np.max(np.abs(hdiag))), abs(edge))
-    shift = edge - max(_cholesky_margin(hdiag - edge), 4 * _U * scale)
-    # the factorization reads one triangle, i.e. the Hermitian matrix built
-    # from it; h's own Hermitian part differs from that by at most ||h - h^H||_F / 2
-    skew = h - h.conj().T
-    skew = skew.data if scipy.sparse.issparse(skew) else skew
-    asym = float(np.linalg.norm(skew)) * (1 + 1e-6) / 2
     dense = h.toarray() if hasattr(h, "toarray") else np.array(h, dtype=np.result_type(h, 1.0))
-    # h^T in Fortran order is the same memory: conj(h) for Hermitian h, which
-    # has the same spectrum, so potrf overwrites it without a second n x n array
-    a = dense.T
-    idx = np.arange(dim)
-    a[idx, idx] -= shift
-    try:
-        r = scipy.linalg.cholesky(a, overwrite_a=True, check_finite=False)
-    except np.linalg.LinAlgError:
-        raise RuntimeError(
-            f"minimality not proven at dimension {dim}: the Cholesky factorization "
-            f"of h - s I (s = {shift:.17g}) failed, so nothing shows that the Ritz "
-            f"value {ritz.value:.17g} is the smallest eigenvalue") from None
-    proven = shift - _cholesky_margin(hdiag - shift) - asym
-    # one step down per rounded subtraction
-    proven = float(np.nextafter(np.nextafter(proven, -np.inf), -np.inf))
+    proven, r = cholesky_edge(dense, ritz.value - ritz.residual)
 
     value, residual = ritz.value, ritz.residual
     y = np.random.default_rng(seed).standard_normal(dim)

@@ -202,8 +202,8 @@ def ti_moment_bound(model: ModelSpec, window: int, gap_tol: float = 1e-10,
     A_c = real_embed(R_c) / 2 on one block of 2^(l+1). For the true state's
     moments y*, tr(Z M*) >= -delta tr(M*) = -delta, where
     M* = real_embed(rho(y*)) / 2 >= 0 has trace tr(rho) = 1 and
-    lambda_min(Z) > -delta is proven by a shifted Cholesky factorization with
-    Rump's margin (`eigensolver.min_eig_dense_certified`). Using |y*_c| <= 1,
+    lambda_min(Z) > -delta is proven by one shifted Cholesky factorization
+    with Rump's margin (`eigensolver.cholesky_edge`). Using |y*_c| <= 1,
     the certified bound is
     constant - tr(A_0 Z) - sum_c |tr(A_c Z) - f_c| - delta.
     It charges every residual, so a solve that stalls just short of the
@@ -230,9 +230,9 @@ def ti_moment_bound(model: ModelSpec, window: int, gap_tol: float = 1e-10,
             f"moment SDP solve failed (status {sol.status}, "
             f"gap {sol.gap:g}, primal residual {sol.feas_primal:g})")
     Z = sol.X[0]
-    # Z is at most 2^(l+1) wide, so Lanczos may run to exhaustion: the tight
-    # tol keeps value - residual, and so delta, at the rounding level
-    negative_part = max(0.0, -eigensolver.min_eig_dense_certified(Z, tol=1e-13).lower_edge)
+    # eigvalsh only places the shift; the factorization proves the edge
+    edge, _ = eigensolver.cholesky_edge(Z.copy(), float(np.linalg.eigvalsh(Z)[0]))
+    negative_part = max(0.0, -edge)
     a0z = float(np.sum(emb[0] * Z))
     resid = np.array([abs(float(np.sum(emb[c] * Z)) - f[c]) for c in range(1, nvar)])
     bound = constant - a0z - float(np.sum(resid)) - negative_part

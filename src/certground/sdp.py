@@ -22,20 +22,24 @@ a 137 x 137 matmul plus Cholesky took 11.6-12.1 ms mixed and 0.7-0.9 ms
 with numpy alone. scipy's pivoted QR runs only to drop rows that are
 linearly dependent, before a restart.
 
-The dual objective b^T y is a certified lower bound on the optimum
-whenever the dual residual is small; `dual_lower_bound` turns it into a
-rigorous one for trace-bounded problems. Complex Hermitian data enters
-through `real_embed` upstream.
+The solver's numbers are not certified. `dual_lower_bound` turns any dual
+vector y into a rigorous lower bound for trace-bounded problems, through a
+Cholesky proof on C - A^T y and a bound on every rounding in forming it.
+Complex Hermitian data enters through `real_embed` upstream.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
 
+from . import eigensolver
+
 _SYM_TOL = 1e-12
+_U = np.finfo(np.float64).eps / 2  # unit roundoff
 # a solve that stalls short of its tolerances is still used by a certificate
 # that charges every residual, as long as its gap and primal residual are below
 QUALITY_TOL = 1e-6
@@ -118,9 +122,13 @@ def _max_abs(x: np.ndarray) -> float:
     return max(float(x.max()), -float(x.min()))
 
 
+def _gamma(k: int) -> float:
+    """gamma_k = k u / (1 - k u), the rounding bound of a length-k dot product."""
+    return k * _U / (1 - k * _U)
+
+
 def _data_norm(C, A) -> float:
-    """Largest |entry| of C or A (at least 1): the dual-residual normaliser
-    shared by `solve` and `validate_certificate`."""
+    """Largest |entry| of C or A (at least 1): `solve`'s dual-residual normaliser."""
     return max(1.0, max(_max_abs(c) for c in C),
                max(_max_abs(a) if a.size else 1.0 for a in A))
 
@@ -141,11 +149,7 @@ def _op_At(A, y) -> list:
 
 def _residuals(C, A, b, X, y, S, norm_data):
     """Objectives, normalized gap, primal and dual feasibility of an iterate,
-    and the dual residual matrices R_d = C - S - A^T y.
-
-    The one evaluator behind `solve`, `dual_lower_bound` and
-    `validate_certificate`.
-    """
+    and the dual residual matrices R_d = C - S - A^T y, for `solve`."""
     p_obj = sum(float(np.sum(c * x)) for c, x in zip(C, X))
     d_obj = float(b @ y)
     gap = abs(p_obj - d_obj) / (1.0 + abs(p_obj) + abs(d_obj))
@@ -390,76 +394,32 @@ def solve_counts(problem: SdpProblem, solution: SdpSolution) -> dict:
 
 def dual_lower_bound(problem: SdpProblem, solution: SdpSolution,
                      trace_bounds) -> float:
-    """Rigorous lower bound on the SDP optimum from the dual iterate.
+    """Rigorous lower bound on the SDP optimum from the dual vector alone.
 
-    For any primal-feasible X, tr(C X) - b^T y = tr((S + R_d) X) >= -sum_k
-    ||R_d,k||_2 tr(X_k) when S >= 0; `trace_bounds` are per-block bounds on
-    tr(X_k) over the feasible set (1 for state blocks). The returned value
-    subtracts that worst case, and additionally any negative part of S.
-    Both eigenvalue computations are widened by n eps ||.||_F, a bound on
-    the rounding error of `eigvalsh` on an n x n block.
+    For any primal-feasible X, tr(C X) = b^T y + sum_k tr(Z_k X_k) with
+    Z_k = C_k - sum_i y_i A_{i,k}, and tr(Z_k X_k) >= min(0, lambda_min(Z_k))
+    tb_k, where `trace_bounds` are per-block bounds tb_k on tr(X_k) over the
+    feasible set (1 for state blocks). Following Jansson, Chaykin & Keil
+    (SIAM J. Numer. Anal. 46, 2007), the returned value is
+
+        fl(b^T y) - gamma_m |b|^T |y| + sum_k tb_k min(0, t_k - e_k),
+
+    where t_k is the edge `eigensolver.cholesky_edge` proves for the computed
+    Z_k and e_k = gamma_{m+2} (||C_k||_F + sum_i |y_i| ||A_{i,k}||_F) bounds
+    the rounding in forming it. Only (C, A, b, y) are read: any y gives a
+    valid bound, and the solver's S and X play no part.
     """
-    correction = 0.0
-    *_, R_d = _residuals(problem.C, problem.A, problem.b, solution.X, solution.y,
-                         solution.S, 1.0)
-    for tb, R, S in zip(trace_bounds, R_d, solution.S):
-        margin = S.shape[0] * np.finfo(float).eps
-        s_min = (float(np.min(np.linalg.eigvalsh(_sym(S))))
-                 - margin * float(np.linalg.norm(S)))
-        r_norm = (float(np.max(np.abs(np.linalg.eigvalsh(_sym(R)))))
-                  + margin * float(np.linalg.norm(R)))
-        correction += (r_norm + max(0.0, -s_min)) * tb
-    return solution.dual_obj - correction
-
-
-def validate_certificate(problem: SdpProblem, solution: SdpSolution,
-                         gap_tol: float = 1e-9, feas_tol: float = 1e-9) -> dict:
-    """Recompute residuals and gap from scratch; flag discrepancies > 10x tolerance."""
-    p_obj, d_obj, gap, feas_p, feas_d, _ = _residuals(
-        problem.C, problem.A, problem.b, solution.X, solution.y, solution.S,
-        _data_norm(problem.C, problem.A))
-    x_min = min(float(np.min(np.linalg.eigvalsh(_sym(x)))) for x in solution.X)
-    s_min = min(float(np.min(np.linalg.eigvalsh(_sym(s)))) for s in solution.S)
-    report = {
-        "primal_obj": p_obj, "dual_obj": d_obj, "gap": gap,
-        "feas_primal": feas_p, "feas_dual": feas_d,
-        "min_eig_X": x_min, "min_eig_S": s_min,
-        "primal_flag": feas_p > 10 * feas_tol,
-        "dual_flag": feas_d > 10 * feas_tol,
-        "gap_flag": gap > 10 * gap_tol,
-        "psd_flag": x_min < -10 * feas_tol or s_min < -10 * feas_tol,
-    }
-    report["all_clear"] = not (report["primal_flag"] or report["dual_flag"]
-                               or report["gap_flag"] or report["psd_flag"])
-    return report
-
-
-def write_sdpa(problem: SdpProblem, path: str) -> None:
-    """Dump the problem in a sparse SDPA-like text format for cross-checks.
-
-    Line format (1-based indices, upper triangle only):
-        m            number of constraints
-        nblocks      number of blocks
-        s1 s2 ...    block sizes
-        b1 b2 ...    right-hand sides
-        k blk i j v  one entry per line; k = 0 is the objective, k >= 1 the
-                     k-th constraint matrix.
-    """
-    lines = [str(problem.n_constraints), str(len(problem.blocks)),
-             " ".join(str(n) for n in problem.blocks),
-             " ".join(repr(float(v)) for v in problem.b)]
-
-    def emit(k, blk, mat):
-        n = mat.shape[0]
-        for i in range(n):
-            for j in range(i, n):
-                if mat[i, j] != 0.0:
-                    lines.append(f"{k} {blk + 1} {i + 1} {j + 1} {float(mat[i, j])!r}")
-
-    for blk, c in enumerate(problem.C):
-        emit(0, blk, np.asarray(c))
-    for k in range(problem.n_constraints):
-        for blk in range(len(problem.blocks)):
-            emit(k + 1, blk, problem.A[blk][k])
-    with open(path, "w") as f:
-        f.write("\n".join(lines) + "\n")
+    m = problem.n_constraints
+    y = np.asarray(solution.y, dtype=float)
+    # each (1 + 1e-6) covers the rounding of the error bound's own sums
+    terms = [float(problem.b @ y),
+             -_gamma(m) * float(np.abs(problem.b) @ np.abs(y)) * (1 + 1e-6)]
+    for tb, c, a, aty in zip(trace_bounds, problem.C, problem.A, _op_At(problem.A, y)):
+        z = c - aty
+        t, _ = eigensolver.cholesky_edge(z, float(np.linalg.eigvalsh(z)[0]))
+        rows = np.sqrt(np.einsum("ijk,ijk->i", a, a))  # ||A_{i,k}||_F without a copy of A
+        e = _gamma(m + 2) * (float(np.linalg.norm(c)) + float(np.abs(y) @ rows)) * (1 + 1e-6)
+        # t - e, the product and the last factor round once each; 4u outweighs all three
+        terms.append(tb * min(0.0, t - e) * (1 + 4 * _U))
+    # fsum rounds the exact sum of the terms to nearest: one step down covers it
+    return float(np.nextafter(math.fsum(terms), -np.inf))

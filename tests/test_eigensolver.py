@@ -296,3 +296,26 @@ class TestMinimalityProof:
         assert res.minimality == "unverified"
         assert res.reorthogonalized == 0
         assert EigResult(1.0, 0.25, 3, True, 0.5).lower_edge == 0.5
+
+
+class TestCholeskyEdge:
+    """The one shifted-Cholesky proof behind every certified spectral edge."""
+
+    @pytest.mark.parametrize("complex_", [False, True], ids=["real", "complex"])
+    def test_edge_covers_either_triangle(self, complex_):
+        # an asymmetric copy: the factorization reads one triangle, and the
+        # proven edge must sit below the Hermitian matrix built from either
+        h = _random_hermitian(300, 11, complex_)
+        a = h.copy()
+        a[5, 290] += 1e-9
+        lows = [np.linalg.eigvalsh(a, UPLO=uplo)[0] for uplo in ("L", "U")]
+        t, r = eigensolver.cholesky_edge(a.copy(), min(lows))
+        assert t < min(lows)
+        assert min(lows) - t < 1e-8
+        assert np.allclose(np.triu(r), r)
+
+    def test_estimate_above_lambda_min_raises(self):
+        h = _random_hermitian(20, 12)
+        w = np.linalg.eigvalsh(h)
+        with pytest.raises(RuntimeError, match="minimality not proven"):
+            eigensolver.cholesky_edge(h.copy(), (w[0] + w[1]) / 2)

@@ -5,8 +5,7 @@ import pytest
 import scipy.linalg
 
 from certground import builtin_model, moment, sdp
-from certground.sdp import (SdpProblem, SdpSolution, dual_lower_bound, real_embed,
-                            solve, validate_certificate, write_sdpa)
+from certground.sdp import SdpProblem, SdpSolution, dual_lower_bound, real_embed, solve
 
 
 def lambda_min_problem(h):
@@ -224,42 +223,54 @@ class TestRealEmbed:
 
 
 class TestCertificate:
-    def test_all_clear(self):
+    def test_bound_is_tight_at_the_optimum(self):
         rng = np.random.default_rng(5)
         b = rng.standard_normal((5, 5))
         h = (b + b.T) / 2
         prob = lambda_min_problem(h)
         sol = solve(prob)
-        assert validate_certificate(prob, sol)["all_clear"]
+        lam = np.linalg.eigvalsh(h)[0]
+        z = dual_lower_bound(prob, sol, trace_bounds=(1.0,))
+        assert lam - 1e-8 <= z <= lam
 
-    def test_perturbed_x_flagged(self):
+    def test_bound_reads_only_the_dual_vector(self):
+        # (C, A, b, y) alone: perturbing X or S moves no bit of the bound
         rng = np.random.default_rng(6)
         b = rng.standard_normal((5, 5))
         h = (b + b.T) / 2
         prob = lambda_min_problem(h)
         sol = solve(prob)
+        z = dual_lower_bound(prob, sol, trace_bounds=(1.0,))
         sol.X[0][0, 0] += 1e-3
-        assert validate_certificate(prob, sol)["primal_flag"]
+        sol.S[0] = -sol.S[0]
+        assert dual_lower_bound(prob, sol, trace_bounds=(1.0,)) == z
 
-    def test_flipped_y_flagged(self):
+    def test_flipped_y_falls_below_the_optimum(self):
         rng = np.random.default_rng(7)
         b = rng.standard_normal((5, 5))
         h = (b + b.T) / 2
         prob = lambda_min_problem(h)
         sol = solve(prob)
         sol.y = -sol.y
-        assert validate_certificate(prob, sol)["dual_flag"]
+        # b^T y = -lambda_min lies above the optimum; C - A^T y = h + lambda_min I
+        # has lambda_min 2 lambda_min < 0, charged at trace 1, which brings the
+        # bound back below lambda_min
+        lam = np.linalg.eigvalsh(h)[0]
+        assert lam < 0 and float(prob.b @ sol.y) > lam
+        z = dual_lower_bound(prob, sol, trace_bounds=(1.0,))
+        assert lam - 1e-8 <= z <= lam
 
-    def test_feas_dual_matches_solver_on_scaled_constraints(self):
-        # both normalise the dual residual by the largest |C| or |A| entry;
-        # one iteration returns the starting point, whose dual residual
-        # C - S is nonzero by construction
+    def test_feas_dual_is_normalized_by_the_data_scale(self):
+        # the dual residual is divided by the largest |C| or |A| entry; one
+        # iteration returns the starting point, whose dual residual C - S is
+        # nonzero by construction
         b = np.random.default_rng(8).standard_normal((5, 5))
         h = (b + b.T) / 2
         prob = SdpProblem([5], [h], [1e3 * np.eye(5)[None, :, :]], np.array([1e3]))
         sol = solve(prob, max_iter=1)
+        resid = h - sol.S[0] - sol.y[0] * 1e3 * np.eye(5)
         assert sol.feas_dual > 0
-        assert validate_certificate(prob, sol)["feas_dual"] == sol.feas_dual
+        assert sol.feas_dual == float(np.max(np.abs(resid))) / 1e3
 
     def test_dual_lower_bound_is_lower(self):
         for seed in range(10):
@@ -271,9 +282,10 @@ class TestCertificate:
             assert z <= np.linalg.eigvalsh(h)[0] + 1e-12
 
     def test_dual_lower_bound_has_rounding_margin(self):
-        # C = diag(1, 2), y = 1: S = diag(0, 1) is exactly singular and the
-        # dual residual is exactly zero, yet eigvalsh rounding still costs
-        # a strictly positive margin
+        # C = diag(1, 2), y = 1: C - y I = diag(0, 1) is exactly singular and
+        # b^T y = 1 is exact, yet the Cholesky proof of the singular block
+        # and the rounding bounds on b^T y and C - A^T y cost a strictly
+        # positive margin
         prob = lambda_min_problem(np.diag([1.0, 2.0]))
         sol = SdpSolution(status="optimal", X=[np.diag([1.0, 0.0])], y=np.array([1.0]),
                           S=[np.diag([0.0, 1.0])], primal_obj=1.0, dual_obj=1.0,
@@ -282,22 +294,47 @@ class TestCertificate:
         assert z < sol.dual_obj
         assert sol.dual_obj - z < 1e-14
 
+    def test_rounding_in_b_y_is_charged(self):
+        # X = diag(1, 0) is exactly feasible with objective -4, while b^T y
+        # cancels from 1e12 down to about -4 and rounds above it
+        C = np.diag([-4.0, 1.0])
+        A = np.stack([np.diag([1.0, 1.0]), np.diag([3.0, 3.0]), np.diag([-2.0, -4.0])])
+        b = np.array([1.0, 3.0, -2.0])
+        y = np.array([float.fromhex("-0x1.786fe9766135cp+40"),
+                      float.fromhex("0x1.083d1ff30d4fbp+39"),
+                      float.fromhex("0x1.3ebc67636c1c1p+35")])
+        X = np.diag([1.0, 0.0])
+        assert np.array_equal(np.tensordot(A, X, axes=((1, 2), (0, 1))), b)
+        prob = SdpProblem([2], [C], [A], b)
+        sol = SdpSolution(status="optimal", X=[X], y=y, S=[C - np.tensordot(y, A, axes=1)],
+                          primal_obj=-4.0, dual_obj=float(b @ y), gap=0.0,
+                          feas_primal=0.0, feas_dual=0.0, iterations=0)
+        assert dual_lower_bound(prob, sol, trace_bounds=(1.0,)) <= -4.0
 
-class TestSdpa:
-    def test_dump_parses_back(self, tmp_path):
-        h = np.array([[1.0, 2.0], [2.0, -1.0]])
-        prob = lambda_min_problem(h)
-        path = tmp_path / "prob.dat-s"
-        write_sdpa(prob, str(path))
-        lines = path.read_text().strip().split("\n")
-        assert lines[0] == "1"           # one constraint
-        assert lines[1] == "1"           # one block
-        assert lines[2] == "2"           # block size
-        assert float(lines[3]) == 1.0    # right-hand side
-        # objective entries: upper triangle of h
-        entries = [l.split() for l in lines[4:]]
-        obj = {(e[2], e[3]): float(e[4]) for e in entries if e[0] == "0"}
-        assert obj == {("1", "1"): 1.0, ("1", "2"): 2.0, ("2", "2"): -1.0}
+    def test_negative_part_below_eigvalsh_rounding_is_charged(self):
+        # C = Q diag(-1e-14, 1, ..., 1) Q^T: at y = 0 the whole bound is the
+        # negative part of C, about the size of eigvalsh's rounding
+        q, _ = np.linalg.qr(np.random.default_rng(9).standard_normal((6, 6)))
+        c = (q * np.array([-1e-14, 1, 1, 1, 1, 1])) @ q.T
+        c = (c + c.T) / 2
+        prob = lambda_min_problem(c)
+        sol = SdpSolution(status="max_iter", X=[np.eye(6) / 6], y=np.zeros(1), S=[c],
+                          primal_obj=0.0, dual_obj=0.0, gap=0.0, feas_primal=0.0,
+                          feas_dual=0.0, iterations=0)
+        z = dual_lower_bound(prob, sol, trace_bounds=(1.0,))
+        assert -1e-13 < z < min(-1e-14, np.linalg.eigvalsh(c)[0])
+
+    def test_each_block_charges_its_trace_bound(self):
+        # tr X_1 + tr X_2 = 1 with C_1 = diag(1, 2), C_2 = -1; at y = 0 only
+        # C_2 is negative, so the bound is about -tb_2
+        prob = SdpProblem([2, 1], [np.diag([1.0, 2.0]), np.array([[-1.0]])],
+                          [np.eye(2)[None], np.ones((1, 1, 1))], np.array([1.0]))
+        sol = SdpSolution(status="max_iter", X=[np.eye(2) / 4, np.full((1, 1), 0.5)],
+                          y=np.zeros(1), S=prob.C, primal_obj=0.25, dual_obj=0.0,
+                          gap=0.0, feas_primal=0.0, feas_dual=0.0, iterations=0)
+        for tb, expect in (((1.0, 1.0), -1.0), ((1.0, 3.0), -3.0), ((5.0, 1.0), -1.0)):
+            z = dual_lower_bound(prob, sol, trace_bounds=tb)
+            assert expect - 1e-14 < z < expect
 
 
 class TestValidation:
