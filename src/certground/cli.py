@@ -170,7 +170,6 @@ def _moment_report(model, args, window):
                      "psd_block": res.diagnostics["psd_block"],
                      "gap": res.gap, "iterations": res.iterations,
                      "status": res.diagnostics["status"],
-                     "negative_part": res.diagnostics["negative_part"],
                      **_solve_counts(res)})
 
 

@@ -402,27 +402,19 @@ def build_marginal_sdp(spec: MarginalProblemSpec) -> sdp.SdpProblem:
     return sdp.SdpProblem([c.shape[0] for c in C], C, A, b)
 
 
-def improved_anderson_bound(spec: MarginalProblemSpec, gap_tol: float = 1e-9,
-                            feas_tol: float = 1e-9,
-                            quality_tol: float = sdp.QUALITY_TOL) -> MarginalBoundResult:
+def improved_anderson_bound(spec: MarginalProblemSpec,
+                            gap_tol: float = 1e-9) -> MarginalBoundResult:
     """Solve the marginal SDP; z is the rigorous dual-side value, z/m the bound.
 
     The returned bound comes from the dual certificate, which is valid for any
     iterate, so a solve that stalls just short of the target tolerances is
-    still accepted as long as its duality gap is below quality_tol.
+    still accepted as long as its duality gap and primal residual are below
+    sdp.QUALITY_TOL (`sdp.certified_solve`). The trace row's coefficient on
+    each block, c_k there, is the block's weight, halved by a real embedding.
     """
     t0 = time.perf_counter()
     problem = build_marginal_sdp(spec)
-    sol = sdp.solve(problem, gap_tol=gap_tol, feas_tol=feas_tol)
-    if sol.status != "optimal" and not (sol.gap <= quality_tol
-                                        and sol.feas_primal <= quality_tol):
-        raise RuntimeError(
-            f"marginal SDP solve failed (status {sol.status}, "
-            f"gap {sol.gap:g}, primal residual {sol.feas_primal:g})")
-    # the trace row is sum_q c_q tr(X_q) = 1 with A_q[0] = c_q I (c_q the block's
-    # weight, halved by a real embedding), so tr(X_q) <= 1 / c_q
-    z = sdp.dual_lower_bound(problem, sol,
-                             trace_bounds=[1.0 / a[0, 0, 0] for a in problem.A])
+    sol, z = sdp.certified_solve(problem, "marginal", gap_tol=gap_tol)
     return MarginalBoundResult(
         m=spec.m, s=spec.s, mode=spec.mode, placement=spec.placement,
         z=z, density_bound=z / spec.m, gap=sol.gap, feas_dual=sol.feas_dual,

@@ -1,37 +1,36 @@
 """Translation-invariant moment-hierarchy lower bounds for qubit chains.
 
-The operator set is all 4^l Pauli strings on an l-site contiguous window.
-Gram entries tr(O_a^dag O_b omega) are identified across lattice shifts:
-each product canonicalizes to one shared real variable per translation
-class, with a residual phase in {1, i, -1, -i}. The moment matrix X(y), with
-the identity class pinned to 1, is positive semidefinite for the moments y
-of every translation-invariant state.
+The relaxation is a state SDP (Baumgratz & Plenio, NJP 14, 023027 (2012);
+Barthel & Huebener, PRL 108, 200404 (2012)): one l-site density matrix
+rho >= 0 with tr rho = 1 whose marginals on sites 0..l-2 and 1..l-1 agree,
+minimizing the energy of the term h on sites (0, 1). The l-site marginal of
+every translation-invariant state is feasible, so the optimum is a lower
+bound on the energy density.
 
-The LMI is imposed on the l-site density matrix instead of on X. With
-rho(y) = sum_c y_c R_c, where R_c is 2^-l times the sum of the translates of
-class c's standard string that fit in the window, every entry of X is
-X_ab = tr(rho(y) P_a P_b) = <P_a, P_b rho(y)>. In the orthonormal operator
-basis P_a / 2^(l/2) that is X(y) = 2^l U^dag R_rho U, with U unitary and
-R_rho the right multiplication by rho(y), whose spectrum is spec(rho) with
-every eigenvalue repeated 2^l times. So X(y) >= 0 if and only if
-rho(y) >= 0, and the relaxation is solved on one 2^l block (2^(l+1) real
-embedded) rather than on the 4^l moment matrix (Barthel & Huebener, PRL 108,
-200404 (2012); Baumgratz & Plenio, NJP 14, 023027 (2012)). It is solved
-through its Lagrangian dual in primal standard form, whose solution matrix
-doubles as a rigorous certificate (Pauli expectations are bounded by 1 in
-modulus, so constraint residuals enter the certified bound with unit
-weight).
+It is the moment-matrix relaxation. The operator set is all 4^l Pauli
+strings on the window; Gram entries tr(O_a^dag O_b omega) are identified
+across lattice shifts, one real variable y_c per translation class, and the
+moment matrix X(y) is PSD for the moments y of every translation-invariant
+state. With rho(y) = sum_c y_c R_c, where R_c is 2^-l times the sum of the
+translates of class c's standard string that fit in the window, every entry
+is X_ab = tr(rho(y) P_a P_b): in the orthonormal operator basis
+P_a / 2^(l/2), X(y) = 2^l U^dag R_rho U, with U unitary and R_rho the right
+multiplication by rho(y). So X(y) >= 0 exactly when rho(y) >= 0. The
+marginals of rho agree exactly when all translates of each class have one
+expectation, that is, exactly when rho = rho(y) for its class expectations y.
+
+`coefficient_matrices` gives the consistency rows P_{c,s} - P_{c,0}. Real
+models are solved on a real 2^l block with the rows that have an even number
+of Y factors (the others vanish on a real symmetric rho, and
+(rho + conj(rho)) / 2 is feasible with the same energy); complex ones on the
+real-embedded 2^(l+1) block. The bound is `sdp.dual_lower_bound`, Jansson,
+Chaykin & Keil's bound, as for the marginal SDP.
 
 `build_structure` and its Pauli product table stay on the path for now:
-the class table behind `variables`, `objective_vector` and the oracle tests
-comes from it, and the benchmark's trace (`perfbench/tracing.py`) wraps
-this module's Pauli seams and pins their call count. Deleting the table and
-the Pauli-string algebra waits until that trace is re-pinned; a
-translation-invariant state SDP builder then takes the class table's place.
-
-Models carry only their dense two-site term; `objective_vector` expands it
-in the two-site Pauli basis here, the one place the moment hierarchy needs
-Pauli strings.
+the class table behind `variables` and the rows comes from it, and the
+benchmark's trace (`perfbench/tracing.py`) wraps this module's Pauli seams
+and pins their call count. Deleting the table and the Pauli-string algebra
+waits until that trace is re-pinned.
 """
 
 from __future__ import annotations
@@ -41,7 +40,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import eigensolver, sdp
+from . import sdp
 from .models import ModelSpec, embed_on_sites
 from .pauli import (PauliString, all_strings, dagger, hermitian_class, multiply,
                     string_to_dense)
@@ -119,60 +118,36 @@ def assemble_moment_matrix(structure: MomentStructure, y: np.ndarray) -> np.ndar
     return structure.phases * y[structure.var_of]
 
 
-def coefficient_matrices(structure: MomentStructure):
-    """R_c with rho(y) = sum_c y_c R_c, as 2^l x 2^l Hermitian matrices.
+def coefficient_matrices(structure: MomentStructure) -> np.ndarray:
+    """The consistency rows P_{c,s} - P_{c,0}, as a stack of 2^l x 2^l
+    Hermitian matrices.
 
-    R_0 = I / 2^l; for c >= 1, R_c is 2^-l times the sum of the translates
-    of class c's standard string inside the window. Then
-    X(y) = 2^l U^dag R_rho U (module docstring), so rho(y) >= 0 is the
-    moment-matrix LMI X(y) >= 0 on a block 2^l times smaller.
+    P_{c,s} is class c's standard string shifted by s sites. There is one row
+    for each extra translate s = 1..l-w of each class of width w < l: the
+    marginals of rho on sites 0..l-2 and 1..l-1 agree exactly when every row
+    has tr(rho row) = 0. Distinct strings are orthogonal, so the rows are
+    linearly independent.
     """
     window = structure.window
     dim = 1 << window
-    scale = 0.5 ** window
     cols = np.arange(dim)
     odd = np.array([j.bit_count() & 1 for j in range(dim)])
 
     def index_bits(mask):  # site k is bit window - 1 - k of a basis index
         return int(f"{mask:0{window}b}"[::-1], 2)
 
-    out = [np.eye(dim, dtype=complex) * scale]
+    def translate(rep, s):
+        x, z = index_bits(rep.x_mask << s), index_bits(rep.z_mask << s)
+        p = np.zeros((dim, dim), dtype=complex)
+        # i^phase X^x Z^z |j> = i^phase (-1)^|j & z| |j ^ x>
+        p[cols ^ x, cols] = 1j ** rep.phase_exp * (1 - 2 * odd[cols & z])
+        return p
+
+    rows = []
     for rep in structure.class_reps[1:]:
-        r = np.zeros((dim, dim), dtype=complex)
-        for s in range(window - rep.width + 1):
-            x, z = index_bits(rep.x_mask << s), index_bits(rep.z_mask << s)
-            # i^phase X^x Z^z |j> = i^phase (-1)^|j & z| |j ^ x>
-            r[cols ^ x, cols] += (scale * 1j ** rep.phase_exp) * (1 - 2 * odd[cols & z])
-        out.append(r)
-    return out
-
-
-def objective_vector(structure: MomentStructure, model: ModelSpec):
-    """Map the two-site term onto class variables.
-
-    The term is expanded in the two-site Pauli basis with coefficients
-    tr(P term)/4 (real, since the term is Hermitian). Returns (f, constant):
-    the energy density of a translation-invariant state is
-    constant + sum_c f_c y_c.
-    """
-    if model.d != 2:
-        raise ValueError("the moment hierarchy requires a qubit model (d = 2)")
-    term = np.asarray(model.term)
-    f = np.zeros(structure.n_variables)
-    constant = 0.0
-    for p in all_strings(2):
-        c = np.trace(string_to_dense(p) @ term) / 4
-        if abs(c) <= 1e-14:
-            continue
-        key, _ = hermitian_class(p)  # p is a standard Hermitian string: factor 1
-        if key == (1, 0, 0):
-            constant += float(c.real)
-            continue
-        idx = structure.class_index.get(key)
-        if idx is None:
-            raise ValueError("term class missing from the moment structure")
-        f[idx] += float(c.real)
-    return f, constant
+        base = translate(rep, 0)
+        rows += [translate(rep, s) - base for s in range(1, window - rep.width + 1)]
+    return np.stack(rows)
 
 
 @dataclass(frozen=True)
@@ -192,56 +167,38 @@ class MomentBoundResult:
                 "gap": self.gap, "seconds": self.seconds}
 
 
-def ti_moment_bound(model: ModelSpec, window: int, gap_tol: float = 1e-10,
-                    feas_tol: float = 1e-10) -> MomentBoundResult:
+def ti_moment_bound(model: ModelSpec, window: int,
+                    gap_tol: float = 1e-10) -> MomentBoundResult:
     """Certified moment-hierarchy lower bound on the energy density.
 
-    The LMI min f.y s.t. rho(y) >= 0, y_identity = 1, equivalent to the
-    moment-matrix LMI X(y) >= 0 since X(y) = 2^l U^dag R_rho U, is solved via
-    its dual min tr(A_0 Z) s.t. tr(A_c Z) = f_c, Z >= 0, with
-    A_c = real_embed(R_c) / 2 on one block of 2^(l+1). For the true state's
-    moments y*, tr(Z M*) >= -delta tr(M*) = -delta, where
-    M* = real_embed(rho(y*)) / 2 >= 0 has trace tr(rho) = 1 and
-    lambda_min(Z) > -delta is proven by one shifted Cholesky factorization
-    with Rump's margin (`eigensolver.cholesky_edge`). Using |y*_c| <= 1,
-    the certified bound is
-    constant - tr(A_0 Z) - sum_c |tr(A_c Z) - f_c| - delta.
-    It charges every residual, so a solve that stalls just short of the
-    target tolerances is still accepted as long as its duality gap and
-    primal residual are below sdp.QUALITY_TOL; diagnostics["status"] tells.
+    Solves min tr((h x I) rho) s.t. tr rho = 1 and tr(rho row) = 0 for every
+    consistency row (module docstring). A solve that stalls short of its
+    tolerances is accepted within sdp.QUALITY_TOL (`sdp.certified_solve`);
+    the bound is `sdp.dual_lower_bound`, valid for any dual vector, and
+    diagnostics["status"] tells.
     """
     t0 = time.perf_counter()
+    if model.d != 2:
+        raise ValueError("the moment hierarchy requires a qubit model (d = 2)")
     structure = build_structure(build_basis(window))
-    mats = coefficient_matrices(structure)
-    f, constant = objective_vector(structure, model)
-
-    emb = [sdp.real_embed(a) / 2.0 for a in mats]
-    nvar = structure.n_variables
-    problem = sdp.SdpProblem(
-        blocks=[emb[0].shape[0]],
-        C=[emb[0]],
-        A=[np.stack(emb[1:])],
-        b=f[1:],
-    )
-    sol = sdp.solve(problem, gap_tol=gap_tol, feas_tol=feas_tol)
-    if sol.status != "optimal" and not (sol.gap <= sdp.QUALITY_TOL
-                                        and sol.feas_primal <= sdp.QUALITY_TOL):
-        raise RuntimeError(
-            f"moment SDP solve failed (status {sol.status}, "
-            f"gap {sol.gap:g}, primal residual {sol.feas_primal:g})")
-    Z = sol.X[0]
-    # eigvalsh only places the shift; the factorization proves the edge
-    edge, _ = eigensolver.cholesky_edge(Z.copy(), float(np.linalg.eigvalsh(Z)[0]))
-    negative_part = max(0.0, -edge)
-    a0z = float(np.sum(emb[0] * Z))
-    resid = np.array([abs(float(np.sum(emb[c] * Z)) - f[c]) for c in range(1, nvar)])
-    bound = constant - a0z - float(np.sum(resid)) - negative_part
+    dim = 1 << window
+    rows = [np.eye(dim), *coefficient_matrices(structure)]  # the trace row first
+    objective = np.kron(np.asarray(model.term), np.eye(dim // 4))
+    if model.is_real:
+        C, A = objective.real, np.stack([r.real for r in rows if not r.imag.any()])
+    else:
+        C, A = sdp.real_embed(objective) / 2.0, np.stack([sdp.real_embed(r) / 2.0
+                                                          for r in rows])
+    b = np.zeros(len(A))
+    b[0] = 1.0
+    problem = sdp.SdpProblem(blocks=[C.shape[0]], C=[C], A=[A], b=b)
+    sol, bound = sdp.certified_solve(problem, "moment", gap_tol=gap_tol)
     return MomentBoundResult(
-        window=window, bound=bound, variables=nvar, matrix_size=structure.size,
-        gap=sol.gap, iterations=sol.iterations, seconds=time.perf_counter() - t0,
+        window=window, bound=bound, variables=structure.n_variables,
+        matrix_size=structure.size, gap=sol.gap, iterations=sol.iterations,
+        seconds=time.perf_counter() - t0,
         diagnostics={"primal_obj": sol.primal_obj, "dual_obj": sol.dual_obj,
-                     "residual_l1": float(np.sum(resid)), "status": sol.status,
-                     "psd_block": problem.blocks[0], "negative_part": negative_part,
+                     "status": sol.status, "psd_block": problem.blocks[0],
                      **sdp.solve_counts(problem, sol)})
 
 

@@ -423,3 +423,20 @@ def dual_lower_bound(problem: SdpProblem, solution: SdpSolution,
         terms.append(tb * min(0.0, t - e) * (1 + 4 * _U))
     # fsum rounds the exact sum of the terms to nearest: one step down covers it
     return float(np.nextafter(math.fsum(terms), -np.inf))
+
+
+def certified_solve(problem: SdpProblem, name: str, gap_tol: float = 1e-9) -> tuple:
+    """`solve`, accepted when optimal or within QUALITY_TOL, then certified.
+
+    Row 0 must be the trace row sum_k c_k tr(X_k) = 1 with A_k[0] = c_k I, so
+    tr(X_k) <= 1 / c_k is the trace bound. Returns the solution and
+    `dual_lower_bound`'s value; raises RuntimeError when the solve failed.
+    """
+    sol = solve(problem, gap_tol=gap_tol)
+    if sol.status != "optimal" and not (sol.gap <= QUALITY_TOL
+                                        and sol.feas_primal <= QUALITY_TOL):
+        raise RuntimeError(
+            f"{name} SDP solve failed (status {sol.status}, "
+            f"gap {sol.gap:g}, primal residual {sol.feas_primal:g})")
+    return sol, dual_lower_bound(problem, sol,
+                                 trace_bounds=[1.0 / a[0, 0, 0] for a in problem.A])

@@ -174,18 +174,21 @@ class TestMarginalMoment:
                                          "--l", "2"])
         assert code == 0
         diagnostics = json.loads(out)["diagnostics"]
-        assert diagnostics["constraints"] == diagnostics["variables"] - 1 == 12
+        # the trace row and X, Z on site 1 minus site 0; Y's row is imaginary
+        assert diagnostics["constraints"] == 3
+        assert diagnostics["variables"] == 13
         assert diagnostics["schur_fallback"] is False
         assert diagnostics["pruned_constraints"] == 0
 
-    def test_moment_reports_block_and_negative_part(self, capsys):
+    def test_moment_reports_matrix_and_block_sizes(self, capsys):
         code, out = run_capture(capsys, ["moment", "--model", "heisenberg",
                                          "--l", "3"])
         assert code == 0
         diagnostics = json.loads(out)["diagnostics"]
         assert diagnostics["matrix_size"] == 64
-        assert diagnostics["psd_block"] == 16  # rho on 3 sites, real-embedded
-        assert diagnostics["negative_part"] >= 0.0
+        assert diagnostics["psd_block"] == 8  # rho on 3 sites, real
+        assert diagnostics["constraints"] == 10
+        assert "negative_part" not in diagnostics
 
 
 class TestSweep:
@@ -357,7 +360,8 @@ class TestMisc:
         code = run(["moment", "--model-file", str(p), "--l", "2"])
         captured = capsys.readouterr()
         assert code == 2
-        assert captured.err.startswith("error:")
+        assert captured.err == ("error: the moment hierarchy requires a qubit model "
+                                "(d = 2)\n")
         assert captured.out == ""
 
     def test_no_model(self, capsys):

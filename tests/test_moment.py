@@ -6,11 +6,11 @@ import scipy.sparse.linalg as spla
 
 from certground import sdp
 from certground.anderson import anderson_bound
+from certground.marginal import partial_trace
 from certground.models import build_ring, builtin_model
 from certground.moment import (assemble_moment_matrix, build_basis,
                                build_structure, coefficient_matrices,
-                               objective_vector, oracle_moment_matrix,
-                               ti_moment_bound)
+                               oracle_moment_matrix, ti_moment_bound)
 from certground.pauli import PauliString, string_to_dense
 from tests.conftest import EMIN, RING
 
@@ -68,40 +68,50 @@ class TestStructure:
         np.testing.assert_allclose(X, X.conj().T, atol=1e-13)
 
 
-def ring_energy(st, f, const, model):
-    """const + f.y on the 4-site ring ground state's moment variables, and
-    that state's exact energy density."""
-    vals, vecs = np.linalg.eigh(build_ring(model, 4).toarray())
-    X = oracle_moment_matrix(vecs[:, 0], 4, build_basis(2))
-    y = np.zeros(st.n_variables)
-    seen = np.zeros(st.n_variables, dtype=bool)
-    for a in range(st.size):
-        for b in range(st.size):
-            c = st.var_of[a, b]
-            if not seen[c] and abs(st.phases[a, b] - 1.0) < 1e-12:
-                y[c] = X[a, b].real
-                seen[c] = True
-    return const + f @ y, vals[0] / 4
+def captured_solve(monkeypatch):
+    """Record every (problem, solution) pair that `sdp.solve` returns."""
+    seen, real_solve = [], sdp.solve
+
+    def capture(problem, **kwargs):
+        sol = real_solve(problem, **kwargs)
+        seen.append((problem, sol))
+        return sol
+
+    monkeypatch.setattr(sdp, "solve", capture)
+    return seen
+
+
+def ring_marginal(model, n, window):
+    """The n-site ring ground state's reduced state on `window` consecutive
+    sites, averaged over the ring's translations, and its energy density."""
+    vals, vecs = np.linalg.eigh(build_ring(model, n).toarray())
+    state = np.outer(vecs[:, 0], vecs[:, 0].conj())
+    rho = sum(partial_trace(state, [(j + k) % n for k in range(window)])
+              for j in range(n)) / n
+    return rho, vals[0] / n
 
 
 class TestObjective:
-    def test_heisenberg_energy(self, heisenberg):
-        st = build_structure(build_basis(2))
-        f, const = objective_vector(st, heisenberg)
-        assert abs(const) < 1e-14
-        energy, _ = ring_energy(st, f, const, heisenberg)
-        assert abs(energy - RING[4]) < 1e-9
-
-    # random_twosite has Y, one-site and identity components
+    # the objective block is the term on sites (0, 1): on the ring's 3-site
+    # reduced state it gives the exact ring energy density
     @pytest.mark.parametrize("name, params", [("tfim", [1.0]), ("xxz", [0.5]),
                                               ("random_twosite", [3.0])],
                              ids=["tfim", "xxz", "random_twosite"])
-    def test_ring_energy(self, name, params):
+    def test_ring_energy(self, monkeypatch, name, params):
         model = builtin_model(name, params)
-        st = build_structure(build_basis(2))
-        f, const = objective_vector(st, model)
-        energy, exact = ring_energy(st, f, const, model)
-        assert abs(energy - exact) < 1e-9
+        seen = captured_solve(monkeypatch)
+        ti_moment_bound(model, 3)
+        ((problem, _),) = seen
+        rho, exact = ring_marginal(model, 4, 3)
+        X = rho.real if model.is_real else sdp.real_embed(rho)
+        assert abs(np.sum(problem.C[0] * X) - exact) < 1e-9
+
+    def test_heisenberg_energy(self, monkeypatch, heisenberg):
+        seen = captured_solve(monkeypatch)
+        ti_moment_bound(heisenberg, 3)
+        ((problem, _),) = seen
+        rho, _ = ring_marginal(heisenberg, 4, 3)
+        assert abs(np.sum(problem.C[0] * rho.real) - RING[4]) < 1e-9
 
 
 class TestBound:
@@ -191,17 +201,20 @@ class TestOracleMatrix:
         assert np.linalg.eigvalsh((X + X.conj().T) / 2)[0] > -1e-10
 
 
+def translate(rep, window, s):
+    """Class rep's standard string shifted by s sites in an l-site window."""
+    return PauliString(window, rep.x_mask << s, rep.z_mask << s, rep.phase_exp)
+
+
 def density_matrix(structure, y):
-    """rho(y) = sum_c y_c R_c."""
-    return np.tensordot(y, np.stack(coefficient_matrices(structure)), axes=1)
-
-
-def ring_moments(structure, X):
-    """Class variables y read off a moment matrix X (entries with phase +1)."""
-    y = np.zeros(structure.n_variables)
-    for a, b in zip(*np.nonzero(np.abs(structure.phases - 1.0) < 1e-12)):
-        y[structure.var_of[a, b]] = X[a, b].real
-    return y
+    """rho(y) = sum_c y_c R_c, with R_0 = I / 2^l and R_c 2^-l times the sum
+    of class c's translates that fit in the window."""
+    window = structure.window
+    rho = y[0] * np.eye(2 ** window, dtype=complex)
+    for rep, yc in zip(structure.class_reps[1:], y[1:]):
+        rho += yc * sum(string_to_dense(translate(rep, window, s))
+                        for s in range(window - rep.width + 1))
+    return rho / 2 ** window
 
 
 class TestDensityMatrixLmi:
@@ -217,72 +230,52 @@ class TestDensityMatrixLmi:
                          2 ** window)
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
-    def test_coefficients_rebuild_the_reduced_state(self, heisenberg):
-        # the 8-site ring ground state's moments give back its 3-site marginal
+    def test_reduced_state_satisfies_every_row(self, heisenberg):
+        # the 8-site ring ground state's 3-site marginal is consistent
         vals, vecs = np.linalg.eigh(build_ring(heisenberg, 8).toarray())
         psi = vecs[:, 0].reshape(8, 32)  # site 0 is the leftmost factor
-        st = build_structure(build_basis(3))
-        y = ring_moments(st, oracle_moment_matrix(vecs[:, 0], 8, build_basis(3)))
-        np.testing.assert_allclose(density_matrix(st, y), psi @ psi.conj().T,
+        rho = psi @ psi.conj().T
+        rows = coefficient_matrices(build_structure(build_basis(3)))
+        assert len(rows) == 15
+        np.testing.assert_allclose(np.einsum("kij,ji->k", rows, rho), 0.0,
                                    rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("window", [2, 3, 4])
-    def test_coefficients_are_the_translate_sums(self, window):
-        # R_c against dense Kronecker products of each translate's string
+    def test_coefficients_are_the_translate_differences(self, window):
+        # P_{c,s} - P_{c,0} against dense Kronecker products of each string
         st = build_structure(build_basis(window))
-        mats = coefficient_matrices(st)
-        np.testing.assert_array_equal(mats[0], np.eye(2 ** window) / 2 ** window)
-        for rep, r in zip(st.class_reps[1:], mats[1:]):
-            want = sum(string_to_dense(PauliString(window, rep.x_mask << s,
-                                                   rep.z_mask << s, rep.phase_exp))
-                       for s in range(window - rep.width + 1))
-            np.testing.assert_array_equal(r, want / 2 ** window)
+        want = [string_to_dense(translate(rep, window, s))
+                - string_to_dense(translate(rep, window, 0))
+                for rep in st.class_reps[1:] for s in range(1, window - rep.width + 1)]
+        np.testing.assert_array_equal(coefficient_matrices(st), np.stack(want))
 
     @pytest.mark.parametrize("window", [2, 3])
     def test_solves_one_block_of_rho(self, monkeypatch, heisenberg, window):
-        captured = []
-        real_solve = sdp.solve
-
-        def capture(problem, **kwargs):
-            captured.append(problem)
-            return real_solve(problem, **kwargs)
-
-        monkeypatch.setattr(sdp, "solve", capture)
-        r = ti_moment_bound(heisenberg, window)
-        (problem,) = captured
-        assert problem.blocks == [2 * 2 ** window]
-        assert r.diagnostics["psd_block"] == 2 * 2 ** window
-        assert r.matrix_size == 4 ** window
+        # a real model on the real 2^l block, a complex one real-embedded
+        seen = captured_solve(monkeypatch)
+        complex_model = builtin_model("random_twosite", [3.0])
+        for model, block in ((heisenberg, 2 ** window), (complex_model, 2 ** (window + 1))):
+            r = ti_moment_bound(model, window)
+            problem, _ = seen.pop()
+            assert problem.blocks == [block]
+            assert r.diagnostics["psd_block"] == block
+            assert r.matrix_size == 4 ** window
 
     @pytest.mark.parametrize("name", sorted(FROZEN_L3))
     def test_l3_bounds_frozen(self, name):
         params, ref = FROZEN_L3[name]
         r = ti_moment_bound(builtin_model(name, params), 3, gap_tol=1e-9)
         assert abs(r.bound - ref) <= 1e-9
-        assert 0.0 <= r.diagnostics["negative_part"] < 1e-12
 
 
 class TestCertificate:
-    def test_negative_part_of_z_is_charged(self, monkeypatch, heisenberg):
-        seen = []
-        real_solve = sdp.solve
-
-        def tilted(problem, **kwargs):
-            sol = real_solve(problem, **kwargs)
-            w, v = np.linalg.eigh(sol.X[0])
-            w[0] = -1e-12
-            sol.X[0] = (v * w) @ v.T
-            seen.append((problem, sol.X[0]))
-            return sol
-
-        monkeypatch.setattr(sdp, "solve", tilted)
+    def test_bound_is_the_dual_lower_bound(self, monkeypatch, heisenberg):
+        seen = captured_solve(monkeypatch)
         r = ti_moment_bound(heisenberg, 3)
-        ((problem, Z),) = seen
-        _, constant = objective_vector(build_structure(build_basis(3)), heisenberg)
-        uncharged = (constant - np.sum(problem.C[0] * Z)
-                     - sum(abs(np.sum(a * Z) - f) for a, f in zip(problem.A[0], problem.b)))
-        assert r.diagnostics["negative_part"] >= 1e-12
-        assert r.bound <= uncharged - 1e-12
+        ((problem, sol),) = seen
+        assert r.bound == sdp.dual_lower_bound(problem, sol, trace_bounds=[1.0])
+        sol.y = sol.y + 1e-6 * np.random.default_rng(0).standard_normal(sol.y.size)
+        assert sdp.dual_lower_bound(problem, sol, trace_bounds=[1.0]) < r.bound
 
 
 CLAIM_MODELS = {"heisenberg": [], "tfim": [1.0], "xxz": [0.5]}
@@ -316,3 +309,10 @@ class TestHierarchyClaim:
     def test_heisenberg_below_exact_density(self):
         _, bounds = hierarchy("heisenberg")
         assert all(b <= EMIN for b in bounds.values())
+
+    def test_heisenberg_at_l5(self):
+        model, bounds = hierarchy("heisenberg")
+        top = ti_moment_bound(model, 5, gap_tol=1e-9).bound
+        assert top >= bounds[4] - 1e-8
+        assert top >= anderson_bound(model, 5).certified_bound - 1e-8
+        assert top <= EMIN

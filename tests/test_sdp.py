@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from certground import builtin_model, moment, sdp
+from certground import builtin_model, sdp
+from certground.marginal import MarginalProblemSpec, build_marginal_sdp
 from certground.sdp import SdpProblem, SdpSolution, dual_lower_bound, real_embed, solve
 
 
@@ -172,21 +173,15 @@ class TestFactoredKernels:
         assert calls.count((1, 1)) == iterates
         assert len(calls) == 5 * iterates
 
-    def test_solve_peak_memory_below_three_constraint_tensors(self, monkeypatch):
-        # heisenberg l = 3 has no dependent constraints, so no restart
-        captured = []
-        real_solve = sdp.solve
-
-        def capture(problem, **kwargs):
-            captured.append(problem)
-            return real_solve(problem, **kwargs)
-
-        monkeypatch.setattr(sdp, "solve", capture)
-        moment.ti_moment_bound(builtin_model("heisenberg", []), 3)
-        (problem,) = captured
+    def test_solve_peak_memory_below_three_constraint_tensors(self):
+        # a complex model's 32 block with 28 independent rows: A is large
+        # enough that fixed overhead does not dominate, and nothing restarts
+        problem = build_marginal_sdp(
+            MarginalProblemSpec(builtin_model("random_twosite", [3.0]), 4, 1))
+        assert problem.A[0].nbytes >= 98_000
         tracemalloc.start()
         try:
-            sol = real_solve(problem, gap_tol=1e-10, feas_tol=1e-10)
+            sol = solve(problem, gap_tol=1e-10, feas_tol=1e-10)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
