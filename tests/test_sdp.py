@@ -136,6 +136,66 @@ class TestFactoredKernels:
             assert abs(step - (-1.0 / lam)) <= 1e-10 * step
             assert sdp._max_step(sdp._tri_inv(np.linalg.cholesky(X)), D @ D.T) == np.inf
 
+    def test_stacked_inverse_and_step_equal_single_calls(self):
+        rng = np.random.default_rng(12)
+        for n in (1, 4, 9):
+            L = np.stack([np.linalg.cholesky(random_psd(rng, n)) for _ in range(2)])
+            Linv = sdp._tri_inv(L)
+            for k in range(2):
+                np.testing.assert_array_equal(Linv[k], sdp._tri_inv(L[k]))
+            # the second direction is PSD, so its step is unbounded
+            D = np.stack([random_symmetric(rng, n, n) - 2 * np.eye(n),
+                          random_psd(rng, n)])
+            steps = sdp._max_step(Linv, D)
+            assert steps.shape == (2,) and steps[1] == np.inf
+            for k in range(2):
+                assert steps[k] == sdp._max_step(Linv[k], D[k])
+
+    def test_gemv_adjoint_equals_tensordot(self):
+        rng = np.random.default_rng(13)
+        for m, n in ((1, 1), (7, 5), (40, 12)):
+            a, y = rng.standard_normal((m, n, n)), rng.standard_normal(m)
+            np.testing.assert_array_equal(sdp._op_At([a], y)[0],
+                                          np.tensordot(y, a, axes=1))
+
+    def test_batched_schur_equals_row_loop(self, monkeypatch):
+        rng = np.random.default_rng(14)
+        m, blocks = 23, (1, 5, 8)
+        A = [random_symmetric(rng, m, n, n) for n in blocks]
+        LX = [np.linalg.cholesky(random_psd(rng, n)) for n in blocks]
+        LinvS = [sdp._tri_inv(np.linalg.cholesky(random_psd(rng, n))) for n in blocks]
+        expect = np.zeros((m, m))
+        for a, lx, lsi in zip(A, LX, LinvS):
+            n = lx.shape[0]
+            P = (a.reshape(m * n, n) @ lx).reshape(m, n, n)
+            for i in range(m):
+                P[i] = lsi @ P[i]
+            P = P.reshape(m, n * n)
+            expect += P @ P.T
+        # 5 rows of the 8 block per batch: a short last batch
+        monkeypatch.setattr(sdp, "_SCHUR_BATCH_BYTES", 5 * 8 * 8 * 8)
+        np.testing.assert_array_equal(sdp._schur(A, LX, LinvS), expect)
+        monkeypatch.undo()
+        np.testing.assert_array_equal(sdp._schur(A, LX, LinvS), expect)
+
+    def test_schur_temporary_is_one_batch_beside_p(self, monkeypatch):
+        rng = np.random.default_rng(15)
+        m, n = 200, 24
+        a = random_symmetric(rng, m, n, n)
+        lx = np.linalg.cholesky(random_psd(rng, n))
+        lsi = sdp._tri_inv(np.linalg.cholesky(random_psd(rng, n)))
+        batch = 64 * 1024
+        monkeypatch.setattr(sdp, "_SCHUR_BATCH_BYTES", batch)
+        assert a.nbytes > 10 * batch          # many batches
+        tracemalloc.start()
+        try:
+            sdp._schur([a], [lx], [lsi])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # P, one batch, M and the P P^T product, with a little slack
+        assert peak <= a.nbytes + batch + 2 * m * m * 8 + 16 * 1024
+
     def test_singular_x_takes_ridge_fallback(self):
         v = np.arange(1.0, 5.0)
         X = np.outer(v, v)                   # rank one, not positive definite
@@ -172,6 +232,54 @@ class TestFactoredKernels:
         assert calls.count((6, 6)) == calls.count((3, 3)) == 2 * iterates
         assert calls.count((1, 1)) == iterates
         assert len(calls) == 5 * iterates
+
+    def test_one_inverse_and_one_step_search_per_block_pair(self, monkeypatch):
+        inverted, searched = [], []
+        inv, eigvalsh = np.linalg.inv, np.linalg.eigvalsh
+
+        def counted_inv(a):
+            inverted.append(a.shape)
+            return inv(a)
+
+        def counted_eigvalsh(a, *args, **kwargs):
+            searched.append(a.shape)
+            return eigvalsh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "inv", counted_inv)
+        monkeypatch.setattr(np.linalg, "eigvalsh", counted_eigvalsh)
+        h = random_symmetric(np.random.default_rng(11), 6, 6)
+        sol = solve(SdpProblem([6, 3], [h, np.eye(3)],
+                               [np.stack([np.eye(6)]), np.stack([np.eye(3)])],
+                               np.array([1.0])))
+        assert sol.status == "optimal"
+        iterates = sol.iterations - 1
+        # X and S factors of a block in one inverse, M's factor in another
+        assert sorted(set(inverted)) == [(1, 1), (2, 3, 3), (2, 6, 6)]
+        assert inverted.count((2, 6, 6)) == inverted.count((2, 3, 3)) == iterates
+        assert len(inverted) == 3 * iterates
+        # predictor and corrector: primal and dual step of a block together
+        assert sorted(set(searched)) == [(2, 3, 3), (2, 6, 6)]
+        assert searched.count((2, 6, 6)) == searched.count((2, 3, 3)) == 2 * iterates
+
+    def test_x_factorization_failure_returns_best_iterate(self, monkeypatch):
+        factor = sdp._psd_factor
+        calls = []
+
+        def failing_after_three(x):
+            calls.append(x)
+            if len(calls) > 3:
+                raise np.linalg.LinAlgError("Matrix is not positive definite")
+            return factor(x)
+
+        monkeypatch.setattr(sdp, "_psd_factor", failing_after_three)
+        h = random_symmetric(np.random.default_rng(16), 5, 5)
+        sol = solve(lambda_min_problem(h))
+        assert sol.status == "max_iter"
+        assert sol.diagnostics["breakdown"] == "X factorization failed"
+        assert sol.iterations == 4
+        # the best of the four iterates, not the starting point
+        assert np.all(np.isfinite(sol.X[0])) and np.isfinite(sol.primal_obj)
+        assert sol.gap < 1.0 and not np.allclose(sol.X[0], np.diag(np.diag(sol.X[0])))
 
     def test_solve_peak_memory_below_three_constraint_tensors(self):
         # a complex model's 32 block with 28 independent rows: A is large
