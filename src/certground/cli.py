@@ -158,6 +158,7 @@ def _marginal_report(model, args, m, s, mode, placement):
                      "stalled": res.diagnostics["stalled"],
                      "blocks": res.diagnostics["blocks"],
                      "symmetry": res.diagnostics["symmetry"],
+                     "assembly_margin": res.diagnostics["assembly_margin"],
                      **_solve_counts(res)})
 
 

@@ -36,8 +36,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import sdp
-from .models import (ModelSpec, PatchSpec, build_patch, embed_on_sites, state_charges,
-                     term_symmetries)
+from .models import ModelSpec, exact_sums, state_charges, term_symmetries
+# unused here, but the benchmark tracer (perfbench/tracing.py) wraps them by name
+from .models import build_patch, embed_on_sites  # noqa: F401
 
 MARGINAL_CSV_COLUMNS = ("model", "m", "s", "mode", "placement", "z",
                         "density_bound", "gap", "seconds")
@@ -300,6 +301,33 @@ def _window_pairs(states: np.ndarray, sites, m: int, d: int) -> tuple:
     return i, j, local[i], local[j]
 
 
+def _windows(spec: MarginalProblemSpec) -> list:
+    """The windows whose marginals agree, W_0 first (see the module docstring)."""
+    m, s = spec.m, spec.s
+    if spec.mode == "wrap":
+        return [boundary_sites(m, s)]
+    return [list(range(k, k + 2 * s)) for k in range(m - 2 * s + 1)]
+
+
+def _bonds(spec: MarginalProblemSpec) -> list:
+    """The m bonds the objective sums the term over: the open bonds [k, k + 1]
+    of the patch, then the crossing bond on W_0 (under wrap mode and middle
+    placement, the wrap bond [m - 1, 0])."""
+    first = _windows(spec)[0]
+    return ([[k, k + 1] for k in range(spec.m - 1)]
+            + [[first[j] for j in crossing_sites(spec.s, spec.placement)]])
+
+
+def _bond_sum(term: np.ndarray, states: np.ndarray, bonds, m: int, d: int) -> np.ndarray:
+    """The sum of `term` lifted onto each bond, restricted to `states`, as a
+    dense matrix; entries gain their bond contributions in bond order."""
+    out = np.zeros((states.size, states.size), dtype=term.dtype)
+    for bond in bonds:
+        i, j, a, b = _window_pairs(states, bond, m, d)
+        out[i, j] += term[a, b]
+    return out
+
+
 def _place(out: np.ndarray, diff: np.ndarray, real: bool) -> None:
     """Write rows into `out`: as they are when real, else their real
     embedding [[Re, -Im], [Im, Re]] / 2 (halved so traces match)."""
@@ -328,24 +356,22 @@ def build_marginal_sdp(spec: MarginalProblemSpec) -> sdp.SdpProblem:
     rows, and they are block diagonal. A block of weight 2 stands for omega_q
     and its flip partner: flip-even rows and the objective count it twice, and
     flip-odd rows vanish on it, so they act on the self-paired block alone.
-    Every row block and the objective block (`build_patch` on the block plus
-    the crossing term) are assembled from the block's basis states, so no
-    d^m x d^m row is built. Real models use the real-symmetric rows; complex
-    ones are real-embedded block by block (matrices halved so traces match
-    the complex problem).
+    Every row block and every objective block is gathered from the block's
+    basis states alone (`_window_pairs`), so no d^m x d^m matrix is built: the
+    objective adds the term on each of the m bonds of `_bonds` in turn. Real
+    models use the real-symmetric rows; complex ones are real-embedded block
+    by block (matrices halved so traces match the complex problem).
+    `assembly_margin` bounds what the rounding in these sums can cost the
+    certificate.
     """
     model, m, s = spec.model, spec.m, spec.s
     d, real = model.d, model.is_real
     symmetry = reduction(model)
-    if spec.mode == "wrap":
-        windows = [boundary_sites(m, s)]
-    else:
-        windows = [list(range(k, k + 2 * s)) for k in range(m - 2 * s + 1)]
+    windows = _windows(spec)
     first, later = windows[0], windows[1:]
 
     h = np.asarray(model.term, dtype=float if real else complex)
-    cross = embed_on_sites(h, [first[j] for j in crossing_sites(s, spec.placement)],
-                           m, d)
+    bonds = _bonds(spec)
     blocks = _blocks(m, d, symmetry)
     groups = []  # (window, window operators, their flip parities) per later window
     if later:
@@ -359,8 +385,7 @@ def build_marginal_sdp(spec: MarginalProblemSpec) -> sdp.SdpProblem:
     C, A = [], []
     for states, weight in blocks:
         size = states.size
-        objective = (build_patch(model, PatchSpec(m, 1, "open"), states)
-                     + cross[states][:, states]).toarray()
+        objective = _bond_sum(h, states, bonds, m, d)
         # a complex term's rows are built one window group at a time in a
         # complex buffer, then real-embedded into their rows
         rows_block = np.zeros((n_rows, size, size)) if real else np.empty(
@@ -381,7 +406,7 @@ def build_marginal_sdp(spec: MarginalProblemSpec) -> sdp.SdpProblem:
             if not real:
                 _place(rows_block[group], diff, real)
             row += len(parity)
-        block = objective.real if real else sdp.real_embed(objective) / 2.0
+        block = objective if real else sdp.real_embed(objective) / 2.0
         if weight != 1:
             block *= weight
             rows_block *= weight
@@ -402,6 +427,60 @@ def build_marginal_sdp(spec: MarginalProblemSpec) -> sdp.SdpProblem:
     return sdp.SdpProblem([c.shape[0] for c in C], C, A, b)
 
 
+def _uniform_entries(d: int, real: bool, symmetry) -> bool:
+    """Whether the nonzero entries of each element of the one-site basis
+    behind the rows (`window_basis`) share one magnitude."""
+    one = charge_basis(d)[0] if "u1" in symmetry else site_basis(d, real)[0]
+    mags = np.abs(one).reshape(len(one), -1)
+    return bool(np.all((mags == 0) | (mags == mags.max(axis=1, keepdims=True))))
+
+
+def assembly_margin(spec: MarginalProblemSpec, problem: sdp.SdpProblem, y) -> float:
+    """A bound on how far `sdp.dual_lower_bound` of the assembled `problem`
+    (`build_marginal_sdp(spec)`) at the dual vector y can sit above the same
+    certificate for the exactly assembled SDP.
+
+    Block k's entries enter the certificate through tr(Z_k X_k) with
+    tr X_k <= 1 / c_k, c_k the trace row's coefficient, so an error Delta in
+    C_k or in row i (times y_i) costs at most ||Delta||_F / c_k.
+
+    Objective: an entry of a block's objective (`_bond_sum`) is a
+    floating-point sum of at most m bond contributions x, so its real and
+    imaginary parts are each within gamma_m sum |x|, and the block is
+    entrywise within gamma_m S_k of the exact one, S_k the bond-by-bond sum
+    of |Re h| + |Im h|. The block weight and the real embedding scale C_k by
+    c_k too, so block k costs at most gamma_m ||S_k||_F. Terms that pass
+    `models.exact_sums` are summed exactly and cost nothing.
+
+    Rows: a row entry is one window operator entry, or the difference of two
+    (W_k's and W_0's), times the weight and the embedding's 1/2, which are
+    exact. When the nonzero entries of each one-site basis element share one
+    magnitude (d = 2, and the charge-graded basis for every d), so do those
+    of each window operator B, whose orbit sums add products on disjoint
+    entries; such a difference is then 0 or twice an entry, so every row is
+    exactly lift_{W_k}(B) - lift_{W_0}(B) for the computed B, a valid
+    constraint, and costs nothing. Otherwise (the Gell-Mann diagonals of
+    `site_basis`, d >= 3 without a charge) the difference rounds once, row i
+    of block k is within gamma_1 ||A_ik||_F of an exact one, and it costs
+    gamma_1 |y_i| ||A_ik||_F / c_k.
+    """
+    model, m, d = spec.model, spec.m, spec.model.d
+    real, symmetry = model.is_real, reduction(model)
+    h = np.asarray(model.term, dtype=float if real else complex)
+    margin = 0.0
+    if not exact_sums(h, m):
+        weight, bonds = np.abs(h.real) + np.abs(h.imag), _bonds(spec)
+        norms = [np.linalg.norm(_bond_sum(weight, states, bonds, m, d))
+                 for states, _ in _blocks(m, d, symmetry)]
+        margin += sdp._gamma(m) * float(sum(norms))
+    if not _uniform_entries(d, real, symmetry):
+        y = np.abs(np.asarray(y, dtype=float)[1:])  # the trace row is exact
+        for a in problem.A:
+            rows = np.sqrt(np.einsum("ijk,ijk->i", a[1:], a[1:]))
+            margin += sdp._gamma(1) * float(y @ rows) / a[0, 0, 0]
+    return margin * (1 + 1e-6)  # covers the rounding of the margin's own sums
+
+
 def improved_anderson_bound(spec: MarginalProblemSpec,
                             gap_tol: float = 1e-9) -> MarginalBoundResult:
     """Solve the marginal SDP; z is the rigorous dual-side value, z/m the bound.
@@ -411,10 +490,15 @@ def improved_anderson_bound(spec: MarginalProblemSpec,
     still accepted as long as its duality gap and primal residual are below
     sdp.QUALITY_TOL (`sdp.certified_solve`). The trace row's coefficient on
     each block, c_k there, is the block's weight, halved by a real embedding.
+    z also subtracts `assembly_margin`, rounded down, so the rounding in
+    assembling the SDP cannot invalidate the bound either.
     """
     t0 = time.perf_counter()
     problem = build_marginal_sdp(spec)
     sol, z = sdp.certified_solve(problem, "marginal", gap_tol=gap_tol)
+    margin = assembly_margin(spec, problem, sol.y)
+    if margin:  # rounded down, so the subtraction cannot lift the bound
+        z = float(np.nextafter(z - margin, -np.inf))
     return MarginalBoundResult(
         m=spec.m, s=spec.s, mode=spec.mode, placement=spec.placement,
         z=z, density_bound=z / spec.m, gap=sol.gap, feas_dual=sol.feas_dual,
@@ -424,4 +508,5 @@ def improved_anderson_bound(spec: MarginalProblemSpec,
                      "stalled": bool(sol.diagnostics.get("stalled", False)),
                      "blocks": list(problem.blocks),
                      "symmetry": list(reduction(spec.model)),
+                     "assembly_margin": margin,
                      **sdp.solve_counts(problem, sol)})

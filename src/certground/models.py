@@ -385,7 +385,7 @@ def assembly_margin(model: ModelSpec, patch: PatchSpec, sector=None) -> float:
     block meets every bond once, and the factors are at most sqrt|G|, so
     sum x^2 <= |G| bonds N max_a ||term[a, :]||^2. Without a symmetry factor,
     terms whose entries are multiples of 2^-30 with k max|entry| < 2^23 are
-    summed exactly, and the margin is 0.
+    summed exactly (`exact_sums`), and the margin is 0.
     """
     symmetry = getattr(sector, "symmetry", ())
     order = (1 + ("reflection" in symmetry)) * (1 + ("flip" in symmetry))
@@ -393,13 +393,22 @@ def assembly_margin(model: ModelSpec, patch: PatchSpec, sector=None) -> float:
     bonds = len(patch_bonds(patch))
     k = bonds + 2 * patch.D * order
     term = np.asarray(model.term)
-    parts = np.stack([term.real, term.imag])
-    scaled = np.ldexp(parts, 30)
-    if order == 1 and np.all(scaled == np.round(scaled)) and k * np.max(np.abs(parts)) < 2.0 ** 23:
+    if order == 1 and exact_sums(term, k):
         return 0.0
     gamma = (k + 2) * _U / (1 - (k + 2) * _U)
     row = float(np.max(np.linalg.norm(term, axis=1)))
     return gamma * float(np.sqrt(k * order * bonds * dim)) * row * (1 + 1e-6)
+
+
+def exact_sums(term: np.ndarray, k: int) -> bool:
+    """Whether every floating-point sum of at most k entries of `term`, real
+    and imaginary parts apart, is exact: entries that are multiples of 2^-30
+    with k max|entry| < 2^23 have partial sums that are multiples of 2^-30
+    below 2^23, which 53 bits hold."""
+    term = np.asarray(term)
+    parts = np.stack([term.real, term.imag])
+    scaled = np.ldexp(parts, 30)
+    return bool(np.all(scaled == np.round(scaled)) and k * np.max(np.abs(parts)) < 2.0 ** 23)
 
 
 def term_symmetries(model: ModelSpec) -> tuple:

@@ -151,6 +151,18 @@ class TestMarginalMoment:
         assert diagnostics["blocks"] == blocks
         assert diagnostics["symmetry"] == symmetry
 
+    @pytest.mark.parametrize("argv, exact", [
+        (["--model", "heisenberg", "--m", "5", "--s", "2"], True),
+        (["--model", "tfim", "--params", "1", "--m", "4", "--s", "1"], True),
+        (["--model", "random_twosite", "--params", "3", "--m", "4", "--s", "2"], False)])
+    def test_marginal_reports_assembly_margin(self, capsys, argv, exact):
+        # dyadic terms are assembled exactly; a random term pays a margin
+        code, out = run_capture(capsys, ["marginal"] + argv)
+        assert code == 0
+        margin = json.loads(out)["diagnostics"]["assembly_margin"]
+        assert (margin == 0) == exact
+        assert 0 <= margin < 1e-13
+
     def test_wrap_not_certified(self, capsys):
         code, out = run_capture(capsys, ["marginal", "--model", "heisenberg",
                                          "--m", "3", "--s", "1", "--mode", "wrap"])

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 
@@ -6,13 +7,14 @@ import pytest
 import scipy.linalg
 
 import certground as cg
-from certground import sdp
-from certground.marginal import (MarginalProblemSpec, boundary_sites,
+from certground import marginal, models, sdp
+from certground.marginal import (MarginalProblemSpec, _blocks, _uniform_entries,
+                                 _window_pairs, assembly_margin, boundary_sites,
                                  build_marginal_sdp, charge_basis, crossing_sites,
                                  improved_anderson_bound, partial_trace, reduction,
                                  site_basis, window_basis)
-from certground.models import (PatchSpec, build_patch, embed_on_sites, parse_model,
-                               state_charges)
+from certground.models import (PatchSpec, build_patch, embed_on_sites, exact_sums,
+                               parse_model, state_charges)
 from certground.pauli import labels_to_dense
 from certground.upper import ring_reference
 from tests.conftest import CHAIN, EMIN, RING
@@ -410,6 +412,148 @@ class TestBuildSdp:
         swap = np.eye(4)[[0, 2, 1, 3]]
         expect = np.linalg.eigvalsh(h + swap @ h @ swap)[0]
         assert abs(res.z - expect) < 1e-7
+
+
+def _embedded(spec, objective):
+    """A full-space objective as the SDP sees it: real, or real-embedded and
+    halved."""
+    return objective.real if spec.model.is_real else sdp.real_embed(objective) / 2.0
+
+
+def _two_sum_error(x, y):
+    """The rounding error of fl(x + y), exactly (Knuth's TwoSum)."""
+    s = x + y
+    bp = s - x
+    return (x - (s - bp)) + (y - bp)
+
+
+_OBJECTIVE_CASES = [
+    ("heisenberg", 5, 2, "consecutive", "middle"),
+    ("heisenberg", 5, 2, "consecutive", "literal_last"),
+    ("heisenberg", 5, 1, "wrap", "middle"),
+    ("heisenberg", 6, 2, "wrap", "literal_last"),
+    ("heisenberg", 2, 1, "wrap", "middle"),
+    ("random_twosite", 4, 2, "consecutive", "middle"),
+    ("random_twosite", 4, 1, "wrap", "middle"),
+    ("qutrit", 4, 1, "consecutive", "middle"),
+    ("spin1-xxz", 4, 1, "wrap", "literal_last"),
+    ("complex-qutrit", 3, 1, "consecutive", "middle")]
+
+
+def _objective_model(name):
+    return {"heisenberg": lambda: cg.builtin_model("heisenberg"),
+            "random_twosite": lambda: cg.builtin_model("random_twosite", [3.0]),
+            "qutrit": _qutrit_model, "spin1-xxz": _spin1_xxz,
+            "complex-qutrit": _complex_qutrit}[name]()
+
+
+class TestObjective:
+    @pytest.mark.parametrize("name, m, s, mode, placement", _OBJECTIVE_CASES)
+    def test_blocks_match_the_full_objective(self, name, m, s, mode, placement):
+        # each C block is the block's weight times the full-space objective
+        # (build_patch plus the sparse crossing term) on the block's states:
+        # bit for bit when the term's sums are exact, else both are within
+        # gamma_m S of the exact block, S the bond-by-bond sum of |Re h| + |Im h|
+        spec = MarginalProblemSpec(_objective_model(name), m, s, mode, placement)
+        h = np.asarray(spec.model.term)
+        weight = np.abs(h.real) + np.abs(h.imag)
+        reference = _embedded(spec, _full_objective(spec))
+        bound = _embedded(spec, _full_objective(
+            dataclasses.replace(spec, model=_dense_model("weight", weight))))
+        gamma = sdp._gamma(m)
+        prob = build_marginal_sdp(spec)
+        blocks = _blocks(m, spec.model.d, reduction(spec.model))
+        assert len(blocks) == len(prob.C)
+        for (states, w), c in zip(blocks, prob.C):
+            if not spec.model.is_real:
+                states = np.concatenate([states, states + spec.model.d ** m])
+            sub = np.ix_(states, states)
+            expect = w * reference[sub]
+            if exact_sums(h, m):
+                assert c.tobytes() == expect.tobytes()
+            else:
+                assert np.all(np.abs(c - expect) <= 2 * gamma * w * np.abs(bound[sub]))
+
+    def test_needs_no_patch_or_site_embedding(self, monkeypatch):
+        # the objective is gathered from the block's states, not cut from
+        # build_patch blocks and a d^m crossing operator
+        def refuse(*args, **kwargs):
+            raise AssertionError("not expected in the marginal SDP build")
+
+        monkeypatch.setattr(marginal, "build_patch", refuse)
+        monkeypatch.setattr(marginal, "embed_on_sites", refuse)
+        for name, m, s, mode, placement in _OBJECTIVE_CASES:
+            spec = MarginalProblemSpec(_objective_model(name), m, s, mode, placement)
+            assert build_marginal_sdp(spec).n_constraints >= 1
+
+    def test_module_keeps_the_traced_names(self):
+        # the benchmark tracer (perfbench/tracing.py) wraps
+        # certground.marginal.build_patch and .embed_on_sites by name: the
+        # imports are unused by the builder but must stay
+        assert marginal.build_patch is models.build_patch
+        assert marginal.embed_on_sites is models.embed_on_sites
+
+
+class TestAssemblyMargin:
+    @pytest.mark.parametrize("model, m, s", [
+        (cg.builtin_model("heisenberg"), 6, 1), (cg.builtin_model("xxz", [0.5]), 5, 2),
+        (cg.builtin_model("tfim", [1.0]), 5, 2)], ids=["heisenberg", "xxz", "tfim"])
+    def test_dyadic_terms_pay_nothing(self, model, m, s):
+        res = improved_anderson_bound(MarginalProblemSpec(model, m, s))
+        assert res.diagnostics["assembly_margin"] == 0.0
+
+    def test_random_term_pays_a_small_margin(self):
+        spec = MarginalProblemSpec(cg.builtin_model("random_twosite", [3.0]), 4, 2)
+        res = improved_anderson_bound(spec)
+        margin = res.diagnostics["assembly_margin"]
+        assert 0 < margin < 1e-13
+        # the certificate of the assembled SDP, lowered by the margin
+        prob = build_marginal_sdp(spec)
+        sol = sdp.solve(prob)
+        z = sdp.dual_lower_bound(prob, sol, trace_bounds=[1.0 / a[0, 0, 0] for a in prob.A])
+        assert res.z == float(np.nextafter(z - margin, -np.inf))
+        assert res.density_bound == res.z / spec.m
+
+    @pytest.mark.parametrize("make, m, s, exact", [
+        (lambda: cg.builtin_model("heisenberg"), 6, 2, True),
+        (lambda: cg.builtin_model("random_twosite", [3.0]), 4, 1, True),
+        (lambda: cg.builtin_model("tfim", [1.0]), 5, 2, True),
+        (_spin1_xxz, 4, 1, True), (_complex_qutrit, 3, 1, True), (_dm_model, 4, 1, True),
+        (_qutrit_model, 4, 1, False)],
+        ids=["heisenberg", "random_twosite", "tfim", "spin1-xxz", "complex-qutrit",
+             "xx+dm", "qutrit"])
+    def test_rows_are_exact_differences_on_uniform_bases(self, make, m, s, exact):
+        # a row entry on a pair that both W_0 and a later window reach is the
+        # difference of two window operator entries; it is exact when the
+        # one-site basis elements have entries of one magnitude, and the
+        # margin charges the rows otherwise
+        spec = MarginalProblemSpec(make(), m, s)
+        d, real, symmetry = spec.model.d, spec.model.is_real, reduction(spec.model)
+        assert _uniform_entries(d, real, symmetry) == exact
+        ops, _, _ = window_basis(d, 2 * s, real, symmetry)
+        windows = [list(range(k, k + 2 * s)) for k in range(m - 2 * s + 1)]
+        worst = 0.0
+        for states, _ in _blocks(m, d, symmetry):
+            i0, j0, a0, b0 = _window_pairs(states, windows[0], m, d)
+            first = {(p, q): k for k, (p, q) in enumerate(zip(i0, j0))}
+            for win in windows[1:]:
+                i, j, a, b = _window_pairs(states, win, m, d)
+                both = [(k, first[p, q]) for k, (p, q) in enumerate(zip(i, j))
+                        if (p, q) in first]
+                k, k0 = np.array(both).T
+                x, y = ops[:, a[k], b[k]], -ops[:, a0[k0], b0[k0]]
+                for part in (np.real, np.imag):
+                    worst = max(worst, np.abs(_two_sum_error(part(x), part(y))).max())
+        assert (worst == 0) == exact
+
+    def test_rounded_rows_are_charged(self):
+        # at y = 0 the rows cost nothing; at the solver's y the qutrit term's
+        # rounded rows add to the objective's charge
+        spec = MarginalProblemSpec(_qutrit_model(), 4, 1)
+        prob = build_marginal_sdp(spec)
+        sol = sdp.solve(prob)
+        objective_only = assembly_margin(spec, prob, np.zeros(prob.n_constraints))
+        assert 0 < objective_only < assembly_margin(spec, prob, sol.y) < 1e-12
 
 
 class TestBounds:
