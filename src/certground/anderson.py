@@ -21,7 +21,7 @@ import numpy as np
 
 from . import eigensolver
 from .models import (SYMMETRIES, ModelSpec, PatchSpec, assembly_margin, build_patch,
-                     charge_sectors, operator_norm)
+                     charge_sectors, divide_down, operator_norm)
 
 ANDERSON_CSV_COLUMNS = ("model", "D", "m", "lambda_min_patch", "bound",
                         "certified_bound", "guarantee_width", "residual", "seconds")
@@ -81,10 +81,11 @@ def anderson_bound(model: ModelSpec, m: int, D: int = 1, tol: float = 1e-8,
     eigensolver's point estimate; `certified_bound` uses its lower edge,
     proven below lambda_min when every block fits DENSE_CAP and
     value - residual otherwise. Each block's edge also subtracts its
-    `models.assembly_margin`, so neither floating-point assembly nor the
-    eigensolver can invalidate the lower-bound claim. When a block exceeds
-    DENSE_CAP the result is "unverified" whatever happens, so no block is
-    then factored: all of them are solved by Lanczos alone.
+    `models.assembly_margin`, and the edge's quotient is rounded down
+    (`models.divide_down`), so neither floating-point assembly, the
+    eigensolver nor the division can invalidate the lower-bound claim. When a
+    block exceeds DENSE_CAP the result is "unverified" whatever happens, so no
+    block is then factored: all of them are solved by Lanczos alone.
     """
     t0 = time.perf_counter()
     if D not in (1, 2):
@@ -112,7 +113,7 @@ def anderson_bound(model: ModelSpec, m: int, D: int = 1, tol: float = 1e-8,
         lambda_min_patch=eig.value,
         bound=anderson_formula(eig.value, m, D),
         guarantee_width=width,
-        certified_bound=anderson_formula(edge, m, D),
+        certified_bound=divide_down(edge, (m - 1) ** D),
         residual=eig.residual,
         converged=all(e.converged for e in eigs),
         iterations=sum(e.iterations for e in eigs),

@@ -36,7 +36,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import sdp
-from .models import ModelSpec, exact_sums, state_charges, term_symmetries
+from .models import ModelSpec, divide_down, exact_sums, state_charges, term_symmetries
 # unused here, but the benchmark tracer (perfbench/tracing.py) wraps them by name
 from .models import build_patch, embed_on_sites  # noqa: F401
 
@@ -115,37 +115,6 @@ def partial_trace(rho: np.ndarray, keep, d: int = 2) -> np.ndarray:
     return t.reshape(d ** k, d ** k)
 
 
-def site_basis(d: int, real: bool) -> tuple:
-    """Orthonormal (Frobenius) basis of one site's operators, I/sqrt(d) first.
-
-    Elements: I/sqrt(d); the traceless diagonal (generalized Gell-Mann)
-    matrices; per pair i < j, (E_ij + E_ji)/sqrt(2) and either
-    (E_ij - E_ji)/sqrt(2) (real) or i(E_ji - E_ij)/sqrt(2) (complex).
-    Returns the (d^2, d, d) stack and a mask of the antisymmetric / imaginary
-    elements, so a product of elements is real symmetric iff an even number of
-    its factors are masked.
-    """
-    basis = np.zeros((d * d, d, d), dtype=float if real else complex)
-    odd = np.zeros(d * d, dtype=bool)
-    basis[0] = np.eye(d) / np.sqrt(d)
-    for k in range(1, d):
-        basis[k, range(k), range(k)] = 1.0
-        basis[k, k, k] = -k
-        basis[k] /= np.sqrt(k * (k + 1))
-    r = 1.0 / np.sqrt(2.0)
-    idx = d
-    for i in range(d):
-        for j in range(i + 1, d):
-            basis[idx, i, j] = basis[idx, j, i] = r
-            if real:
-                basis[idx + 1, i, j], basis[idx + 1, j, i] = r, -r
-            else:
-                basis[idx + 1, i, j], basis[idx + 1, j, i] = -1j * r, 1j * r
-            odd[idx + 1] = True
-            idx += 2
-    return basis, odd
-
-
 def charge_basis(d: int) -> tuple:
     """A real basis of one site's operators, graded by charge and mapped to
     itself up to sign by the flip k -> d - 1 - k, I/sqrt(d) first.
@@ -154,6 +123,8 @@ def charge_basis(d: int) -> tuple:
     (flip-odd); (e_k + e_{d-1-k})/sqrt(2) for 0 < k < (d-1)/2 and, for odd d,
     e_{(d-1)/2} (flip-even); then every E_ij with i != j, which moves the
     charge by i - j. For d = 2: I/sqrt(2), Z/sqrt(2), |0><1| and |1><0|.
+    The nonzero entries of each element share one magnitude, which keeps
+    every row of the SDP exact (`assembly_margin`).
     Returns the (d^2, d, d) stack and each element's charge.
     """
     eye = np.eye(d)
@@ -185,13 +156,12 @@ def _signed_images(basis: np.ndarray, images: np.ndarray) -> tuple:
 def window_basis(d: int, sites: int, real: bool, symmetry=()) -> tuple:
     """The operators behind the rows on one window of `sites` sites.
 
-    Without "u1" in `symmetry` they are products of `site_basis` elements,
-    site 0 leftmost: all (d^2)^sites for complex models, an orthonormal basis
-    of the Hermitian operators, and the real symmetric ones (an even number of
-    antisymmetric factors) for real models. With "u1" they come from the
-    charge-conserving products P of `charge_basis` elements, which span the
-    operators that commute with the charge: P + P^T for real models, and
-    P + P^dag and i(P - P^dag) for complex ones. With "flip" as well, each is
+    They come from the products P of `charge_basis` elements, site 0
+    leftmost: P + P^T for real models, and P + P^dag and i(P - P^dag) for
+    complex ones, which span the real symmetric (Hermitian) operators,
+    d^w (d^w + 1) / 2 (d^(2w)) of them for w = `sites`. With "u1" in
+    `symmetry` only the charge-conserving products are used, which span the
+    operators that commute with the charge. With "flip" as well, each is
     summed, with sign +1 and with sign -1, with its image under the global
     flip, into operators of definite flip parity. A sum over an orbit counts
     each distinct product once, with its sign, and sums that cancel are
@@ -199,11 +169,7 @@ def window_basis(d: int, sites: int, real: bool, symmetry=()) -> tuple:
     Returns the stack, identity first, a mask of the operators whose last
     factor is the identity, and each one's flip parity (+1 or -1).
     """
-    if "u1" in symmetry:
-        one, charge = charge_basis(d)
-    else:
-        one, _ = site_basis(d, real)
-        charge = np.zeros(d * d, dtype=int)
+    one, charge = charge_basis(d)
     dagger, dagger_sign = _signed_images(one, one.conj().transpose(0, 2, 1))
     if "flip" in symmetry:
         flip, flip_sign = _signed_images(one, one[:, ::-1, ::-1])
@@ -211,7 +177,8 @@ def window_basis(d: int, sites: int, real: bool, symmetry=()) -> tuple:
         flip, flip_sign = np.arange(d * d), np.ones(d * d, dtype=int)
     n = d * d
     words = np.indices((n,) * sites).reshape(sites, -1).T  # lexicographic, site 0 first
-    words = words[charge[words].sum(axis=1) == 0]
+    if "u1" in symmetry:
+        words = words[charge[words].sum(axis=1) == 0]
     # the orbit of each word under flip and dagger: four images with signs
     images = [words, flip[words], dagger[words], dagger[flip[words]]]
     signs = [np.ones(len(words), dtype=int), flip_sign[words].prod(axis=1),
@@ -427,22 +394,14 @@ def build_marginal_sdp(spec: MarginalProblemSpec) -> sdp.SdpProblem:
     return sdp.SdpProblem([c.shape[0] for c in C], C, A, b)
 
 
-def _uniform_entries(d: int, real: bool, symmetry) -> bool:
-    """Whether the nonzero entries of each element of the one-site basis
-    behind the rows (`window_basis`) share one magnitude."""
-    one = charge_basis(d)[0] if "u1" in symmetry else site_basis(d, real)[0]
-    mags = np.abs(one).reshape(len(one), -1)
-    return bool(np.all((mags == 0) | (mags == mags.max(axis=1, keepdims=True))))
-
-
-def assembly_margin(spec: MarginalProblemSpec, problem: sdp.SdpProblem, y) -> float:
-    """A bound on how far `sdp.dual_lower_bound` of the assembled `problem`
-    (`build_marginal_sdp(spec)`) at the dual vector y can sit above the same
+def assembly_margin(spec: MarginalProblemSpec) -> float:
+    """A bound on how far `sdp.dual_lower_bound` of the assembled SDP
+    (`build_marginal_sdp(spec)`), at any dual vector, can sit above the same
     certificate for the exactly assembled SDP.
 
     Block k's entries enter the certificate through tr(Z_k X_k) with
     tr X_k <= 1 / c_k, c_k the trace row's coefficient, so an error Delta in
-    C_k or in row i (times y_i) costs at most ||Delta||_F / c_k.
+    C_k costs at most ||Delta||_F / c_k.
 
     Objective: an entry of a block's objective (`_bond_sum`) is a
     floating-point sum of at most m bond contributions x, so its real and
@@ -452,33 +411,23 @@ def assembly_margin(spec: MarginalProblemSpec, problem: sdp.SdpProblem, y) -> fl
     c_k too, so block k costs at most gamma_m ||S_k||_F. Terms that pass
     `models.exact_sums` are summed exactly and cost nothing.
 
-    Rows: a row entry is one window operator entry, or the difference of two
-    (W_k's and W_0's), times the weight and the embedding's 1/2, which are
-    exact. When the nonzero entries of each one-site basis element share one
-    magnitude (d = 2, and the charge-graded basis for every d), so do those
-    of each window operator B, whose orbit sums add products on disjoint
-    entries; such a difference is then 0 or twice an entry, so every row is
-    exactly lift_{W_k}(B) - lift_{W_0}(B) for the computed B, a valid
-    constraint, and costs nothing. Otherwise (the Gell-Mann diagonals of
-    `site_basis`, d >= 3 without a charge) the difference rounds once, row i
-    of block k is within gamma_1 ||A_ik||_F of an exact one, and it costs
-    gamma_1 |y_i| ||A_ik||_F / c_k.
+    Rows cost nothing. A row entry is one window operator entry, or the
+    difference of two (W_k's and W_0's), times the weight and the embedding's
+    1/2, which are exact. The nonzero entries of each `charge_basis` element
+    share one magnitude, so do those of each window operator B, whose orbit
+    sums add products on disjoint entries; such a difference is then 0 or
+    twice an entry, so every row is exactly lift_{W_k}(B) - lift_{W_0}(B) for
+    the computed B, a valid constraint.
     """
     model, m, d = spec.model, spec.m, spec.model.d
-    real, symmetry = model.is_real, reduction(model)
-    h = np.asarray(model.term, dtype=float if real else complex)
-    margin = 0.0
-    if not exact_sums(h, m):
-        weight, bonds = np.abs(h.real) + np.abs(h.imag), _bonds(spec)
-        norms = [np.linalg.norm(_bond_sum(weight, states, bonds, m, d))
-                 for states, _ in _blocks(m, d, symmetry)]
-        margin += sdp._gamma(m) * float(sum(norms))
-    if not _uniform_entries(d, real, symmetry):
-        y = np.abs(np.asarray(y, dtype=float)[1:])  # the trace row is exact
-        for a in problem.A:
-            rows = np.sqrt(np.einsum("ijk,ijk->i", a[1:], a[1:]))
-            margin += sdp._gamma(1) * float(y @ rows) / a[0, 0, 0]
-    return margin * (1 + 1e-6)  # covers the rounding of the margin's own sums
+    h = np.asarray(model.term, dtype=float if model.is_real else complex)
+    if exact_sums(h, m):
+        return 0.0
+    weight, bonds = np.abs(h.real) + np.abs(h.imag), _bonds(spec)
+    norms = [np.linalg.norm(_bond_sum(weight, states, bonds, m, d))
+             for states, _ in _blocks(m, d, reduction(model))]
+    # the factor covers the rounding of the margin's own sums
+    return sdp._gamma(m) * float(sum(norms)) * (1 + 1e-6)
 
 
 def improved_anderson_bound(spec: MarginalProblemSpec,
@@ -490,18 +439,19 @@ def improved_anderson_bound(spec: MarginalProblemSpec,
     still accepted as long as its duality gap and primal residual are below
     sdp.QUALITY_TOL (`sdp.certified_solve`). The trace row's coefficient on
     each block, c_k there, is the block's weight, halved by a real embedding.
-    z also subtracts `assembly_margin`, rounded down, so the rounding in
-    assembling the SDP cannot invalidate the bound either.
+    z also subtracts `assembly_margin`, rounded down, and z/m is rounded down
+    (`models.divide_down`), so neither the rounding in assembling the SDP nor
+    the division can invalidate the bound either.
     """
     t0 = time.perf_counter()
     problem = build_marginal_sdp(spec)
     sol, z = sdp.certified_solve(problem, "marginal", gap_tol=gap_tol)
-    margin = assembly_margin(spec, problem, sol.y)
+    margin = assembly_margin(spec)
     if margin:  # rounded down, so the subtraction cannot lift the bound
         z = float(np.nextafter(z - margin, -np.inf))
     return MarginalBoundResult(
         m=spec.m, s=spec.s, mode=spec.mode, placement=spec.placement,
-        z=z, density_bound=z / spec.m, gap=sol.gap, feas_dual=sol.feas_dual,
+        z=z, density_bound=divide_down(z, spec.m), gap=sol.gap, feas_dual=sol.feas_dual,
         iterations=sol.iterations, seconds=time.perf_counter() - t0,
         diagnostics={"primal_obj": sol.primal_obj, "dual_obj": sol.dual_obj,
                      "status": sol.status,

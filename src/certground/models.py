@@ -18,6 +18,7 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 import scipy.sparse as sp
@@ -409,6 +410,14 @@ def exact_sums(term: np.ndarray, k: int) -> bool:
     parts = np.stack([term.real, term.imag])
     scaled = np.ldexp(parts, 30)
     return bool(np.all(scaled == np.round(scaled)) and k * np.max(np.abs(parts)) < 2.0 ** 23)
+
+
+def divide_down(x: float, n: int) -> float:
+    """x / n rounded down: fl(x / n), or the float just below it when it lies
+    above the exact quotient, so a lower bound divided stays one; exact
+    quotients are returned as they are."""
+    q = x / n
+    return float(np.nextafter(q, -np.inf) if Fraction(q) > Fraction(x) / n else q)
 
 
 def term_symmetries(model: ModelSpec) -> tuple:

@@ -1,4 +1,5 @@
 import json
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -94,6 +95,17 @@ class TestSweep:
         row = rows[0].csv_row("heisenberg")
         assert row["model"] == "heisenberg"
         assert row["m"] == 4
+
+    def test_certified_bound_is_the_edge_quotient_rounded_down(self, heisenberg):
+        # the largest float at most edge / (m - 1) (fl(edge / (m - 1)) lies
+        # above the exact quotient at m = 7, 8, 12..15); a division by a power
+        # of two is exact and stays as it is
+        for r in anderson_sweep(heisenberg, range(3, 16), 1):
+            exact = Fraction(r.lambda_min_certified) / (r.m - 1)
+            assert Fraction(r.certified_bound) <= exact < Fraction(
+                np.nextafter(r.certified_bound, np.inf))
+            if r.m in (3, 5, 9):
+                assert r.certified_bound == r.lambda_min_certified / (r.m - 1)
 
     def test_guarantee_covers_emin(self, heisenberg):
         for m in (2, 3, 6, 9):

@@ -1,6 +1,6 @@
 import dataclasses
-import hashlib
 import json
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -8,11 +8,10 @@ import scipy.linalg
 
 import certground as cg
 from certground import marginal, models, sdp
-from certground.marginal import (MarginalProblemSpec, _blocks, _uniform_entries,
-                                 _window_pairs, assembly_margin, boundary_sites,
-                                 build_marginal_sdp, charge_basis, crossing_sites,
-                                 improved_anderson_bound, partial_trace, reduction,
-                                 site_basis, window_basis)
+from certground.marginal import (MarginalProblemSpec, _blocks, _window_pairs,
+                                 boundary_sites, build_marginal_sdp, charge_basis,
+                                 crossing_sites, improved_anderson_bound, partial_trace,
+                                 reduction, window_basis)
 from certground.models import (PatchSpec, build_patch, embed_on_sites, exact_sums,
                                parse_model, state_charges)
 from certground.pauli import labels_to_dense
@@ -206,17 +205,17 @@ class TestBuildSdp:
             np.testing.assert_array_equal(row, ref)
         np.testing.assert_array_equal(prob.A[0][0], np.eye(32) / 2.0)
 
-    @pytest.mark.parametrize("m, s, digest", [
-        (4, 1, "2eca140d1a177a2c0b491c85cb6b579d5cea916c46822a5d5ee5f516b93fc8b9"),
-        (5, 1, "6797d58d1cfa46815f46cea56f8ed87fc1d82667aa61f720f0af9f34871ad3c8"),
-        (5, 2, "82eba57a038c2ecfa34f6cf5921c0f12a44eee9cc4d92cdc38e0e4b50a99a347")])
-    def test_uncharged_rows_are_unchanged(self, m, s, digest):
+    @pytest.mark.parametrize("m, s", [(4, 1), (5, 1), (5, 2)])
+    def test_uncharged_rows_match_site_embedding(self, m, s):
         # a model without a charge is the trivial group, one block: its rows
-        # are byte for byte those of the builder before the symmetry reduction
-        prob = build_marginal_sdp(
-            MarginalProblemSpec(cg.builtin_model("random_twosite", [3.0]), m, s))
+        # are bit for bit the sparse site embeddings of the window operators
+        spec = MarginalProblemSpec(cg.builtin_model("random_twosite", [3.0]), m, s)
+        prob = build_marginal_sdp(spec)
         assert len(prob.blocks) == 1
-        assert hashlib.sha256(prob.A[0].tobytes()).hexdigest() == digest
+        expect = _rows_by_window(spec)
+        assert prob.n_constraints == 1 + len(expect)
+        for row, ref in zip(prob.A[0][1:], expect):
+            assert row.tobytes() == ref.tobytes()
 
     def test_kronecker_rows_match_site_embedding(self, heisenberg):
         # the builder gathers each operator's entries on the pairs of block
@@ -236,16 +235,30 @@ class TestBuildSdp:
                 assert row.tobytes() == ref.tobytes()
 
     def test_window_basis_is_kronecker_products(self):
-        for d, real in ((2, True), (2, False), (3, True)):
-            one, odd = site_basis(d, real)
+        # without a symmetry the operators are P + P^T for each product
+        # P = kron(one[a], one[b]) of charge_basis elements (P alone when
+        # symmetric), then for complex terms i(P - P^T) for each P != P^T:
+        # d^2 (d^2 + 1) / 2 real symmetric and d^4 Hermitian operators
+        for d, real in ((2, True), (2, False), (3, True), (3, False)):
+            one, _ = charge_basis(d)
+            n = d * d
+            flat = one.reshape(n, -1)
+            transpose = [int(np.flatnonzero(np.all(flat == B.T.ravel(), axis=1))[0])
+                         for B in one]
+            pairs = [(a, b) for a in range(n) for b in range(n)
+                     if (a, b) <= (transpose[a], transpose[b])]
+            products = [np.kron(one[a], one[b]) for a, b in pairs]
+            expect = [P if np.array_equal(P, P.T) else P + P.T for P in products]
+            ends = [b == 0 for _, b in pairs]
+            if not real:
+                asym = [k for k, P in enumerate(products) if not np.array_equal(P, P.T)]
+                expect += [1j * (products[k] - products[k].T) for k in asym]
+                ends += [pairs[k][1] == 0 for k in asym]
             basis, ends_in_identity, parity = window_basis(d, 2, real)
-            pairs = [(a, b) for a in range(d * d) for b in range(d * d)
-                     if not (real and odd[a] != odd[b])]
-            assert len(basis) == len(pairs)
+            assert len(basis) == (n * (n + 1) // 2 if real else n * n)
             assert np.all(parity == 1)
-            for B, last, (a, b) in zip(basis, ends_in_identity, pairs):
-                np.testing.assert_array_equal(B, np.kron(one[a], one[b]))
-                assert last == (b == 0)
+            np.testing.assert_array_equal(basis, np.array(expect))
+            np.testing.assert_array_equal(ends_in_identity, ends)
 
     @pytest.mark.parametrize("d, real, symmetry, count", [
         (2, True, ("u1",), 43), (2, True, ("u1", "flip"), 43),
@@ -276,28 +289,24 @@ class TestBuildSdp:
             expect = np.einsum("ij,ab->iajb", rest, np.eye(d))
             assert np.allclose(B, expect, atol=1e-14) == end
 
-    @pytest.mark.parametrize("d, real", [(2, True), (2, False), (3, True), (3, False)])
-    def test_site_basis(self, d, real):
-        one, odd = site_basis(d, real)
-        assert one.shape == (d * d, d, d)
-        np.testing.assert_allclose(one[0] * np.sqrt(d), np.eye(d), atol=1e-15)
-        gram = np.einsum("aij,bij->ab", one.conj(), one)
-        np.testing.assert_allclose(gram, np.eye(d * d), atol=1e-15)
-        # d diagonal elements and one symmetric plus one masked element per pair
-        assert odd.sum() == d * (d - 1) // 2
-        for B, flag in zip(one, odd):
-            if real:
-                assert B.dtype == float
-                np.testing.assert_array_equal(B.T, -B if flag else B)
-            else:
-                np.testing.assert_array_equal(B.conj().T, B)
-                assert np.any(B.imag) == flag
-
     @pytest.mark.parametrize("d", [2, 3, 4, 5])
     def test_charge_basis(self, d):
         one, charge = charge_basis(d)
+        assert one.shape == (d * d, d, d) and one.dtype == float
         np.testing.assert_allclose(one[0] * np.sqrt(d), np.eye(d), atol=1e-15)
         assert np.linalg.matrix_rank(one.reshape(d * d, -1)) == d * d
+        # unit elements, orthogonal but for I/sqrt(d) against the flip-even
+        # diagonals (e_k + e_{d-1-k}) / sqrt(2) and e_{(d-1)/2}, so orthonormal
+        # for d = 2 alone
+        gram = np.einsum("aij,bij->ab", one, one)
+        even = np.zeros((d * d, d * d), dtype=bool)
+        even[0, d // 2 + 1:d] = even[d // 2 + 1:d, 0] = True
+        np.testing.assert_allclose(np.where(even, 0.0, gram), np.eye(d * d), atol=1e-15)
+        assert np.all(gram[even] > 0) and even.any() == (d > 2)
+        # the nonzero entries of each element share one magnitude, so every
+        # row built from their products is exact
+        mags = np.abs(one).reshape(d * d, -1)
+        assert np.all((mags == 0) | (mags == mags.max(axis=1, keepdims=True)))
         digits = np.diag(np.arange(d)).astype(float)
         for B, q in zip(one, charge):  # [N, B] = q B
             np.testing.assert_allclose(digits @ B - B @ digits, q * B, atol=1e-15)
@@ -512,24 +521,35 @@ class TestAssemblyMargin:
         sol = sdp.solve(prob)
         z = sdp.dual_lower_bound(prob, sol, trace_bounds=[1.0 / a[0, 0, 0] for a in prob.A])
         assert res.z == float(np.nextafter(z - margin, -np.inf))
-        assert res.density_bound == res.z / spec.m
+        # z / m rounded down: the largest float at most the exact quotient
+        exact = Fraction(res.z) / spec.m
+        assert Fraction(res.density_bound) <= exact < Fraction(
+            np.nextafter(res.density_bound, np.inf))
 
-    @pytest.mark.parametrize("make, m, s, exact", [
-        (lambda: cg.builtin_model("heisenberg"), 6, 2, True),
-        (lambda: cg.builtin_model("random_twosite", [3.0]), 4, 1, True),
-        (lambda: cg.builtin_model("tfim", [1.0]), 5, 2, True),
-        (_spin1_xxz, 4, 1, True), (_complex_qutrit, 3, 1, True), (_dm_model, 4, 1, True),
-        (_qutrit_model, 4, 1, False)],
+    @pytest.mark.parametrize("model, m, s", [
+        (cg.builtin_model("heisenberg"), 5, 2), (cg.builtin_model("heisenberg"), 7, 2),
+        (cg.builtin_model("xxz", [0.5]), 5, 2)], ids=["heisenberg-5", "heisenberg-7", "xxz"])
+    def test_density_is_rounded_down(self, model, m, s):
+        # fl(z / m) lies above z / m here; the bound takes the float below it
+        res = improved_anderson_bound(MarginalProblemSpec(model, m, s))
+        assert Fraction(res.z / m) > Fraction(res.z) / m
+        assert Fraction(res.density_bound) <= Fraction(res.z) / m
+        assert res.density_bound == np.nextafter(res.z / m, -np.inf)
+
+    @pytest.mark.parametrize("make, m, s", [
+        (lambda: cg.builtin_model("heisenberg"), 6, 2),
+        (lambda: cg.builtin_model("random_twosite", [3.0]), 4, 1),
+        (lambda: cg.builtin_model("tfim", [1.0]), 5, 2),
+        (_spin1_xxz, 4, 1), (_complex_qutrit, 3, 1), (_dm_model, 4, 1), (_qutrit_model, 4, 1)],
         ids=["heisenberg", "random_twosite", "tfim", "spin1-xxz", "complex-qutrit",
              "xx+dm", "qutrit"])
-    def test_rows_are_exact_differences_on_uniform_bases(self, make, m, s, exact):
+    def test_rows_are_exact_differences_on_uniform_bases(self, make, m, s):
         # a row entry on a pair that both W_0 and a later window reach is the
-        # difference of two window operator entries; it is exact when the
-        # one-site basis elements have entries of one magnitude, and the
-        # margin charges the rows otherwise
+        # difference of two window operator entries; the charge_basis elements
+        # have entries of one magnitude, so it is exact for every d, with or
+        # without a charge
         spec = MarginalProblemSpec(make(), m, s)
         d, real, symmetry = spec.model.d, spec.model.is_real, reduction(spec.model)
-        assert _uniform_entries(d, real, symmetry) == exact
         ops, _, _ = window_basis(d, 2 * s, real, symmetry)
         windows = [list(range(k, k + 2 * s)) for k in range(m - 2 * s + 1)]
         worst = 0.0
@@ -544,16 +564,7 @@ class TestAssemblyMargin:
                 x, y = ops[:, a[k], b[k]], -ops[:, a0[k0], b0[k0]]
                 for part in (np.real, np.imag):
                     worst = max(worst, np.abs(_two_sum_error(part(x), part(y))).max())
-        assert (worst == 0) == exact
-
-    def test_rounded_rows_are_charged(self):
-        # at y = 0 the rows cost nothing; at the solver's y the qutrit term's
-        # rounded rows add to the objective's charge
-        spec = MarginalProblemSpec(_qutrit_model(), 4, 1)
-        prob = build_marginal_sdp(spec)
-        sol = sdp.solve(prob)
-        objective_only = assembly_margin(spec, prob, np.zeros(prob.n_constraints))
-        assert 0 < objective_only < assembly_margin(spec, prob, sol.y) < 1e-12
+        assert worst == 0
 
 
 class TestBounds:

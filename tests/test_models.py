@@ -1,12 +1,13 @@
 import json
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 import certground as cg
 from certground.models import (PatchSpec, Sector, assembly_margin, build_patch, build_ring,
-                               builtin_model, charge_sectors, embed_on_sites,
+                               builtin_model, charge_sectors, divide_down, embed_on_sites,
                                operator_norm, parse_model, patch_bonds, term_symmetries)
 from tests.conftest import CHAIN, RING
 
@@ -363,6 +364,20 @@ class TestOperatorNorm:
         import dataclasses
         scaled = dataclasses.replace(heisenberg, term=3.0 * np.asarray(heisenberg.term))
         assert abs(operator_norm(scaled) - 3.0 * operator_norm(heisenberg)) < 1e-10
+
+
+class TestDivideDown:
+    @pytest.mark.parametrize("x, n", [(-1.0, 3), (1.0, 3), (-3.0, 2), (0.0, 7),
+                                      (-6.749865198244971, 7), (-5e-324, 3)])
+    def test_largest_float_at_most_the_quotient(self, x, n):
+        q = divide_down(x, n)
+        assert Fraction(q) <= Fraction(x) / n < Fraction(np.nextafter(q, np.inf))
+
+    def test_exact_and_rounded_down_quotients_are_kept(self):
+        # -3/2 is exact and 1/3 rounds down, so both stay fl(x / n)
+        assert divide_down(-3.0, 2) == -1.5
+        assert divide_down(1.0, 3) == 1.0 / 3
+        assert divide_down(-1.0, 3) == np.nextafter(-1.0 / 3, -np.inf)
 
 
 class TestEmbed:
