@@ -289,6 +289,37 @@ class TestBuildSdp:
             expect = np.einsum("ij,ab->iajb", rest, np.eye(d))
             assert np.allclose(B, expect, atol=1e-14) == end
 
+    @pytest.mark.parametrize("d, real", [(2, True), (2, False), (3, True), (3, False)])
+    def test_site_basis(self, d, real):
+        # the one-site operators the rows are built from: I/sqrt(d), the other
+        # charge_basis diagonals, E_ij + E_ji per pair i < j and, for complex
+        # terms, i(E_ij - E_ji) per pair; they span the real symmetric
+        # (Hermitian) operators of one site
+        one, ends_in_identity, parity = window_basis(d, 1, real)
+        count = d * (d + 1) // 2 if real else d * d
+        assert one.shape == (count, d, d)
+        assert one.dtype == (float if real else complex)
+        np.testing.assert_allclose(one[0] * np.sqrt(d), np.eye(d), atol=1e-15)
+        np.testing.assert_array_equal(ends_in_identity, np.arange(count) == 0)
+        assert np.all(parity == 1)
+        flat = one.reshape(count, -1)
+        assert np.linalg.matrix_rank(np.concatenate([flat.real, flat.imag], axis=1)) == count
+        np.testing.assert_array_equal(one.conj().transpose(0, 2, 1), one)
+        # orthogonal but for I/sqrt(d) against the flip-even diagonals, as in
+        # charge_basis; unit norm but for sqrt(2) on the off-diagonal pairs
+        gram = np.einsum("aij,bij->ab", one.conj(), one).real
+        even = np.zeros((count, count), dtype=bool)
+        even[0, d // 2 + 1:d] = even[d // 2 + 1:d, 0] = True
+        norms = np.where(np.arange(count) < d, 1.0, 2.0)
+        np.testing.assert_allclose(np.where(even, 0.0, gram), np.diag(norms), atol=1e-15)
+        # d(d - 1)/2 imaginary elements for complex terms, none for real ones
+        imaginary = np.any(one.imag != 0, axis=(1, 2))
+        assert imaginary.sum() == (0 if real else d * (d - 1) // 2)
+        assert not np.any(one.real[imaginary]) and not np.any(one.imag[~imaginary])
+        # the nonzero entries of each element share one magnitude
+        mags = np.abs(flat)
+        assert np.all((mags == 0) | (mags == mags.max(axis=1, keepdims=True)))
+
     @pytest.mark.parametrize("d", [2, 3, 4, 5])
     def test_charge_basis(self, d):
         one, charge = charge_basis(d)
