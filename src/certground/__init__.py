@@ -9,9 +9,8 @@ from .marginal import (MarginalBoundResult, MarginalProblemSpec, build_marginal_
                        improved_anderson_bound, partial_trace)
 from .models import (ModelSpec, PatchSpec, build_patch, build_ring, builtin_model,
                      embed_on_sites, operator_norm, parse_model)
-from .moment import (MomentBoundResult, build_basis, build_structure,
-                     oracle_moment_matrix, ti_moment_bound)
-from .pauli import PauliString, canonicalize, dagger, multiply
+from .moment import (MomentBoundResult, build_structure, oracle_moment_matrix,
+                     ti_moment_bound)
 from .sdp import SdpProblem, SdpSolution, real_embed, solve
 from .upper import SandwichReport, product_state_upper, ring_reference
 

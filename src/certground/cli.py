@@ -194,14 +194,11 @@ def _run_sweep(model, args):
         return rows, moment.MOMENT_CSV_COLUMNS
     if not args.m or not args.s:
         raise ValidationError("sweep marginal requires --m a..b and --s a..b")
-    rows = []
-    for m in _parse_range(args.m):
-        for s in _parse_range(args.s):
-            if 2 * s > m:
-                continue
-            spec = marginal.MarginalProblemSpec(model, m, s, args.mode, args.placement)
-            rows.append(marginal.improved_anderson_bound(
-                spec, gap_tol=args.gap_tol).csv_row(model.name))
+    specs = [marginal.MarginalProblemSpec(model, m, s, args.mode, args.placement)
+             for m in _parse_range(args.m) for s in _parse_range(args.s)
+             if 2 * s <= m]  # the whole range, before any solve
+    rows = [marginal.improved_anderson_bound(spec, gap_tol=args.gap_tol).csv_row(model.name)
+            for spec in specs]
     return rows, marginal.MARGINAL_CSV_COLUMNS
 
 
@@ -221,21 +218,16 @@ def _parse_marginal(text: str):
 
 def _run_sandwich(model, args):
     marginal_args = _parse_marginal(args.marginal) if args.marginal else None
-    lower_rows = []
+    lower = []
     if args.anderson_m:
-        r = _anderson_report(model, argparse.Namespace(m=args.anderson_m, dim=args.dim,
-                                                       tol=args.tol, seed=args.seed))
-        lower_rows.append({"method": "anderson", "bound": r.lower, "certified": True,
-                           "params": r.params, "diagnostics": r.diagnostics})
+        lower.append(_anderson_report(model, argparse.Namespace(
+            m=args.anderson_m, dim=args.dim, tol=args.tol, seed=args.seed)))
     if args.moment_l:
-        r = _moment_report(model, args, args.moment_l)
-        lower_rows.append({"method": "moment", "bound": r.lower, "certified": True,
-                           "params": r.params, "diagnostics": r.diagnostics})
+        lower.append(_moment_report(model, args, args.moment_l))
     if marginal_args:
-        r = _marginal_report(model, args, *marginal_args)
-        lower_rows.append({"method": "marginal", "bound": r.lower,
-                           "certified": r.certified, "params": r.params,
-                           "diagnostics": r.diagnostics})
+        lower.append(_marginal_report(model, args, *marginal_args))
+    lower_rows = [{"method": r.method, "bound": r.lower, "certified": r.certified,
+                   "params": r.params, "diagnostics": r.diagnostics} for r in lower]
     if not lower_rows:
         raise ValidationError("sandwich needs at least one of --anderson-m, "
                               "--moment-l, --marginal")

@@ -15,9 +15,10 @@ state. With rho(y) = sum_c y_c R_c, where R_c is 2^-l times the sum of the
 translates of class c's standard string that fit in the window, every entry
 is X_ab = tr(rho(y) P_a P_b): in the orthonormal operator basis
 P_a / 2^(l/2), X(y) = 2^l U^dag R_rho U, with U unitary and R_rho the right
-multiplication by rho(y). So X(y) >= 0 exactly when rho(y) >= 0. The
-marginals of rho agree exactly when all translates of each class have one
-expectation, that is, exactly when rho = rho(y) for its class expectations y.
+multiplication by rho(y). So X(y) >= 0 exactly when rho(y) >= 0, and X(y)
+itself is never formed. The marginals of rho agree exactly when all
+translates of each class have one expectation, that is, exactly when
+rho = rho(y) for its class expectations y.
 
 `coefficient_matrices` gives the consistency rows P_{c,s} - P_{c,0}. Real
 models are solved on a real 2^l block with the rows that have an even number
@@ -26,11 +27,12 @@ of Y factors (the others vanish on a real symmetric rho, and
 real-embedded 2^(l+1) block. The bound is `sdp.dual_lower_bound`, Jansson,
 Chaykin & Keil's bound, as for the marginal SDP.
 
-`build_structure` and its Pauli product table stay on the path for now:
-the class table behind `variables` and the rows comes from it, and the
-benchmark's trace (`perfbench/tracing.py`) wraps this module's Pauli seams
-and pins their call count. Deleting the table and the Pauli-string algebra
-waits until that trace is re-pinned.
+`build_structure` lists the translation classes by walking every product
+P_a^dag P_b of the 4^l strings through this module's `dagger`, `multiply`
+and `hermitian_class`, keeping one representative per class and no 4^l x 4^l
+array. The benchmark pins that walk: `perfbench/test_perfbench.py` expects
+`pauli.multiply_calls == 16 * 16` at l = 2, and `perfbench/tracing.py` wraps
+those three names, `build_structure` and `coefficient_matrices` by name.
 """
 
 from __future__ import annotations
@@ -41,81 +43,46 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import sdp
-from .models import ModelSpec, embed_on_sites
-from .pauli import (PauliString, all_strings, dagger, hermitian_class, multiply,
-                    string_to_dense)
+from .marginal import partial_trace
+from .models import ModelSpec
+from .pauli import PauliString, all_strings, dagger, hermitian_class, multiply
 
 MOMENT_CSV_COLUMNS = ("model", "l", "variables", "matrix_size", "bound", "gap", "seconds")
 
 _MIN_WINDOW, _MAX_WINDOW = 2, 6
 
 
-@dataclass(frozen=True)
-class OperatorBasis:
-    """All Pauli strings on an l-site window, in deterministic lexical order."""
-
-    window: int
-    operators: tuple
-
-    def __len__(self) -> int:
-        return len(self.operators)
-
-
 def check_window(window: int) -> None:
-    """Raise ValueError unless `build_basis` accepts this window length."""
+    """Raise ValueError unless `build_structure` accepts this window length."""
     if not _MIN_WINDOW <= window <= _MAX_WINDOW:
         raise ValueError(f"window length must be in [{_MIN_WINDOW}, {_MAX_WINDOW}]")
 
 
-def build_basis(window: int) -> OperatorBasis:
-    check_window(window)
-    return OperatorBasis(window, tuple(all_strings(window)))
-
-
 @dataclass(frozen=True)
 class MomentStructure:
-    """Variable table and entry map of the translation-identified moment matrix."""
+    """The translation classes of the Pauli strings on an l-site window."""
 
     window: int
-    size: int
-    class_index: dict          # canonical class key -> variable index (0 = identity)
-    class_reps: tuple          # representative canonical PauliString per variable
-    phases: np.ndarray         # (size, size) complex entry phases
-    var_of: np.ndarray         # (size, size) int variable indices
+    class_reps: tuple          # standard PauliString per variable, the identity first
 
     @property
     def n_variables(self) -> int:
         return len(self.class_reps)
 
 
-def build_structure(basis: OperatorBasis) -> MomentStructure:
-    """Multiply all pairs symbolically and identify translation classes."""
-    ops = basis.operators
-    n = len(ops)
-    identity_key = (1, 0, 0)
-    class_index: dict = {identity_key: 0}
-    reps = [PauliString.identity(1)]
-    phases = np.zeros((n, n), dtype=complex)
-    var_of = np.zeros((n, n), dtype=np.int64)
-    for a in range(n):
-        da = dagger(ops[a])
-        for b in range(n):
-            prod = multiply(da, ops[b])
-            key, factor = hermitian_class(prod)
-            idx = class_index.get(key)
-            if idx is None:
-                idx = len(reps)
-                class_index[key] = idx
-                reps.append(PauliString(key[0], key[1], key[2],
-                                        (key[1] & key[2]).bit_count() % 4))
-            phases[a, b] = factor
-            var_of[a, b] = idx
-    return MomentStructure(basis.window, n, class_index, tuple(reps), phases, var_of)
-
-
-def assemble_moment_matrix(structure: MomentStructure, y: np.ndarray) -> np.ndarray:
-    """The complex Hermitian X(y); y[0] is the identity variable."""
-    return structure.phases * y[structure.var_of]
+def build_structure(window: int) -> MomentStructure:
+    """Multiply all pairs of strings symbolically and list their translation
+    classes in order of first appearance."""
+    check_window(window)
+    ops = tuple(all_strings(window))
+    reps = {(1, 0, 0): PauliString.identity(1)}
+    for a in ops:
+        da = dagger(a)
+        for b in ops:
+            key, _ = hermitian_class(multiply(da, b))
+            if key not in reps:
+                reps[key] = PauliString(*key, (key[1] & key[2]).bit_count() % 4)
+    return MomentStructure(window, tuple(reps.values()))
 
 
 def coefficient_matrices(structure: MomentStructure) -> np.ndarray:
@@ -168,7 +135,7 @@ class MomentBoundResult:
 
 
 def ti_moment_bound(model: ModelSpec, window: int,
-                    gap_tol: float = 1e-10) -> MomentBoundResult:
+                    gap_tol: float = 1e-9) -> MomentBoundResult:
     """Certified moment-hierarchy lower bound on the energy density.
 
     Solves min tr((h x I) rho) s.t. tr rho = 1 and tr(rho row) = 0 for every
@@ -180,7 +147,7 @@ def ti_moment_bound(model: ModelSpec, window: int,
     t0 = time.perf_counter()
     if model.d != 2:
         raise ValueError("the moment hierarchy requires a qubit model (d = 2)")
-    structure = build_structure(build_basis(window))
+    structure = build_structure(window)
     dim = 1 << window
     rows = [np.eye(dim), *coefficient_matrices(structure)]  # the trace row first
     objective = np.kron(np.asarray(model.term), np.eye(dim // 4))
@@ -195,34 +162,27 @@ def ti_moment_bound(model: ModelSpec, window: int,
     sol, bound = sdp.certified_solve(problem, "moment", gap_tol=gap_tol)
     return MomentBoundResult(
         window=window, bound=bound, variables=structure.n_variables,
-        matrix_size=structure.size, gap=sol.gap, iterations=sol.iterations,
+        matrix_size=4 ** window, gap=sol.gap, iterations=sol.iterations,
         seconds=time.perf_counter() - t0,
         diagnostics={"primal_obj": sol.primal_obj, "dual_obj": sol.dual_obj,
                      "status": sol.status, "psd_block": problem.blocks[0],
                      **sdp.solve_counts(problem, sol)})
 
 
-def oracle_moment_matrix(state: np.ndarray, n_sites: int, basis: OperatorBasis) -> np.ndarray:
-    """Translation-averaged moment matrix of an actual ring state (pure vector).
+def oracle_moment_matrix(state: np.ndarray, n_sites: int, window: int) -> np.ndarray:
+    """Translation average of a ring state's `window`-site reduced states.
 
-    X = (1/n) sum_j Gram(tau_j(O_a) |psi>), which is PSD by construction and
-    feasible for the translation-identified structure.
+    `state` is a pure state vector on `n_sites` ring sites. The average is a
+    feasible rho of `ti_moment_bound`: PSD with unit trace, and both of its
+    (l-1)-site marginals are the ring's averaged (l-1)-site state.
     """
     state = np.asarray(state, dtype=complex).ravel()
-    dim = 1 << n_sites
-    if state.size != dim:
+    if state.size != 1 << n_sites:
         raise ValueError("state dimension does not match the site count")
-    nrm = np.linalg.norm(state)
-    if abs(nrm - 1.0) > 1e-10:
+    if abs(np.linalg.norm(state) - 1.0) > 1e-10:
         raise ValueError("state vector is not normalized")
-    if n_sites < 2 * basis.window:
-        raise ValueError("ring must have at least twice the window length")
-    nb = len(basis)
-    X = np.zeros((nb, nb), dtype=complex)
-    for j in range(n_sites):
-        V = np.empty((dim, nb), dtype=complex)
-        sites = [(j + k) % n_sites for k in range(basis.window)]
-        for a, op in enumerate(basis.operators):
-            V[:, a] = embed_on_sites(string_to_dense(op), sites, n_sites) @ state
-        X += V.conj().T @ V
-    return X / n_sites
+    if not 1 <= window <= n_sites:
+        raise ValueError("window must fit on the ring")
+    omega = np.outer(state, state.conj())
+    return sum(partial_trace(omega, [(j + k) % n_sites for k in range(window)])
+               for j in range(n_sites)) / n_sites

@@ -96,7 +96,9 @@ class SandwichReport:
     def from_rows(cls, model_name: str, lower_rows, upper: float) -> "SandwichReport":
         """lower_rows: iterable of dicts with 'method', 'bound', 'certified'."""
         rows = tuple(lower_rows)
-        certified = [r for r in rows if r.get("certified", True)]
+        if any("certified" not in r for r in rows):
+            raise ValueError("every lower-bound row needs a 'certified' flag")
+        certified = [r for r in rows if r["certified"]]
         if not certified:
             raise ValueError("no certified lower bound available")
         best = max(certified, key=lambda r: r["bound"])

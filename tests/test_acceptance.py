@@ -15,7 +15,8 @@ import certground as cg
 from certground.anderson import anderson_bound, anderson_sweep
 from certground.marginal import MarginalProblemSpec, improved_anderson_bound
 from certground.models import PatchSpec, build_patch, build_ring
-from certground.moment import build_basis, oracle_moment_matrix, ti_moment_bound
+from certground.moment import (build_structure, coefficient_matrices, oracle_moment_matrix,
+                               ti_moment_bound)
 from certground.sdp import SdpProblem, solve
 from certground.upper import product_state_upper, ring_reference
 from tests.conftest import CHAIN, EMIN, PATCH2D_3
@@ -195,7 +196,7 @@ def test_criterion_6_wrap_vs_consecutive_table(capsys, marginal_grid, heisenberg
 
 
 def test_criterion_7_moment_bounds(capsys, heisenberg, zz_model):
-    """Moment hierarchy validity, monotonicity, ZZ oracle, state matrices."""
+    """Moment hierarchy validity, monotonicity, ZZ oracle, ring reduced states."""
     r2 = ti_moment_bound(heisenberg, 2)
     r3 = ti_moment_bound(heisenberg, 3)
     ok_valid = r2.bound <= EMIN + 1e-7 and r3.bound <= EMIN + 1e-7
@@ -207,10 +208,12 @@ def test_criterion_7_moment_bounds(capsys, heisenberg, zz_model):
     psi = vecs[:, 0]
     ok_state = True
     for window in (2, 3):
-        X = oracle_moment_matrix(psi, 8, build_basis(window))
+        rho = oracle_moment_matrix(psi, 8, window)
+        rows = coefficient_matrices(build_structure(window))
         ok_state = ok_state and (
-            np.linalg.eigvalsh((X + X.conj().T) / 2)[0] > -1e-9)
-    ok_dominate = r2.bound <= vals[0] / 8 + 1e-9
+            np.linalg.eigvalsh(rho)[0] > -1e-9
+            and np.abs(np.einsum("kij,ji->k", rows, rho)).max() < 1e-10)
+    ok_dominate = max(r2.bound, r3.bound) <= vals[0] / 8 + 1e-9
     ok = ok_valid and ok_mono and ok_zz and ok_state and ok_dominate
     assert report(capsys, "criterion 7 (moment hierarchy)", ok,
                   f"l=2: {r2.bound:.9f}, l=3: {r3.bound:.9f}, "

@@ -233,6 +233,19 @@ class TestSweep:
         assert "window length" in captured.err
         assert seconds < 1.0
 
+    def test_marginal_range_checked_before_any_solve(self, capsys, monkeypatch):
+        # (10, 2) is within the SDP cap, (11, 2) is not: nothing is solved
+        def no_solve(*args, **kwargs):
+            raise AssertionError("solved before the range was checked")
+
+        monkeypatch.setattr(cli.marginal, "improved_anderson_bound", no_solve)
+        code = run(["sweep", "--model", "heisenberg", "--method", "marginal",
+                    "--m", "10..11", "--s", "2"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert "SDP cap" in captured.err
+
 
 class TestSandwich:
     def test_composed_report(self, capsys):

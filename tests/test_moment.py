@@ -6,12 +6,11 @@ import scipy.sparse.linalg as spla
 
 from certground import sdp
 from certground.anderson import anderson_bound
-from certground.marginal import partial_trace
 from certground.models import build_ring, builtin_model
-from certground.moment import (assemble_moment_matrix, build_basis,
-                               build_structure, coefficient_matrices,
+from certground.moment import (build_structure, check_window, coefficient_matrices,
                                oracle_moment_matrix, ti_moment_bound)
-from certground.pauli import PauliString, string_to_dense
+from certground.pauli import (PauliString, all_strings, dagger, hermitian_class, multiply,
+                              string_to_dense)
 from tests.conftest import EMIN, RING
 
 # l = 3 bounds at the CLI's gap_tol 1e-9, frozen from the 4^l moment-matrix LMI
@@ -24,48 +23,55 @@ FROZEN_L3 = {
 
 
 class TestBasis:
+    # the operator set is all 4^l strings; the variables are the translation
+    # classes of their products
     def test_count(self):
-        assert len(build_basis(2)) == 16
-        assert len(build_basis(3)) == 64
+        assert build_structure(2).n_variables == 13  # I, 3 one-site, 9 two-site
+        assert build_structure(3).n_variables == 49
 
     def test_contains_standard_elements(self):
-        labels = {op.label for op in build_basis(2).operators}
-        assert {"II", "XI", "IX", "XX"} <= labels
+        labels = {rep.label for rep in build_structure(2).class_reps}
+        assert {"I", "X", "Y", "Z", "XX", "YZ"} <= labels
 
     def test_closed_under_dagger(self):
-        from certground.pauli import dagger
-        ops = build_basis(2).operators
-        assert all(dagger(op) == op for op in ops)
+        # every representative is a standard Hermitian string
+        assert all(dagger(rep) == rep for rep in build_structure(3).class_reps)
 
     def test_window_range(self):
-        with pytest.raises(ValueError):
-            build_basis(1)
-        with pytest.raises(ValueError):
-            build_basis(7)
+        for window in (2, 6):
+            check_window(window)
+        for window in (1, 7):
+            with pytest.raises(ValueError):
+                check_window(window)
+            with pytest.raises(ValueError):
+                build_structure(window)
 
 
 class TestStructure:
     def test_identity_diagonal(self):
-        st = build_structure(build_basis(2))
-        # every diagonal entry is the identity class with phase +1
-        assert np.all(np.diag(st.var_of) == 0)
-        np.testing.assert_allclose(np.diag(st.phases), 1.0)
+        # the identity is variable 0, and every diagonal product P_a^dag P_a is
+        # the identity with factor +1
+        reps = build_structure(2).class_reps
+        assert reps[0] == PauliString.identity(1)
+        identity_key, _ = hermitian_class(reps[0])
+        for p in all_strings(2):
+            assert hermitian_class(multiply(dagger(p), p)) == (identity_key, 1)
 
     def test_translation_identification(self):
-        st = build_structure(build_basis(2))
-        ops = list(build_basis(2).operators)
-        i_z0 = ops.index(PauliString.from_label("ZI"))
-        i_z1 = ops.index(PauliString.from_label("IZ"))
-        ident = ops.index(PauliString.from_label("II"))
-        assert st.var_of[ident, i_z0] == st.var_of[ident, i_z1]
+        keys = [hermitian_class(rep)[0] for rep in build_structure(2).class_reps]
+        z0, _ = hermitian_class(PauliString.from_label("ZI"))
+        z1, _ = hermitian_class(PauliString.from_label("IZ"))
+        assert z0 == z1
+        assert keys.count(z0) == 1
 
     def test_hermitian_assembly(self):
-        st = build_structure(build_basis(2))
-        rng = np.random.default_rng(0)
-        y = rng.standard_normal(st.n_variables)
+        # rho(y) assembled from the class table is Hermitian with unit trace
+        st = build_structure(2)
+        y = np.random.default_rng(0).standard_normal(st.n_variables)
         y[0] = 1.0
-        X = assemble_moment_matrix(st, y)
-        np.testing.assert_allclose(X, X.conj().T, atol=1e-13)
+        rho = density_matrix(st, y)
+        np.testing.assert_allclose(rho, rho.conj().T, atol=1e-13)
+        assert abs(np.trace(rho) - 1.0) < 1e-13
 
 
 def captured_solve(monkeypatch):
@@ -85,10 +91,13 @@ def ring_marginal(model, n, window):
     """The n-site ring ground state's reduced state on `window` consecutive
     sites, averaged over the ring's translations, and its energy density."""
     vals, vecs = np.linalg.eigh(build_ring(model, n).toarray())
-    state = np.outer(vecs[:, 0], vecs[:, 0].conj())
-    rho = sum(partial_trace(state, [(j + k) % n for k in range(window)])
-              for j in range(n)) / n
-    return rho, vals[0] / n
+    return oracle_moment_matrix(vecs[:, 0], n, window), vals[0] / n
+
+
+def row_residual(rho):
+    """The largest |tr(rho row)| over the consistency rows of rho's window."""
+    rows = coefficient_matrices(build_structure(rho.shape[0].bit_length() - 1))
+    return np.abs(np.einsum("kij,ji->k", rows, rho)).max()
 
 
 class TestObjective:
@@ -127,9 +136,10 @@ class TestBound:
         assert abs(r.bound + 1.0) < 1e-6
 
     def test_stalled_solve_is_accepted_at_the_defaults(self):
-        # tfim(1) at l = 4 can stall short of the default 1e-10 tolerances (gap
-        # about 2e-11 with two BLAS threads); the certificate charges every
-        # residual, so the stalled iterate still gives a bound
+        # tfim(1) at l = 4 stalls short of the default 1e-9 tolerances (gap
+        # 8.6e-10 but primal residual 2.1e-9 after 17 iterations, with one or
+        # two BLAS threads); the certificate charges every residual, so the
+        # stalled iterate still gives a bound
         model = builtin_model("tfim", [1.0])
         r = ti_moment_bound(model, 4)
         assert r.diagnostics["status"] in ("optimal", "max_iter")
@@ -164,31 +174,25 @@ class TestBound:
 
 class TestOracleMatrix:
     def test_maximally_mixed(self):
-        basis = build_basis(2)
+        # averaged over the computational basis states of a 4-site ring, the
+        # oracle is the maximally mixed state, which satisfies every row
         dim = 2 ** 4
-        # the maximally mixed state as an explicit ensemble average:
-        # expectation of P is nonzero only for the identity string, so only
-        # the identity class survives
-        st = build_structure(basis)
-        X_expect = np.where(st.var_of == 0, st.phases, 0.0)
-        acc = np.zeros((len(basis), len(basis)), dtype=complex)
-        rng = np.random.default_rng(0)
-        # exact computation instead of sampling: sum over computational basis
-        for i in range(dim):
-            e = np.zeros(dim)
-            e[i] = 1.0
-            acc += oracle_moment_matrix(e, 4, basis)
-        np.testing.assert_allclose(acc / dim, X_expect, atol=1e-12)
+        rho = sum(oracle_moment_matrix(e, 4, 2) for e in np.eye(dim)) / dim
+        np.testing.assert_allclose(rho, np.eye(4) / 4, rtol=0, atol=1e-12)
+        assert row_residual(rho) < 1e-10
 
     def test_ring_ground_state_psd_and_dominates(self, heisenberg):
         H = build_ring(heisenberg, 8)
         vals, vecs = spla.eigsh(H.tocsc().astype(float), k=1, which="SA")
         psi = vecs[:, 0]
         for window in (2, 3):
-            X = oracle_moment_matrix(psi, 8, build_basis(window))
-            ev = np.linalg.eigvalsh((X + X.conj().T) / 2)
-            assert ev[0] > -1e-9
-        assert ti_moment_bound(heisenberg, 2).bound <= vals[0] / 8 + 1e-9
+            rho = oracle_moment_matrix(psi, 8, window)
+            assert np.linalg.eigvalsh(rho)[0] > -1e-9
+            assert row_residual(rho) < 1e-10
+            h = np.kron(np.asarray(heisenberg.term), np.eye(2 ** (window - 2)))
+            energy = np.trace(h @ rho).real
+            assert abs(energy - vals[0] / 8) < 1e-9
+            assert ti_moment_bound(heisenberg, window).bound <= energy + 1e-9
 
     def test_product_state_psd(self):
         rng = np.random.default_rng(1)
@@ -197,8 +201,9 @@ class TestOracleMatrix:
         psi = np.array([1.0])
         for s in single:
             psi = np.kron(psi, s)
-        X = oracle_moment_matrix(psi, 4, build_basis(2))
-        assert np.linalg.eigvalsh((X + X.conj().T) / 2)[0] > -1e-10
+        rho = oracle_moment_matrix(psi, 4, 2)
+        assert np.linalg.eigvalsh(rho)[0] > -1e-10
+        assert row_residual(rho) < 1e-10
 
 
 def translate(rep, window, s):
@@ -220,14 +225,17 @@ def density_matrix(structure, y):
 class TestDensityMatrixLmi:
     @pytest.mark.parametrize("window", [2, 3])
     def test_spectral_identity(self, window):
-        # X(y) = 2^l U^dag R_rho U: spec X is 2^l spec rho, each repeated 2^l times
-        st = build_structure(build_basis(window))
+        # X_ab = tr(rho(y) P_a P_b) over all 4^l strings is 2^l U^dag R_rho U:
+        # spec X is 2^l spec rho, each repeated 2^l times
+        st = build_structure(window)
         rng = np.random.default_rng(window)
         y = rng.standard_normal(st.n_variables)
         y[0] = 1.0
-        got = np.linalg.eigvalsh(assemble_moment_matrix(st, y))
-        want = np.repeat(2 ** window * np.linalg.eigvalsh(density_matrix(st, y)),
-                         2 ** window)
+        rho = density_matrix(st, y)
+        P = np.stack([string_to_dense(p) for p in all_strings(window)])
+        X = np.einsum("ij,ajk,bki->ab", rho, P, P, optimize=True)
+        got = np.linalg.eigvalsh(X)
+        want = np.repeat(2 ** window * np.linalg.eigvalsh(rho), 2 ** window)
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
     def test_reduced_state_satisfies_every_row(self, heisenberg):
@@ -235,7 +243,7 @@ class TestDensityMatrixLmi:
         vals, vecs = np.linalg.eigh(build_ring(heisenberg, 8).toarray())
         psi = vecs[:, 0].reshape(8, 32)  # site 0 is the leftmost factor
         rho = psi @ psi.conj().T
-        rows = coefficient_matrices(build_structure(build_basis(3)))
+        rows = coefficient_matrices(build_structure(3))
         assert len(rows) == 15
         np.testing.assert_allclose(np.einsum("kij,ji->k", rows, rho), 0.0,
                                    rtol=0, atol=1e-12)
@@ -243,7 +251,7 @@ class TestDensityMatrixLmi:
     @pytest.mark.parametrize("window", [2, 3, 4])
     def test_coefficients_are_the_translate_differences(self, window):
         # P_{c,s} - P_{c,0} against dense Kronecker products of each string
-        st = build_structure(build_basis(window))
+        st = build_structure(window)
         want = [string_to_dense(translate(rep, window, s))
                 - string_to_dense(translate(rep, window, 0))
                 for rep in st.class_reps[1:] for s in range(1, window - rep.width + 1)]

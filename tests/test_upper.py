@@ -75,3 +75,9 @@ class TestSandwichReport:
         with pytest.raises(ValueError):
             SandwichReport.from_rows("m", [{"method": "x", "bound": -1.0,
                                             "certified": False}], upper=0.0)
+
+    def test_rejects_a_row_without_the_flag(self):
+        rows = [{"method": "anderson", "bound": -1.0, "certified": True},
+                {"method": "moment", "bound": -0.9}]
+        with pytest.raises(ValueError, match="'certified' flag"):
+            SandwichReport.from_rows("m", rows, upper=-0.3)
