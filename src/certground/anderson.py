@@ -1,5 +1,5 @@
 """The Anderson lower bound on the ground-state energy density, its
-performance-guarantee width, and sweep tooling.
+performance-guarantee width.
 
 For a translationally invariant nearest-neighbour model, the smallest
 eigenvalue of an open m^D patch gives the density lower bound
@@ -14,48 +14,12 @@ directly (`models.build_patch`).
 
 from __future__ import annotations
 
-import time
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import eigensolver
 from .models import (SYMMETRIES, ModelSpec, PatchSpec, assembly_margin, build_patch,
                      charge_sectors, divide_down, operator_norm)
-
-ANDERSON_CSV_COLUMNS = ("model", "D", "m", "lambda_min_patch", "bound",
-                        "certified_bound", "guarantee_width", "residual", "seconds")
-
-
-@dataclass(frozen=True)
-class AndersonResult:
-    m: int
-    D: int
-    lambda_min_patch: float
-    bound: float
-    guarantee_width: float
-    certified_bound: float
-    residual: float
-    converged: bool
-    iterations: int
-    seconds: float
-    lambda_min_certified: float  # the lower edge certified_bound is computed from
-    minimality: str              # "cholesky" (proven) or "unverified"
-    reorthogonalized: int        # Lanczos steps that reorthogonalized against the basis
-    sectors: int                 # blocks solved
-    sector_dim: int              # dimension of the largest of them
-    symmetry: tuple              # reductions used, in models.SYMMETRIES order
-    assembly_margin: float       # largest assembly-rounding margin subtracted from an edge
-
-    def csv_row(self, model_name: str) -> dict:
-        return {
-            "model": model_name, "D": self.D, "m": self.m,
-            "lambda_min_patch": self.lambda_min_patch, "bound": self.bound,
-            "certified_bound": self.certified_bound,
-            "guarantee_width": self.guarantee_width,
-            "residual": self.residual, "seconds": self.seconds,
-        }
-
+from .reports import BoundReport
 
 def anderson_formula(lambda_min_patch: float, m: int, D: int) -> float:
     """The density bound lambda_min(h_m)/(m-1)^D; valid for any D."""
@@ -72,22 +36,22 @@ def guarantee_formula(lambda_min_patch: float, h_norm: float, m: int, D: int) ->
 
 
 def anderson_bound(model: ModelSpec, m: int, D: int = 1, tol: float = 1e-8,
-                   seed: int = 0) -> AndersonResult:
+                   seed: int = 0) -> BoundReport:
     """The Anderson bound with guarantee for one patch size.
 
     The patch is solved one block at a time (`models.charge_sectors`), each
     block assembled on its own (`models.build_patch`): lambda_min and its
-    certified edge are the minima over the blocks. `bound` uses the
-    eigensolver's point estimate; `certified_bound` uses its lower edge,
-    proven below lambda_min when every block fits DENSE_CAP and
-    value - residual otherwise. Each block's edge also subtracts its
+    certified edge are the minima over the blocks. The diagnostics'
+    `bound_point_estimate` uses the eigensolver's point estimate; `lower` uses
+    its lower edge, proven below lambda_min when every block fits DENSE_CAP
+    and value - residual otherwise, so the report is `certified` exactly when
+    `minimality` is "cholesky". Each block's edge also subtracts its
     `models.assembly_margin`, and the edge's quotient is rounded down
     (`models.divide_down`), so neither floating-point assembly, the
     eigensolver nor the division can invalidate the lower-bound claim. When a
     block exceeds DENSE_CAP the result is "unverified" whatever happens, so no
     block is then factored: all of them are solved by Lanczos alone.
     """
-    t0 = time.perf_counter()
     if D not in (1, 2):
         raise ValueError("patch diagonalization supports D in {1, 2} only")
     patch = PatchSpec(m, D, "open")
@@ -106,37 +70,20 @@ def anderson_bound(model: ModelSpec, m: int, D: int = 1, tol: float = 1e-8,
     eig = min(eigs, key=lambda e: e.value)
     edge = min(edges)
     proven = all(e.minimality == "cholesky" for e in eigs)
-    width = guarantee_formula(eig.value, operator_norm(model), m, D)
     used = {name for s in sectors for name in s.symmetry}
-    return AndersonResult(
-        m=m, D=D,
-        lambda_min_patch=eig.value,
-        bound=anderson_formula(eig.value, m, D),
-        guarantee_width=width,
-        certified_bound=divide_down(edge, (m - 1) ** D),
-        residual=eig.residual,
-        converged=all(e.converged for e in eigs),
-        iterations=sum(e.iterations for e in eigs),
-        seconds=time.perf_counter() - t0,
-        lambda_min_certified=edge,
-        minimality="cholesky" if proven else "unverified",
-        reorthogonalized=sum(e.reorthogonalized for e in eigs),
-        sectors=len(sectors),
-        sector_dim=max(len(s) for s in sectors),
-        symmetry=tuple(name for name in SYMMETRIES if name in used),
-        assembly_margin=max(margins),
-    )
-
-
-def anderson_sweep(model: ModelSpec, m_values, D: int = 1, tol: float = 1e-8,
-                   seed: int = 0) -> list:
-    """One AndersonResult per m, computed in order in this process; failures
-    are recorded per row, the sweep continues."""
-    return [_sweep_point(model, D, tol, seed, m) for m in m_values]
-
-
-def _sweep_point(model, D, tol, seed, m):
-    try:
-        return anderson_bound(model, m, D, tol=tol, seed=seed)
-    except Exception as e:  # recorded per row
-        return {"m": m, "D": D, "error": str(e)}
+    return BoundReport(
+        method="anderson", model=model.name,
+        params={"m": m, "D": D, "tol": tol, "seed": seed},
+        lower=divide_down(edge, (m - 1) ** D), certified=proven,
+        guarantee_width=guarantee_formula(eig.value, operator_norm(model), m, D),
+        diagnostics={"bound_point_estimate": anderson_formula(eig.value, m, D),
+                     "lambda_min_patch": eig.value,
+                     "residual": eig.residual,
+                     "iterations": sum(e.iterations for e in eigs),
+                     "minimality": "cholesky" if proven else "unverified",
+                     "lambda_min_certified": edge,
+                     "reorthogonalized_steps": sum(e.reorthogonalized for e in eigs),
+                     "sectors": len(sectors),
+                     "sector_dim": max(len(s) for s in sectors),
+                     "symmetry": [name for name in SYMMETRIES if name in used],
+                     "assembly_margin": max(margins)})

@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import functools
 import sys
+import time
 
 import numpy as np
 
@@ -121,85 +122,50 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
-def _anderson_report(model, args):
-    res = anderson.anderson_bound(model, args.m, args.dim, tol=args.tol, seed=args.seed)
-    return reports.BoundReport(
-        method="anderson", model=model.name,
-        params={"m": args.m, "D": args.dim, "tol": args.tol, "seed": args.seed},
-        lower=res.certified_bound, certified=True,
-        guarantee_width=res.guarantee_width,
-        diagnostics={"bound_point_estimate": res.bound,
-                     "lambda_min_patch": res.lambda_min_patch,
-                     "residual": res.residual, "iterations": res.iterations,
-                     "minimality": res.minimality,
-                     "lambda_min_certified": res.lambda_min_certified,
-                     "reorthogonalized_steps": res.reorthogonalized,
-                     "sectors": res.sectors, "sector_dim": res.sector_dim,
-                     "symmetry": list(res.symmetry),
-                     "assembly_margin": res.assembly_margin})
+def _anderson(model, args, m):
+    return anderson.anderson_bound(model, m, args.dim, tol=args.tol, seed=args.seed)
 
 
-def _solve_counts(res) -> dict:
-    return {k: res.diagnostics[k]
-            for k in ("constraints", "schur_fallback", "pruned_constraints")}
+def _marginal(args, spec):
+    return marginal.improved_anderson_bound(spec, gap_tol=args.gap_tol)
 
 
-def _marginal_report(model, args, m, s, mode, placement):
-    spec = marginal.MarginalProblemSpec(model, m, s, mode, placement)
-    res = marginal.improved_anderson_bound(spec, gap_tol=args.gap_tol)
-    certified = mode == "consecutive"
-    return reports.BoundReport(
-        method="marginal", model=model.name,
-        params={"m": m, "s": s, "mode": mode, "placement": placement},
-        lower=res.density_bound, certified=certified,
-        diagnostics={"z": res.z, "gap": res.gap, "dual_residual": res.feas_dual,
-                     "iterations": res.iterations,
-                     "status": res.diagnostics["status"],
-                     "stalled": res.diagnostics["stalled"],
-                     "blocks": res.diagnostics["blocks"],
-                     "symmetry": res.diagnostics["symmetry"],
-                     "assembly_margin": res.diagnostics["assembly_margin"],
-                     **_solve_counts(res)})
+def _moment(model, args, window):
+    return moment.ti_moment_bound(model, window, gap_tol=args.gap_tol)
 
 
-def _moment_report(model, args, window):
-    res = moment.ti_moment_bound(model, window, gap_tol=args.gap_tol)
-    return reports.BoundReport(
-        method="moment", model=model.name, params={"l": window},
-        lower=res.bound, certified=True,
-        diagnostics={"variables": res.variables, "matrix_size": res.matrix_size,
-                     "psd_block": res.diagnostics["psd_block"],
-                     "gap": res.gap, "iterations": res.iterations,
-                     "status": res.diagnostics["status"],
-                     **_solve_counts(res)})
+def _timed_row(solve, *point) -> dict:
+    """`solve(*point)`'s report as a sweep row, timed here."""
+    t0 = time.perf_counter()
+    report = solve(*point)
+    return reports.sweep_row(report, time.perf_counter() - t0)
 
 
 def _run_sweep(model, args):
     if args.method == "anderson":
         if not args.m:
             raise ValidationError("sweep anderson requires --m a..b")
-        results = anderson.anderson_sweep(model, _parse_range(args.m), args.dim,
-                                          tol=args.tol, seed=args.seed)
-        rows = [r.csv_row(model.name) if isinstance(r, anderson.AndersonResult) else r
-                for r in results]
-        return rows, anderson.ANDERSON_CSV_COLUMNS
-    if args.method == "moment":
+        rows = []
+        for m in _parse_range(args.m):
+            try:
+                rows.append(_timed_row(_anderson, model, args, m))
+            except Exception as e:  # recorded per row, the sweep continues
+                rows.append({"m": m, "D": args.dim, "error": str(e)})
+    elif args.method == "moment":
         if not args.l:
             raise ValidationError("sweep moment requires --l a..b")
         windows = _parse_range(args.l)
         for window in windows:  # the whole range, before any solve
             moment.check_window(window)
-        rows = [moment.ti_moment_bound(model, window, gap_tol=args.gap_tol).csv_row(model.name)
-                for window in windows]
-        return rows, moment.MOMENT_CSV_COLUMNS
-    if not args.m or not args.s:
-        raise ValidationError("sweep marginal requires --m a..b and --s a..b")
-    specs = [marginal.MarginalProblemSpec(model, m, s, args.mode, args.placement)
-             for m in _parse_range(args.m) for s in _parse_range(args.s)
-             if 2 * s <= m]  # the whole range, before any solve
-    rows = [marginal.improved_anderson_bound(spec, gap_tol=args.gap_tol).csv_row(model.name)
-            for spec in specs]
-    return rows, marginal.MARGINAL_CSV_COLUMNS
+        rows = [_timed_row(_moment, model, args, window) for window in windows]
+    else:
+        if not args.m or not args.s:
+            raise ValidationError("sweep marginal requires --m a..b and --s a..b")
+        specs = [marginal.MarginalProblemSpec(model, m, s, args.mode, args.placement)
+                 for m in _parse_range(args.m) for s in _parse_range(args.s)
+                 if 2 * s <= m]  # the whole range, before any solve
+        rows = [_timed_row(_marginal, args, spec) for spec in specs]
+    return rows, reports.CSV_COLUMNS[args.method]
 
 
 def _parse_marginal(text: str):
@@ -217,15 +183,15 @@ def _parse_marginal(text: str):
 
 
 def _run_sandwich(model, args):
-    marginal_args = _parse_marginal(args.marginal) if args.marginal else None
+    spec = (marginal.MarginalProblemSpec(model, *_parse_marginal(args.marginal))
+            if args.marginal else None)
     lower = []
     if args.anderson_m:
-        lower.append(_anderson_report(model, argparse.Namespace(
-            m=args.anderson_m, dim=args.dim, tol=args.tol, seed=args.seed)))
+        lower.append(_anderson(model, args, args.anderson_m))
     if args.moment_l:
-        lower.append(_moment_report(model, args, args.moment_l))
-    if marginal_args:
-        lower.append(_marginal_report(model, args, *marginal_args))
+        lower.append(_moment(model, args, args.moment_l))
+    if spec:
+        lower.append(_marginal(args, spec))
     lower_rows = [{"method": r.method, "bound": r.lower, "certified": r.certified,
                    "params": r.params, "diagnostics": r.diagnostics} for r in lower]
     if not lower_rows:
@@ -234,7 +200,8 @@ def _run_sandwich(model, args):
     up = upper.product_state_upper(model, restarts=args.restarts, seed=args.seed)
     report = upper.SandwichReport.from_rows(model.name, lower_rows, up)
     return {"model": report.model, "lower": report.lower,
-            "lower_method": report.lower_method, "upper": report.upper,
+            "lower_method": report.lower_method, "certified": report.certified,
+            "upper": report.upper,
             "upper_method": "product_state", "width": report.width,
             "rows": list(report.rows)}
 
@@ -250,12 +217,12 @@ def run(argv) -> int:
             return 0
         model = _load_model(args) if args.command != "models" else None
         if args.command == "anderson":
-            _emit(args, _anderson_report(model, args))
+            _emit(args, _anderson(model, args, args.m))
         elif args.command == "marginal":
-            _emit(args, _marginal_report(model, args, args.m, args.s,
-                                         args.mode, args.placement))
+            _emit(args, _marginal(args, marginal.MarginalProblemSpec(
+                model, args.m, args.s, args.mode, args.placement)))
         elif args.command == "moment":
-            _emit(args, _moment_report(model, args, args.l))
+            _emit(args, _moment(model, args, args.l))
         elif args.command == "sweep":
             rows, columns = _run_sweep(model, args)
             _emit(args, {"sweep": args.method, "model": model.name, "rows": rows},

@@ -30,18 +30,15 @@ selection of states, and are not used.
 
 from __future__ import annotations
 
-import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import sdp
 from .models import ModelSpec, divide_down, exact_sums, state_charges, term_symmetries
+from .reports import BoundReport
 # unused here, but the benchmark tracer (perfbench/tracing.py) wraps them by name
 from .models import build_patch, embed_on_sites  # noqa: F401
-
-MARGINAL_CSV_COLUMNS = ("model", "m", "s", "mode", "placement", "z",
-                        "density_bound", "gap", "seconds")
 
 _SDP_SITE_CAP = 10  # dense SDP blocks; qubit-equivalents
 
@@ -65,27 +62,6 @@ class MarginalProblemSpec:
             raise ValueError("the marginal bound is one-dimensional")
         if self.m * np.log2(self.model.d) > _SDP_SITE_CAP:
             raise ValueError(f"patch exceeds the dense SDP cap of {_SDP_SITE_CAP} qubits")
-
-
-@dataclass(frozen=True)
-class MarginalBoundResult:
-    m: int
-    s: int
-    mode: str
-    placement: str
-    z: float
-    density_bound: float
-    gap: float
-    feas_dual: float
-    iterations: int
-    seconds: float
-    diagnostics: dict = field(default_factory=dict)
-
-    def csv_row(self, model_name: str) -> dict:
-        return {"model": model_name, "m": self.m, "s": self.s, "mode": self.mode,
-                "placement": self.placement, "z": self.z,
-                "density_bound": self.density_bound, "gap": self.gap,
-                "seconds": self.seconds}
 
 
 def partial_trace(rho: np.ndarray, keep, d: int = 2) -> np.ndarray:
@@ -431,7 +407,7 @@ def assembly_margin(spec: MarginalProblemSpec) -> float:
 
 
 def improved_anderson_bound(spec: MarginalProblemSpec,
-                            gap_tol: float = 1e-9) -> MarginalBoundResult:
+                            gap_tol: float = 1e-9) -> BoundReport:
     """Solve the marginal SDP; z is the rigorous dual-side value, z/m the bound.
 
     The returned bound comes from the dual certificate, which is valid for any
@@ -441,20 +417,20 @@ def improved_anderson_bound(spec: MarginalProblemSpec,
     each block, c_k there, is the block's weight, halved by a real embedding.
     z also subtracts `assembly_margin`, rounded down, and z/m is rounded down
     (`models.divide_down`), so neither the rounding in assembling the SDP nor
-    the division can invalidate the bound either.
+    the division can invalidate the bound either. Only the consecutive reading
+    is `certified`: the module docstring's feasibility argument covers it alone.
     """
-    t0 = time.perf_counter()
     problem = build_marginal_sdp(spec)
     sol, z = sdp.certified_solve(problem, "marginal", gap_tol=gap_tol)
     margin = assembly_margin(spec)
     if margin:  # rounded down, so the subtraction cannot lift the bound
         z = float(np.nextafter(z - margin, -np.inf))
-    return MarginalBoundResult(
-        m=spec.m, s=spec.s, mode=spec.mode, placement=spec.placement,
-        z=z, density_bound=divide_down(z, spec.m), gap=sol.gap, feas_dual=sol.feas_dual,
-        iterations=sol.iterations, seconds=time.perf_counter() - t0,
-        diagnostics={"primal_obj": sol.primal_obj, "dual_obj": sol.dual_obj,
-                     "status": sol.status,
+    return BoundReport(
+        method="marginal", model=spec.model.name,
+        params={"m": spec.m, "s": spec.s, "mode": spec.mode, "placement": spec.placement},
+        lower=divide_down(z, spec.m), certified=spec.mode == "consecutive",
+        diagnostics={"z": z, "gap": sol.gap, "dual_residual": sol.feas_dual,
+                     "iterations": sol.iterations, "status": sol.status,
                      "stalled": bool(sol.diagnostics.get("stalled", False)),
                      "blocks": list(problem.blocks),
                      "symmetry": list(reduction(spec.model)),

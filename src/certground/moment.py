@@ -37,8 +37,7 @@ those three names, `build_structure` and `coefficient_matrices` by name.
 
 from __future__ import annotations
 
-import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -46,8 +45,7 @@ from . import sdp
 from .marginal import partial_trace
 from .models import ModelSpec
 from .pauli import PauliString, all_strings, dagger, hermitian_class, multiply
-
-MOMENT_CSV_COLUMNS = ("model", "l", "variables", "matrix_size", "bound", "gap", "seconds")
+from .reports import BoundReport
 
 _MIN_WINDOW, _MAX_WINDOW = 2, 6
 
@@ -117,36 +115,22 @@ def coefficient_matrices(structure: MomentStructure) -> np.ndarray:
     return np.stack(rows)
 
 
-@dataclass(frozen=True)
-class MomentBoundResult:
-    window: int
-    bound: float
-    variables: int
-    matrix_size: int           # 4^l, the moment matrix; diagnostics["psd_block"] is solved
-    gap: float
-    iterations: int
-    seconds: float
-    diagnostics: dict = field(default_factory=dict)
-
-    def csv_row(self, model_name: str) -> dict:
-        return {"model": model_name, "l": self.window, "variables": self.variables,
-                "matrix_size": self.matrix_size, "bound": self.bound,
-                "gap": self.gap, "seconds": self.seconds}
-
-
 def ti_moment_bound(model: ModelSpec, window: int,
-                    gap_tol: float = 1e-9) -> MomentBoundResult:
-    """Certified moment-hierarchy lower bound on the energy density.
+                    gap_tol: float = 1e-9) -> BoundReport:
+    """Certified moment-hierarchy lower bound on the energy density of a qubit
+    chain (D = 1).
 
     Solves min tr((h x I) rho) s.t. tr rho = 1 and tr(rho row) = 0 for every
     consistency row (module docstring). A solve that stalls short of its
     tolerances is accepted within sdp.QUALITY_TOL (`sdp.certified_solve`);
     the bound is `sdp.dual_lower_bound`, valid for any dual vector, and
-    diagnostics["status"] tells.
+    diagnostics["status"] and ["stalled"] tell. The diagnostics'
+    `matrix_size` is 4^l, the moment matrix; `psd_block` is the block solved.
     """
-    t0 = time.perf_counter()
     if model.d != 2:
         raise ValueError("the moment hierarchy requires a qubit model (d = 2)")
+    if model.D != 1:
+        raise ValueError("the moment hierarchy is one-dimensional")
     structure = build_structure(window)
     dim = 1 << window
     rows = [np.eye(dim), *coefficient_matrices(structure)]  # the trace row first
@@ -160,12 +144,13 @@ def ti_moment_bound(model: ModelSpec, window: int,
     b[0] = 1.0
     problem = sdp.SdpProblem(blocks=[C.shape[0]], C=[C], A=[A], b=b)
     sol, bound = sdp.certified_solve(problem, "moment", gap_tol=gap_tol)
-    return MomentBoundResult(
-        window=window, bound=bound, variables=structure.n_variables,
-        matrix_size=4 ** window, gap=sol.gap, iterations=sol.iterations,
-        seconds=time.perf_counter() - t0,
-        diagnostics={"primal_obj": sol.primal_obj, "dual_obj": sol.dual_obj,
-                     "status": sol.status, "psd_block": problem.blocks[0],
+    return BoundReport(
+        method="moment", model=model.name, params={"l": window},
+        lower=bound, certified=True,
+        diagnostics={"variables": structure.n_variables, "matrix_size": 4 ** window,
+                     "psd_block": problem.blocks[0], "gap": sol.gap,
+                     "iterations": sol.iterations, "status": sol.status,
+                     "stalled": bool(sol.diagnostics.get("stalled", False)),
                      **sdp.solve_counts(problem, sol)})
 
 

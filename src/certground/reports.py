@@ -22,8 +22,31 @@ class BoundReport:
     lower: float
     certified: bool
     guarantee_width: float | None = None
-    upper_reference: float | None = None
     diagnostics: dict = field(default_factory=dict)
+
+
+# Each method's sweep columns. The certified column carries the report's
+# `lower`, `seconds` the sweep's timing of the point, and every other column
+# the params or diagnostics entry of its name; Anderson's `bound` is its
+# point estimate.
+CSV_COLUMNS = {
+    "anderson": ("model", "D", "m", "lambda_min_patch", "bound", "certified_bound",
+                 "guarantee_width", "residual", "seconds"),
+    "marginal": ("model", "m", "s", "mode", "placement", "z", "density_bound", "gap",
+                 "seconds"),
+    "moment": ("model", "l", "variables", "matrix_size", "bound", "gap", "seconds"),
+}
+CERTIFIED_COLUMN = {"anderson": "certified_bound", "marginal": "density_bound",
+                    "moment": "bound"}
+
+
+def sweep_row(report: BoundReport, seconds: float) -> dict:
+    """The report as one sweep row, in its method's CSV_COLUMNS order."""
+    values = {"model": report.model, "guarantee_width": report.guarantee_width,
+              "bound": report.diagnostics.get("bound_point_estimate"),
+              **report.params, **report.diagnostics,
+              CERTIFIED_COLUMN[report.method]: report.lower, "seconds": seconds}
+    return {column: values[column] for column in CSV_COLUMNS[report.method]}
 
 
 def _round12(x: float) -> float:

@@ -73,8 +73,11 @@ def ring_reference(model: ModelSpec, n: int, tol: float = 1e-10, seed: int = 0) 
     certified bound in either direction.
 
     This is also the exact optimum of the unrelaxed convex program over the
-    full ring state (the tiny-n oracle behind `certground oracle`).
+    full ring state (the tiny-n oracle behind `certground oracle`). Rings
+    are one-dimensional, so a model with D != 1 is rejected.
     """
+    if model.D != 1:
+        raise ValueError("the ring reference is one-dimensional")
     qubits = n * np.log2(model.d)
     if qubits > min(max_qubits(), 24):
         raise ValueError("ring reference capped at 24 qubit equivalents")
@@ -83,24 +86,28 @@ def ring_reference(model: ModelSpec, n: int, tol: float = 1e-10, seed: int = 0) 
 
 @dataclass(frozen=True)
 class SandwichReport:
-    """Certified lower bounds plus a variational upper bound."""
+    """The best lower bound plus a variational upper bound; `certified` tells
+    whether that lower bound is."""
 
     model: str
     lower: float
     lower_method: str
+    certified: bool
     upper: float
     width: float
     rows: tuple = field(default_factory=tuple)
 
     @classmethod
     def from_rows(cls, model_name: str, lower_rows, upper: float) -> "SandwichReport":
-        """lower_rows: iterable of dicts with 'method', 'bound', 'certified'."""
+        """lower_rows: iterable of dicts with 'method', 'bound', 'certified'.
+
+        The lower bound is the best certified row, or the best row when no
+        row is certified.
+        """
         rows = tuple(lower_rows)
         if any("certified" not in r for r in rows):
             raise ValueError("every lower-bound row needs a 'certified' flag")
-        certified = [r for r in rows if r["certified"]]
-        if not certified:
-            raise ValueError("no certified lower bound available")
-        best = max(certified, key=lambda r: r["bound"])
+        best = max(rows, key=lambda r: (r["certified"], r["bound"]))
         return cls(model=model_name, lower=best["bound"], lower_method=best["method"],
-                   upper=upper, width=upper - best["bound"], rows=rows)
+                   certified=best["certified"], upper=upper,
+                   width=upper - best["bound"], rows=rows)

@@ -12,7 +12,7 @@ import pytest
 import scipy.sparse.linalg as spla
 
 import certground as cg
-from certground.anderson import anderson_bound, anderson_sweep
+from certground.anderson import anderson_bound
 from certground.marginal import MarginalProblemSpec, improved_anderson_bound
 from certground.models import PatchSpec, build_patch, build_ring
 from certground.moment import (build_structure, coefficient_matrices, oracle_moment_matrix,
@@ -31,7 +31,7 @@ def report(capsys, name, ok, detail=""):
 @pytest.fixture(scope="module")
 def sweep_rows(heisenberg):
     t0 = time.perf_counter()
-    rows = anderson_sweep(heisenberg, list(range(2, 16)), 1)
+    rows = [anderson_bound(heisenberg, m, 1) for m in range(2, 16)]
     return rows, time.perf_counter() - t0
 
 
@@ -42,7 +42,7 @@ def marginal_grid(heisenberg):
         for s in range(1, m // 2 + 1):
             res = improved_anderson_bound(
                 MarginalProblemSpec(heisenberg, m, s, "consecutive", "middle"))
-            grid[(m, s)] = res.z
+            grid[(m, s)] = res.diagnostics["z"]
     return grid
 
 
@@ -56,7 +56,7 @@ def test_criterion_1_exact_density_constant(capsys):
 def test_criterion_2_anderson_sweep(capsys, sweep_rows):
     """Sweep m = 2..15 within budget; all bounds valid; even-odd alternation."""
     rows, seconds = sweep_rows
-    bounds = [r.certified_bound for r in rows]
+    bounds = [r.lower for r in rows]
     ok_time = seconds <= 600.0
     ok_valid = all(b <= EMIN + 1e-9 for b in bounds)
     ok_spot = abs(bounds[0] + 1.5) < 1e-9 and abs(bounds[1] + 1.0) < 1e-9
@@ -73,8 +73,7 @@ def test_criterion_3_guarantee(capsys, sweep_rows, heisenberg):
     rows, _ = sweep_rows
     ok_window = True
     for r in rows:
-        if not (r.certified_bound - 1e-9 <= EMIN
-                <= r.certified_bound + r.guarantee_width + 1e-9):
+        if not (r.lower - 1e-9 <= EMIN <= r.lower + r.guarantee_width + 1e-9):
             ok_window = False
     eps2 = anderson_bound(heisenberg, 2, 1).guarantee_width
     eps3 = anderson_bound(heisenberg, 3, 1).guarantee_width
@@ -137,9 +136,9 @@ def test_criterion_6_marginal_bounds(capsys, marginal_grid, heisenberg):
         res = improved_anderson_bound(
             MarginalProblemSpec(heisenberg, m, 1, "wrap", "middle"))
         ring = ring_reference(heisenberg, m)
-        good = abs(res.density_bound - ring) < 1e-6
+        good = abs(res.lower - ring) < 1e-6
         ok = ok and good
-        wrap_detail.append(f"m={m}:{abs(res.density_bound - ring):.1e}")
+        wrap_detail.append(f"m={m}:{abs(res.lower - ring):.1e}")
     assert report(capsys, "criterion 6 (marginal validity + wrap identity)", ok,
                   "wrap-vs-ring " + " ".join(wrap_detail))
 
@@ -189,7 +188,7 @@ def test_criterion_6_wrap_vs_consecutive_table(capsys, marginal_grid, heisenberg
             MarginalProblemSpec(heisenberg, m, 1, "wrap", "middle"))
         ring = ring_reference(heisenberg, m)
         lines.append(f"{m},1,{marginal_grid[(m, 1)] / m:.12g},"
-                     f"{wrap.density_bound:.12g},{ring:.12g}")
+                     f"{wrap.lower:.12g},{ring:.12g}")
     path.write_text("\n".join(lines) + "\n")
     assert report(capsys, "criterion 6 (comparison table)", path.exists(),
                   " ".join(lines))
@@ -199,10 +198,10 @@ def test_criterion_7_moment_bounds(capsys, heisenberg, zz_model):
     """Moment hierarchy validity, monotonicity, ZZ oracle, ring reduced states."""
     r2 = ti_moment_bound(heisenberg, 2)
     r3 = ti_moment_bound(heisenberg, 3)
-    ok_valid = r2.bound <= EMIN + 1e-7 and r3.bound <= EMIN + 1e-7
-    ok_mono = r3.bound >= r2.bound - 1e-7
+    ok_valid = r2.lower <= EMIN + 1e-7 and r3.lower <= EMIN + 1e-7
+    ok_mono = r3.lower >= r2.lower - 1e-7
     rzz = ti_moment_bound(zz_model, 2)
-    ok_zz = abs(rzz.bound + 1.0) < 1e-6
+    ok_zz = abs(rzz.lower + 1.0) < 1e-6
     H = build_ring(heisenberg, 8)
     vals, vecs = spla.eigsh(H.tocsc().astype(float), k=1, which="SA")
     psi = vecs[:, 0]
@@ -213,11 +212,11 @@ def test_criterion_7_moment_bounds(capsys, heisenberg, zz_model):
         ok_state = ok_state and (
             np.linalg.eigvalsh(rho)[0] > -1e-9
             and np.abs(np.einsum("kij,ji->k", rows, rho)).max() < 1e-10)
-    ok_dominate = max(r2.bound, r3.bound) <= vals[0] / 8 + 1e-9
+    ok_dominate = max(r2.lower, r3.lower) <= vals[0] / 8 + 1e-9
     ok = ok_valid and ok_mono and ok_zz and ok_state and ok_dominate
     assert report(capsys, "criterion 7 (moment hierarchy)", ok,
-                  f"l=2: {r2.bound:.9f}, l=3: {r3.bound:.9f}, "
-                  f"zz l=2: {rzz.bound:.9f}")
+                  f"l=2: {r2.lower:.9f}, l=3: {r3.lower:.9f}, "
+                  f"zz l=2: {rzz.lower:.9f}")
 
 
 def test_criterion_8_sandwich_consistency(capsys):
@@ -229,11 +228,10 @@ def test_criterion_8_sandwich_consistency(capsys):
         model = cg.builtin_model(name, params)
         upper = product_state_upper(model, restarts=8, seed=0)
         lows = {
-            "anderson": anderson_bound(model, 6, 1).certified_bound,
-            "moment": ti_moment_bound(model, 2).bound,
+            "anderson": anderson_bound(model, 6, 1).lower,
+            "moment": ti_moment_bound(model, 2).lower,
             "marginal": improved_anderson_bound(
-                MarginalProblemSpec(model, 5, 2, "consecutive",
-                                    "middle")).density_bound,
+                MarginalProblemSpec(model, 5, 2, "consecutive", "middle")).lower,
         }
         good = all(v <= upper + 1e-7 for v in lows.values())
         ok = ok and good
@@ -249,11 +247,12 @@ def test_criterion_9_2d_smoke(capsys, heisenberg):
     res = anderson_bound(heisenberg, 3, 2)
     seconds = time.perf_counter() - t0
     dense_bound = PATCH2D_3 / 4.0
-    ok_match = abs(res.bound - dense_bound) < 1e-8
+    point = res.diagnostics["bound_point_estimate"]
+    ok_match = abs(point - dense_bound) < 1e-8
     upper = product_state_upper(heisenberg, restarts=8, seed=0)
     # D = 2 upper bound: two bonds per site
     upper_2d = 2.0 * upper
-    ok = ok_match and res.bound <= upper_2d and seconds <= 120.0
+    ok = ok_match and point <= upper_2d and seconds <= 120.0
     assert report(capsys, "criterion 9 (2D smoke test)", ok,
-                  f"A(3,2)={res.bound:.9f} vs dense {dense_bound:.9f}, "
+                  f"A(3,2)={point:.9f} vs dense {dense_bound:.9f}, "
                   f"{seconds:.1f}s")

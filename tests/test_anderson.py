@@ -4,9 +4,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from certground import eigensolver
-from certground.anderson import (anderson_bound, anderson_formula, anderson_sweep,
-                                 guarantee_formula)
+from certground import cli, eigensolver
+from certground.anderson import anderson_bound, anderson_formula, guarantee_formula
 from certground.eigensolver import min_eig, min_eig_lanczos
 from certground.models import (PatchSpec, assembly_margin, build_patch, builtin_model,
                                charge_sectors, parse_model)
@@ -56,21 +55,21 @@ class TestFormulas:
 class TestBound:
     def test_m2(self, heisenberg):
         res = anderson_bound(heisenberg, 2, 1)
-        assert abs(res.certified_bound + 1.5) < 1e-9
-        assert res.converged
+        assert abs(res.lower + 1.5) < 1e-9
+        assert res.certified
 
     def test_m3(self, heisenberg):
         res = anderson_bound(heisenberg, 3, 1)
-        assert abs(res.certified_bound + 1.0) < 1e-9
+        assert abs(res.lower + 1.0) < 1e-9
 
     def test_zero_model(self, zero_model):
         res = anderson_bound(zero_model, 4, 1)
-        assert abs(res.certified_bound) < 1e-9
+        assert abs(res.lower) < 1e-9
         assert anderson_bound(zero_model, 4, 1).guarantee_width == 0.0
 
     def test_certified_below_point_estimate(self, heisenberg):
         res = anderson_bound(heisenberg, 12, 1)
-        assert res.certified_bound <= res.bound + 1e-15
+        assert res.lower <= res.diagnostics["bound_point_estimate"] + 1e-15
 
     def test_invalid_m(self, heisenberg):
         with pytest.raises(ValueError):
@@ -78,40 +77,35 @@ class TestBound:
 
 
 class TestSweep:
-    def test_length_one_equals_single_call(self, heisenberg):
-        (row,) = anderson_sweep(heisenberg, [5], 1)
+    def test_length_one_equals_single_call(self, capsys, heisenberg):
+        assert cli.run(["sweep", "--method", "anderson", "--model", "heisenberg",
+                        "--m", "5..5"]) == 0
+        (row,) = json.loads(capsys.readouterr().out)["rows"]
         single = anderson_bound(heisenberg, 5, 1)
-        assert row.certified_bound == single.certified_bound
+        assert row["certified_bound"] == float(f"{single.lower:.12g}")
 
     def test_parity_subsequences_monotone(self, heisenberg):
-        rows = anderson_sweep(heisenberg, list(range(2, 11)), 1)
-        bounds = {r.m: r.certified_bound for r in rows}
+        bounds = {m: anderson_bound(heisenberg, m, 1).lower for m in range(2, 11)}
         for m in range(2, 9):
             assert bounds[m + 2] >= bounds[m] - 1e-9
-
-    def test_ordering_and_csv_row(self, heisenberg):
-        rows = anderson_sweep(heisenberg, [4, 2, 3], 1)
-        assert [r.m for r in rows] == [4, 2, 3]
-        row = rows[0].csv_row("heisenberg")
-        assert row["model"] == "heisenberg"
-        assert row["m"] == 4
 
     def test_certified_bound_is_the_edge_quotient_rounded_down(self, heisenberg):
         # the largest float at most edge / (m - 1) (fl(edge / (m - 1)) lies
         # above the exact quotient at m = 7, 8, 12..15); a division by a power
         # of two is exact and stays as it is
-        for r in anderson_sweep(heisenberg, range(3, 16), 1):
-            exact = Fraction(r.lambda_min_certified) / (r.m - 1)
-            assert Fraction(r.certified_bound) <= exact < Fraction(
-                np.nextafter(r.certified_bound, np.inf))
-            if r.m in (3, 5, 9):
-                assert r.certified_bound == r.lambda_min_certified / (r.m - 1)
+        for m in range(3, 16):
+            r = anderson_bound(heisenberg, m, 1)
+            edge = r.diagnostics["lambda_min_certified"]
+            exact = Fraction(edge) / (m - 1)
+            assert Fraction(r.lower) <= exact < Fraction(np.nextafter(r.lower, np.inf))
+            if m in (3, 5, 9):
+                assert r.lower == edge / (m - 1)
 
     def test_guarantee_covers_emin(self, heisenberg):
         for m in (2, 3, 6, 9):
             res = anderson_bound(heisenberg, m, 1)
             eps = res.guarantee_width
-            assert res.certified_bound - 1e-9 <= EMIN <= res.certified_bound + eps + 1e-9
+            assert res.lower - 1e-9 <= EMIN <= res.lower + eps + 1e-9
 
 
 class TestSectors:
@@ -119,11 +113,11 @@ class TestSectors:
     @pytest.mark.parametrize("name", SECTOR_MODELS)
     def test_sector_minimum_is_lambda_min(self, name, m):
         model = SECTOR_MODELS[name]()
-        res = anderson_bound(model, m, 1)
+        diag = anderson_bound(model, m, 1).diagnostics
         ref = np.linalg.eigvalsh(build_patch(model, PatchSpec(m)).toarray())[0]
-        assert abs(res.lambda_min_patch - ref) < 1e-9
-        assert res.lambda_min_certified <= ref
-        assert res.minimality == "cholesky"
+        assert abs(diag["lambda_min_patch"] - ref) < 1e-9
+        assert diag["lambda_min_certified"] <= ref
+        assert diag["minimality"] == "cholesky"
 
     @pytest.mark.parametrize("name, sectors, sector_dim", [
         # S^z = 0 only, gauged: the orbits of reflection x flip on its C(10, 5)
@@ -137,40 +131,40 @@ class TestSectors:
         ("tfim(1)", 1, 272),
     ])
     def test_sector_counts(self, name, sectors, sector_dim):
-        res = anderson_bound(SECTOR_MODELS[name](), 10, 1)
-        assert res.sectors == sectors
-        assert res.sector_dim == sector_dim
+        diag = anderson_bound(SECTOR_MODELS[name](), 10, 1).diagnostics
+        assert diag["sectors"] == sectors
+        assert diag["sector_dim"] == sector_dim
 
     def test_counts_sum_over_sectors(self):
         model, patch = SECTOR_MODELS["xxz(0.5)"](), PatchSpec(6)
         sectors = charge_sectors(model, 6, 1)
         eigs = [min_eig(build_patch(model, patch, s)) for s in sectors]
         margins = [assembly_margin(model, patch, s) for s in sectors]
-        res = anderson_bound(model, 6, 1)
-        assert res.iterations == sum(e.iterations for e in eigs)
-        assert res.reorthogonalized == sum(e.reorthogonalized for e in eigs)
-        assert res.lambda_min_certified == min(
+        diag = anderson_bound(model, 6, 1).diagnostics
+        assert diag["iterations"] == sum(e.iterations for e in eigs)
+        assert diag["reorthogonalized_steps"] == sum(e.reorthogonalized for e in eigs)
+        assert diag["lambda_min_certified"] == min(
             np.nextafter(e.lower_edge - c, -np.inf) if c else e.lower_edge
             for e, c in zip(eigs, margins))
 
     @pytest.mark.parametrize("m", [13, 14])
     def test_proven_to_m14(self, heisenberg, m):
         # the S^z = 0 block has C(14, 7) = 3432 <= DENSE_CAP states at m = 14
-        res = anderson_bound(heisenberg, m, 1)
-        assert res.minimality == "cholesky"
-        assert CHAIN[m] - 1e-7 <= res.lambda_min_certified <= CHAIN[m]
+        diag = anderson_bound(heisenberg, m, 1).diagnostics
+        assert diag["minimality"] == "cholesky"
+        assert CHAIN[m] - 1e-7 <= diag["lambda_min_certified"] <= CHAIN[m]
 
     # the gauged S^z = 0 block reduced by reflection (x flip for even m):
     # (C(15, 7) + 35) / 2 = 3235 and (C(16, 8) + 70 + 0 + 256) / 4 = 3299
     @pytest.mark.parametrize("m, sector_dim", [(15, 3235), (16, 3299)])
     def test_heisenberg_proven_to_m16(self, heisenberg, m, sector_dim):
-        res = anderson_bound(heisenberg, m, 1)
-        assert (res.minimality, res.sector_dim) == ("cholesky", sector_dim)
+        diag = anderson_bound(heisenberg, m, 1).diagnostics
+        assert (diag["minimality"], diag["sector_dim"]) == ("cholesky", sector_dim)
         # Lanczos on the unreduced S^z = 0 block
         (block,) = charge_sectors(heisenberg, m)
         whole = min_eig_lanczos(build_patch(heisenberg, PatchSpec(m), block), len(block))
-        assert whole.value - 1e-7 <= res.lambda_min_certified <= whole.value
-        assert abs(res.lambda_min_patch - whole.value) < 1e-8
+        assert whole.value - 1e-7 <= diag["lambda_min_certified"] <= whole.value
+        assert abs(diag["lambda_min_patch"] - whole.value) < 1e-8
 
     # 2D uses the flip only, and only on the self-paired middle block: none at 3x3
     @pytest.mark.parametrize("name, m, symmetry", [
@@ -182,20 +176,20 @@ class TestSectors:
         model, patch = SECTOR_MODELS[name](), PatchSpec(m, 2)
         blocks = charge_sectors(model, patch.sites)
         ref = min(min_eig_lanczos(build_patch(model, patch, b), len(b)).value for b in blocks)
-        res = anderson_bound(model, m, 2)
-        assert res.symmetry == symmetry
-        assert abs(res.lambda_min_patch - ref) < 1e-8
-        assert res.lambda_min_certified <= ref
+        diag = anderson_bound(model, m, 2).diagnostics
+        assert diag["symmetry"] == list(symmetry)
+        assert abs(diag["lambda_min_patch"] - ref) < 1e-8
+        assert diag["lambda_min_certified"] <= ref
 
     def test_tfim_proven_at_m13(self):
         # the symmetric sector of 2^13 states has 2080 <= DENSE_CAP orbits
         model = builtin_model("tfim", [1.0])
-        res = anderson_bound(model, 13, 1)
-        assert (res.minimality, res.sector_dim, res.symmetry) == (
-            "cholesky", 2080, ("reflection", "flip"))
+        diag = anderson_bound(model, 13, 1).diagnostics
+        assert (diag["minimality"], diag["sector_dim"], diag["symmetry"]) == (
+            "cholesky", 2080, ["reflection", "flip"])
         whole = min_eig_lanczos(build_patch(model, PatchSpec(13)), 2 ** 13)
-        assert abs(res.lambda_min_patch - whole.value) < 1e-8
-        assert res.lambda_min_certified <= whole.value
+        assert abs(diag["lambda_min_patch"] - whole.value) < 1e-8
+        assert diag["lambda_min_certified"] <= whole.value
 
     @pytest.mark.parametrize("name", ["tfim(1)", "random_twosite(3)"])
     def test_edges_subtract_the_assembly_margin(self, name):
@@ -203,10 +197,10 @@ class TestSectors:
         (sector,) = charge_sectors(model, 8, 1)
         margin = assembly_margin(model, patch, sector)
         edge = min_eig(build_patch(model, patch, sector)).lower_edge
-        res = anderson_bound(model, 8, 1)
+        diag = anderson_bound(model, 8, 1).diagnostics
         assert margin > 0
-        assert res.assembly_margin == margin
-        assert res.lambda_min_certified == np.nextafter(edge - margin, -np.inf)
+        assert diag["assembly_margin"] == margin
+        assert diag["lambda_min_certified"] == np.nextafter(edge - margin, -np.inf)
 
     @pytest.mark.parametrize("m, calls, minimality", [(8, 5, "cholesky"), (16, 0, "unverified")])
     def test_no_factorization_when_a_block_is_too_large(self, monkeypatch, m, calls,
@@ -225,5 +219,6 @@ class TestSectors:
         monkeypatch.setattr(eigensolver, "min_eig_dense_certified", counting)
         res = anderson_bound(SECTOR_MODELS["xxz(0.5)"](), m, 1)
         assert len(factored) == calls
-        assert res.minimality == minimality
-        assert res.sectors == m // 2 + 1
+        assert res.diagnostics["minimality"] == minimality
+        assert res.certified is (minimality == "cholesky")
+        assert res.diagnostics["sectors"] == m // 2 + 1

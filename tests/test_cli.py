@@ -4,7 +4,7 @@ import time
 import numpy as np
 import pytest
 
-from certground import cli, sdp
+from certground import cli, reports, sdp
 from certground.cli import run
 
 
@@ -82,6 +82,14 @@ class TestAnderson:
         # dyadic charge-only blocks are summed exactly; everything else pays a margin
         assert (diagnostics["assembly_margin"] == 0) == exact
         assert 0 <= diagnostics["assembly_margin"] < 1e-11
+
+    def test_unverified_patch_is_not_certified(self, capsys):
+        # the S^z = 0 block at m = 17 exceeds DENSE_CAP, so minimality is unproven
+        code, out = run_capture(capsys, ["anderson", "--model", "heisenberg", "--m", "17"])
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["diagnostics"]["minimality"] == "unverified"
+        assert doc["certified"] is False
 
     def test_deterministic_output(self, capsys):
         _, a = run_capture(capsys, ["anderson", "--model", "heisenberg", "--m", "6"])
@@ -189,6 +197,7 @@ class TestMarginalMoment:
         # the trace row and X, Z on site 1 minus site 0; Y's row is imaginary
         assert diagnostics["constraints"] == 3
         assert diagnostics["variables"] == 13
+        assert diagnostics["stalled"] is False
         assert diagnostics["schur_fallback"] is False
         assert diagnostics["pruned_constraints"] == 0
 
@@ -203,7 +212,58 @@ class TestMarginalMoment:
         assert "negative_part" not in diagnostics
 
 
+    def test_moment_reports_stall(self, capsys):
+        # tfim(1) at l = 4 ends max_iter after 17 iterations, short of the
+        # default tolerances; the flag follows the status, as for marginal
+        code, out = run_capture(capsys, ["moment", "--model", "tfim", "--params", "1",
+                                         "--l", "4"])
+        assert code == 0
+        diagnostics = json.loads(out)["diagnostics"]
+        keys = list(diagnostics)
+        assert keys.index("stalled") == keys.index("status") + 1
+        assert (diagnostics["status"], diagnostics["stalled"]) == ("max_iter", True)
+
+
+SWEEPS = {
+    "anderson": (["--m", "3..4"], [["--m", "3"], ["--m", "4"]]),
+    "marginal": (["--m", "4..5", "--s", "1"], [["--m", "4", "--s", "1"],
+                                                ["--m", "5", "--s", "1"]]),
+    "moment": (["--l", "2..3"], [["--l", "2"], ["--l", "3"]]),
+}
+
+
 class TestSweep:
+    @pytest.mark.parametrize("method", sorted(SWEEPS))
+    def test_rows_follow_the_column_table(self, capsys, tmp_path, method):
+        # every row has its method's CSV columns in order, and the certified
+        # column is the `lower` that the single command reports
+        sweep_argv, points = SWEEPS[method]
+        model = ["--model", "xxz", "--params", "0.5"]
+        code, out = run_capture(capsys, ["sweep", "--method", method] + model + sweep_argv)
+        assert code == 0
+        rows = json.loads(out)["rows"]
+        columns = reports.CSV_COLUMNS[method]
+        assert [list(row) for row in rows] == [list(columns)] * len(points)
+        for row, point in zip(rows, points):
+            code, out = run_capture(capsys, [method] + model + point)
+            assert code == 0
+            assert row[reports.CERTIFIED_COLUMN[method]] == json.loads(out)["lower"]
+        p = tmp_path / "sweep.csv"
+        assert run(["sweep", "--method", method] + model + sweep_argv + ["--csv", str(p)]) == 0
+        assert p.read_text().split("\n")[0] == ",".join(columns)
+
+    def test_failed_anderson_point_is_recorded(self, capsys, tmp_path):
+        code, out = run_capture(capsys, ["sweep", "--method", "anderson", "--model",
+                                         "heisenberg", "--m", "1..2"])
+        assert code == 0
+        failed, solved = json.loads(out)["rows"]
+        assert failed == {"m": 1, "D": 1, "error": "patch size m must be >= 2"}
+        assert solved["certified_bound"] == -1.5
+        p = tmp_path / "sweep.csv"
+        assert run(["sweep", "--method", "anderson", "--model", "heisenberg",
+                    "--m", "1..2", "--csv", str(p)]) == 0
+        assert p.read_text().split("\n")[1] == ",1,1,,,,,,"
+
     def test_anderson_csv(self, capsys, tmp_path):
         p = tmp_path / "sweep.csv"
         code = run(["sweep", "--model", "heisenberg", "--method", "anderson",
@@ -258,6 +318,18 @@ class TestSandwich:
         assert abs(doc["lower"] + 0.934258546) < 1e-6
         assert abs(doc["upper"] + 0.5) < 1e-6
         assert len(doc["rows"]) == 3
+
+    def test_falls_back_to_an_unverified_anderson_row(self, capsys):
+        # the tfim(1) patch at m = 16 keeps 16512 > DENSE_CAP states: its only
+        # lower bound is unverified, and the report says so instead of failing
+        code, out = run_capture(capsys, ["sandwich", "--model", "tfim", "--params", "1",
+                                         "--anderson-m", "16"])
+        assert code == 0
+        doc = json.loads(out)
+        assert abs(doc["lower"] - (-1.28167047788)) < 1e-8
+        assert (doc["lower_method"], doc["certified"]) == ("anderson", False)
+        assert [row["certified"] for row in doc["rows"]] == [False]
+        assert abs(doc["upper"] + 1.25) < 1e-9
 
     def test_needs_a_method(self, capsys):
         code = run(["sandwich", "--model", "heisenberg"])
@@ -373,6 +445,18 @@ class TestMisc:
         captured = capsys.readouterr()
         assert code == 2
         assert captured.err.startswith("error:")
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("argv, message", [
+        (["moment", "--l", "3"], "the moment hierarchy is one-dimensional"),
+        (["sandwich", "--moment-l", "3"], "the moment hierarchy is one-dimensional"),
+        (["oracle", "--n", "8"], "the ring reference is one-dimensional"),
+    ], ids=["moment", "sandwich", "oracle"])
+    def test_one_dimensional_methods_reject_2d(self, capsys, argv, message):
+        code = run(argv + ["--model", "heisenberg", "--dim", "2"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err == f"error: {message}\n"
         assert captured.out == ""
 
     def test_moment_rejects_spin_one(self, capsys, tmp_path):

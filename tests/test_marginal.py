@@ -415,7 +415,7 @@ class TestBuildSdp:
         spec = MarginalProblemSpec(model, m, s, mode, placement)
         res = improved_anderson_bound(spec)
         assert res.diagnostics["symmetry"] == ["u1", "flip"]
-        assert abs(res.density_bound - _unreduced_density(spec)) < 1e-9
+        assert abs(res.lower - _unreduced_density(spec)) < 1e-9
 
     @pytest.mark.parametrize("make, m, s, blocks, symmetry", [
         (_dm_model, 4, 1, [2, 8, 12, 8, 2], ["u1"]),
@@ -430,7 +430,7 @@ class TestBuildSdp:
         res = improved_anderson_bound(spec)
         assert res.diagnostics["blocks"] == blocks
         assert res.diagnostics["symmetry"] == symmetry
-        assert abs(res.density_bound - _unreduced_density(spec)) < 1e-9
+        assert abs(res.lower - _unreduced_density(spec)) < 1e-9
 
     def test_certified_bound_is_tight_against_the_solver(self, heisenberg):
         # the certificate reads only the dual vector; at an optimal solve it
@@ -451,7 +451,7 @@ class TestBuildSdp:
         h = np.asarray(heisenberg.term).real
         swap = np.eye(4)[[0, 2, 1, 3]]
         expect = np.linalg.eigvalsh(h + swap @ h @ swap)[0]
-        assert abs(res.z - expect) < 1e-7
+        assert abs(res.diagnostics["z"] - expect) < 1e-7
 
 
 def _embedded(spec, objective):
@@ -551,11 +551,11 @@ class TestAssemblyMargin:
         prob = build_marginal_sdp(spec)
         sol = sdp.solve(prob)
         z = sdp.dual_lower_bound(prob, sol, trace_bounds=[1.0 / a[0, 0, 0] for a in prob.A])
-        assert res.z == float(np.nextafter(z - margin, -np.inf))
+        assert res.diagnostics["z"] == float(np.nextafter(z - margin, -np.inf))
         # z / m rounded down: the largest float at most the exact quotient
-        exact = Fraction(res.z) / spec.m
-        assert Fraction(res.density_bound) <= exact < Fraction(
-            np.nextafter(res.density_bound, np.inf))
+        exact = Fraction(res.diagnostics["z"]) / spec.m
+        assert Fraction(res.lower) <= exact < Fraction(
+            np.nextafter(res.lower, np.inf))
 
     @pytest.mark.parametrize("model, m, s", [
         (cg.builtin_model("heisenberg"), 5, 2), (cg.builtin_model("heisenberg"), 7, 2),
@@ -563,9 +563,9 @@ class TestAssemblyMargin:
     def test_density_is_rounded_down(self, model, m, s):
         # fl(z / m) lies above z / m here; the bound takes the float below it
         res = improved_anderson_bound(MarginalProblemSpec(model, m, s))
-        assert Fraction(res.z / m) > Fraction(res.z) / m
-        assert Fraction(res.density_bound) <= Fraction(res.z) / m
-        assert res.density_bound == np.nextafter(res.z / m, -np.inf)
+        assert Fraction(res.diagnostics["z"] / m) > Fraction(res.diagnostics["z"]) / m
+        assert Fraction(res.lower) <= Fraction(res.diagnostics["z"]) / m
+        assert res.lower == np.nextafter(res.diagnostics["z"] / m, -np.inf)
 
     @pytest.mark.parametrize("make, m, s", [
         (lambda: cg.builtin_model("heisenberg"), 6, 2),
@@ -603,7 +603,7 @@ class TestBounds:
         res = improved_anderson_bound(
             MarginalProblemSpec(heisenberg, 3, 1, "consecutive", "middle"))
         low = (CHAIN[3] - 1.5) / 3.0
-        assert low - 1e-7 <= res.density_bound <= EMIN + 1e-7
+        assert low - 1e-7 <= res.lower <= EMIN + 1e-7
 
     def test_single_window_is_min_eig(self, heisenberg):
         # 2s = m and wrap mode have one window: only the trace row is left,
@@ -612,8 +612,8 @@ class TestBounds:
                      MarginalProblemSpec(heisenberg, 5, 1, "wrap", "middle")):
             prob = build_marginal_sdp(spec)
             assert prob.n_constraints == 1
-            res = improved_anderson_bound(spec)
-            assert abs(res.z - np.linalg.eigvalsh(_full_objective(spec).real)[0]) < 1e-7
+            z = improved_anderson_bound(spec).diagnostics["z"]
+            assert abs(z - np.linalg.eigvalsh(_full_objective(spec).real)[0]) < 1e-7
 
     @pytest.mark.parametrize("m, s, density", [
         (4, 1, -1.0), (4, 2, -1.0),
@@ -621,26 +621,26 @@ class TestBounds:
     def test_frozen_consecutive_densities(self, heisenberg, m, s, density):
         res = improved_anderson_bound(
             MarginalProblemSpec(heisenberg, m, s, "consecutive", "middle"))
-        assert abs(res.density_bound - density) < 1e-8
+        assert abs(res.lower - density) < 1e-8
 
     def test_wrap_sigma_elimination_m2(self, heisenberg):
         res = improved_anderson_bound(
             MarginalProblemSpec(heisenberg, 2, 1, "wrap", "middle"))
-        assert abs(res.z + 3.0) < 1e-6
-        assert abs(res.density_bound + 1.5) < 1e-6
+        assert abs(res.diagnostics["z"] + 3.0) < 1e-6
+        assert abs(res.lower + 1.5) < 1e-6
 
     def test_wrap_matches_ring(self, heisenberg):
         for m in (3, 4, 5):
             res = improved_anderson_bound(
                 MarginalProblemSpec(heisenberg, m, 1, "wrap", "middle"))
-            assert abs(res.density_bound - RING[m]) < 1e-6
+            assert abs(res.lower - RING[m]) < 1e-6
 
     def test_complex_model_bound(self):
         model = cg.builtin_model("random_twosite", [3.0])
         res = improved_anderson_bound(
             MarginalProblemSpec(model, 4, 1, "consecutive", "middle"))
         # valid lower bound: must sit below any small ring density
-        assert res.density_bound <= ring_reference(model, 6) + 1e-7
+        assert res.lower <= ring_reference(model, 6) + 1e-7
 
 
 class TestSolverPath:
@@ -670,7 +670,7 @@ class TestSolverPath:
         assert res.diagnostics["status"] == "optimal"
         assert res.diagnostics["stalled"] is False
         assert res.diagnostics["pruned_constraints"] == 0
-        assert abs(res.density_bound - (-0.91277335224)) < 1e-9
+        assert abs(res.lower - (-0.91277335224)) < 1e-9
 
 
     def test_m8_s2_solves_on_small_blocks(self, heisenberg):
@@ -682,7 +682,7 @@ class TestSolverPath:
         assert sum(a.nbytes for a in prob.A) < 50e6
         res = improved_anderson_bound(spec)
         assert res.diagnostics["status"] == "optimal"
-        assert abs(res.density_bound - (-0.91277335224)) < 1e-9
+        assert abs(res.lower - (-0.91277335224)) < 1e-9
 
 
 class TestOracle:

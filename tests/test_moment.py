@@ -127,13 +127,13 @@ class TestBound:
     def test_heisenberg_l2_l3_monotone(self, heisenberg):
         r2 = ti_moment_bound(heisenberg, 2)
         r3 = ti_moment_bound(heisenberg, 3)
-        assert r2.bound <= EMIN + 1e-7
-        assert r3.bound <= EMIN + 1e-7
-        assert r3.bound >= r2.bound - 1e-7
+        assert r2.lower <= EMIN + 1e-7
+        assert r3.lower <= EMIN + 1e-7
+        assert r3.lower >= r2.lower - 1e-7
 
     def test_zz_product_exact(self, zz_model):
         r = ti_moment_bound(zz_model, 2)
-        assert abs(r.bound + 1.0) < 1e-6
+        assert abs(r.lower + 1.0) < 1e-6
 
     def test_stalled_solve_is_accepted_at_the_defaults(self):
         # tfim(1) at l = 4 stalls short of the default 1e-9 tolerances (gap
@@ -143,7 +143,7 @@ class TestBound:
         model = builtin_model("tfim", [1.0])
         r = ti_moment_bound(model, 4)
         assert r.diagnostics["status"] in ("optimal", "max_iter")
-        assert r.bound >= anderson_bound(model, 4).certified_bound - 1e-8
+        assert r.lower >= anderson_bound(model, 4).lower - 1e-8
 
     def test_stall_status_is_reported(self, monkeypatch, heisenberg):
         # a stalled solve within sdp.QUALITY_TOL is accepted and says so; one
@@ -159,17 +159,16 @@ class TestBound:
         monkeypatch.setattr(sdp, "solve", stalled_solve)
         r = ti_moment_bound(heisenberg, 2)
         assert r.diagnostics["status"] == "max_iter"
-        assert abs(r.bound + 1.5) < 1e-6
+        assert abs(r.lower + 1.5) < 1e-6
         gap[0] = 10 * sdp.QUALITY_TOL
         with pytest.raises(RuntimeError, match="moment SDP solve failed"):
             ti_moment_bound(heisenberg, 2)
 
     def test_report_fields(self, heisenberg):
         r = ti_moment_bound(heisenberg, 2)
-        assert r.matrix_size == 16
-        assert r.variables > 0
-        row = r.csv_row("heisenberg")
-        assert row["model"] == "heisenberg"
+        assert r.diagnostics["matrix_size"] == 16
+        assert r.diagnostics["variables"] > 0
+        assert (r.method, r.model, r.params) == ("moment", "heisenberg", {"l": 2})
 
 
 class TestOracleMatrix:
@@ -192,7 +191,7 @@ class TestOracleMatrix:
             h = np.kron(np.asarray(heisenberg.term), np.eye(2 ** (window - 2)))
             energy = np.trace(h @ rho).real
             assert abs(energy - vals[0] / 8) < 1e-9
-            assert ti_moment_bound(heisenberg, window).bound <= energy + 1e-9
+            assert ti_moment_bound(heisenberg, window).lower <= energy + 1e-9
 
     def test_product_state_psd(self):
         rng = np.random.default_rng(1)
@@ -267,13 +266,13 @@ class TestDensityMatrixLmi:
             problem, _ = seen.pop()
             assert problem.blocks == [block]
             assert r.diagnostics["psd_block"] == block
-            assert r.matrix_size == 4 ** window
+            assert r.diagnostics["matrix_size"] == 4 ** window
 
     @pytest.mark.parametrize("name", sorted(FROZEN_L3))
     def test_l3_bounds_frozen(self, name):
         params, ref = FROZEN_L3[name]
         r = ti_moment_bound(builtin_model(name, params), 3, gap_tol=1e-9)
-        assert abs(r.bound - ref) <= 1e-9
+        assert abs(r.lower - ref) <= 1e-9
 
 
 class TestCertificate:
@@ -281,9 +280,9 @@ class TestCertificate:
         seen = captured_solve(monkeypatch)
         r = ti_moment_bound(heisenberg, 3)
         ((problem, sol),) = seen
-        assert r.bound == sdp.dual_lower_bound(problem, sol, trace_bounds=[1.0])
+        assert r.lower == sdp.dual_lower_bound(problem, sol, trace_bounds=[1.0])
         sol.y = sol.y + 1e-6 * np.random.default_rng(0).standard_normal(sol.y.size)
-        assert sdp.dual_lower_bound(problem, sol, trace_bounds=[1.0]) < r.bound
+        assert sdp.dual_lower_bound(problem, sol, trace_bounds=[1.0]) < r.lower
 
 
 CLAIM_MODELS = {"heisenberg": [], "tfim": [1.0], "xxz": [0.5]}
@@ -293,7 +292,7 @@ CLAIM_MODELS = {"heisenberg": [], "tfim": [1.0], "xxz": [0.5]}
 def hierarchy(name):
     """moment(l) for l = 2, 3, 4 at the CLI's gap_tol."""
     model = builtin_model(name, CLAIM_MODELS[name])
-    return model, {window: ti_moment_bound(model, window, gap_tol=1e-9).bound
+    return model, {window: ti_moment_bound(model, window, gap_tol=1e-9).lower
                    for window in (2, 3, 4)}
 
 
@@ -312,7 +311,7 @@ class TestHierarchyClaim:
         # moment(l) >= lambda_min(h_l) / (l - 1)
         model, bounds = hierarchy(name)
         for window, bound in bounds.items():
-            assert bound >= anderson_bound(model, window).certified_bound - 1e-8
+            assert bound >= anderson_bound(model, window).lower - 1e-8
 
     def test_heisenberg_below_exact_density(self):
         _, bounds = hierarchy("heisenberg")
@@ -320,7 +319,7 @@ class TestHierarchyClaim:
 
     def test_heisenberg_at_l5(self):
         model, bounds = hierarchy("heisenberg")
-        top = ti_moment_bound(model, 5, gap_tol=1e-9).bound
+        top = ti_moment_bound(model, 5, gap_tol=1e-9).lower
         assert top >= bounds[4] - 1e-8
-        assert top >= anderson_bound(model, 5).certified_bound - 1e-8
+        assert top >= anderson_bound(model, 5).lower - 1e-8
         assert top <= EMIN

@@ -213,7 +213,7 @@ class TestPauliSum:
 class TestDecompose:
     def test_identity(self):
         # the identity term has energy 1 on every state
-        bound = ti_moment_bound(ModelSpec("id", 2, 1, np.eye(4)), 2).bound
+        bound = ti_moment_bound(ModelSpec("id", 2, 1, np.eye(4)), 2).lower
         assert 1.0 - 1e-8 <= bound <= 1.0
 
     def test_round_trip(self):

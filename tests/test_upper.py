@@ -31,7 +31,7 @@ class TestProductState:
         model = cg.builtin_model("random_twosite", [3.0])
         up = product_state_upper(model, restarts=8, seed=0)
         # any upper bound must sit above a valid certified lower bound
-        low = cg.anderson_bound(model, 6, 1).certified_bound
+        low = cg.anderson_bound(model, 6, 1).lower
         assert low <= up + 1e-9
 
     def test_2d_doubles_bond_value(self, heisenberg):
@@ -69,12 +69,15 @@ class TestSandwichReport:
         rep = SandwichReport.from_rows("m", rows, upper=-0.3)
         assert rep.lower == -0.9
         assert rep.lower_method == "marginal"
+        assert rep.certified is True
         assert abs(rep.width - 0.6) < 1e-15
 
-    def test_requires_certified_row(self):
-        with pytest.raises(ValueError):
-            SandwichReport.from_rows("m", [{"method": "x", "bound": -1.0,
-                                            "certified": False}], upper=0.0)
+    def test_falls_back_to_the_best_uncertified_row(self):
+        rows = [{"method": "anderson", "bound": -1.0, "certified": False},
+                {"method": "wrap", "bound": -0.9, "certified": False}]
+        rep = SandwichReport.from_rows("m", rows, upper=-0.3)
+        assert (rep.lower, rep.lower_method, rep.certified) == (-0.9, "wrap", False)
+        assert abs(rep.width - 0.6) < 1e-15
 
     def test_rejects_a_row_without_the_flag(self):
         rows = [{"method": "anderson", "bound": -1.0, "certified": True},
