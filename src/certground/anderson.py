@@ -35,6 +35,14 @@ def guarantee_formula(lambda_min_patch: float, h_norm: float, m: int, D: int) ->
     return D / m * h_norm - lambda_min_patch * (1.0 / (m - 1) ** D - 1.0 / m ** D)
 
 
+def open_patch(m: int, D: int) -> PatchSpec:
+    """The open m^D patch that `anderson_bound` solves; ValueError unless D is
+    1 or 2 and m >= 2."""
+    if D not in (1, 2):
+        raise ValueError("patch diagonalization supports D in {1, 2} only")
+    return PatchSpec(m, D, "open")
+
+
 def anderson_bound(model: ModelSpec, m: int, D: int = 1, tol: float = 1e-8,
                    seed: int = 0) -> BoundReport:
     """The Anderson bound with guarantee for one patch size.
@@ -52,9 +60,7 @@ def anderson_bound(model: ModelSpec, m: int, D: int = 1, tol: float = 1e-8,
     block exceeds DENSE_CAP the result is "unverified" whatever happens, so no
     block is then factored: all of them are solved by Lanczos alone.
     """
-    if D not in (1, 2):
-        raise ValueError("patch diagonalization supports D in {1, 2} only")
-    patch = PatchSpec(m, D, "open")
+    patch = open_patch(m, D)
     sectors = charge_sectors(model, patch.sites, D)
     prove = max(len(s) for s in sectors) <= eigensolver.DENSE_CAP
     eigs, edges, margins = [], [], []

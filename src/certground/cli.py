@@ -145,8 +145,11 @@ def _run_sweep(model, args):
     if args.method == "anderson":
         if not args.m:
             raise ValidationError("sweep anderson requires --m a..b")
+        ms = _parse_range(args.m)
+        for m in ms:  # the whole range, before any solve
+            anderson.open_patch(m, args.dim)
         rows = []
-        for m in _parse_range(args.m):
+        for m in ms:
             try:
                 rows.append(_timed_row(_anderson, model, args, m))
             except Exception as e:  # recorded per row, the sweep continues
@@ -156,7 +159,7 @@ def _run_sweep(model, args):
             raise ValidationError("sweep moment requires --l a..b")
         windows = _parse_range(args.l)
         for window in windows:  # the whole range, before any solve
-            moment.check_window(window)
+            moment.check_request(model, window)
         rows = [_timed_row(_moment, model, args, window) for window in windows]
     else:
         if not args.m or not args.s:
@@ -183,6 +186,14 @@ def _parse_marginal(text: str):
 
 
 def _run_sandwich(model, args):
+    if not (args.anderson_m or args.moment_l or args.marginal):
+        raise ValidationError("sandwich needs at least one of --anderson-m, "
+                              "--moment-l, --marginal")
+    # every requested method is checked before the first solve
+    if args.anderson_m:
+        anderson.open_patch(args.anderson_m, args.dim)
+    if args.moment_l:
+        moment.check_request(model, args.moment_l)
     spec = (marginal.MarginalProblemSpec(model, *_parse_marginal(args.marginal))
             if args.marginal else None)
     lower = []
@@ -194,9 +205,6 @@ def _run_sandwich(model, args):
         lower.append(_marginal(args, spec))
     lower_rows = [{"method": r.method, "bound": r.lower, "certified": r.certified,
                    "params": r.params, "diagnostics": r.diagnostics} for r in lower]
-    if not lower_rows:
-        raise ValidationError("sandwich needs at least one of --anderson-m, "
-                              "--moment-l, --marginal")
     up = upper.product_state_upper(model, restarts=args.restarts, seed=args.seed)
     report = upper.SandwichReport.from_rows(model.name, lower_rows, up)
     return {"model": report.model, "lower": report.lower,

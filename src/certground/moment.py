@@ -30,9 +30,12 @@ Chaykin & Keil's bound, as for the marginal SDP.
 `build_structure` lists the translation classes by walking every product
 P_a^dag P_b of the 4^l strings through this module's `dagger`, `multiply`
 and `hermitian_class`, keeping one representative per class and no 4^l x 4^l
-array. The benchmark pins that walk: `perfbench/test_perfbench.py` expects
-`pauli.multiply_calls == 16 * 16` at l = 2, and `perfbench/tracing.py` wraps
-those three names, `build_structure` and `coefficient_matrices` by name.
+array. Those three skip the checks of the `PauliString` constructor, so the
+4^2l products take about 0.6 s at l = 5 and 9 s at l = 6 (one core of a
+2-core machine), most of a moment solve at those windows. The benchmark pins
+that walk: `perfbench/test_perfbench.py` expects `pauli.multiply_calls ==
+16 * 16` at l = 2, and `perfbench/tracing.py` wraps those three names,
+`build_structure` and `coefficient_matrices` by name.
 """
 
 from __future__ import annotations
@@ -54,6 +57,15 @@ def check_window(window: int) -> None:
     """Raise ValueError unless `build_structure` accepts this window length."""
     if not _MIN_WINDOW <= window <= _MAX_WINDOW:
         raise ValueError(f"window length must be in [{_MIN_WINDOW}, {_MAX_WINDOW}]")
+
+
+def check_request(model: ModelSpec, window: int) -> None:
+    """Raise ValueError unless `ti_moment_bound` accepts this model and window."""
+    if model.d != 2:
+        raise ValueError("the moment hierarchy requires a qubit model (d = 2)")
+    if model.D != 1:
+        raise ValueError("the moment hierarchy is one-dimensional")
+    check_window(window)
 
 
 @dataclass(frozen=True)
@@ -127,10 +139,7 @@ def ti_moment_bound(model: ModelSpec, window: int,
     diagnostics["status"] and ["stalled"] tell. The diagnostics'
     `matrix_size` is 4^l, the moment matrix; `psd_block` is the block solved.
     """
-    if model.d != 2:
-        raise ValueError("the moment hierarchy requires a qubit model (d = 2)")
-    if model.D != 1:
-        raise ValueError("the moment hierarchy is one-dimensional")
+    check_request(model, window)
     structure = build_structure(window)
     dim = 1 << window
     rows = [np.eye(dim), *coefficient_matrices(structure)]  # the trace row first

@@ -3,7 +3,10 @@
 An n-site Pauli string is encoded as i^phase_exp * prod_k X_k^{x_k} Z_k^{z_k}
 with per-site XZ ordering, so a site with both bits set carries Y = i*X*Z.
 Bit k of a mask refers to site k; site 0 is the leftmost tensor factor.
-Products and adjoints are phase-exact integer arithmetic.
+Products and adjoints are phase-exact integer arithmetic. `multiply`,
+`dagger` and `hermitian_class` are the inner loop of the moment hierarchy's
+class walk, so they skip the constructor's checks: XOR of in-range masks and
+a phase reduced mod 4 are valid by construction.
 """
 
 from __future__ import annotations
@@ -23,6 +26,7 @@ _SINGLE = {
 
 _LABEL_TO_BITS = {"I": (0, 0), "X": (1, 0), "Y": (1, 1), "Z": (0, 1)}
 _BITS_TO_LABEL = {v: k for k, v in _LABEL_TO_BITS.items()}
+_PHASE_FACTORS = tuple(1j ** k for k in range(4))
 
 
 @dataclass(frozen=True)
@@ -82,6 +86,15 @@ class PauliString:
         return multiply(self, other)
 
 
+def _trusted(width: int, x_mask: int, z_mask: int, phase_exp: int) -> PauliString:
+    """A PauliString from fields already known to be valid, without the checks
+    of `PauliString.__post_init__`: phase_exp must be in 0..3 and the masks
+    within width."""
+    p = object.__new__(PauliString)
+    p.__dict__.update(width=width, x_mask=x_mask, z_mask=z_mask, phase_exp=phase_exp)
+    return p
+
+
 def multiply(p: PauliString, q: PauliString) -> PauliString:
     """Exact product p*q including the global phase.
 
@@ -91,13 +104,13 @@ def multiply(p: PauliString, q: PauliString) -> PauliString:
     if p.width != q.width:
         raise ValueError(f"width mismatch: {p.width} != {q.width}")
     phase = (p.phase_exp + q.phase_exp + 2 * (p.z_mask & q.x_mask).bit_count()) % 4
-    return PauliString(p.width, p.x_mask ^ q.x_mask, p.z_mask ^ q.z_mask, phase)
+    return _trusted(p.width, p.x_mask ^ q.x_mask, p.z_mask ^ q.z_mask, phase)
 
 
 def dagger(p: PauliString) -> PauliString:
     """Adjoint: conjugate the phase and re-order each site's XZ factors."""
     phase = (-p.phase_exp + 2 * (p.x_mask & p.z_mask).bit_count()) % 4
-    return PauliString(p.width, p.x_mask, p.z_mask, phase)
+    return _trusted(p.width, p.x_mask, p.z_mask, phase)
 
 
 def canonicalize(p: PauliString) -> tuple[int, PauliString]:
@@ -122,11 +135,15 @@ def hermitian_class(p: PauliString) -> tuple[tuple[int, int, int], complex]:
     The key identifies the translation class of the standard (phase
     convention i^{#Y}) Hermitian Pauli pattern under p; the factor is the
     residual global phase in {1, i, -1, -i} with p = factor * (a translate of std).
+    The key is that of `canonicalize(p)`, computed from the masks directly.
     """
-    _, c = canonicalize(p)
-    std_phase = (c.x_mask & c.z_mask).bit_count() % 4
-    residue = (c.phase_exp - std_phase) % 4
-    return (c.width, c.x_mask, c.z_mask), 1j ** residue
+    x, z = p.x_mask, p.z_mask
+    supp = x | z
+    if supp == 0:
+        return (1, 0, 0), _PHASE_FACTORS[p.phase_exp]
+    offset = (supp & -supp).bit_length() - 1
+    key = (supp.bit_length() - offset, x >> offset, z >> offset)
+    return key, _PHASE_FACTORS[(p.phase_exp - (x & z).bit_count()) % 4]
 
 
 _MAX_DENSE_SITES = 12

@@ -252,17 +252,43 @@ class TestSweep:
         assert run(["sweep", "--method", method] + model + sweep_argv + ["--csv", str(p)]) == 0
         assert p.read_text().split("\n")[0] == ",".join(columns)
 
-    def test_failed_anderson_point_is_recorded(self, capsys, tmp_path):
+    def test_failed_anderson_point_is_recorded(self, capsys, monkeypatch, tmp_path):
+        # a point whose solve fails gets an error row, and the sweep goes on
+        solve = cli.anderson.anderson_bound
+
+        def fails_at_3(model, m, *args, **kwargs):
+            if m == 3:
+                raise RuntimeError("Lanczos did not converge")
+            return solve(model, m, *args, **kwargs)
+
+        monkeypatch.setattr(cli.anderson, "anderson_bound", fails_at_3)
         code, out = run_capture(capsys, ["sweep", "--method", "anderson", "--model",
-                                         "heisenberg", "--m", "1..2"])
+                                         "heisenberg", "--m", "2..3"])
         assert code == 0
-        failed, solved = json.loads(out)["rows"]
-        assert failed == {"m": 1, "D": 1, "error": "patch size m must be >= 2"}
+        solved, failed = json.loads(out)["rows"]
+        assert failed == {"m": 3, "D": 1, "error": "Lanczos did not converge"}
         assert solved["certified_bound"] == -1.5
         p = tmp_path / "sweep.csv"
         assert run(["sweep", "--method", "anderson", "--model", "heisenberg",
-                    "--m", "1..2", "--csv", str(p)]) == 0
-        assert p.read_text().split("\n")[1] == ",1,1,,,,,,"
+                    "--m", "2..3", "--csv", str(p)]) == 0
+        assert p.read_text().split("\n")[2] == ",1,3,,,,,,"
+
+    @pytest.mark.parametrize("argv, message", [
+        (["--dim", "3", "--m", "2..3"], "patch diagonalization supports D in {1, 2} only"),
+        (["--m", "1..3"], "patch size m must be >= 2"),
+    ], ids=["dim", "m"])
+    def test_anderson_range_checked_before_any_solve(self, capsys, monkeypatch,
+                                                     argv, message):
+        # the message and exit code of `anderson` itself, and nothing is solved
+        def no_solve(*args, **kwargs):
+            raise AssertionError("solved before the range was checked")
+
+        monkeypatch.setattr(cli.anderson, "anderson_bound", no_solve)
+        code = run(["sweep", "--method", "anderson", "--model", "heisenberg"] + argv)
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
 
     def test_anderson_csv(self, capsys, tmp_path):
         p = tmp_path / "sweep.csv"
@@ -334,6 +360,24 @@ class TestSandwich:
     def test_needs_a_method(self, capsys):
         code = run(["sandwich", "--model", "heisenberg"])
         assert code == 2
+
+    @pytest.mark.parametrize("argv, message", [
+        (["--moment-l", "7"], "window length must be in [2, 6]"),
+        (["--moment-l", "3", "--dim", "2"], "the moment hierarchy is one-dimensional"),
+        (["--marginal", "m=11,s=2"], "patch exceeds the dense SDP cap of 10 qubits"),
+    ], ids=["window", "dim", "marginal"])
+    def test_every_method_checked_before_any_solve(self, capsys, monkeypatch,
+                                                   argv, message):
+        # the Anderson solve comes first, and a later method's request is bad
+        def no_solve(*args, **kwargs):
+            raise AssertionError("solved before the request was checked")
+
+        monkeypatch.setattr(cli.anderson, "anderson_bound", no_solve)
+        code = run(["sandwich", "--model", "heisenberg", "--anderson-m", "16"] + argv)
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
 
     @pytest.mark.parametrize("spec", ["m=5", "s=2", "m=5,s=2,k=1", "m=5,s", "m=x,s=2"])
     def test_bad_marginal_spec(self, capsys, spec):

@@ -9,8 +9,8 @@ from certground.anderson import anderson_bound
 from certground.models import build_ring, builtin_model
 from certground.moment import (build_structure, check_window, coefficient_matrices,
                                oracle_moment_matrix, ti_moment_bound)
-from certground.pauli import (PauliString, all_strings, dagger, hermitian_class, multiply,
-                              string_to_dense)
+from certground.pauli import (PauliString, all_strings, canonicalize, dagger,
+                              hermitian_class, multiply, string_to_dense)
 from tests.conftest import EMIN, RING
 
 # l = 3 bounds at the CLI's gap_tol 1e-9, frozen from the 4^l moment-matrix LMI
@@ -28,6 +28,23 @@ class TestBasis:
     def test_count(self):
         assert build_structure(2).n_variables == 13  # I, 3 one-site, 9 two-site
         assert build_structure(3).n_variables == 49
+
+    @pytest.mark.parametrize("window, count", [(2, 13), (3, 49), (4, 193)])
+    def test_classes_match_canonicalize(self, window, count):
+        # the classes of the products P_a P_b of the standard (Hermitian)
+        # strings, in order of first appearance, built with the validating
+        # constructor and `canonicalize`
+        strings = list(all_strings(window))
+        reps = {}
+        for a in strings:
+            for b in strings:
+                phase = a.phase_exp + b.phase_exp + 2 * (a.z_mask & b.x_mask).bit_count()
+                _, c = canonicalize(PauliString(window, a.x_mask ^ b.x_mask,
+                                                a.z_mask ^ b.z_mask, phase))
+                reps.setdefault((c.width, c.x_mask, c.z_mask), PauliString(
+                    c.width, c.x_mask, c.z_mask, (c.x_mask & c.z_mask).bit_count()))
+        assert len(reps) == count
+        assert build_structure(window).class_reps == tuple(reps.values())
 
     def test_contains_standard_elements(self):
         labels = {rep.label for rep in build_structure(2).class_reps}

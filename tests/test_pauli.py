@@ -13,6 +13,55 @@ def rand_string(rng, width):
                        int(rng.integers(0, 2 ** width)), int(rng.integers(0, 4)))
 
 
+def every_string(width):
+    """All 4^width strings of one width, each with all four phases."""
+    for x in range(1 << width):
+        for z in range(1 << width):
+            for phase in range(4):
+                yield PauliString(width, x, z, phase)
+
+
+def assert_same_string(result, expected):
+    # the unchecked constructor gives what the validating one gives
+    assert type(result) is PauliString
+    assert vars(result) == vars(expected)
+    assert all(type(v) is int for v in vars(result).values())
+    assert result == expected
+    assert hash(result) == hash(expected)
+
+
+class TestKernel:
+    # multiply and dagger build their result without PauliString's checks
+    @pytest.mark.parametrize("width", [1, 2, 3])
+    def test_multiply_matches_validated_construction(self, width):
+        strings = list(every_string(width))
+        for p in strings:
+            for q in strings:
+                # the phase is left unreduced: the validating constructor reduces it
+                phase = p.phase_exp + q.phase_exp + 2 * (p.z_mask & q.x_mask).bit_count()
+                assert_same_string(multiply(p, q), PauliString(
+                    width, p.x_mask ^ q.x_mask, p.z_mask ^ q.z_mask, phase))
+
+    @pytest.mark.parametrize("width", [1, 2, 3])
+    def test_dagger_matches_validated_construction(self, width):
+        for p in every_string(width):
+            phase = -p.phase_exp + 2 * (p.x_mask & p.z_mask).bit_count()
+            assert_same_string(dagger(p), PauliString(width, p.x_mask, p.z_mask, phase))
+
+    def test_multiply_rejects_a_width_mismatch(self):
+        with pytest.raises(ValueError, match="width mismatch"):
+            multiply(PauliString.identity(2), PauliString.identity(3))
+
+    @pytest.mark.parametrize("width", [1, 2, 3, 4])
+    def test_hermitian_class_matches_canonicalize(self, width):
+        for p in every_string(width):
+            _, c = canonicalize(p)
+            residue = (c.phase_exp - (c.x_mask & c.z_mask).bit_count()) % 4
+            key, factor = hermitian_class(p)
+            assert key == (c.width, c.x_mask, c.z_mask)
+            assert repr(factor) == repr(1j ** residue)  # the sign of a zero part too
+
+
 class TestMultiply:
     def test_xz_single_qubit(self):
         # X . Z = -i Y  (Y = i X Z, so X Z = -i Y)
