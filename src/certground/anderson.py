@@ -18,7 +18,7 @@ import numpy as np
 
 from . import eigensolver
 from .models import (SYMMETRIES, ModelSpec, PatchSpec, assembly_margin, build_patch,
-                     charge_sectors, divide_down, operator_norm)
+                     charge_sectors, check_cap, divide_down, operator_norm)
 from .reports import BoundReport
 
 def anderson_formula(lambda_min_patch: float, m: int, D: int) -> float:
@@ -35,12 +35,14 @@ def guarantee_formula(lambda_min_patch: float, h_norm: float, m: int, D: int) ->
     return D / m * h_norm - lambda_min_patch * (1.0 / (m - 1) ** D - 1.0 / m ** D)
 
 
-def open_patch(m: int, D: int) -> PatchSpec:
+def open_patch(model: ModelSpec, m: int, D: int) -> PatchSpec:
     """The open m^D patch that `anderson_bound` solves; ValueError unless D is
-    1 or 2 and m >= 2."""
+    1 or 2, m >= 2 and the patch fits the qubit cap (`models.check_cap`)."""
     if D not in (1, 2):
         raise ValueError("patch diagonalization supports D in {1, 2} only")
-    return PatchSpec(m, D, "open")
+    patch = PatchSpec(m, D, "open")
+    check_cap(patch.sites, model.d)
+    return patch
 
 
 def anderson_bound(model: ModelSpec, m: int, D: int = 1, tol: float = 1e-8,
@@ -60,7 +62,7 @@ def anderson_bound(model: ModelSpec, m: int, D: int = 1, tol: float = 1e-8,
     block exceeds DENSE_CAP the result is "unverified" whatever happens, so no
     block is then factored: all of them are solved by Lanczos alone.
     """
-    patch = open_patch(m, D)
+    patch = open_patch(model, m, D)
     sectors = charge_sectors(model, patch.sites, D)
     prove = max(len(s) for s in sectors) <= eigensolver.DENSE_CAP
     eigs, edges, margins = [], [], []

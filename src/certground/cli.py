@@ -13,8 +13,6 @@ import functools
 import sys
 import time
 
-import numpy as np
-
 from . import anderson, marginal, moment, reports, upper
 from .models import BUILTIN_MODELS, ModelSpec, builtin_model, parse_model
 
@@ -61,12 +59,19 @@ def _emit(args, payload, csv_rows=None, csv_columns=None):
         sys.stdout.write(text)
 
 
+def _positive(text: str) -> float:
+    value = float(text)
+    if not value > 0:
+        raise argparse.ArgumentTypeError(f"{text} is not positive")
+    return value
+
+
 def _add_common(p):
     p.add_argument("--model", choices=BUILTIN_MODELS, help="builtin model name")
     p.add_argument("--params", default="", help="comma-separated model parameters")
     p.add_argument("--model-file", help="JSON model document (see README)")
     p.add_argument("--dim", type=int, default=1, help="lattice dimension D")
-    p.add_argument("--tol", type=float, default=1e-8, help="eigensolver tolerance")
+    p.add_argument("--tol", type=_positive, default=1e-8, help="eigensolver tolerance")
     p.add_argument("--gap-tol", type=float, default=1e-9, help="SDP duality-gap tolerance")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--json", help="write the JSON report to this path")
@@ -122,16 +127,42 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+def _solve(fn):
+    """`fn` as a solve. Every request is checked before the first solve starts,
+    so a ValueError from inside one (numpy or scipy on the solver's own data)
+    is a solver failure, exit 3, not a validation error."""
+    @functools.wraps(fn)
+    def solve(*args):
+        try:
+            return fn(*args)
+        except ValueError as e:
+            raise RuntimeError(str(e)) from e
+    return solve
+
+
+@_solve
 def _anderson(model, args, m):
     return anderson.anderson_bound(model, m, args.dim, tol=args.tol, seed=args.seed)
 
 
+@_solve
 def _marginal(args, spec):
     return marginal.improved_anderson_bound(spec, gap_tol=args.gap_tol)
 
 
+@_solve
 def _moment(model, args, window):
     return moment.ti_moment_bound(model, window, gap_tol=args.gap_tol)
+
+
+@_solve
+def _product_state(model, args):
+    return upper.product_state_upper(model, restarts=args.restarts, seed=args.seed)
+
+
+@_solve
+def _oracle(model, args):
+    return upper.ring_reference(model, args.n)
 
 
 def _timed_row(solve, *point) -> dict:
@@ -147,7 +178,7 @@ def _run_sweep(model, args):
             raise ValidationError("sweep anderson requires --m a..b")
         ms = _parse_range(args.m)
         for m in ms:  # the whole range, before any solve
-            anderson.open_patch(m, args.dim)
+            anderson.open_patch(model, m, args.dim)
         rows = []
         for m in ms:
             try:
@@ -191,7 +222,7 @@ def _run_sandwich(model, args):
                               "--moment-l, --marginal")
     # every requested method is checked before the first solve
     if args.anderson_m:
-        anderson.open_patch(args.anderson_m, args.dim)
+        anderson.open_patch(model, args.anderson_m, args.dim)
     if args.moment_l:
         moment.check_request(model, args.moment_l)
     spec = (marginal.MarginalProblemSpec(model, *_parse_marginal(args.marginal))
@@ -205,7 +236,7 @@ def _run_sandwich(model, args):
         lower.append(_marginal(args, spec))
     lower_rows = [{"method": r.method, "bound": r.lower, "certified": r.certified,
                    "params": r.params, "diagnostics": r.diagnostics} for r in lower]
-    up = upper.product_state_upper(model, restarts=args.restarts, seed=args.seed)
+    up = _product_state(model, args)
     report = upper.SandwichReport.from_rows(model.name, lower_rows, up)
     return {"model": report.model, "lower": report.lower,
             "lower_method": report.lower_method, "certified": report.certified,
@@ -225,11 +256,13 @@ def run(argv) -> int:
             return 0
         model = _load_model(args) if args.command != "models" else None
         if args.command == "anderson":
+            anderson.open_patch(model, args.m, args.dim)
             _emit(args, _anderson(model, args, args.m))
         elif args.command == "marginal":
             _emit(args, _marginal(args, marginal.MarginalProblemSpec(
                 model, args.m, args.s, args.mode, args.placement)))
         elif args.command == "moment":
+            moment.check_request(model, args.l)
             _emit(args, _moment(model, args, args.l))
         elif args.command == "sweep":
             rows, columns = _run_sweep(model, args)
@@ -238,7 +271,8 @@ def run(argv) -> int:
         elif args.command == "sandwich":
             _emit(args, _run_sandwich(model, args))
         elif args.command == "oracle":
-            val = upper.ring_reference(model, args.n)
+            upper.check_ring(model, args.n)
+            val = _oracle(model, args)
             _emit(args, {"method": "ring_oracle", "model": model.name, "n": args.n,
                          "density": val,
                          "note": "exact tiny-ring value; reference, not certified"})
@@ -246,9 +280,6 @@ def run(argv) -> int:
     except ValidationError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
-    except np.linalg.LinAlgError as e:  # a ValueError subclass, but a solver failure
-        print(f"solver failure: {e}", file=sys.stderr)
-        return 3
     except ValueError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

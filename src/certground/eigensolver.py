@@ -239,7 +239,7 @@ def min_eig_lanczos(apply, dim: int, tol: float = 1e-8, seed: int = 0,
         beta[j + 1] = b
         if (j + 1) % _BASIS_ROWS == 0:  # block full: start the next one
             blocks.append(np.empty((min(_BASIS_ROWS, kmax - j - 1), dim), dtype=dtype))
-        blocks[-1][(j + 1) % _BASIS_ROWS] = w / b
+        np.divide(w, b, out=blocks[-1][(j + 1) % _BASIS_ROWS])  # in place: no temporary
         qprev = qj
         omega_prev, omega, omega_next = omega, omega_next, omega_prev
 

@@ -286,31 +286,45 @@ def _reversals(k: int, d: int) -> np.ndarray:
     return out
 
 
-def _check_cap(n: int, d: int) -> None:
+def check_cap(n: int, d: int) -> None:
+    """ValueError unless n sites of dimension d fit the `max_qubits()` cap."""
     if n * np.log2(d) > max_qubits():
         raise ValueError(f"{n} sites of dimension {d} exceed the {max_qubits()}-qubit cap")
 
 
 def build_patch(model: ModelSpec, patch: PatchSpec, sector=None) -> sp.csr_matrix:
-    """The patch Hamiltonian on one block, assembled bond by bond.
+    """The patch Hamiltonian on one block, one write per distinct change.
 
     `sector` is one block from `charge_sectors` (a plain sorted index array
     is read as a block of charge alone); None is the whole space. A
     "sign_gauge" sector is a block of the gauged patch, `sign_gauge(term)` on
-    every bond, and needs an open patch. For every bond and every nonzero
-    entry <a|term|c> with c != a, one vectorized pass over the sector's states
-    s whose digits on the bond read a gives the states t that read c there
-    instead. Each t is mapped to its orbit representative r in O(1) from the
-    precomputed images of s under the sector's symmetries, and r to its column
-    by a d^n rank table; entry (s, r) gains <a|term|c> sqrt(|O_s| / |O_r|),
-    the matrix element between normalized orbit sums. Diagonal entries are
-    summed per bond in a dense vector. Row lengths are counted first, so every
-    entry is written straight into its CSR row and the d^n matrix exists only
-    when the whole space is asked for. Entries are rounded sums;
-    `assembly_margin` bounds how far the block is from the exact one.
+    every bond, and needs an open patch. The term is split once into its
+    diagonal, its one-site changes (a bond's site goes from digit x to y, with
+    a coefficient set by the other site's digit) and its two-site changes:
+
+    - the diagonal is summed per bond, in bond order, by one table lookup on
+      each state's digit pair;
+    - for every site, one vectorized pass per move x -> y of its digit (the
+      k-th move of every digit x together: 0 -> 1 and 1 -> 0 in one pass
+      for d = 2) sums the coefficient of each of the sector's states over
+      the site's bonds, in bond order, and writes it once;
+    - for every bond and every two-site entry <a|term|c>, one pass over the
+      states whose digits on the bond read a writes <a|term|c>.
+
+    Each moved state t is mapped to its orbit representative r in O(1) from
+    the precomputed images of its source s under the sector's symmetries, and
+    r to its column by a d^n rank table; the entry is the coefficient times
+    sqrt(|O_s| / |O_r|), the matrix element between normalized orbit sums.
+    Row lengths are counted first, so every entry is written straight into
+    its CSR row, unsorted and never merged, and the d^n matrix exists only
+    when the whole space is asked for. A row stores a column twice only
+    where two changes of a state with a nontrivial stabilizer reach one
+    representative; the matvec and `toarray` add such entries. Entries are
+    rounded sums; `assembly_margin` bounds how far the block is from the
+    exact one.
     """
     n, d = patch.sites, model.d
-    _check_cap(n, d)
+    check_cap(n, d)
     term = _realify(np.asarray(model.term, dtype=complex))
     states = np.arange(d ** n) if sector is None else np.asarray(sector)
     symmetry = getattr(sector, "symmetry", ())
@@ -327,48 +341,83 @@ def build_patch(model: ModelSpec, patch: PatchSpec, sector=None) -> sp.csr_matri
         rank = np.empty(d ** n, dtype=np.int32)
         rank[states] = np.arange(dim, dtype=np.int32)
     strides = d ** np.arange(n - 1, -1, -1, dtype=np.int64)
-    outs = [[c for c in np.flatnonzero(term[a]) if c != a] for a in range(d * d)]
     bonds = patch_bonds(patch)
-    # the digit pair (a, b) on each bond of every state, as a d + b
-    pairs = [(states // strides[p] % d * d + states // strides[q] % d)
-             .astype(np.min_scalar_type(d * d - 1)) for p, q in bonds]
-    # row s holds its diagonal, then one entry per bond and off-diagonal output
-    fanout = np.array([len(o) for o in outs])
-    length = 1 + sum(fanout[local] for local in pairs)
+    # each site's digit in every state, and the digit pair (a, b) on each bond, as a d + b
+    digits = [(states // stride % d).astype(np.min_scalar_type(d * d - 1)) for stride in strides]
+    pairs = [digits[p] * d + digits[q] for p, q in bonds]
+    # one-site changes x -> y of a bond's first site, with the coefficient
+    # first[x, y, pair] = <x b|term|y b> at the digit pair (x, b), and of its
+    # second site, second[x, y, pair] = <a x|term|a y> at (a, x)
+    t4, pair, same = term.reshape(d, d, d, d), np.arange(d * d), np.arange(d)
+    first = np.einsum("xbyb->xyb", t4)[:, :, pair % d]
+    second = np.einsum("axay->xya", t4)[:, :, pair // d]
+    first[same, same] = second[same, same] = 0  # x == y is the diagonal
+    # the digits y != x that some bond moves each digit x to (a site that none
+    # of its own bonds moves so writes zeros, which eliminate_zeros drops);
+    # without one-site changes, no pass reads the sites' digits
+    moves = [list(np.flatnonzero(row)) for row in np.any(first, axis=2) | np.any(second, axis=2)]
+    if not any(moves):
+        digits = []
+    # each site's bonds: their digit pairs, coefficients and the site's digit in a pair
+    touching = [[] for _ in range(n)]
+    for (p, q), local in zip(bonds, pairs):
+        touching[p].append((local, first, pair // d))
+        touching[q].append((local, second, pair % d))
+    # the two-site changes c of each digit pair a
+    outs = [[c for c in np.flatnonzero(term[a]) if c // d != a // d and c % d != a % d]
+            for a in range(d * d)]
+    # row s holds its diagonal, one entry per site and one-site change of its
+    # digit, and one per bond and two-site change
+    length = 1 + sum(np.array([len(o) for o in outs])[local] for local in pairs)
+    for digit in digits:
+        length += np.array([len(ys) for ys in moves])[digit]
     index = np.int32 if int(length.sum()) < 2 ** 31 else np.int64
     indptr = np.zeros(dim + 1, dtype=index)
     np.cumsum(length, out=indptr[1:])
     indices = np.empty(indptr[-1], dtype=index)
     data = np.empty(indptr[-1], dtype=term.dtype)
     indices[indptr[:-1]] = np.arange(dim)
-    diag = np.zeros(dim, dtype=term.dtype)
+    diag, on_diag = np.zeros(dim, dtype=term.dtype), np.diag(term)
+    for local in pairs:  # in bond order
+        diag += on_diag[local]
     free = indptr[:-1] + 1  # the next unwritten slot of each row
+
+    def write(src, changes):
+        """One entry in each row of `src` per (value, shifts) in `changes`: the
+        state moved by the (site, digit shift) pairs `shifts`, taken to its
+        orbit representative."""
+        # slot advances past each change and is stored back into free (in
+        # place already when src is a slice, and slot a view of free)
+        base, slot = states[src], free[src]
+        moved = [(img[src], rev, flip) for img, rev, flip in images]
+        for value, shifts in changes:
+            t = base + sum(shift * strides[j] for j, shift in shifts)
+            for img, rev, flip in moved:
+                step = sum(shift * strides[n - 1 - j if rev else j] for j, shift in shifts)
+                np.minimum(t, img + (-step if flip else step), out=t)
+            col = t if rank is None else rank[t]
+            indices[slot] = col
+            data[slot] = value * np.sqrt(size[src] / size[col]) if images else value
+            slot += 1
+        free[src] = slot
+
+    for k in range(max(map(len, moves))):
+        # the k-th move of each digit, x itself where there is none
+        to = np.array([ys[k] if k < len(ys) else x for x, ys in enumerate(moves)])
+        moving = to != same
+        for s, (touch, digit) in enumerate(zip(touching, digits)):
+            src = slice(None) if moving.all() else np.flatnonzero(moving[digit])
+            # each state's coefficient, summed over the site's bonds in bond order
+            value = sum(table[x, to[x], pair][local[src]] for local, table, x in touch)
+            write(src, [(value, ((s, (to - same)[digit[src]]),))])
     for (p, q), local in zip(bonds, pairs):
         for a in range(d * d):
-            if term[a, a] == 0 and not outs[a]:
-                continue
-            src = np.flatnonzero(local == a)
-            diag[src] += term[a, a]
-            if not outs[a]:
-                continue
-            base, slot = states[src], free[src]
-            free[src] += len(outs[a])
-            moved = [(img[src], rev, flip) for img, rev, flip in images]
-            for c in outs[a]:
-                dp, dq = c // d - a // d, c % d - a % d
-                t = base + (dp * strides[p] + dq * strides[q])
-                for img, rev, flip in moved:
-                    jp, jq = (n - 1 - p, n - 1 - q) if rev else (p, q)
-                    shift = dp * strides[jp] + dq * strides[jq]
-                    np.minimum(t, img + (-shift if flip else shift), out=t)
-                col = t if rank is None else rank[t]
-                indices[slot] = col
-                data[slot] = (term[a, c] * np.sqrt(size[src] / size[col]) if images
-                              else term[a, c])
-                slot += 1
+            if outs[a]:
+                write(np.flatnonzero(local == a),
+                      [(term[a, c], ((p, c // d - a // d), (q, c % d - a % d)))
+                       for c in outs[a]])
     data[indptr[:-1]] = diag
     h = sp.csr_matrix((data, indices, indptr), shape=(dim, dim))
-    h.sum_duplicates()
     h.eliminate_zeros()
     return h
 
@@ -377,16 +426,23 @@ def assembly_margin(model: ModelSpec, patch: PatchSpec, sector=None) -> float:
     """A bound on ||B~ - B||_2 for the block B~ = build_patch(model, patch,
     sector) and the exact matrix B of the patch Hamiltonian on that block.
 
-    An entry of B~ is a floating-point sum of at most k = bonds + 2 D |G|
-    contributions x: one diagonal term entry per bond, plus the bonds that
-    reach a member of the column's orbit, at most 2D per member. A symmetry
-    factor adds two roundings (square root and product), so
+    An entry of B~ (the stored entries of its row and column added up, as
+    `toarray` does) is a floating-point sum of at most k = bonds + 2 D |G|
+    contributions x, each a term entry times its symmetry factor: one
+    diagonal term entry per bond, plus, for each member of the column's orbit
+    that a change of the row's state reaches, the term entries of the at
+    most 2D bonds that make that change (a one-site change sums them over
+    the site's bonds before the factor is applied). Any order of adding k
+    numbers is a tree in which each passes through at most k - 1 additions,
+    and a symmetry factor adds two roundings (square root and product) to
+    the partial sum it scales, so
     |B~_ij - B_ij| <= gamma_{k+2} sum |x| and, by Cauchy-Schwarz,
     ||B~ - B||_F <= gamma_{k+2} sqrt(k sum x^2). Each of the N states of the
     block meets every bond once, and the factors are at most sqrt|G|, so
     sum x^2 <= |G| bonds N max_a ||term[a, :]||^2. Without a symmetry factor,
     terms whose entries are multiples of 2^-30 with k max|entry| < 2^23 are
-    summed exactly (`exact_sums`), and the margin is 0.
+    summed exactly (`exact_sums`: every partial sum is exact, in any order),
+    and the margin is 0.
     """
     symmetry = getattr(sector, "symmetry", ())
     order = (1 + ("reflection" in symmetry)) * (1 + ("flip" in symmetry))
@@ -502,7 +558,7 @@ def charge_sectors(model: ModelSpec, n: int, D: int | None = None) -> list[Secto
       `build_patch` assembles it from the gauged term, on open patches only.
     """
     d = model.d
-    _check_cap(n, d)
+    check_cap(n, d)
     symmetries = term_symmetries(model)
     term, tested, gauge = np.asarray(model.term), symmetries, ()
     reductions = []

@@ -76,12 +76,19 @@ def ring_reference(model: ModelSpec, n: int, tol: float = 1e-10, seed: int = 0) 
     full ring state (the tiny-n oracle behind `certground oracle`). Rings
     are one-dimensional, so a model with D != 1 is rejected.
     """
+    check_ring(model, n)
+    return min_eig(build_ring(model, n), tol=tol, seed=seed).value / n
+
+
+def check_ring(model: ModelSpec, n: int) -> None:
+    """ValueError unless `ring_reference` can solve the n-site ring: D = 1,
+    n >= 2 and at most 24 qubit equivalents (fewer when `max_qubits()` says so)."""
     if model.D != 1:
         raise ValueError("the ring reference is one-dimensional")
-    qubits = n * np.log2(model.d)
-    if qubits > min(max_qubits(), 24):
+    if n < 2:
+        raise ValueError("ring size n must be >= 2")
+    if n * np.log2(model.d) > min(max_qubits(), 24):
         raise ValueError("ring reference capped at 24 qubit equivalents")
-    return min_eig(build_ring(model, n), tol=tol, seed=seed).value / n
 
 
 @dataclass(frozen=True)

@@ -4,7 +4,7 @@ import time
 import numpy as np
 import pytest
 
-from certground import cli, reports, sdp
+from certground import cli, eigensolver, reports, sdp
 from certground.cli import run
 
 
@@ -368,12 +368,13 @@ class TestSandwich:
     ], ids=["window", "dim", "marginal"])
     def test_every_method_checked_before_any_solve(self, capsys, monkeypatch,
                                                    argv, message):
-        # the Anderson solve comes first, and a later method's request is bad
+        # the Anderson solve comes first, and a later method's request is bad;
+        # the Anderson request (a 4 x 4 patch under --dim 2) is within the cap
         def no_solve(*args, **kwargs):
             raise AssertionError("solved before the request was checked")
 
         monkeypatch.setattr(cli.anderson, "anderson_bound", no_solve)
-        code = run(["sandwich", "--model", "heisenberg", "--anderson-m", "16"] + argv)
+        code = run(["sandwich", "--model", "heisenberg", "--anderson-m", "4"] + argv)
         captured = capsys.readouterr()
         assert code == 2
         assert captured.out == ""
@@ -529,6 +530,42 @@ class TestMisc:
         code = run(["marginal", "--model", "heisenberg", "--m", "4", "--s", "1"])
         assert code == 3
         assert "solver failure" in capsys.readouterr().err
+
+    def test_value_error_inside_a_solve_is_solver_failure(self, capsys, monkeypatch):
+        # numpy and scipy raise ValueError on bad data; inside a solve that is
+        # the solver's data, not the request
+        def broken(*args, **kwargs):
+            raise ValueError("array must not contain infs or NaNs")
+        monkeypatch.setattr(eigensolver, "min_eig", broken)
+        code = run(["anderson", "--model", "heisenberg", "--m", "6"])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.out == ""
+        assert captured.err == "solver failure: array must not contain infs or NaNs\n"
+
+    @pytest.mark.parametrize("argv, message", [
+        (["anderson", "--m", "30"], "30 sites of dimension 2 exceed the 26-qubit cap"),
+        (["sweep", "--method", "anderson", "--m", "2..27"],
+         "27 sites of dimension 2 exceed the 26-qubit cap"),
+        (["sandwich", "--anderson-m", "6", "--dim", "2"],
+         "36 sites of dimension 2 exceed the 26-qubit cap"),
+        (["oracle", "--n", "25"], "ring reference capped at 24 qubit equivalents"),
+        (["oracle", "--n", "1"], "ring size n must be >= 2"),
+    ], ids=["anderson", "sweep", "sandwich", "oracle", "oracle-n"])
+    def test_size_checked_before_any_solve(self, capsys, monkeypatch, argv, message):
+        def no_solve(*args, **kwargs):
+            raise AssertionError("solved before the size was checked")
+        monkeypatch.setattr(cli.anderson, "anderson_bound", no_solve)
+        monkeypatch.setattr(cli.upper, "ring_reference", no_solve)
+        code = run(argv + ["--model", "heisenberg"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+
+    def test_tolerance_must_be_positive(self, capsys):
+        assert run(["anderson", "--model", "heisenberg", "--m", "4", "--tol", "0"]) == 2
+        assert capsys.readouterr().out == ""
 
     def test_json_file_output(self, capsys, tmp_path):
         p = tmp_path / "out.json"

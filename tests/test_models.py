@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 import certground as cg
 from certground.models import (PatchSpec, Sector, assembly_margin, build_patch, build_ring,
@@ -188,6 +189,17 @@ class TestChargeSectors:
             assert np.array_equal(idx, np.arange(32))
 
 
+def _spin_one_field():
+    # -Sz Sz - (Sx I + I Sx)/2 for spin 1 (d = 3): stoquastic and reflection
+    # symmetric; Sx moves digit 1 to 0 or 2 but 0 and 2 only to 1
+    sz = np.diag([1.0, 0.0, -1.0])
+    sx = np.sqrt(0.5) * (np.eye(3, k=1) + np.eye(3, k=-1))
+    term = -np.kron(sz, sz) - 0.5 * (np.kron(sx, np.eye(3)) + np.kron(np.eye(3), sx))
+    return parse_model(json.dumps({
+        "name": "spin1-field", "d": 3, "D": 1,
+        "term": {"dense": [[float(x), 0.0] for x in term.ravel()]}}))
+
+
 def _ferromagnet():
     # -(XX + YY + ZZ)/2: SU(2) invariant and stoquastic
     return parse_model(json.dumps({"name": "ferromagnet", "d": 2, "D": 1, "term": {
@@ -218,6 +230,30 @@ def _lambda_min(model, patch):
     """Smallest eigenvalue over the reduced sectors, each block diagonalized densely."""
     sectors = charge_sectors(model, patch.sites, patch.D)
     return min(np.linalg.eigvalsh(build_patch(model, patch, s).toarray())[0] for s in sectors)
+
+
+def _orbit_sum_block(model, patch, sector):
+    """P^T H P in extended precision: H the bond sum of the embedded term, P
+    the normalized orbit sums of the sector's states under its reflection
+    (1D) and flip (d = 2)."""
+    n = patch.sites
+    full = sum(embed_on_sites(np.asarray(model.term), bond, n, model.d).toarray()
+               .astype(np.longdouble) for bond in patch_bonds(patch))
+    basis = np.zeros((2 ** n, len(sector)), dtype=np.longdouble)
+    for j, s in enumerate(int(s) for s in sector):
+        orbit = {s}
+        if "reflection" in sector.symmetry:
+            orbit |= {int(format(t, f"0{n}b")[::-1], 2) for t in orbit}
+        if "flip" in sector.symmetry:
+            orbit |= {2 ** n - 1 - t for t in orbit}
+        basis[sorted(orbit), j] = 1 / np.sqrt(np.longdouble(len(orbit)))
+    return basis.T @ full @ basis
+
+
+def _repeated_entries(h) -> int:
+    """Stored entries whose (row, column) an earlier entry of the row holds."""
+    rows = np.repeat(np.arange(h.shape[0]), np.diff(h.indptr))
+    return h.nnz - len(np.unique(rows * h.shape[1] + h.indices))
 
 
 class TestSectorAssembly:
@@ -253,6 +289,20 @@ class TestSectorAssembly:
         model = make()
         ref = np.linalg.eigvalsh(build_patch(model, patch).toarray())[0]
         assert abs(_lambda_min(model, patch) - ref) < 1e-10
+
+    @pytest.mark.parametrize("patch", [PatchSpec(m) for m in range(2, 7)] + [PatchSpec(2, 2)],
+                             ids=lambda p: f"{p.m}^{p.D}")
+    def test_one_site_moves_of_unequal_count(self, patch):
+        # d = 3, where digit 1 has two one-site moves and digits 0 and 2 one:
+        # the second pass covers only the states whose digit there is 1
+        model = _spin_one_field()
+        term = np.asarray(model.term)
+        ref = sum(embed_on_sites(term, bond, patch.sites, 3) for bond in patch_bonds(patch))
+        assert abs(build_patch(model, patch) - ref).max() < 1e-13
+        (sector,) = charge_sectors(model, patch.sites, patch.D)
+        assert sector.symmetry == (("reflection",) if patch.D == 1 else ())
+        assert abs(_lambda_min(model, patch)
+                   - np.linalg.eigvalsh(ref.toarray())[0]) < 1e-10
 
     @pytest.mark.parametrize("make, n, D, symmetry, dim", [
         # orbits of reflection x flip on 2^8 states: (256 + 16 + 0 + 16) / 4
@@ -292,19 +342,55 @@ class TestSectorAssembly:
         assert sector.symmetry == ("reflection",)
 
     def test_margin_covers_the_assembly_rounding(self):
-        # the symmetric block against P^T H P over explicit orbit sums, in extended precision
-        model, patch = builtin_model("tfim", [0.3]), PatchSpec(7)
-        (sector,) = charge_sectors(model, 7, 1)
-        full = build_patch(model, patch).toarray().astype(np.longdouble)
-        basis = np.zeros((2 ** 7, len(sector)), dtype=np.longdouble)
-        for j, s in enumerate(sector):
-            r = int(format(int(s), "07b")[::-1], 2)
-            orbit = {int(s), r, 127 - int(s), 127 - r}
-            basis[sorted(orbit), j] = 1 / np.sqrt(np.longdouble(len(orbit)))
-        exact = basis.T @ full @ basis
-        error = np.linalg.norm((build_patch(model, patch, sector).toarray() - exact).astype(float), 2)
+        # the symmetric block against P^T H P over explicit orbit sums, in
+        # extended precision; on the 3 x 3 patch (flip only) the middle site's
+        # one-site coefficient sums four bonds
+        for patch in (PatchSpec(7), PatchSpec(3, 2)):
+            model = builtin_model("tfim", [0.3], D=patch.D)
+            (sector,) = charge_sectors(model, patch.sites, patch.D)
+            error = np.linalg.norm((build_patch(model, patch, sector).toarray()
+                                    - _orbit_sum_block(model, patch, sector)).astype(float), 2)
+            margin = assembly_margin(model, patch, sector)
+            assert 0 < error <= margin < 1e-12
+
+    def test_repeated_columns_sum_to_the_orbit_sum_block(self):
+        # states fixed by reflection reach one representative from two
+        # mirrored sites; the row keeps both entries, which toarray and the
+        # matvec add up
+        model, patch = builtin_model("tfim", [1.0]), PatchSpec(8)
+        (sector,) = charge_sectors(model, 8, 1)
+        assert sector.symmetry == ("reflection", "flip")
+        block = build_patch(model, patch, sector)
+        assert _repeated_entries(block) > 0
+        exact = _orbit_sum_block(model, patch, sector)
         margin = assembly_margin(model, patch, sector)
-        assert 0 < error <= margin < 1e-12
+        assert float(np.max(np.abs(block.toarray() - exact))) <= margin
+        v = np.random.default_rng(0).standard_normal(len(sector))
+        assert float(np.linalg.norm(block @ v - (exact @ v).astype(float))) <= (
+            margin * np.linalg.norm(v) + 1e-13)
+
+    @pytest.mark.parametrize("make, patch, reduced", [
+        (lambda: builtin_model("heisenberg"), PatchSpec(9), True),  # gauged, reflection
+        (lambda: builtin_model("tfim", [1.0]), PatchSpec(8), True),  # reflection x flip
+        (lambda: builtin_model("tfim", [1.0], D=2), PatchSpec(3, 2), True),  # flip
+        (lambda: builtin_model("random_twosite", [3.0]), PatchSpec(8), True),  # whole space
+        (lambda: builtin_model("xxz", [0.5]), PatchSpec(9), False),  # charge blocks
+        (lambda: builtin_model("heisenberg", D=2), PatchSpec(3, 2), False),
+    ], ids=["heisenberg", "tfim", "tfim-3x3", "random_twosite", "xxz-charge",
+            "heisenberg-3x3-charge"])
+    def test_assembly_neither_sorts_nor_merges(self, monkeypatch, make, patch, reduced):
+        # rows are written once, in no particular column order; without a
+        # reduction by reflection or flip, no row stores a column twice
+        def refuse(self, *args, **kwargs):
+            raise AssertionError("build_patch sorted or merged its entries")
+
+        monkeypatch.setattr(sp.csr_matrix, "sum_duplicates", refuse)
+        monkeypatch.setattr(sp.csr_matrix, "sort_indices", refuse)
+        model = make()
+        for sector in charge_sectors(model, patch.sites, patch.D if reduced else None):
+            block = build_patch(model, patch, sector)
+            if not {"reflection", "flip"} & set(getattr(sector, "symmetry", ())):
+                assert _repeated_entries(block) == 0
 
     def test_dyadic_charge_blocks_are_exact(self):
         for name in ("heisenberg", "xxz"):
