@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import math
 import sys
 import time
 
@@ -61,8 +62,8 @@ def _emit(args, payload, csv_rows=None, csv_columns=None):
 
 def _positive(text: str) -> float:
     value = float(text)
-    if not value > 0:
-        raise argparse.ArgumentTypeError(f"{text} is not positive")
+    if not 0 < value < math.inf:
+        raise argparse.ArgumentTypeError(f"{text} is not a positive finite number")
     return value
 
 
@@ -72,7 +73,7 @@ def _add_common(p):
     p.add_argument("--model-file", help="JSON model document (see README)")
     p.add_argument("--dim", type=int, default=1, help="lattice dimension D")
     p.add_argument("--tol", type=_positive, default=1e-8, help="eigensolver tolerance")
-    p.add_argument("--gap-tol", type=float, default=1e-9, help="SDP duality-gap tolerance")
+    p.add_argument("--gap-tol", type=_positive, default=1e-9, help="SDP duality-gap tolerance")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--json", help="write the JSON report to this path")
 
@@ -162,7 +163,7 @@ def _product_state(model, args):
 
 @_solve
 def _oracle(model, args):
-    return upper.ring_reference(model, args.n)
+    return upper.ring_reference(model, args.n, tol=args.tol, seed=args.seed)
 
 
 def _timed_row(solve, *point) -> dict:

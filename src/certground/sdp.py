@@ -6,12 +6,15 @@ Primal standard form over symmetric blocks X_k >= 0:
     subject to  sum_k tr(A_{i,k} X_k) = b_i,   i = 1..m
 
 solved by a dense symmetric primal-dual path-following method with a
-Mehrotra predictor-corrector step (HKM direction). Each iterate factors
-every X and S block once by Cholesky and inverts a block's two factors in
-one stacked call. The inverse factors give S^{-1}, both step-length
-searches (the step to the PSD boundary is read off L^{-1} D L^{-T}; one
-stacked `eigvalsh` gives a block's primal and dual step) and the Schur
-complement, assembled as the Gram matrix M_ij = <P_i, P_j> of
+Mehrotra predictor-corrector step (HKM direction). Each block's X and S are
+kept as one C-contiguous (2, n, n) pair, and each Newton direction (dX, dS)
+as another. Per block and per iterate that takes one Cholesky call on the
+pair (X and S are factored one at a time only when it fails), one inverse
+of the two factors, one `eigvalsh` call per direction for the primal and
+dual step together, and one multiply-add for the update. The inverse
+factors give S^{-1}, both step-length searches (the step to the PSD
+boundary is read off L^{-1} D L^{-T}) and the Schur complement, assembled
+as the Gram matrix M_ij = <P_i, P_j> of
 P_i = L_S^{-1} A_i L_X. L_S^{-1} reaches the rows of P in batches of at
 most _SCHUR_BATCH_BYTES, so the one temporary beside P is one batch. M is
 factored once by Cholesky too, and its inverse factor turns every solve
@@ -35,6 +38,7 @@ Complex Hermitian data enters through `real_embed` upstream.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -178,14 +182,45 @@ def _psd_factor(m_psd: np.ndarray) -> np.ndarray:
         return np.linalg.cholesky(m_psd + 1e-12 * np.trace(m_psd) * np.eye(m_psd.shape[0]))
 
 
+def _factor_pairs(Z) -> list:
+    """Lower Cholesky factors (L_X, L_S) of every block's (X, S) pair, one
+    stacked `cholesky` call per block.
+
+    Only when one of those calls fails are the matrices factored one at a
+    time: every S first, then every X through `_psd_factor`'s ridge. A
+    failure there raises LinAlgError naming the matrix as the breakdown.
+    """
+    try:
+        return [np.linalg.cholesky(z) for z in Z]
+    except np.linalg.LinAlgError:
+        pass
+    try:
+        LS = [np.linalg.cholesky(z[1]) for z in Z]
+    except np.linalg.LinAlgError:
+        raise np.linalg.LinAlgError("S factorization failed") from None
+    try:
+        LX = [_psd_factor(z[0]) for z in Z]
+    except np.linalg.LinAlgError:
+        raise np.linalg.LinAlgError("X factorization failed") from None
+    return [np.stack((lx, ls)) for lx, ls in zip(LX, LS)]
+
+
+@functools.cache
+def _lower_mask(n: int) -> np.ndarray:
+    mask = np.tri(n, dtype=bool)
+    mask.flags.writeable = False
+    return mask
+
+
 def _tri_inv(L: np.ndarray) -> np.ndarray:
     """Inverse of a nonsingular lower-triangular factor, through numpy's LAPACK.
 
     L may be a stack (..., n, n): one call inverts every matrix in it, each
     by the same LAPACK solve as on its own. The inverse is lower triangular;
-    `np.tril` drops the roundoff a pivoting LU leaves above the diagonal.
+    the cached lower mask drops the roundoff a pivoting LU leaves above the
+    diagonal, bit for bit as `np.tril` would.
     """
-    Linv = np.tril(np.linalg.inv(L))
+    Linv = np.where(_lower_mask(L.shape[-1]), np.linalg.inv(L), 0.0)
     if not np.all(np.isfinite(Linv)):
         raise np.linalg.LinAlgError("singular triangular factor")
     return Linv
@@ -199,8 +234,7 @@ def _max_step(Linv: np.ndarray, direction: np.ndarray) -> np.ndarray:
     gives one step per matrix, each as on its own.
     """
     lam = np.linalg.eigvalsh(_sym(Linv @ direction @ np.swapaxes(Linv, -1, -2)))[..., 0]
-    with np.errstate(divide="ignore"):
-        return np.where(lam >= -1e-14, np.inf, -1.0 / lam)
+    return np.divide(-1.0, lam, out=np.full_like(lam, np.inf), where=lam < -1e-14)
 
 
 def _schur(A, LX, LinvS) -> np.ndarray:
@@ -248,9 +282,12 @@ def solve(problem: SdpProblem, gap_tol: float = 1e-9, feas_tol: float = 1e-9,
     On numerical breakdown (a failed X, S or Schur factorization, or a
     collapsed step) or stalling, the best iterate seen is returned with
     status 'max_iter' (never a fabricated optimum) and the cause in
-    `diagnostics`; divergence is reported as 'infeasible'.
+    `diagnostics`; divergence is reported as 'infeasible'. Raises
+    ValueError before the first iterate unless both tolerances are positive
+    and finite.
     """
-    nb = len(problem.blocks)
+    if not (0 < gap_tol < math.inf and 0 < feas_tol < math.inf):
+        raise ValueError("gap_tol and feas_tol must be positive and finite")
     m = problem.n_constraints
     b = problem.b
     C = [np.asarray(c, dtype=float) for c in problem.C]
@@ -260,24 +297,27 @@ def solve(problem: SdpProblem, gap_tol: float = 1e-9, feas_tol: float = 1e-9,
 
     tau_p = max(1.0, float(np.max(np.abs(b)))) * np.sqrt(max(n_tot, 1))
     tau_d = norm_data
-    X = [tau_p * np.eye(n) for n in problem.blocks]
-    S = [tau_d * np.eye(n) for n in problem.blocks]
+    # block k's primal and dual matrix as one C-contiguous pair Z[k] = (X_k, S_k)
+    # of shape (2, n, n); X[k] and S[k] are views of it. An update rebinds Z
+    # and y and never writes into them, so the best iterate is kept by reference
+    Z = [np.stack((tau_p * np.eye(n), tau_d * np.eye(n))) for n in problem.blocks]
     y = np.zeros(m)
 
     status = "max_iter"
     it = 0
     diagnostics = {}
-    best = None        # (score, X, y, S) snapshot; roundoff can undo progress
+    best = None        # (Z, y) of the best iterate; roundoff can undo progress
     best_score = np.inf
     stall = 0
     for it in range(1, max_iter + 1):
-        mu = sum(float(np.sum(X[k] * S[k])) for k in range(nb)) / n_tot
+        X, S = [z[0] for z in Z], [z[1] for z in Z]
+        mu = sum(float(np.sum(z[0] * z[1])) for z in Z) / n_tot
         p_obj, d_obj, gap, feas_p, feas_d, R_d = _residuals(C, A, b, X, y, S, norm_data)
 
         score = max(gap / gap_tol, feas_p / feas_tol, feas_d / feas_tol)
         if score < best_score:
             best_score = score
-            best = ([x.copy() for x in X], y.copy(), [s.copy() for s in S])
+            best = (Z, y)
             stall = 0
         else:
             stall += 1
@@ -293,27 +333,23 @@ def solve(problem: SdpProblem, gap_tol: float = 1e-9, feas_tol: float = 1e-9,
             diagnostics["stalled"] = True
             break
 
-        # one Cholesky factor of each X and S block per iterate feeds S^{-1},
-        # the Schur complement and both step-length searches
+        # one Cholesky factor of each block's (X, S) pair per iterate, and one
+        # inverse of it, feed S^{-1}, the Schur complement and both step-length
+        # searches
         try:
-            LS = [np.linalg.cholesky(s) for s in S]
-        except np.linalg.LinAlgError:
-            diagnostics["breakdown"] = "S factorization failed"
+            L = _factor_pairs(Z)
+        except np.linalg.LinAlgError as e:
+            diagnostics["breakdown"] = str(e)
             break
         try:
-            LX = [_psd_factor(x) for x in X]
-        except np.linalg.LinAlgError:
-            diagnostics["breakdown"] = "X factorization failed"
-            break
-        try:
-            # (L_X^{-1}, L_S^{-1}) of a block from one stacked inverse
-            Linv = [_tri_inv(np.stack((lx, ls))) for lx, ls in zip(LX, LS)]
+            # (L_X^{-1}, L_S^{-1}) of a block
+            Linv = [_tri_inv(lp) for lp in L]
         except np.linalg.LinAlgError:
             diagnostics["breakdown"] = "X or S factor inversion failed"
             break
         LinvS = [li[1] for li in Linv]
         Sinv = [lsi.T @ lsi for lsi in LinvS]
-        M = _schur(A, LX, LinvS)
+        M = _schur(A, [lp[0] for lp in L], LinvS)
 
         try:
             LinvM = _tri_inv(np.linalg.cholesky(M))
@@ -366,56 +402,60 @@ def solve(problem: SdpProblem, gap_tol: float = 1e-9, feas_tol: float = 1e-9,
                     break
             return dy
 
-        XRS = [X[k] @ R_d[k] @ Sinv[k] for k in range(nb)]
+        XRS = [x @ r @ si for x, r, si in zip(X, R_d, Sinv)]
         a_sinv, a_xrs = _op_A(A, Sinv), _op_A(A, XRS)
 
         def newton(sigma_mu, cross=None):
+            """The HKM direction: block k's (dX, dS) in one (2, n, n) array, and dy."""
             rhs = b - sigma_mu * a_sinv + a_xrs
             if cross is not None:
                 rhs += _op_A(A, [c @ si for c, si in zip(cross, Sinv)])
             dy = solve_M(rhs)
-            dS = [r - a for r, a in zip(R_d, _op_At(A, dy))]
-            dX = []
-            for k in range(nb):
-                t = sigma_mu * Sinv[k] - X[k] - X[k] @ dS[k] @ Sinv[k]
+            D = [np.empty_like(z) for z in Z]
+            for k, aty in enumerate(_op_At(A, dy)):
+                dx, ds = D[k]
+                np.subtract(R_d[k], aty, out=ds)
+                t = sigma_mu * Sinv[k] - X[k] - X[k] @ ds @ Sinv[k]
                 if cross is not None:
                     t = t - cross[k] @ Sinv[k]
-                dX.append(_sym(t))
-            return dX, dy, dS
+                np.add(t, t.T, out=dx)              # _sym(t), written in place
+                dx /= 2.0
+            return D, dy
 
-        def step_lengths(dX, dS):
+        def step_lengths(D):
             # a block's primal and dual steps come from one eigvalsh call
-            steps = [_max_step(li, np.stack((dx, ds))) for li, dx, ds in zip(Linv, dX, dS)]
+            steps = [_max_step(li, d) for li, d in zip(Linv, D)]
             return (min(1.0, 0.98 * min(float(st[0]) for st in steps)),
                     min(1.0, 0.98 * min(float(st[1]) for st in steps)))
 
         # predictor
-        dXa, dya, dSa = newton(0.0)
-        ap, ad = step_lengths(dXa, dSa)
-        mu_aff = sum(float(np.sum((X[k] + ap * dXa[k]) * (S[k] + ad * dSa[k])))
-                     for k in range(nb)) / n_tot
+        Da, _ = newton(0.0)
+        ap, ad = step_lengths(Da)
+        mu_aff = sum(float(np.sum((z[0] + ap * d[0]) * (z[1] + ad * d[1])))
+                     for z, d in zip(Z, Da)) / n_tot
         sigma = min(1.0, max(1e-8, (max(mu_aff, 0.0) / mu) ** 3))
 
         # corrector
-        cross = [dXa[k] @ dSa[k] for k in range(nb)]
-        dX, dy, dS = newton(sigma * mu, cross)
-        ap, ad = step_lengths(dX, dS)
+        cross = [d[0] @ d[1] for d in Da]
+        D, dy = newton(sigma * mu, cross)
+        ap, ad = step_lengths(D)
         if ap < 1e-10 and ad < 1e-10:
             diagnostics["breakdown"] = "step length collapsed"
             break
 
-        for k in range(nb):
-            X[k] = _sym(X[k] + ap * dX[k])
-            S[k] = _sym(S[k] + ad * dS[k])
+        # the primal step scales dX and the dual step dS: one multiply-add per pair
+        step = np.array((ap, ad))[:, None, None]
+        Z = [_sym(z + step * d) for z, d in zip(Z, D)]
         y = y + ad * dy
 
     if status != "infeasible" and best is not None:
         # report the best iterate seen; late iterations can lose accuracy
-        X, y, S = best
+        Z, y = best
+    X, S = [z[0] for z in Z], [z[1] for z in Z]
     p_obj, d_obj, gap, feas_p, feas_d, _ = _residuals(C, A, b, X, y, S, norm_data)
     if status != "infeasible" and gap <= gap_tol and feas_p <= feas_tol and feas_d <= feas_tol:
         status = "optimal"
-    diagnostics.setdefault("mu", sum(float(np.sum(X[k] * S[k])) for k in range(nb)) / n_tot)
+    diagnostics.setdefault("mu", sum(float(np.sum(z[0] * z[1])) for z in Z) / n_tot)
     return SdpSolution(status=status, X=X, y=y, S=S, primal_obj=p_obj, dual_obj=d_obj,
                        gap=gap, feas_primal=feas_p, feas_dual=feas_d,
                        iterations=it, diagnostics=diagnostics)

@@ -566,6 +566,35 @@ class TestMisc:
     def test_tolerance_must_be_positive(self, capsys):
         assert run(["anderson", "--model", "heisenberg", "--m", "4", "--tol", "0"]) == 2
         assert capsys.readouterr().out == ""
+        assert run(["anderson", "--model", "heisenberg", "--m", "4", "--tol", "inf"]) == 2
+        assert capsys.readouterr().out == ""
+
+    @pytest.mark.parametrize("argv", [
+        ["marginal", "--model", "heisenberg", "--m", "4", "--s", "1"],
+        ["moment", "--model", "heisenberg", "--l", "3"],
+    ], ids=["marginal", "moment"])
+    @pytest.mark.parametrize("gap_tol", ["0", "-1", "nan", "inf"])
+    def test_gap_tolerance_must_be_positive(self, capsys, monkeypatch, argv, gap_tol):
+        def no_solve(*args, **kwargs):
+            raise AssertionError("solved with an invalid gap tolerance")
+        monkeypatch.setattr(sdp, "solve", no_solve)
+        assert run(argv + ["--gap-tol", gap_tol]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--gap-tol" in captured.err
+
+    def test_oracle_passes_tol_and_seed(self, capsys, monkeypatch):
+        seen = []
+
+        def recorded(model, n, tol=None, seed=None):
+            seen.append((model.name, n, tol, seed))
+            return -1.0
+
+        monkeypatch.setattr(cli.upper, "ring_reference", recorded)
+        code, out = run_capture(capsys, ["oracle", "--model", "heisenberg", "--n", "6",
+                                         "--tol", "1e-6", "--seed", "3"])
+        assert code == 0 and json.loads(out)["density"] == -1.0
+        assert seen == [("heisenberg", 6, 1e-6, 3)]
 
     def test_json_file_output(self, capsys, tmp_path):
         p = tmp_path / "out.json"

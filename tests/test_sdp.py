@@ -135,6 +135,8 @@ class TestFactoredKernels:
             step = sdp._max_step(sdp._tri_inv(np.linalg.cholesky(X)), D)
             assert abs(step - (-1.0 / lam)) <= 1e-10 * step
             assert sdp._max_step(sdp._tri_inv(np.linalg.cholesky(X)), D @ D.T) == np.inf
+            # a zero direction: no step bound and no division warning
+            assert sdp._max_step(sdp._tri_inv(np.linalg.cholesky(X)), 0 * D) == np.inf
 
     def test_stacked_inverse_and_step_equal_single_calls(self):
         rng = np.random.default_rng(12)
@@ -226,12 +228,12 @@ class TestFactoredKernels:
                                np.array([1.0])))
         assert sol.status == "optimal"
         assert "schur_fallback" not in sol.diagnostics
-        # the last iteration only checks convergence; X and S are factored
-        # once per block, the 1 x 1 Schur complement once
+        # the last iteration only checks convergence; a block's (X, S) pair is
+        # factored by one stacked call, the 1 x 1 Schur complement once
         iterates = sol.iterations - 1
-        assert calls.count((6, 6)) == calls.count((3, 3)) == 2 * iterates
+        assert calls.count((2, 6, 6)) == calls.count((2, 3, 3)) == iterates
         assert calls.count((1, 1)) == iterates
-        assert len(calls) == 5 * iterates
+        assert len(calls) == 3 * iterates
 
     def test_one_inverse_and_one_step_search_per_block_pair(self, monkeypatch):
         inverted, searched = [], []
@@ -262,16 +264,18 @@ class TestFactoredKernels:
         assert searched.count((2, 6, 6)) == searched.count((2, 3, 3)) == 2 * iterates
 
     def test_x_factorization_failure_returns_best_iterate(self, monkeypatch):
-        factor = sdp._psd_factor
+        factor = sdp._factor_pairs
         calls = []
 
-        def failing_after_three(x):
-            calls.append(x)
+        def failing_after_three(Z):
+            # from the fourth iterate on, X is negative definite: the stacked
+            # call fails, S factors alone and X fails even with the ridge
+            calls.append(Z)
             if len(calls) > 3:
-                raise np.linalg.LinAlgError("Matrix is not positive definite")
-            return factor(x)
+                Z = [np.stack((-z[0], z[1])) for z in Z]
+            return factor(Z)
 
-        monkeypatch.setattr(sdp, "_psd_factor", failing_after_three)
+        monkeypatch.setattr(sdp, "_factor_pairs", failing_after_three)
         h = random_symmetric(np.random.default_rng(16), 5, 5)
         sol = solve(lambda_min_problem(h))
         assert sol.status == "max_iter"
@@ -280,6 +284,65 @@ class TestFactoredKernels:
         # the best of the four iterates, not the starting point
         assert np.all(np.isfinite(sol.X[0])) and np.isfinite(sol.primal_obj)
         assert sol.gap < 1.0 and not np.allclose(sol.X[0], np.diag(np.diag(sol.X[0])))
+
+    def test_pair_factors_equal_single_factors(self):
+        rng = np.random.default_rng(17)
+        X, S = random_psd(rng, 5), random_psd(rng, 5)
+        (pair,) = sdp._factor_pairs([np.stack((X, S))])
+        np.testing.assert_array_equal(pair[0], np.linalg.cholesky(X))
+        np.testing.assert_array_equal(pair[1], np.linalg.cholesky(S))
+        # a singular X fails the stacked call and takes _psd_factor's ridge
+        v = np.arange(1.0, 6.0)
+        (pair,) = sdp._factor_pairs([np.stack((np.outer(v, v), S))])
+        np.testing.assert_array_equal(pair[0], sdp._psd_factor(np.outer(v, v)))
+        np.testing.assert_array_equal(pair[1], np.linalg.cholesky(S))
+
+    def test_pair_factor_failures_name_s_before_x(self):
+        rng = np.random.default_rng(18)
+        good = np.stack((random_psd(rng, 3), random_psd(rng, 3)))
+        bad_x = np.stack((-np.eye(4), np.eye(4)))
+        bad_s = np.stack((np.eye(2), -np.eye(2)))
+        with pytest.raises(np.linalg.LinAlgError, match="^X factorization failed$"):
+            sdp._factor_pairs([good, bad_x])
+        # every S is factored before any X, whatever the block order
+        with pytest.raises(np.linalg.LinAlgError, match="^S factorization failed$"):
+            sdp._factor_pairs([bad_x, good, bad_s])
+
+    def test_masked_inverse_equals_tril(self):
+        rng = np.random.default_rng(19)
+        for n in (1, 3, 8):
+            L = np.stack([np.linalg.cholesky(random_psd(rng, n)) for _ in range(2)])
+            np.testing.assert_array_equal(sdp._tri_inv(L), np.tril(np.linalg.inv(L)))
+
+    def test_best_iterate_comes_back_intact(self, monkeypatch):
+        # the stalled xxz(0.5) (4, 1) solve ends five iterates after its best
+        # one; every later update must leave that iterate as it was
+        problem = build_marginal_sdp(MarginalProblemSpec(builtin_model("xxz", [0.5]), 4, 1))
+        residuals, scores = sdp._residuals, []
+
+        def recorded(*args):
+            out = residuals(*args)
+            _, _, gap, feas_p, feas_d, _ = out
+            scores.append(max(gap / 1e-9, feas_p / 1e-9, feas_d / 1e-9))
+            return out
+
+        monkeypatch.setattr(sdp, "_residuals", recorded)
+        sol = solve(problem, gap_tol=1e-9, feas_tol=1e-9)
+        assert sol.status == "max_iter" and sol.diagnostics.get("stalled")
+        in_loop, final = scores[:-1], scores[-1]
+        assert len(in_loop) == sol.iterations
+        assert in_loop.index(min(in_loop)) < len(in_loop) - 1
+        assert final == min(in_loop)
+
+    @pytest.mark.parametrize("tols", [(0.0, 1e-9), (-1.0, 1e-9), (np.nan, 1e-9),
+                                      (np.inf, 1e-9), (1e-9, 0.0), (1e-9, np.nan)])
+    def test_tolerances_checked_before_the_first_iterate(self, monkeypatch, tols):
+        def no_iterate(*args):
+            raise AssertionError("iterated with an invalid tolerance")
+
+        monkeypatch.setattr(sdp, "_residuals", no_iterate)
+        with pytest.raises(ValueError, match="positive and finite"):
+            solve(lambda_min_problem(np.eye(2)), gap_tol=tols[0], feas_tol=tols[1])
 
     def test_solve_peak_memory_below_three_constraint_tensors(self):
         # a complex model's 32 block with 28 independent rows: A is large
