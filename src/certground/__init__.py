@@ -4,11 +4,10 @@ nearest-neighbour lattice Hamiltonians."""
 
 from .anderson import anderson_bound, anderson_formula, guarantee_formula
 from .eigensolver import EigResult, min_eig, min_eig_lanczos
-from .marginal import (MarginalProblemSpec, build_marginal_sdp, improved_anderson_bound,
-                       partial_trace)
+from .marginal import MarginalProblemSpec, build_marginal_sdp, improved_anderson_bound
 from .models import (ModelSpec, PatchSpec, build_patch, build_ring, builtin_model,
                      embed_on_sites, operator_norm, parse_model)
-from .moment import build_structure, oracle_moment_matrix, ti_moment_bound
+from .moment import build_structure, ti_moment_bound
 from .reports import BoundReport
 from .sdp import SdpProblem, SdpSolution, real_embed, solve
 from .upper import SandwichReport, product_state_upper, ring_reference

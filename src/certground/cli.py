@@ -67,6 +67,13 @@ def _positive(text: str) -> float:
     return value
 
 
+def _at_least_one(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"{text} is less than 1")
+    return value
+
+
 def _add_common(p):
     p.add_argument("--model", choices=BUILTIN_MODELS, help="builtin model name")
     p.add_argument("--params", default="", help="comma-separated model parameters")
@@ -117,7 +124,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--anderson-m", type=int, default=None)
     p.add_argument("--moment-l", type=int, default=None)
     p.add_argument("--marginal", default=None, help="e.g. m=5,s=2")
-    p.add_argument("--restarts", type=int, default=8)
+    p.add_argument("--restarts", type=_at_least_one, default=8,
+                   help="product-state multistarts (at least 1)")
 
     p = sub.add_parser("models", help="list builtin models")
     p.add_argument("--json", help="write the JSON report to this path")

@@ -6,25 +6,41 @@ Every result carries an explicitly recomputed residual; `value` is a
 Rayleigh quotient (an upper bound on the smallest eigenvalue). Up to
 DENSE_CAP a successful factorization of h - sI proves lambda_min(h) above
 `proven_edge`; above it `value - residual` brackets some eigenvalue, and
-that it is the smallest one is not verified.
+that it is the smallest one is not verified. The same shifted Cholesky
+proof, run by numpy on a copy (`numpy_cholesky_edge`), certifies the SDP
+bounds; scipy.linalg is imported only when Lanczos or the in-place proof
+first runs.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
-import scipy.linalg
 
 DENSE_CAP = 1 << 12  # largest dimension whose minimality is proven
 _U = np.finfo(np.float64).eps / 2  # unit roundoff
 _ETA = float(np.nextafter(0.0, 1.0))  # smallest subnormal
 _EPS = 2 * _U
 _BASIS_ROWS = 32  # rows per block of the Lanczos basis
-_SKEW_COLS = 16  # columns per panel of the asymmetry norm in `cholesky_edge`
+_SKEW_COLS = 16  # columns per panel of the asymmetry norm in `_shifted_edge`
 _REORTH_TOL = _EPS ** 0.75  # omega estimate above which Lanczos reorthogonalizes
-# bisection and inverse iteration on a real symmetric tridiagonal matrix
-_STEBZ, _STEIN = scipy.linalg.get_lapack_funcs(("stebz", "stein"), (np.empty(0),))
+
+
+@functools.cache
+def _scipy_linalg() -> SimpleNamespace:
+    """What this module calls from scipy.linalg, imported on first use:
+    bisection and inverse iteration on a real symmetric tridiagonal matrix
+    (?stebz, ?stein), and the in-place Cholesky of `cholesky_edge` with its
+    solve. The SDP commands need none of them, and importing scipy.linalg
+    costs more than a small SDP solve.
+    """
+    import scipy.linalg
+    stebz, stein = scipy.linalg.get_lapack_funcs(("stebz", "stein"), (np.empty(0),))
+    return SimpleNamespace(stebz=stebz, stein=stein, cholesky=scipy.linalg.cholesky,
+                           cho_solve=scipy.linalg.cho_solve)
 
 
 @dataclass(frozen=True)
@@ -72,18 +88,16 @@ def _cholesky_margin(diag) -> float:
     return ((g / (1 - g) + 2 * _U) * (1 + g) * float(np.sum(diag)) + under) * (1 + 16 * _U)
 
 
-def cholesky_edge(a: np.ndarray, estimate: float):
-    """Proven t < lambda_min(a) from one shifted Cholesky factorization.
+def _shifted_edge(a: np.ndarray, estimate: float, target: np.ndarray, factor):
+    """The shifted Cholesky proof behind both routes below.
 
-    `a` is a dense Hermitian array, overwritten by the factor, and `estimate`
-    an estimate of lambda_min(a) that only places the shift. The shift
-    s = estimate - c, with c the larger of `_cholesky_margin` and 4u times the
-    largest of |a_ii| and |estimate|, is subtracted from the diagonal and
-    a - sI is factored once.
-    Success proves lambda_min(a) > s - c' (Sylvester's law of inertia, with
-    c' the margin of the matrix actually factored); failure raises
-    RuntimeError. Returns (t, r) with r^H r = conj(a) - sI, r upper
-    triangular.
+    The shift s = estimate - c, with c the larger of `_cholesky_margin` and
+    4u times the largest of |a_ii| and |estimate|, is subtracted from the
+    diagonal of `target` (a, a copy or a view of it), and `factor(target)`
+    factors it once. Success proves lambda_min(a) > s - c' (Sylvester's law
+    of inertia, with c' the margin of the matrix actually factored),
+    whatever the factor's entries; failure raises RuntimeError. Returns
+    (t, the factor).
     """
     n = a.shape[0]
     idx = np.arange(n)
@@ -103,12 +117,9 @@ def cholesky_edge(a: np.ndarray, estimate: float):
         # the diagonal block once, the entries below it for themselves and their mirrors
         sq += float(np.sum(skew[:_SKEW_COLS])) + 2 * float(np.sum(skew[_SKEW_COLS:]))
     asym = float(np.sqrt(sq)) * (1 + 1e-6) / 2
-    # a^T in Fortran order is the same memory: conj(a) for Hermitian a, which
-    # has the same spectrum, so potrf overwrites it without a second n x n array
-    at = a.T
-    at[idx, idx] -= shift
+    target[idx, idx] -= shift
     try:
-        r = scipy.linalg.cholesky(at, overwrite_a=True, check_finite=False)
+        r = factor(target)
     except np.linalg.LinAlgError:
         raise RuntimeError(
             f"minimality not proven at dimension {n}: the Cholesky factorization "
@@ -117,6 +128,31 @@ def cholesky_edge(a: np.ndarray, estimate: float):
     proven = shift - _cholesky_margin(diag - shift) - asym
     # one step down per rounded subtraction
     return float(np.nextafter(np.nextafter(proven, -np.inf), -np.inf)), r
+
+
+def cholesky_edge(a: np.ndarray, estimate: float):
+    """Proven t < lambda_min(a) from one shifted Cholesky factorization, in place.
+
+    `a` is a dense Hermitian array, overwritten by the factor, and `estimate`
+    an estimate of lambda_min(a) that only places the shift (`_shifted_edge`).
+    a^T in Fortran order is the same memory: conj(a) for Hermitian a, which
+    has the same spectrum, so scipy's potrf factors conj(a) - sI without a
+    second n x n array. Returns (t, r) with r^H r = conj(a) - sI, r upper
+    triangular; raises RuntimeError when the factorization fails.
+    """
+    cholesky = _scipy_linalg().cholesky
+    return _shifted_edge(a, estimate, a.T,
+                         lambda at: cholesky(at, overwrite_a=True, check_finite=False))
+
+
+def numpy_cholesky_edge(a: np.ndarray, estimate: float) -> float:
+    """`cholesky_edge`'s t, from numpy's Cholesky of a shifted copy of `a`.
+
+    `a` is left as it is, and scipy.linalg is not loaded. The edge depends
+    only on whether the factorization completes, so when both routes
+    complete they prove the same t for the same `a` and `estimate`.
+    """
+    return _shifted_edge(a, estimate, a.copy(), np.linalg.cholesky)[0]
 
 
 def min_eig_dense_certified(h, tol: float = 1e-8, seed: int = 0) -> EigResult:
@@ -136,7 +172,7 @@ def min_eig_dense_certified(h, tol: float = 1e-8, seed: int = 0) -> EigResult:
     value, residual = ritz.value, ritz.residual
     y = np.random.default_rng(seed).standard_normal(dim)
     for _ in range(2):  # inverse iteration: A y = x  <=>  conj(A) conj(y) = conj(x)
-        y = scipy.linalg.cho_solve((r, False), y.conj(), check_finite=False).conj()
+        y = _scipy_linalg().cho_solve((r, False), y.conj(), check_finite=False).conj()
         top = float(np.max(np.abs(y)))
         if not np.isfinite(top) or top == 0.0:
             break  # the shift sits within underflow of lambda_min: keep the Ritz pair
@@ -284,10 +320,11 @@ def _lowest_ritz_vector(alpha, beta):
     """
     if len(alpha) == 1:
         return np.ones(1)
-    m, w, iblock, isplit, info = _STEBZ(alpha, beta, 2, 0.0, 1.0, 1, 1, 0.0, "B")
+    lapack = _scipy_linalg()
+    m, w, iblock, isplit, info = lapack.stebz(alpha, beta, 2, 0.0, 1.0, 1, 1, 0.0, "B")
     if info != 0:
         raise np.linalg.LinAlgError(f"stebz failed (LAPACK info={info})")
-    v, info = _STEIN(alpha, beta, w[:m], iblock, isplit)
+    v, info = lapack.stein(alpha, beta, w[:m], iblock, isplit)
     if info != 0:
         raise np.linalg.LinAlgError(f"stein failed (LAPACK info={info})")
     return v[:, 0]

@@ -41,6 +41,10 @@ from .reports import BoundReport
 from .models import build_patch, embed_on_sites  # noqa: F401
 
 _SDP_SITE_CAP = 10  # dense SDP blocks; qubit-equivalents
+# `_window_pairs` compares all pairs of up to this many states at once, in
+# fewer numpy calls than its sort: on one core of a 2-core machine, 6 us a
+# call at 16 states against 11 us for the sort, which wins from about 64
+_PAIRS_BY_COMPARISON = 64
 
 
 @dataclass(frozen=True)
@@ -62,33 +66,6 @@ class MarginalProblemSpec:
             raise ValueError("the marginal bound is one-dimensional")
         if self.m * np.log2(self.model.d) > _SDP_SITE_CAP:
             raise ValueError(f"patch exceeds the dense SDP cap of {_SDP_SITE_CAP} qubits")
-
-
-def partial_trace(rho: np.ndarray, keep, d: int = 2) -> np.ndarray:
-    """Marginal of a k-site operator on the listed sites, in the listed order.
-
-    The output's j-th tensor factor is site keep[j]; trace and positivity are
-    preserved.
-    """
-    rho = np.asarray(rho)
-    dim = rho.shape[0]
-    n = int(round(np.log(dim) / np.log(d)))
-    if d ** n != dim or rho.shape != (dim, dim):
-        raise ValueError("operator dimension is not a power of the local dimension")
-    keep = list(keep)
-    if len(set(keep)) != len(keep) or any(s < 0 or s >= n for s in keep):
-        raise ValueError("keep sites must be distinct and in range")
-    drop = [s for s in range(n) if s not in keep]
-    t = rho.reshape([d] * (2 * n))
-    # trace out dropped sites, highest axis first to keep indices stable
-    for s in sorted(drop, reverse=True):
-        t = np.trace(t, axis1=s, axis2=s + t.ndim // 2)
-    # axes now correspond to sorted(keep); reorder to the requested order
-    remaining = sorted(keep)
-    perm = [remaining.index(s) for s in keep]
-    k = len(keep)
-    t = np.transpose(t, perm + [k + p for p in perm])
-    return t.reshape(d ** k, d ** k)
 
 
 def charge_basis(d: int) -> tuple:
@@ -235,12 +212,27 @@ def _window_pairs(states: np.ndarray, sites, m: int, d: int) -> tuple:
     """The pairs (i, j) of `states` whose digits agree off the listed sites,
     and the index of each state's digits on them (sites[0] most significant):
     the nonzero pattern of any operator on those sites, lifted and restricted
-    to `states`."""
+    to `states`. Pairs come in row-major (i, j) order.
+
+    States are grouped by a stable sort on their digits off the sites, so
+    the work is linear in the pairs returned: state i pairs with its group,
+    in increasing order. Up to `_PAIRS_BY_COMPARISON` states, one n x n
+    comparison gives the same pairs in fewer numpy calls.
+    """
     strides = d ** (m - 1 - np.asarray(sites))
     digits = states[:, None] // strides % d
     local = digits @ d ** np.arange(len(sites) - 1, -1, -1)
     rest = states - digits @ strides
-    i, j = np.nonzero(rest[:, None] == rest[None, :])
+    if rest.size <= _PAIRS_BY_COMPARISON:
+        i, j = np.nonzero(rest[:, None] == rest[None, :])
+        return i, j, local[i], local[j]
+    order = np.argsort(rest, kind="stable")
+    ranked = rest[order]
+    lo = np.searchsorted(ranked, rest)  # where state i's group starts in `order`
+    count = np.searchsorted(ranked, rest, "right") - lo
+    first = np.cumsum(count) - count  # where state i's pairs start in the output
+    i = np.repeat(np.arange(rest.size), count)
+    j = order[np.repeat(lo - first, count) + np.arange(i.size)]
     return i, j, local[i], local[j]
 
 

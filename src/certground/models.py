@@ -19,11 +19,14 @@ import json
 import os
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.sparse as sp
 
 from .pauli import labels_to_dense
+
+if TYPE_CHECKING:  # imported where used: SDP commands never load scipy.sparse
+    import scipy.sparse as sp
 
 DEFAULT_MAX_QUBITS = 26
 _HERM_TOL = 1e-12
@@ -185,6 +188,7 @@ def embed_on_sites(m: np.ndarray, positions, total_sites: int, d: int = 2) -> sp
     carry the identity. Site 0 is the leftmost factor (most significant digit
     of the state index in base d).
     """
+    import scipy.sparse as sp
     positions = list(positions)
     k = len(positions)
     if len(set(positions)) != k:
@@ -323,6 +327,7 @@ def build_patch(model: ModelSpec, patch: PatchSpec, sector=None) -> sp.csr_matri
     rounded sums; `assembly_margin` bounds how far the block is from the
     exact one.
     """
+    import scipy.sparse as sp
     n, d = patch.sites, model.d
     check_cap(n, d)
     term = _realify(np.asarray(model.term, dtype=complex))

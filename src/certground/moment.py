@@ -45,7 +45,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import sdp
-from .marginal import partial_trace
 from .models import ModelSpec
 from .pauli import PauliString, all_strings, dagger, hermitian_class, multiply
 from .reports import BoundReport
@@ -161,22 +160,3 @@ def ti_moment_bound(model: ModelSpec, window: int,
                      "iterations": sol.iterations, "status": sol.status,
                      "stalled": bool(sol.diagnostics.get("stalled", False)),
                      **sdp.solve_counts(problem, sol)})
-
-
-def oracle_moment_matrix(state: np.ndarray, n_sites: int, window: int) -> np.ndarray:
-    """Translation average of a ring state's `window`-site reduced states.
-
-    `state` is a pure state vector on `n_sites` ring sites. The average is a
-    feasible rho of `ti_moment_bound`: PSD with unit trace, and both of its
-    (l-1)-site marginals are the ring's averaged (l-1)-site state.
-    """
-    state = np.asarray(state, dtype=complex).ravel()
-    if state.size != 1 << n_sites:
-        raise ValueError("state dimension does not match the site count")
-    if abs(np.linalg.norm(state) - 1.0) > 1e-10:
-        raise ValueError("state vector is not normalized")
-    if not 1 <= window <= n_sites:
-        raise ValueError("window must fit on the ring")
-    omega = np.outer(state, state.conj())
-    return sum(partial_trace(omega, [(j + k) % n_sites for k in range(window)])
-               for j in range(n_sites)) / n_sites

@@ -27,8 +27,10 @@ Every factorization and inverse inside the iteration goes through
 loop alternates between the two, each library's idle worker threads spin
 while the other one runs: on a 2-core machine with two OpenBLAS threads,
 a 137 x 137 matmul plus Cholesky took 11.6-12.1 ms mixed and 0.7-0.9 ms
-with numpy alone. scipy's pivoted QR runs only to drop rows that are
-linearly dependent, before a restart.
+with numpy alone. The certificate factors through numpy too. scipy.linalg
+is imported only by `_independent_rows`, for its pivoted QR, and only when a
+row set is rank-deficient: before a restart that drops dependent rows, and
+when `marginal.build_marginal_sdp` picks its independent flip-odd rows.
 
 The solver's numbers are not certified. `dual_lower_bound` turns any dual
 vector y into a rigorous lower bound for trace-bounded problems, through a
@@ -43,7 +45,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
 from . import eigensolver
 
@@ -269,6 +270,7 @@ def _independent_rows(A, m: int, tol: float = 1e-11) -> np.ndarray:
     rank = int(np.sum(sv > tol * max(sv[0], 1.0)))
     if rank == m:
         return np.arange(m)
+    import scipy.linalg  # numpy has no pivoted QR; loaded only when a row has to go
     _, _, piv = scipy.linalg.qr(K.T, mode="economic", pivoting=True)
     return np.sort(piv[:rank])
 
@@ -481,9 +483,9 @@ def dual_lower_bound(problem: SdpProblem, solution: SdpSolution,
 
         fl(b^T y) - gamma_m |b|^T |y| + sum_k tb_k min(0, t_k - e_k),
 
-    where t_k is the edge `eigensolver.cholesky_edge` proves for the computed
-    Z_k and e_k = gamma_{m+2} (||C_k||_F + sum_i |y_i| ||A_{i,k}||_F) bounds
-    the rounding in forming it. Only (C, A, b, y) are read: any y gives a
+    where t_k is the edge `eigensolver.numpy_cholesky_edge` proves for the
+    computed Z_k and e_k = gamma_{m+2} (||C_k||_F + sum_i |y_i| ||A_{i,k}||_F)
+    bounds the rounding in forming it. Only (C, A, b, y) are read: any y gives a
     valid bound, and the solver's S and X play no part.
     """
     m = problem.n_constraints
@@ -493,7 +495,7 @@ def dual_lower_bound(problem: SdpProblem, solution: SdpSolution,
              -_gamma(m) * float(np.abs(problem.b) @ np.abs(y)) * (1 + 1e-6)]
     for tb, c, a, aty in zip(trace_bounds, problem.C, problem.A, _op_At(problem.A, y)):
         z = c - aty
-        t, _ = eigensolver.cholesky_edge(z, float(np.linalg.eigvalsh(z)[0]))
+        t = eigensolver.numpy_cholesky_edge(z, float(np.linalg.eigvalsh(z)[0]))
         rows = np.sqrt(np.einsum("ijk,ijk->i", a, a))  # ||A_{i,k}||_F without a copy of A
         e = _gamma(m + 2) * (float(np.linalg.norm(c)) + float(np.abs(y) @ rows)) * (1 + 1e-6)
         # t - e, the product and the last factor round once each; 4u outweighs all three

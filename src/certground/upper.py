@@ -42,13 +42,16 @@ def product_state_upper(model: ModelSpec, restarts: int = 8, seed: int = 0,
     optimal vector is the ground vector of a d x d effective operator. The
     result is the per-site energy of an actual product state, hence a
     rigorous upper bound on the density; multistart mitigates local minima.
-    For lattice dimension D the per-bond value is multiplied by D.
+    For lattice dimension D the per-bond value is multiplied by D. Raises
+    ValueError unless `restarts` is at least 1.
     """
+    if restarts < 1:
+        raise ValueError("restarts must be at least 1")
     d = model.d
     h = np.asarray(model.term, dtype=complex)
     rng = np.random.default_rng(seed)
     best = np.inf
-    for _ in range(max(1, restarts)):
+    for _ in range(restarts):
         a = rng.standard_normal(d) + 1j * rng.standard_normal(d)
         b = rng.standard_normal(d) + 1j * rng.standard_normal(d)
         a /= np.linalg.norm(a)

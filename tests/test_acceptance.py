@@ -15,11 +15,11 @@ import certground as cg
 from certground.anderson import anderson_bound
 from certground.marginal import MarginalProblemSpec, improved_anderson_bound
 from certground.models import PatchSpec, build_patch, build_ring
-from certground.moment import (build_structure, coefficient_matrices, oracle_moment_matrix,
-                               ti_moment_bound)
+from certground.moment import build_structure, coefficient_matrices, ti_moment_bound
 from certground.sdp import SdpProblem, solve
 from certground.upper import product_state_upper, ring_reference
 from tests.conftest import CHAIN, EMIN, PATCH2D_3
+from tests.oracles import oracle_moment_matrix
 
 
 def report(capsys, name, ok, detail=""):

@@ -380,6 +380,20 @@ class TestSandwich:
         assert captured.out == ""
         assert captured.err == f"error: {message}\n"
 
+    @pytest.mark.parametrize("restarts", ["0", "-5"])
+    def test_restarts_must_be_at_least_one(self, capsys, monkeypatch, restarts):
+        def no_solve(*args, **kwargs):
+            raise AssertionError("solved with fewer than one restart")
+
+        monkeypatch.setattr(cli.anderson, "anderson_bound", no_solve)
+        monkeypatch.setattr(cli.upper, "product_state_upper", no_solve)
+        code = run(["sandwich", "--model", "heisenberg", "--anderson-m", "6",
+                    "--restarts", restarts])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert "--restarts" in captured.err
+
     @pytest.mark.parametrize("spec", ["m=5", "s=2", "m=5,s=2,k=1", "m=5,s", "m=x,s=2"])
     def test_bad_marginal_spec(self, capsys, spec):
         code = run(["sandwich", "--model", "heisenberg", "--marginal", spec])

@@ -10,13 +10,14 @@ import certground as cg
 from certground import marginal, models, sdp
 from certground.marginal import (MarginalProblemSpec, _blocks, _window_pairs,
                                  boundary_sites, build_marginal_sdp, charge_basis,
-                                 crossing_sites, improved_anderson_bound, partial_trace,
-                                 reduction, window_basis)
+                                 crossing_sites, improved_anderson_bound, reduction,
+                                 window_basis)
 from certground.models import (PatchSpec, build_patch, embed_on_sites, exact_sums,
                                parse_model, state_charges)
 from certground.pauli import labels_to_dense
 from certground.upper import ring_reference
 from tests.conftest import CHAIN, EMIN, RING
+from tests.oracles import partial_trace
 
 
 class TestPartialTrace:
@@ -52,6 +53,27 @@ class TestGeometry:
     def test_crossing_sites(self):
         assert crossing_sites(2, "middle") == (1, 2)
         assert crossing_sites(2, "literal_last") == (2, 3)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_window_pairs_match_the_quadratic_definition(self, seed):
+        # every pair of states whose digits agree off the sites, by an n x n
+        # comparison, in row-major order; subsets on both sides of the
+        # comparison cutoff, windows in any site order
+        rng = np.random.default_rng(seed)
+        for _ in range(40):
+            d = int(rng.integers(2, 4))
+            m = int(rng.integers(2, 9 if d == 2 else 6))
+            sites = list(rng.permutation(m)[:rng.integers(1, m + 1)])
+            states = np.sort(rng.choice(d ** m, size=int(rng.integers(1, d ** m + 1)),
+                                        replace=False))
+            strides = d ** (m - 1 - np.asarray(sites))
+            digits = states[:, None] // strides % d
+            local = digits @ d ** np.arange(len(sites) - 1, -1, -1)
+            rest = states - digits @ strides
+            i, j = np.nonzero(rest[:, None] == rest[None, :])
+            got = _window_pairs(states, sites, m, d)
+            for g, want in zip(got, (i, j, local[i], local[j])):
+                assert g.dtype == want.dtype and np.array_equal(g, want)
 
     def test_spec_validation(self, heisenberg):
         with pytest.raises(ValueError):

@@ -8,10 +8,11 @@ from certground import sdp
 from certground.anderson import anderson_bound
 from certground.models import build_ring, builtin_model
 from certground.moment import (build_structure, check_window, coefficient_matrices,
-                               oracle_moment_matrix, ti_moment_bound)
+                               ti_moment_bound)
 from certground.pauli import (PauliString, all_strings, canonicalize, dagger,
                               hermitian_class, multiply, string_to_dense)
 from tests.conftest import EMIN, RING
+from tests.oracles import oracle_moment_matrix
 
 # l = 3 bounds at the CLI's gap_tol 1e-9, frozen from the 4^l moment-matrix LMI
 FROZEN_L3 = {

@@ -4,14 +4,25 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from certground import builtin_model, sdp
-from certground.marginal import MarginalProblemSpec, build_marginal_sdp
+from certground import builtin_model, eigensolver, sdp
+from certground.marginal import MarginalProblemSpec, build_marginal_sdp, improved_anderson_bound
+from certground.moment import ti_moment_bound
 from certground.sdp import SdpProblem, SdpSolution, dual_lower_bound, real_embed, solve
 
 
 def lambda_min_problem(h):
     n = h.shape[0]
     return SdpProblem([n], [h], [np.eye(n)[None, :, :]], np.array([1.0]))
+
+
+@pytest.fixture
+def no_scipy_linalg(monkeypatch):
+    """Fail on any use of scipy.linalg by the eigensolver, the certificate's
+    factorization included."""
+    def forbidden():
+        raise AssertionError("scipy.linalg inside the certificate")
+
+    monkeypatch.setattr(eigensolver, "_scipy_linalg", forbidden)
 
 
 class TestSolve:
@@ -477,9 +488,10 @@ class TestCertificate:
                           feas_primal=0.0, feas_dual=0.0, iterations=0)
         assert dual_lower_bound(prob, sol, trace_bounds=(1.0,)) <= -4.0
 
-    def test_negative_part_below_eigvalsh_rounding_is_charged(self):
+    def test_negative_part_below_eigvalsh_rounding_is_charged(self, no_scipy_linalg):
         # C = Q diag(-1e-14, 1, ..., 1) Q^T: at y = 0 the whole bound is the
-        # negative part of C, about the size of eigvalsh's rounding
+        # negative part of C, about the size of eigvalsh's rounding, charged
+        # on numpy's Cholesky alone
         q, _ = np.linalg.qr(np.random.default_rng(9).standard_normal((6, 6)))
         c = (q * np.array([-1e-14, 1, 1, 1, 1, 1])) @ q.T
         c = (c + c.T) / 2
@@ -501,6 +513,49 @@ class TestCertificate:
         for tb, expect in (((1.0, 1.0), -1.0), ((1.0, 3.0), -3.0), ((5.0, 1.0), -1.0)):
             z = dual_lower_bound(prob, sol, trace_bounds=tb)
             assert expect - 1e-14 < z < expect
+
+
+def _recorded_certificates(monkeypatch) -> list:
+    """Record every `dual_lower_bound` call: (problem, solution, trace bounds, value)."""
+    seen = []
+    original = sdp.dual_lower_bound
+
+    def recorded(problem, solution, trace_bounds):
+        z = original(problem, solution, trace_bounds)
+        seen.append((problem, solution, trace_bounds, z))
+        return z
+
+    monkeypatch.setattr(sdp, "dual_lower_bound", recorded)
+    return seen
+
+
+# frozen from the benchmark's seed-0 references (perfbench/workloads.py)
+NUMPY_ROUTE_CASES = {
+    "marginal": (lambda: improved_anderson_bound(
+        MarginalProblemSpec(builtin_model("heisenberg"), 5, 2)), -0.934258545983),
+    "moment": (lambda: ti_moment_bound(builtin_model("heisenberg"), 3), -1.00000000037),
+}
+
+
+class TestNumpyCertificate:
+    """The certificate proves each block with numpy's Cholesky of a shifted
+    copy; scipy.linalg takes no part."""
+
+    @pytest.mark.parametrize("name", sorted(NUMPY_ROUTE_CASES))
+    def test_frozen_values(self, no_scipy_linalg, name):
+        bound, ref = NUMPY_ROUTE_CASES[name]
+        assert abs(bound().lower - ref) <= 1e-9
+
+    @pytest.mark.parametrize("name", sorted(NUMPY_ROUTE_CASES))
+    def test_same_bits_as_the_in_place_route(self, monkeypatch, name):
+        # the edge depends only on the factorization completing, so scipy's
+        # in-place potrf proves the same value, bit for bit
+        seen = _recorded_certificates(monkeypatch)
+        NUMPY_ROUTE_CASES[name][0]()
+        ((problem, sol, trace_bounds, z),) = seen
+        monkeypatch.setattr(eigensolver, "numpy_cholesky_edge",
+                            lambda a, estimate: eigensolver.cholesky_edge(a.copy(), estimate)[0])
+        assert sdp.dual_lower_bound(problem, sol, trace_bounds) == z
 
 
 class TestValidation:

@@ -22,6 +22,11 @@ class TestProductState:
     def test_zero_model(self, zero_model):
         assert abs(product_state_upper(zero_model, restarts=2, seed=0)) < 1e-12
 
+    @pytest.mark.parametrize("restarts", [0, -5])
+    def test_restarts_must_be_at_least_one(self, heisenberg, restarts):
+        with pytest.raises(ValueError, match="restarts must be at least 1"):
+            product_state_upper(heisenberg, restarts=restarts)
+
     def test_seed_deterministic(self, heisenberg):
         a = product_state_upper(heisenberg, restarts=4, seed=5)
         b = product_state_upper(heisenberg, restarts=4, seed=5)
