@@ -7,7 +7,7 @@ Rayleigh quotient (an upper bound on the smallest eigenvalue). Up to
 DENSE_CAP a successful factorization of h - sI proves lambda_min(h) above
 `proven_edge`; above it `value - residual` brackets some eigenvalue, and
 that it is the smallest one is not verified. The same shifted Cholesky
-proof, run by numpy on a copy (`numpy_cholesky_edge`), certifies the SDP
+proof, run by numpy (`numpy_cholesky_edge`), certifies the SDP
 bounds; scipy.linalg is imported only when Lanczos or the in-place proof
 first runs.
 """
@@ -93,7 +93,7 @@ def _shifted_edge(a: np.ndarray, estimate: float, target: np.ndarray, factor):
 
     The shift s = estimate - c, with c the larger of `_cholesky_margin` and
     4u times the largest of |a_ii| and |estimate|, is subtracted from the
-    diagonal of `target` (a, a copy or a view of it), and `factor(target)`
+    diagonal of `target` (a or a view of it), and `factor(target)`
     factors it once. Success proves lambda_min(a) > s - c' (Sylvester's law
     of inertia, with c' the margin of the matrix actually factored),
     whatever the factor's entries; failure raises RuntimeError. Returns
@@ -146,13 +146,15 @@ def cholesky_edge(a: np.ndarray, estimate: float):
 
 
 def numpy_cholesky_edge(a: np.ndarray, estimate: float) -> float:
-    """`cholesky_edge`'s t, from numpy's Cholesky of a shifted copy of `a`.
+    """`cholesky_edge`'s t, from numpy's Cholesky of `a` - sI.
 
-    `a` is left as it is, and scipy.linalg is not loaded. The edge depends
-    only on whether the factorization completes, so when both routes
-    complete they prove the same t for the same `a` and `estimate`.
+    The shift is subtracted from the diagonal of `a` in place; numpy's
+    Cholesky leaves the rest of `a` as it is, and scipy.linalg is not
+    loaded. The edge depends only on whether the factorization completes,
+    so when both routes complete they prove the same t for the same `a`
+    and `estimate`.
     """
-    return _shifted_edge(a, estimate, a.copy(), np.linalg.cholesky)[0]
+    return _shifted_edge(a, estimate, a, np.linalg.cholesky)[0]
 
 
 def min_eig_dense_certified(h, tol: float = 1e-8, seed: int = 0) -> EigResult:

@@ -41,10 +41,6 @@ from .reports import BoundReport
 from .models import build_patch, embed_on_sites  # noqa: F401
 
 _SDP_SITE_CAP = 10  # dense SDP blocks; qubit-equivalents
-# `_window_pairs` compares all pairs of up to this many states at once, in
-# fewer numpy calls than its sort: on one core of a 2-core machine, 6 us a
-# call at 16 states against 11 us for the sort, which wins from about 64
-_PAIRS_BY_COMPARISON = 64
 
 
 @dataclass(frozen=True)
@@ -212,27 +208,12 @@ def _window_pairs(states: np.ndarray, sites, m: int, d: int) -> tuple:
     """The pairs (i, j) of `states` whose digits agree off the listed sites,
     and the index of each state's digits on them (sites[0] most significant):
     the nonzero pattern of any operator on those sites, lifted and restricted
-    to `states`. Pairs come in row-major (i, j) order.
-
-    States are grouped by a stable sort on their digits off the sites, so
-    the work is linear in the pairs returned: state i pairs with its group,
-    in increasing order. Up to `_PAIRS_BY_COMPARISON` states, one n x n
-    comparison gives the same pairs in fewer numpy calls.
-    """
+    to `states`. Pairs come in row-major (i, j) order."""
     strides = d ** (m - 1 - np.asarray(sites))
     digits = states[:, None] // strides % d
     local = digits @ d ** np.arange(len(sites) - 1, -1, -1)
     rest = states - digits @ strides
-    if rest.size <= _PAIRS_BY_COMPARISON:
-        i, j = np.nonzero(rest[:, None] == rest[None, :])
-        return i, j, local[i], local[j]
-    order = np.argsort(rest, kind="stable")
-    ranked = rest[order]
-    lo = np.searchsorted(ranked, rest)  # where state i's group starts in `order`
-    count = np.searchsorted(ranked, rest, "right") - lo
-    first = np.cumsum(count) - count  # where state i's pairs start in the output
-    i = np.repeat(np.arange(rest.size), count)
-    j = order[np.repeat(lo - first, count) + np.arange(i.size)]
+    i, j = np.nonzero(rest[:, None] == rest[None, :])
     return i, j, local[i], local[j]
 
 

@@ -317,12 +317,12 @@ class TestCholeskyEdge:
     @pytest.mark.parametrize("complex_", [False, True], ids=["real", "complex"])
     def test_numpy_route_proves_the_same_edge(self, complex_):
         # the edge depends on the factorization completing, not on its
-        # entries: numpy's copy and scipy's in-place factor give one t
+        # entries: numpy's and scipy's factors give one t
         h = _random_hermitian(300, 11, complex_)
         a = h.copy()
         a[5, 290] += 1e-9
         est = min(np.linalg.eigvalsh(a, UPLO=uplo)[0] for uplo in ("L", "U"))
-        t = eigensolver.numpy_cholesky_edge(a, est)
+        t = eigensolver.numpy_cholesky_edge(a.copy(), est)
         assert t == eigensolver.cholesky_edge(a.copy(), est)[0]
 
     def test_estimate_above_lambda_min_raises(self):
@@ -330,12 +330,6 @@ class TestCholeskyEdge:
         w = np.linalg.eigvalsh(h)
         with pytest.raises(RuntimeError, match="minimality not proven"):
             eigensolver.cholesky_edge(h.copy(), (w[0] + w[1]) / 2)
-
-    def test_numpy_route_leaves_its_input_intact(self):
-        a = np.diag([3.0, 1.0, 2.0])
-        t = eigensolver.numpy_cholesky_edge(a, 1.0)
-        assert t < 1.0 and 1.0 - t < 1e-14
-        assert np.array_equal(a, np.diag([3.0, 1.0, 2.0]))
 
     def test_numpy_route_raises_above_lambda_min(self):
         h = _random_hermitian(20, 12)

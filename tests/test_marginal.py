@@ -57,8 +57,8 @@ class TestGeometry:
     @pytest.mark.parametrize("seed", range(4))
     def test_window_pairs_match_the_quadratic_definition(self, seed):
         # every pair of states whose digits agree off the sites, by an n x n
-        # comparison, in row-major order; subsets on both sides of the
-        # comparison cutoff, windows in any site order
+        # comparison, in row-major order; subsets of up to 256 states,
+        # windows in any site order
         rng = np.random.default_rng(seed)
         for _ in range(40):
             d = int(rng.integers(2, 4))

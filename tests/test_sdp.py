@@ -538,8 +538,8 @@ NUMPY_ROUTE_CASES = {
 
 
 class TestNumpyCertificate:
-    """The certificate proves each block with numpy's Cholesky of a shifted
-    copy; scipy.linalg takes no part."""
+    """The certificate proves each block with numpy's Cholesky of the shifted
+    Z_k; scipy.linalg takes no part."""
 
     @pytest.mark.parametrize("name", sorted(NUMPY_ROUTE_CASES))
     def test_frozen_values(self, no_scipy_linalg, name):
