@@ -10,6 +10,6 @@ from .models import (ModelSpec, PatchSpec, build_patch, build_ring, builtin_mode
 from .moment import build_structure, ti_moment_bound
 from .reports import BoundReport
 from .sdp import SdpProblem, SdpSolution, real_embed, solve
-from .upper import SandwichReport, product_state_upper, ring_reference
+from .upper import product_state_upper, ring_reference
 
 __version__ = "0.1.0"

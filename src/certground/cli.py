@@ -2,8 +2,11 @@
 nearest-neighbour lattice models.
 
 Subcommands: anderson, marginal, moment, sweep, sandwich, models, oracle.
-Exit codes: 0 success, 2 validation error, 3 solver failure. Reports go to
-stdout as JSON unless --json/--csv paths are given.
+A run checks the whole request (the model, every sweep point and every
+sandwich method) before it solves anything. Exit codes: 0 success, 2 a bad
+request or an unwritable --json/--csv path, 3 solver failure (a ValueError or
+RuntimeError raised inside a solve). Reports go to stdout as JSON unless
+--json/--csv paths are given.
 """
 
 from __future__ import annotations
@@ -18,17 +21,13 @@ from . import anderson, marginal, moment, reports, upper
 from .models import BUILTIN_MODELS, ModelSpec, builtin_model, parse_model
 
 
-class ValidationError(Exception):
-    pass
-
-
 def _parse_range(text: str) -> list:
     """Inclusive 'a..b' ranges or a single integer."""
     if ".." in text:
         lo, hi = text.split("..", 1)
         lo, hi = int(lo), int(hi)
         if hi < lo:
-            raise ValidationError(f"empty range {text!r}")
+            raise ValueError(f"empty range {text!r}")
         return list(range(lo, hi + 1))
     return [int(text)]
 
@@ -39,24 +38,19 @@ def _load_model(args) -> ModelSpec:
             with open(args.model_file) as f:
                 return parse_model(f.read())
         except (OSError, ValueError) as e:
-            raise ValidationError(f"cannot load model file: {e}")
+            raise ValueError(f"cannot load model file: {e}")
     if not args.model:
-        raise ValidationError("one of --model or --model-file is required")
+        raise ValueError("one of --model or --model-file is required")
     params = [float(p) for p in args.params.split(",")] if args.params else []
-    try:
-        return builtin_model(args.model, params, D=args.dim)
-    except ValueError as e:
-        raise ValidationError(str(e))
+    return builtin_model(args.model, params, D=args.dim)
 
 
-def _emit(args, payload, csv_rows=None, csv_columns=None):
-    if getattr(args, "csv", None):
-        if csv_rows is None:
-            raise ValidationError("this subcommand has no CSV form")
-        reports.emit_csv(csv_rows, csv_columns, args.csv)
+def _emit(args, payload):
+    if getattr(args, "csv", None):  # sweep's rows
+        reports.emit_csv(payload["rows"], reports.CSV_COLUMNS[args.method], args.csv)
         return
-    text = reports.emit_json(payload, getattr(args, "json", None))
-    if not getattr(args, "json", None):
+    text = reports.emit_json(payload, args.json)
+    if not args.json:
         sys.stdout.write(text)
 
 
@@ -136,79 +130,47 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
-def _solve(fn):
-    """`fn` as a solve. Every request is checked before the first solve starts,
-    so a ValueError from inside one (numpy or scipy on the solver's own data)
-    is a solver failure, exit 3, not a validation error."""
-    @functools.wraps(fn)
-    def solve(*args):
-        try:
-            return fn(*args)
-        except ValueError as e:
-            raise RuntimeError(str(e)) from e
-    return solve
+def _checked_bound(model, args, method: str, point):
+    """Check one point of `method` (an Anderson m, a moment window, or a
+    marginal (m, s, mode, placement)); ValueError unless it can be solved.
+    Returns a zero-argument function that solves it and gives its BoundReport."""
+    if method == "anderson":
+        anderson.open_patch(model, point, args.dim)
+        return lambda: anderson.anderson_bound(model, point, args.dim, tol=args.tol,
+                                               seed=args.seed)
+    if method == "moment":
+        moment.check_request(model, point)
+        return lambda: moment.ti_moment_bound(model, point, gap_tol=args.gap_tol)
+    spec = marginal.MarginalProblemSpec(model, *point)
+    return lambda: marginal.improved_anderson_bound(spec, gap_tol=args.gap_tol)
 
 
-@_solve
-def _anderson(model, args, m):
-    return anderson.anderson_bound(model, m, args.dim, tol=args.tol, seed=args.seed)
-
-
-@_solve
-def _marginal(args, spec):
-    return marginal.improved_anderson_bound(spec, gap_tol=args.gap_tol)
-
-
-@_solve
-def _moment(model, args, window):
-    return moment.ti_moment_bound(model, window, gap_tol=args.gap_tol)
-
-
-@_solve
-def _product_state(model, args):
-    return upper.product_state_upper(model, restarts=args.restarts, seed=args.seed)
-
-
-@_solve
-def _oracle(model, args):
-    return upper.ring_reference(model, args.n, tol=args.tol, seed=args.seed)
-
-
-def _timed_row(solve, *point) -> dict:
-    """`solve(*point)`'s report as a sweep row, timed here."""
-    t0 = time.perf_counter()
-    report = solve(*point)
-    return reports.sweep_row(report, time.perf_counter() - t0)
-
-
-def _run_sweep(model, args):
-    if args.method == "anderson":
-        if not args.m:
-            raise ValidationError("sweep anderson requires --m a..b")
-        ms = _parse_range(args.m)
-        for m in ms:  # the whole range, before any solve
-            anderson.open_patch(model, m, args.dim)
-        rows = []
-        for m in ms:
-            try:
-                rows.append(_timed_row(_anderson, model, args, m))
-            except Exception as e:  # recorded per row, the sweep continues
-                rows.append({"m": m, "D": args.dim, "error": str(e)})
-    elif args.method == "moment":
-        if not args.l:
-            raise ValidationError("sweep moment requires --l a..b")
-        windows = _parse_range(args.l)
-        for window in windows:  # the whole range, before any solve
-            moment.check_request(model, window)
-        rows = [_timed_row(_moment, model, args, window) for window in windows]
-    else:
+def _sweep(model, args):
+    method = args.method
+    if method == "marginal":
         if not args.m or not args.s:
-            raise ValidationError("sweep marginal requires --m a..b and --s a..b")
-        specs = [marginal.MarginalProblemSpec(model, m, s, args.mode, args.placement)
-                 for m in _parse_range(args.m) for s in _parse_range(args.s)
-                 if 2 * s <= m]  # the whole range, before any solve
-        rows = [_timed_row(_marginal, args, spec) for spec in specs]
-    return rows, reports.CSV_COLUMNS[args.method]
+            raise ValueError("sweep marginal requires --m a..b and --s a..b")
+        points = [(m, s, args.mode, args.placement) for m in _parse_range(args.m)
+                  for s in _parse_range(args.s) if 2 * s <= m]
+    else:
+        flag, text = ("--m", args.m) if method == "anderson" else ("--l", args.l)
+        if not text:
+            raise ValueError(f"sweep {method} requires {flag} a..b")
+        points = _parse_range(text)
+    bounds = [_checked_bound(model, args, method, point) for point in points]
+
+    def row(point, bound) -> dict:
+        t0 = time.perf_counter()
+        try:
+            report = bound()
+        except Exception as e:  # an Anderson point's failure is recorded, the sweep goes on
+            if method != "anderson":
+                raise
+            return {"m": point, "D": args.dim, "error": str(e)}
+        return reports.sweep_row(report, time.perf_counter() - t0)
+
+    return lambda: {"sweep": method, "model": model.name,
+                    "rows": [row(point, bound) for point, bound in zip(points, bounds)]}
 
 
 def _parse_marginal(text: str):
@@ -217,41 +179,57 @@ def _parse_marginal(text: str):
     for item in text.split(","):
         key, eq, value = item.partition("=")
         if not eq or key not in ("m", "s", "mode", "placement"):
-            raise ValidationError(f"bad --marginal item {item!r}; "
-                                  "expected m=..,s=..[,mode=..][,placement=..]")
+            raise ValueError(f"bad --marginal item {item!r}; "
+                             "expected m=..,s=..[,mode=..][,placement=..]")
         kv[key] = value
     if "m" not in kv or "s" not in kv:
-        raise ValidationError("--marginal needs both m and s")
+        raise ValueError("--marginal needs both m and s")
     return int(kv["m"]), int(kv["s"]), kv.get("mode", "consecutive"), kv.get("placement", "middle")
 
 
-def _run_sandwich(model, args):
-    if not (args.anderson_m or args.moment_l or args.marginal):
-        raise ValidationError("sandwich needs at least one of --anderson-m, "
-                              "--moment-l, --marginal")
-    # every requested method is checked before the first solve
-    if args.anderson_m:
-        anderson.open_patch(model, args.anderson_m, args.dim)
-    if args.moment_l:
-        moment.check_request(model, args.moment_l)
-    spec = (marginal.MarginalProblemSpec(model, *_parse_marginal(args.marginal))
-            if args.marginal else None)
-    lower = []
-    if args.anderson_m:
-        lower.append(_anderson(model, args, args.anderson_m))
-    if args.moment_l:
-        lower.append(_moment(model, args, args.moment_l))
-    if spec:
-        lower.append(_marginal(args, spec))
-    lower_rows = [{"method": r.method, "bound": r.lower, "certified": r.certified,
-                   "params": r.params, "diagnostics": r.diagnostics} for r in lower]
-    up = _product_state(model, args)
-    report = upper.SandwichReport.from_rows(model.name, lower_rows, up)
-    return {"model": report.model, "lower": report.lower,
-            "lower_method": report.lower_method, "certified": report.certified,
-            "upper": report.upper,
-            "upper_method": "product_state", "width": report.width,
-            "rows": list(report.rows)}
+def _sandwich(model, args):
+    requested = [("anderson", args.anderson_m), ("moment", args.moment_l),
+                 ("marginal", None if args.marginal is None else _parse_marginal(args.marginal))]
+    bounds = [_checked_bound(model, args, method, point) for method, point in requested
+              if point is not None]
+    if not bounds:
+        raise ValueError("sandwich needs at least one of --anderson-m, --moment-l, "
+                         "--marginal")
+
+    def solve() -> dict:
+        lower = [bound() for bound in bounds]
+        # the best certified row, or the best row when none is certified
+        best = max(lower, key=lambda r: (r.certified, r.lower))
+        up = upper.product_state_upper(model, restarts=args.restarts, seed=args.seed)
+        return {"model": model.name, "lower": best.lower, "lower_method": best.method,
+                "certified": best.certified, "upper": up, "upper_method": "product_state",
+                "width": up - best.lower,
+                "rows": [{"method": r.method, "bound": r.lower, "certified": r.certified,
+                          "params": r.params, "diagnostics": r.diagnostics} for r in lower]}
+    return solve
+
+
+def _request(args):
+    """Load the model and check the whole request: every sweep point and every
+    sandwich method, raising ValueError on a bad one before anything is solved.
+    Returns a zero-argument function that solves the request and gives the
+    report's payload."""
+    if args.command == "models":
+        return lambda: {"models": list(BUILTIN_MODELS)}
+    model = _load_model(args)
+    if args.command == "sweep":
+        return _sweep(model, args)
+    if args.command == "sandwich":
+        return _sandwich(model, args)
+    if args.command == "oracle":
+        upper.check_ring(model, args.n)
+        return lambda: {"method": "ring_oracle", "model": model.name, "n": args.n,
+                        "density": upper.ring_reference(model, args.n, tol=args.tol,
+                                                        seed=args.seed),
+                        "note": "exact tiny-ring value; reference, not certified"}
+    if args.command == "marginal":
+        return _checked_bound(model, args, "marginal", (args.m, args.s, args.mode, args.placement))
+    return _checked_bound(model, args, args.command, args.m if args.command == "anderson" else args.l)
 
 
 def run(argv) -> int:
@@ -260,41 +238,21 @@ def run(argv) -> int:
     except SystemExit as e:
         return 0 if e.code == 0 else 2
     try:
-        if args.command == "models":
-            _emit(args, {"models": list(BUILTIN_MODELS)})
-            return 0
-        model = _load_model(args) if args.command != "models" else None
-        if args.command == "anderson":
-            anderson.open_patch(model, args.m, args.dim)
-            _emit(args, _anderson(model, args, args.m))
-        elif args.command == "marginal":
-            _emit(args, _marginal(args, marginal.MarginalProblemSpec(
-                model, args.m, args.s, args.mode, args.placement)))
-        elif args.command == "moment":
-            moment.check_request(model, args.l)
-            _emit(args, _moment(model, args, args.l))
-        elif args.command == "sweep":
-            rows, columns = _run_sweep(model, args)
-            _emit(args, {"sweep": args.method, "model": model.name, "rows": rows},
-                  csv_rows=rows, csv_columns=columns)
-        elif args.command == "sandwich":
-            _emit(args, _run_sandwich(model, args))
-        elif args.command == "oracle":
-            upper.check_ring(model, args.n)
-            val = _oracle(model, args)
-            _emit(args, {"method": "ring_oracle", "model": model.name, "n": args.n,
-                         "density": val,
-                         "note": "exact tiny-ring value; reference, not certified"})
-        return 0
-    except ValidationError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
+        solve = _request(args)
     except ValueError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
-    except RuntimeError as e:
+    try:
+        payload = solve()
+    except (ValueError, RuntimeError) as e:  # numpy's LinAlgError is a ValueError
         print(f"solver failure: {e}", file=sys.stderr)
         return 3
+    try:
+        _emit(args, payload)
+    except OSError as e:
+        print(f"error: {e}", file=sys.stderr)
+        return 2
+    return 0
 
 
 def main() -> None:

@@ -244,18 +244,6 @@ def _bond_sum(term: np.ndarray, states: np.ndarray, bonds, m: int, d: int) -> np
     return out
 
 
-def _place(out: np.ndarray, diff: np.ndarray, real: bool) -> None:
-    """Write rows into `out`: as they are when real, else their real
-    embedding [[Re, -Im], [Im, Re]] / 2 (halved so traces match)."""
-    if real:
-        out[:] = diff
-        return
-    size = diff.shape[-1]
-    out[:, :size, :size] = out[:, size:, size:] = diff.real / 2.0
-    out[:, :size, size:] = -diff.imag / 2.0
-    out[:, size:, :size] = diff.imag / 2.0
-
-
 def build_marginal_sdp(spec: MarginalProblemSpec) -> sdp.SdpProblem:
     """Assemble the SDP over the patch state omega on m sites, one block per
     symmetry block of omega (`reduction`, `_blocks`).
@@ -306,7 +294,7 @@ def build_marginal_sdp(spec: MarginalProblemSpec) -> sdp.SdpProblem:
         # complex buffer, then real-embedded into their rows
         rows_block = np.zeros((n_rows, size, size)) if real else np.empty(
             (n_rows, 2 * size, 2 * size))
-        _place(rows_block[:1], np.eye(size)[None], real)
+        rows_block[0] = np.eye(size) if real else sdp.real_embed(np.eye(size)) / 2.0
         i0, j0, a0, b0 = _window_pairs(states, first, m, d)
         row = 1
         for win, ops, parity in groups:
@@ -320,7 +308,8 @@ def build_marginal_sdp(spec: MarginalProblemSpec) -> sdp.SdpProblem:
             diff[live[:, None], i, j] += ops[:, a, b]
             diff[live[:, None], i0, j0] -= ops[:, a0, b0]
             if not real:
-                _place(rows_block[group], diff, real)
+                diff /= 2.0  # exact, so this is real_embed(diff) / 2
+                sdp.real_embed(diff, out=rows_block[group])
             row += len(parity)
         block = objective if real else sdp.real_embed(objective) / 2.0
         if weight != 1:

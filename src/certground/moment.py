@@ -146,8 +146,7 @@ def ti_moment_bound(model: ModelSpec, window: int,
     if model.is_real:
         C, A = objective.real, np.stack([r.real for r in rows if not r.imag.any()])
     else:
-        C, A = sdp.real_embed(objective) / 2.0, np.stack([sdp.real_embed(r) / 2.0
-                                                          for r in rows])
+        C, A = sdp.real_embed(objective) / 2.0, sdp.real_embed(np.stack(rows)) / 2.0
     b = np.zeros(len(A))
     b[0] = 1.0
     problem = sdp.SdpProblem(blocks=[C.shape[0]], C=[C], A=[A], b=b)

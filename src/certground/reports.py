@@ -26,15 +26,16 @@ class BoundReport:
 
 
 # Each method's sweep columns. The certified column carries the report's
-# `lower`, `seconds` the sweep's timing of the point, and every other column
-# the params or diagnostics entry of its name; Anderson's `bound` is its
-# point estimate.
+# `lower` and `certified` its flag, `seconds` the sweep's timing of the point,
+# and every other column the params or diagnostics entry of its name;
+# Anderson's `bound` is its point estimate.
 CSV_COLUMNS = {
     "anderson": ("model", "D", "m", "lambda_min_patch", "bound", "certified_bound",
-                 "guarantee_width", "residual", "seconds"),
-    "marginal": ("model", "m", "s", "mode", "placement", "z", "density_bound", "gap",
-                 "seconds"),
-    "moment": ("model", "l", "variables", "matrix_size", "bound", "gap", "seconds"),
+                 "certified", "guarantee_width", "residual", "seconds"),
+    "marginal": ("model", "m", "s", "mode", "placement", "z", "density_bound",
+                 "certified", "gap", "seconds"),
+    "moment": ("model", "l", "variables", "matrix_size", "bound", "certified", "gap",
+               "seconds"),
 }
 CERTIFIED_COLUMN = {"anderson": "certified_bound", "marginal": "density_bound",
                     "moment": "bound"}
@@ -45,7 +46,8 @@ def sweep_row(report: BoundReport, seconds: float) -> dict:
     values = {"model": report.model, "guarantee_width": report.guarantee_width,
               "bound": report.diagnostics.get("bound_point_estimate"),
               **report.params, **report.diagnostics,
-              CERTIFIED_COLUMN[report.method]: report.lower, "seconds": seconds}
+              CERTIFIED_COLUMN[report.method]: report.lower,
+              "certified": report.certified, "seconds": seconds}
     return {column: values[column] for column in CSV_COLUMNS[report.method]}
 
 

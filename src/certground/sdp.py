@@ -116,16 +116,30 @@ class SdpSolution:
     diagnostics: dict = field(default_factory=dict)
 
 
-def real_embed(h: np.ndarray) -> np.ndarray:
-    """Real embedding [[Re h, -Im h], [Im h, Re h]] of a Hermitian matrix.
+def real_embed(h: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Real embedding [[Re h, -Im h], [Im h, Re h]] of a Hermitian matrix, or
+    of each matrix of a stack (..., n, n), written into `out` when given.
 
-    The embedding is PSD iff h is, and its trace is 2 tr(h).
+    The embedding is PSD iff h is, and its trace is 2 tr(h). No temporary is
+    larger than Re h, so a stack can be embedded into its rows of a larger
+    array without a second copy.
     """
     h = np.asarray(h, dtype=complex)
-    if np.max(np.abs(h - h.conj().T)) > 1e-10 * max(1, np.max(np.abs(h))):
-        raise ValueError("matrix is not Hermitian")
+    n, axes = h.shape[-1], (-2, -1)
     re, im = h.real, h.imag
-    return np.block([[re, -im], [im, re]])
+    # |Re(h - h^H)|, |Im(h - h^H)| and |h|, in turn in one buffer
+    d = re - np.swapaxes(re, *axes)
+    asym = np.abs(d, out=d).max(axis=axes)
+    np.add(im, np.swapaxes(im, *axes), out=d)
+    asym = np.maximum(asym, np.abs(d, out=d).max(axis=axes))
+    if np.any(asym > 1e-10 * np.maximum(1, np.abs(h, out=d).max(axis=axes))):
+        raise ValueError("matrix is not Hermitian")
+    if out is None:
+        out = np.empty(h.shape[:-2] + (2 * n, 2 * n))
+    out[..., :n, :n] = out[..., n:, n:] = re
+    out[..., n:, :n] = im
+    np.negative(im, out=out[..., :n, n:])
+    return out
 
 
 def _sym(m: np.ndarray) -> np.ndarray:

@@ -9,8 +9,6 @@ value and are never reported as certified.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
 from .eigensolver import min_eig
@@ -93,31 +91,3 @@ def check_ring(model: ModelSpec, n: int) -> None:
     if n * np.log2(model.d) > min(max_qubits(), 24):
         raise ValueError("ring reference capped at 24 qubit equivalents")
 
-
-@dataclass(frozen=True)
-class SandwichReport:
-    """The best lower bound plus a variational upper bound; `certified` tells
-    whether that lower bound is."""
-
-    model: str
-    lower: float
-    lower_method: str
-    certified: bool
-    upper: float
-    width: float
-    rows: tuple = field(default_factory=tuple)
-
-    @classmethod
-    def from_rows(cls, model_name: str, lower_rows, upper: float) -> "SandwichReport":
-        """lower_rows: iterable of dicts with 'method', 'bound', 'certified'.
-
-        The lower bound is the best certified row, or the best row when no
-        row is certified.
-        """
-        rows = tuple(lower_rows)
-        if any("certified" not in r for r in rows):
-            raise ValueError("every lower-bound row needs a 'certified' flag")
-        best = max(rows, key=lambda r: (r["certified"], r["bound"]))
-        return cls(model=model_name, lower=best["bound"], lower_method=best["method"],
-                   certified=best["certified"], upper=upper,
-                   width=upper - best["bound"], rows=rows)

@@ -1,10 +1,11 @@
+import csv
 import json
 import time
 
 import numpy as np
 import pytest
 
-from certground import cli, eigensolver, reports, sdp
+from certground import cli, eigensolver, reports, sdp, upper
 from certground.cli import run
 
 
@@ -271,7 +272,25 @@ class TestSweep:
         p = tmp_path / "sweep.csv"
         assert run(["sweep", "--method", "anderson", "--model", "heisenberg",
                     "--m", "2..3", "--csv", str(p)]) == 0
-        assert p.read_text().split("\n")[2] == ",1,3,,,,,,"
+        assert p.read_text().split("\n")[2] == ",1,3,,,,,,,"
+
+    @pytest.mark.parametrize("argv, certified", [
+        (["--method", "anderson", "--m", "2..4"], [True, True, True]),
+        (["--method", "anderson", "--m", "17..17"], [False]),
+        (["--method", "marginal", "--m", "4", "--s", "1", "--mode", "wrap"], [False]),
+    ], ids=["anderson", "anderson-unverified", "marginal-wrap"])
+    def test_rows_carry_the_certified_flag(self, capsys, tmp_path, argv, certified):
+        # the certified column holds the bound whether or not it is certified
+        # (m = 17 exceeds DENSE_CAP, wrap mode is never certified); the
+        # `certified` column says which, in JSON and in CSV
+        argv = ["sweep", "--model", "heisenberg"] + argv
+        code, out = run_capture(capsys, argv)
+        assert code == 0
+        assert [row["certified"] for row in json.loads(out)["rows"]] == certified
+        p = tmp_path / "sweep.csv"
+        assert run(argv + ["--csv", str(p)]) == 0
+        with p.open() as f:
+            assert [row["certified"] for row in csv.DictReader(f)] == [str(c) for c in certified]
 
     @pytest.mark.parametrize("argv, message", [
         (["--dim", "3", "--m", "2..3"], "patch diagonalization supports D in {1, 2} only"),
@@ -357,6 +376,31 @@ class TestSandwich:
         assert [row["certified"] for row in doc["rows"]] == [False]
         assert abs(doc["upper"] + 1.25) < 1e-9
 
+    def test_a_certified_row_beats_a_higher_uncertified_one(self, capsys):
+        # the wrap-mode marginal row lies above the Anderson row but is not certified
+        code, out = run_capture(capsys, ["sandwich", "--model", "heisenberg",
+                                         "--anderson-m", "6", "--marginal", "m=5,s=2,mode=wrap"])
+        assert code == 0
+        doc = json.loads(out)
+        assert [(row["method"], row["certified"]) for row in doc["rows"]] == [
+            ("anderson", True), ("marginal", False)]
+        assert doc["rows"][1]["bound"] > doc["lower"]
+        assert (doc["lower_method"], doc["certified"], doc["lower"]) == (
+            "anderson", True, -0.997430853555)
+        assert abs(doc["width"] - (doc["upper"] - doc["lower"])) < 1e-12
+
+    def test_falls_back_to_the_best_uncertified_row(self, capsys):
+        # neither the unverified m = 17 row nor the wrap-mode row is certified:
+        # the higher of the two is the lower bound, and the report says so
+        code, out = run_capture(capsys, ["sandwich", "--model", "heisenberg",
+                                         "--anderson-m", "17", "--marginal", "m=5,s=2,mode=wrap"])
+        assert code == 0
+        doc = json.loads(out)
+        assert [row["certified"] for row in doc["rows"]] == [False, False]
+        assert (doc["lower_method"], doc["certified"]) == ("marginal", False)
+        assert doc["lower"] == max(row["bound"] for row in doc["rows"])
+        assert abs(doc["width"] - (doc["upper"] - doc["lower"])) < 1e-12
+
     def test_needs_a_method(self, capsys):
         code = run(["sandwich", "--model", "heisenberg"])
         assert code == 2
@@ -365,11 +409,16 @@ class TestSandwich:
         (["--moment-l", "7"], "window length must be in [2, 6]"),
         (["--moment-l", "3", "--dim", "2"], "the moment hierarchy is one-dimensional"),
         (["--marginal", "m=11,s=2"], "patch exceeds the dense SDP cap of 10 qubits"),
-    ], ids=["window", "dim", "marginal"])
+        (["--moment-l", "0"], "window length must be in [2, 6]"),
+        (["--marginal="], "bad --marginal item ''; "
+                          "expected m=..,s=..[,mode=..][,placement=..]"),
+        (["--anderson-m", "0", "--moment-l", "2"], "patch size m must be >= 2"),
+    ], ids=["window", "dim", "marginal", "zero-window", "empty-marginal", "zero-m"])
     def test_every_method_checked_before_any_solve(self, capsys, monkeypatch,
                                                    argv, message):
         # the Anderson solve comes first, and a later method's request is bad;
-        # the Anderson request (a 4 x 4 patch under --dim 2) is within the cap
+        # the Anderson request (a 4 x 4 patch under --dim 2) is within the cap.
+        # A zero or empty value is a request too, not an absent one
         def no_solve(*args, **kwargs):
             raise AssertionError("solved before the request was checked")
 
@@ -547,15 +596,24 @@ class TestMisc:
 
     def test_value_error_inside_a_solve_is_solver_failure(self, capsys, monkeypatch):
         # numpy and scipy raise ValueError on bad data; inside a solve that is
-        # the solver's data, not the request
+        # the solver's data, not the request, whichever command runs it
         def broken(*args, **kwargs):
             raise ValueError("array must not contain infs or NaNs")
-        monkeypatch.setattr(eigensolver, "min_eig", broken)
-        code = run(["anderson", "--model", "heisenberg", "--m", "6"])
-        captured = capsys.readouterr()
-        assert code == 3
-        assert captured.out == ""
-        assert captured.err == "solver failure: array must not contain infs or NaNs\n"
+
+        for argv, module, name in [
+                (["anderson", "--m", "6"], eigensolver, "min_eig"),
+                (["marginal", "--m", "4", "--s", "1"], sdp, "solve"),
+                (["moment", "--l", "2"], sdp, "solve"),
+                (["sweep", "--method", "moment", "--l", "2..3"], sdp, "solve"),
+                (["sandwich", "--moment-l", "2"], upper, "product_state_upper"),
+                (["oracle", "--n", "6"], upper, "min_eig")]:
+            with monkeypatch.context() as patch:
+                patch.setattr(module, name, broken)
+                code = run(argv + ["--model", "heisenberg"])
+            captured = capsys.readouterr()
+            assert code == 3, argv
+            assert captured.out == ""
+            assert captured.err == "solver failure: array must not contain infs or NaNs\n"
 
     @pytest.mark.parametrize("argv, message", [
         (["anderson", "--m", "30"], "30 sites of dimension 2 exceed the 26-qubit cap"),
@@ -616,3 +674,17 @@ class TestMisc:
                     "--json", str(p)])
         assert code == 0
         assert abs(json.loads(p.read_text())["lower"] + 1.0) < 1e-9
+
+    @pytest.mark.parametrize("argv, flag", [
+        (["anderson", "--model", "heisenberg", "--m", "4"], "--json"),
+        (["sweep", "--method", "anderson", "--model", "heisenberg", "--m", "2..3"], "--csv"),
+    ], ids=["json", "csv"])
+    def test_unwritable_output_is_a_request_error(self, capsys, tmp_path, argv, flag):
+        # the report's directory does not exist: exit 2 with a message, no traceback
+        path = tmp_path / "missing" / "report"
+        code = run(argv + [flag, str(path)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and str(path) in captured.err
+        assert not path.parent.exists()

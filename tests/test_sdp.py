@@ -398,6 +398,21 @@ class TestRealEmbed:
         with pytest.raises(ValueError):
             real_embed(np.array([[0.0, 1.0], [2.0, 0.0]]))
 
+    def test_stack_embeds_each_matrix(self):
+        # the same bits as one matrix at a time, also when written into `out`
+        rng = np.random.default_rng(5)
+        b = rng.standard_normal((2, 3, 4, 4)) + 1j * rng.standard_normal((2, 3, 4, 4))
+        h = (b + np.swapaxes(b, -1, -2).conj()) / 2
+        each = np.array([[real_embed(m) for m in row] for row in h])
+        assert np.array_equal(real_embed(h), each)
+        out = np.empty((2, 3, 8, 8))
+        assert real_embed(h, out=out) is out and np.array_equal(out, each)
+
+    def test_stack_with_one_non_hermitian_matrix_rejected(self):
+        h = np.stack([np.eye(2), np.array([[0.0, 1j], [1j, 0.0]])])
+        with pytest.raises(ValueError, match="not Hermitian"):
+            real_embed(h)
+
 
 class TestCertificate:
     def test_bound_is_tight_at_the_optimum(self):

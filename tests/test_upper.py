@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import certground as cg
-from certground.upper import SandwichReport, product_state_upper, ring_reference
+from certground.upper import product_state_upper, ring_reference
 from tests.conftest import EMIN, RING
 
 
@@ -63,29 +63,3 @@ class TestRingReference:
         with pytest.raises(ValueError):
             ring_reference(heisenberg, 30)
 
-
-class TestSandwichReport:
-    def test_picks_best_certified(self):
-        rows = [
-            {"method": "anderson", "bound": -1.0, "certified": True},
-            {"method": "marginal", "bound": -0.9, "certified": True},
-            {"method": "wrap", "bound": -0.5, "certified": False},
-        ]
-        rep = SandwichReport.from_rows("m", rows, upper=-0.3)
-        assert rep.lower == -0.9
-        assert rep.lower_method == "marginal"
-        assert rep.certified is True
-        assert abs(rep.width - 0.6) < 1e-15
-
-    def test_falls_back_to_the_best_uncertified_row(self):
-        rows = [{"method": "anderson", "bound": -1.0, "certified": False},
-                {"method": "wrap", "bound": -0.9, "certified": False}]
-        rep = SandwichReport.from_rows("m", rows, upper=-0.3)
-        assert (rep.lower, rep.lower_method, rep.certified) == (-0.9, "wrap", False)
-        assert abs(rep.width - 0.6) < 1e-15
-
-    def test_rejects_a_row_without_the_flag(self):
-        rows = [{"method": "anderson", "bound": -1.0, "certified": True},
-                {"method": "moment", "bound": -0.9}]
-        with pytest.raises(ValueError, match="'certified' flag"):
-            SandwichReport.from_rows("m", rows, upper=-0.3)
