@@ -152,6 +152,8 @@ def _sweep(model, args):
             raise ValueError("sweep marginal requires --m a..b and --s a..b")
         points = [(m, s, args.mode, args.placement) for m in _parse_range(args.m)
                   for s in _parse_range(args.s) if 2 * s <= m]
+        if not points:
+            raise ValueError("sweep marginal has no point with 2s <= m")
     else:
         flag, text = ("--m", args.m) if method == "anderson" else ("--l", args.l)
         if not text:

@@ -21,11 +21,12 @@ block omega_q per charge q, and only window operators that commute with the
 charge need rows. When the term is also flip symmetric (every digit k to
 d - 1 - k), omega can be taken flip invariant, omega_{(d-1)m-q} = F omega_q F^T:
 one variable X_q for 2q < (d - 1)m carries weight 2 in the trace row, the
-objective and every flip-even row, flip-odd rows act on the self-paired
-block alone, and sum_q w_q tr X_q = 1 bounds tr X_q by 1/w_q in the
-certificate. Without a charge, omega is one d^m block. Reflection and the
-flip of charge-free terms (tfim) would need a change of basis, not a
-selection of states, and are not used.
+objective and every row, only flip-even window operators need rows (a
+flip-odd one vanishes on every flip-invariant omega), and
+sum_q w_q tr X_q = 1 bounds tr X_q by 1/w_q in the certificate. Without a
+charge, omega is one d^m block. Reflection and the flip of charge-free
+terms (tfim) would need a change of basis, not a selection of states, and
+are not used.
 """
 
 from __future__ import annotations
@@ -111,12 +112,12 @@ def window_basis(d: int, sites: int, real: bool, symmetry=()) -> tuple:
     d^w (d^w + 1) / 2 (d^(2w)) of them for w = `sites`. With "u1" in
     `symmetry` only the charge-conserving products are used, which span the
     operators that commute with the charge. With "flip" as well, each is
-    summed, with sign +1 and with sign -1, with its image under the global
-    flip, into operators of definite flip parity. A sum over an orbit counts
-    each distinct product once, with its sign, and sums that cancel are
-    dropped: a product that is its own orbit is kept alone or not at all.
-    Returns the stack, identity first, a mask of the operators whose last
-    factor is the identity, and each one's flip parity (+1 or -1).
+    summed with its image under the global flip, which leaves the flip-even
+    operators alone: the rows `build_marginal_sdp` needs. A sum over an orbit
+    counts each distinct product once, with its sign, and sums that cancel
+    are dropped: a product that is its own orbit is kept alone or not at all.
+    Returns the stack, identity first, and a mask of the operators whose last
+    factor is the identity.
     """
     one, charge = charge_basis(d)
     dagger, dagger_sign = _signed_images(one, one.conj().transpose(0, 2, 1))
@@ -130,32 +131,30 @@ def window_basis(d: int, sites: int, real: bool, symmetry=()) -> tuple:
         words = words[charge[words].sum(axis=1) == 0]
     # the orbit of each word under flip and dagger: four images with signs
     images = [words, flip[words], dagger[words], dagger[flip[words]]]
-    signs = [np.ones(len(words), dtype=int), flip_sign[words].prod(axis=1),
-             dagger_sign[words].prod(axis=1),
-             flip_sign[words].prod(axis=1) * dagger_sign[flip[words]].prod(axis=1)]
+    signs = np.stack([np.ones(len(words), dtype=int), flip_sign[words].prod(axis=1),
+                      dagger_sign[words].prod(axis=1),
+                      flip_sign[words].prod(axis=1) * dagger_sign[flip[words]].prod(axis=1)],
+                     axis=1)
     codes = np.stack([w @ n ** np.arange(sites - 1, -1, -1) for w in images], axis=1)
     rep = codes[:, 0] == codes.min(axis=1)  # one word per orbit
-    words, signs, codes = words[rep], [s[rep] for s in signs], codes[rep]
+    words, signs, codes = words[rep], signs[rep], codes[rep]
     same = codes[:, :, None] == codes[:, None, :]
     first = ~np.any(np.tril(same, -1), axis=2)  # the first slot holding each product
-    rows = []  # (codes, coefficients, parity, kind, word) of the sums that survive
-    for parity in ((1, -1) if "flip" in symmetry else (1,)):
-        for kind in ((1,) if real else (1, -1)):  # P + P^dag, then i(P - P^dag)
-            coef = np.stack([signs[0], parity * signs[1], kind * signs[2],
-                             kind * parity * signs[3]], axis=1)
-            merged = np.where(first, (same * coef[:, None, :]).sum(axis=2), 0)
-            scale = np.abs(merged).max(axis=1)
-            live = scale > 0
-            rows.append((codes[live], merged[live] // scale[live, None], parity, kind,
-                         words[live]))
+    rows = []  # (codes, coefficients, kind, word) of the sums that survive
+    for kind in ((1,) if real else (1, -1)):  # P + P^dag, then i(P - P^dag)
+        coef = signs * (1, 1, kind, kind)
+        merged = np.where(first, (same * coef[:, None, :]).sum(axis=2), 0)
+        scale = np.abs(merged).max(axis=1)
+        live = scale > 0
+        rows.append((codes[live], merged[live] // scale[live, None], kind, words[live]))
     used = np.unique(np.concatenate([c[k != 0] for c, k, *_ in rows]))
     factors = np.stack(np.unravel_index(used, (n,) * sites), axis=1)
     prods = one[factors[:, 0]]
     for f in range(1, sites):
         dim = prods.shape[1] * d
         prods = np.einsum("kij,kab->kiajb", prods, one[factors[:, f]]).reshape(-1, dim, dim)
-    stack, ends_in_identity, parities = [], [], []
-    for c, k, parity, kind, word in rows:
+    stack, ends_in_identity = [], []
+    for c, k, kind, word in rows:
         idx = np.searchsorted(used, c)
         ops = prods[idx[:, 0]]  # a word's own coefficient is 1
         for j in range(1, 4):
@@ -163,9 +162,7 @@ def window_basis(d: int, sites: int, real: bool, symmetry=()) -> tuple:
             ops[extra] += k[extra, j, None, None] * prods[idx[extra, j]]
         stack.append(ops if kind > 0 else 1j * ops)
         ends_in_identity.append(word[:, -1] == 0)
-        parities.append(np.full(len(word), parity))
-    return (np.concatenate(stack), np.concatenate(ends_in_identity),
-            np.concatenate(parities))
+    return np.concatenate(stack), np.concatenate(ends_in_identity)
 
 
 def boundary_sites(m: int, s: int) -> list:
@@ -257,12 +254,15 @@ def build_marginal_sdp(spec: MarginalProblemSpec) -> sdp.SdpProblem:
     therefore linearly independent and span the same constraints as every
     basis element on every window. Averaging omega over the symmetry group
     changes neither the objective nor feasibility, so only invariant B need
-    rows, and they are block diagonal. A block of weight 2 stands for omega_q
-    and its flip partner: flip-even rows and the objective count it twice, and
-    flip-odd rows vanish on it, so they act on the self-paired block alone.
-    Every row block and every objective block is gathered from the block's
-    basis states alone (`_window_pairs`), so no d^m x d^m matrix is built: the
-    objective adds the term on each of the m bonds of `_bonds` in turn. Real
+    rows, and they are block diagonal. Under the flip that leaves the
+    flip-even B: (omega + F omega F^T) / 2 meets every flip-odd row and keeps
+    the flip-even rows and the objective, so dropping the flip-odd rows
+    neither lowers the optimum nor, as a relaxation, invalidates the
+    certificate. A block of weight 2 stands for omega_q and its flip
+    partner, so every row and the objective count it twice. Every row block
+    and every objective block is gathered from the block's basis states
+    alone (`_window_pairs`), so no d^m x d^m matrix is built: the objective
+    adds the term on each of the m bonds of `_bonds` in turn. Real
     models use the real-symmetric rows; complex ones are real-embedded block
     by block (matrices halved so traces match the complex problem).
     `assembly_margin` bounds what the rounding in these sums can cost the
@@ -277,14 +277,11 @@ def build_marginal_sdp(spec: MarginalProblemSpec) -> sdp.SdpProblem:
     h = np.asarray(model.term, dtype=float if real else complex)
     bonds = _bonds(spec)
     blocks = _blocks(m, d, symmetry)
-    groups = []  # (window, window operators, their flip parities) per later window
+    groups = []  # (window, window operators) per later window
     if later:
-        ops, ends_in_identity, parity = window_basis(d, 2 * s, real, symmetry)
-        groups = [(later[0], ops[1:], parity[1:])]
-        groups += [(win, ops[~ends_in_identity], parity[~ends_in_identity])
-                   for win in later[1:]]
-    row_parity = np.concatenate([[1]] + [parity for _, _, parity in groups])
-    n_rows = row_parity.size
+        ops, ends_in_identity = window_basis(d, 2 * s, real, symmetry)
+        groups = [(later[0], ops[1:])] + [(win, ops[~ends_in_identity]) for win in later[1:]]
+    n_rows = 1 + sum(len(ops) for _, ops in groups)
 
     C, A = [], []
     for states, weight in blocks:
@@ -297,20 +294,17 @@ def build_marginal_sdp(spec: MarginalProblemSpec) -> sdp.SdpProblem:
         rows_block[0] = np.eye(size) if real else sdp.real_embed(np.eye(size)) / 2.0
         i0, j0, a0, b0 = _window_pairs(states, first, m, d)
         row = 1
-        for win, ops, parity in groups:
+        for win, ops in groups:
             group = slice(row, row + len(ops))
             diff = rows_block[group] if real else np.zeros((len(ops), size, size),
                                                            dtype=complex)
-            live = np.arange(len(ops))
-            if weight == 2:  # flip-odd rows vanish on a merged block
-                live, ops = live[parity > 0], ops[parity > 0]
             i, j, a, b = _window_pairs(states, win, m, d)
-            diff[live[:, None], i, j] += ops[:, a, b]
-            diff[live[:, None], i0, j0] -= ops[:, a0, b0]
+            diff[:, i, j] += ops[:, a, b]
+            diff[:, i0, j0] -= ops[:, a0, b0]
             if not real:
                 diff /= 2.0  # exact, so this is real_embed(diff) / 2
                 sdp.real_embed(diff, out=rows_block[group])
-            row += len(parity)
+            row += len(ops)
         block = objective if real else sdp.real_embed(objective) / 2.0
         if weight != 1:
             block *= weight
@@ -319,16 +313,6 @@ def build_marginal_sdp(spec: MarginalProblemSpec) -> sdp.SdpProblem:
         A.append(rows_block)
     b = np.zeros(n_rows)
     b[0] = 1.0
-    odd = np.flatnonzero(row_parity < 0)
-    if odd.size:
-        # flip-odd rows are zero on merged blocks and act on the self-paired
-        # block alone (the last, if (d - 1)m is even), where some become
-        # combinations of others: keep a maximal independent subset
-        keep = np.ones(n_rows, dtype=bool)
-        keep[odd] = False
-        if blocks[-1][1] == 1:
-            keep[odd[sdp._independent_rows([A[-1][odd]], odd.size)]] = True
-        A, b = [a[keep] for a in A], b[keep]
     return sdp.SdpProblem([c.shape[0] for c in C], C, A, b)
 
 

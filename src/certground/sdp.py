@@ -29,8 +29,7 @@ while the other one runs: on a 2-core machine with two OpenBLAS threads,
 a 137 x 137 matmul plus Cholesky took 11.6-12.1 ms mixed and 0.7-0.9 ms
 with numpy alone. The certificate factors through numpy too. scipy.linalg
 is imported only by `_independent_rows`, for its pivoted QR, and only when a
-row set is rank-deficient: before a restart that drops dependent rows, and
-when `marginal.build_marginal_sdp` picks its independent flip-odd rows.
+row set is rank-deficient, before a restart that drops dependent rows.
 
 The solver's numbers are not certified. `dual_lower_bound` turns any dual
 vector y into a rigorous lower bound for trace-bounded problems, through a

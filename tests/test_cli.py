@@ -131,7 +131,7 @@ class TestMarginalMoment:
 
     @pytest.mark.parametrize("argv, constraints", [
         (["--model", "heisenberg", "--m", "5", "--s", "2"], 23),
-        (["--model", "heisenberg", "--m", "6", "--s", "1"], 14),
+        (["--model", "heisenberg", "--m", "6", "--s", "1"], 9),
         (["--model", "random_twosite", "--params", "3", "--m", "4", "--s", "1"], 28),
         (["--model", "random_twosite", "--params", "3", "--m", "4", "--s", "2"], 1)])
     def test_marginal_reports_independent_rows(self, capsys, argv, constraints):
@@ -339,17 +339,20 @@ class TestSweep:
         assert seconds < 1.0
 
     def test_marginal_range_checked_before_any_solve(self, capsys, monkeypatch):
-        # (10, 2) is within the SDP cap, (11, 2) is not: nothing is solved
+        # (10, 2) is within the SDP cap, (11, 2) is not; m = 4..5 has no
+        # point with s = 3. Either way nothing is solved
         def no_solve(*args, **kwargs):
             raise AssertionError("solved before the range was checked")
 
         monkeypatch.setattr(cli.marginal, "improved_anderson_bound", no_solve)
-        code = run(["sweep", "--model", "heisenberg", "--method", "marginal",
-                    "--m", "10..11", "--s", "2"])
-        captured = capsys.readouterr()
-        assert code == 2
-        assert captured.out == ""
-        assert "SDP cap" in captured.err
+        for m, s, message in (("10..11", "2", "SDP cap"),
+                              ("4..5", "3", "no point with 2s <= m")):
+            code = run(["sweep", "--model", "heisenberg", "--method", "marginal",
+                        "--m", m, "--s", s])
+            captured = capsys.readouterr()
+            assert code == 2
+            assert captured.out == ""
+            assert captured.err.startswith("error: ") and message in captured.err
 
 
 class TestSandwich:

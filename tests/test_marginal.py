@@ -128,7 +128,7 @@ def _rows_by_window(spec):
     identity on window 1, then on each later window the products whose last
     factor is not the identity."""
     d, m, w = spec.model.d, spec.m, 2 * spec.s
-    basis, ends_in_identity, _ = window_basis(d, w, spec.model.is_real)
+    basis, ends_in_identity = window_basis(d, w, spec.model.is_real)
     expect = []
     for k in range(1, m - w + 1) if spec.mode == "consecutive" else ():
         ops = basis[1:] if k == 1 else basis[~ends_in_identity]
@@ -179,12 +179,11 @@ class TestBuildSdp:
     def test_constraint_count_real(self, heisenberg):
         # heisenberg conserves the charge and is flip symmetric: the charge
         # blocks 0, 1 stand for 4, 3 (weight 2) and block 2 is self-paired.
-        # 1 trace row; the flip-even invariant rows ZZ and s+s- + s-s+ on the
-        # second and third window; the flip-odd IZ, ZI on the second window and
-        # IZ on the third, which act on block 2 alone
+        # 1 trace row and the flip-even invariant rows ZZ and s+s- + s-s+ on
+        # the second and third window; the flip-odd IZ and ZI need no row
         prob = build_marginal_sdp(
             MarginalProblemSpec(heisenberg, 4, 1, "consecutive", "middle"))
-        assert prob.n_constraints == 8
+        assert prob.n_constraints == 5
         assert prob.blocks == [1, 4, 6]
 
     def test_constraint_count_complex(self):
@@ -196,27 +195,25 @@ class TestBuildSdp:
 
     def test_constraint_rows_real(self, heisenberg):
         # each row is the restriction to a block of lift_{W_k}(B) - lift_{W_0}(B)
-        # for an invariant B of definite flip parity, times the block's weight;
-        # the objective charges the crossing bond to the first window
+        # for a flip-even invariant B, times the block's weight; the objective
+        # charges the crossing bond to the first window
         spec = MarginalProblemSpec(heisenberg, 4, 1, "consecutive", "middle")
         prob = build_marginal_sdp(spec)
-        ops, ends_in_identity, parity = window_basis(2, 2, True, ("u1", "flip"))
+        ops, ends_in_identity = window_basis(2, 2, True, ("u1", "flip"))
         lifts = [np.eye(16)]
         lifts += [embed_on_sites(B, [k, k + 1], 4).toarray()
                   - embed_on_sites(B, [0, 1], 4).toarray()
                   for k, group in ((1, np.arange(1, len(ops))),
                                    (2, np.flatnonzero(~ends_in_identity)))
                   for B in ops[group]]
-        odd = np.concatenate([[False], parity[1:] < 0, parity[~ends_in_identity] < 0])
-        assert prob.n_constraints == len(lifts) == 8
+        assert prob.n_constraints == len(lifts) == 5
         objective = _full_objective(spec).real
         for states, a, c, weight in zip(_block_states(prob, spec), prob.A, prob.C, (2, 2, 1)):
             sub = np.ix_(states, states)
             np.testing.assert_array_equal(c, weight * objective[sub])
-            for row, lift, is_odd in zip(a, lifts, odd):
-                expect = np.zeros(row.shape) if is_odd and weight == 2 else weight * lift[sub]
-                np.testing.assert_array_equal(row, expect)
-        np.testing.assert_array_equal(prob.b, [1.0] + [0.0] * 7)
+            for row, lift in zip(a, lifts):
+                np.testing.assert_array_equal(row, weight * lift[sub])
+        np.testing.assert_array_equal(prob.b, [1.0] + [0.0] * 4)
 
     def test_constraint_rows_complex(self):
         spec = MarginalProblemSpec(cg.builtin_model("random_twosite", [3.0]), 4, 1)
@@ -245,8 +242,7 @@ class TestBuildSdp:
         # restricted to the block, gives the same bits
         spec = MarginalProblemSpec(heisenberg, 5, 2, "consecutive", "middle")
         prob = build_marginal_sdp(spec)
-        ops, _, parity = window_basis(2, 4, True, ("u1", "flip"))
-        ops = ops[parity > 0]  # 5 sites: no self-paired block, so no flip-odd row
+        ops, _ = window_basis(2, 4, True, ("u1", "flip"))
         assert prob.n_constraints == len(ops) == 23
         assert prob.blocks == [1, 5, 10]
         for states, a in zip(_block_states(prob, spec), prob.A):
@@ -276,32 +272,34 @@ class TestBuildSdp:
                 asym = [k for k, P in enumerate(products) if not np.array_equal(P, P.T)]
                 expect += [1j * (products[k] - products[k].T) for k in asym]
                 ends += [pairs[k][1] == 0 for k in asym]
-            basis, ends_in_identity, parity = window_basis(d, 2, real)
+            basis, ends_in_identity = window_basis(d, 2, real)
             assert len(basis) == (n * (n + 1) // 2 if real else n * n)
-            assert np.all(parity == 1)
             np.testing.assert_array_equal(basis, np.array(expect))
             np.testing.assert_array_equal(ends_in_identity, ends)
 
     @pytest.mark.parametrize("d, real, symmetry, count", [
-        (2, True, ("u1",), 43), (2, True, ("u1", "flip"), 43),
-        (2, False, ("u1", "flip"), 70), (3, True, ("u1", "flip"), 14)])
+        (2, True, ("u1",), 43), (2, True, ("u1", "flip"), 23),
+        (2, False, ("u1", "flip"), 35), (3, True, ("u1", "flip"), 8)])
     def test_invariant_window_basis(self, d, real, symmetry, count):
         # the operators commute with the charge, are symmetric (Hermitian),
-        # have their flip parity, are linearly independent and span every
+        # are flip-even under "flip", are linearly independent and span every
         # such operator: the real symmetric (Hermitian) matrices on each
-        # charge block of the window, dimension sum n_q (n_q + 1) / 2 (n_q^2)
+        # charge block of the window, dimension sum n_q (n_q + 1) / 2 (n_q^2).
+        # The flip-even ones are fixed by one block of each pair q, top - q
+        # and, on the self-paired block, commute with the flip: for d = 2 on 4
+        # sites 1 + 10 + 12 (1 + 16 + 18), for d = 3 on 2 sites 1 + 3 + 4
         sites = 4 if d == 2 else 2
-        ops, ends_in_identity, parity = window_basis(d, sites, real, symmetry)
+        ops, ends_in_identity = window_basis(d, sites, real, symmetry)
         assert len(ops) == count
         np.testing.assert_allclose(ops[0], np.eye(d ** sites) / np.sqrt(d) ** sites,
                                    rtol=1e-15)
         charge = np.diag(state_charges(sites, d)).astype(float)
         flip = np.eye(d ** sites)[::-1]
-        for B, p in zip(ops, parity):
+        for B in ops:
             np.testing.assert_allclose(B @ charge, charge @ B, atol=1e-14)
             np.testing.assert_allclose(B.conj().T, B, atol=1e-14)
             if "flip" in symmetry:
-                np.testing.assert_allclose(flip @ B @ flip, p * B, atol=1e-14)
+                np.testing.assert_allclose(flip @ B @ flip, B, atol=1e-14)
         flat = ops.reshape(len(ops), -1)
         flat = np.hstack([flat.real, flat.imag])
         assert np.linalg.matrix_rank(flat) == len(ops)
@@ -317,13 +315,12 @@ class TestBuildSdp:
         # charge_basis diagonals, E_ij + E_ji per pair i < j and, for complex
         # terms, i(E_ij - E_ji) per pair; they span the real symmetric
         # (Hermitian) operators of one site
-        one, ends_in_identity, parity = window_basis(d, 1, real)
+        one, ends_in_identity = window_basis(d, 1, real)
         count = d * (d + 1) // 2 if real else d * d
         assert one.shape == (count, d, d)
         assert one.dtype == (float if real else complex)
         np.testing.assert_allclose(one[0] * np.sqrt(d), np.eye(d), atol=1e-15)
         np.testing.assert_array_equal(ends_in_identity, np.arange(count) == 0)
-        assert np.all(parity == 1)
         flat = one.reshape(count, -1)
         assert np.linalg.matrix_rank(np.concatenate([flat.real, flat.imag], axis=1)) == count
         np.testing.assert_array_equal(one.conj().transpose(0, 2, 1), one)
@@ -370,9 +367,8 @@ class TestBuildSdp:
                                        "xx+dm", "spin1", "complex-qutrit"])
     @pytest.mark.parametrize("mode", ["consecutive", "wrap"])
     def test_full_row_rank(self, heisenberg, model, mode):
-        # the rows are independent by construction (flip-odd rows that become
-        # dependent on the self-paired block are dropped), so the solver never
-        # has to prune; the rows of every block are stacked, and every m <= 7
+        # the rows are independent by construction, so the solver never has
+        # to prune; the rows of every block are stacked, and every m <= 7
         # whose constraint tensor stays small is checked
         model = {"heisenberg": heisenberg, "xxz": cg.builtin_model("xxz", [0.5]),
                  "qutrit": _qutrit_model(), "xx+dm": _dm_model(), "spin1": _spin1_xxz(),
@@ -394,22 +390,6 @@ class TestBuildSdp:
                 checked += 1
         assert checked >= 5
 
-    @pytest.mark.parametrize("m, s, dropped", [(4, 1, 0), (6, 1, 0), (6, 2, 3)])
-    def test_flip_odd_rows_keep_their_span(self, monkeypatch, heisenberg, m, s, dropped):
-        # the flip-odd rows kept on the self-paired block are a maximal
-        # independent subset: they have the rank of all of them
-        spec = MarginalProblemSpec(heisenberg, m, s)
-        kept = build_marginal_sdp(spec)
-        monkeypatch.setattr(sdp, "_independent_rows", lambda A, n, tol=1e-11: np.arange(n))
-        full = build_marginal_sdp(spec)
-
-        def rank(prob):
-            return np.linalg.matrix_rank(
-                np.hstack([a.reshape(prob.n_constraints, -1) for a in prob.A]))
-
-        assert full.n_constraints - kept.n_constraints == dropped
-        assert rank(kept) == kept.n_constraints == rank(full)
-
     def test_window_marginals_agree(self, heisenberg):
         # omega, reassembled from its charge blocks and their flip partners,
         # has one marginal on all three 2-site windows
@@ -428,11 +408,12 @@ class TestBuildSdp:
 
     @pytest.mark.parametrize("name, m, s", [
         ("heisenberg", 4, 1), ("heisenberg", 5, 2), ("heisenberg", 6, 1),
-        ("xxz", 5, 2)])
+        ("heisenberg", 6, 2), ("xxz", 5, 2), ("xxz", 6, 2)])
     @pytest.mark.parametrize("mode", ["consecutive", "wrap"])
     @pytest.mark.parametrize("placement", ["middle", "literal_last"])
     def test_reduced_optimum_matches_unreduced(self, name, m, s, mode, placement):
-        # averaging omega over the charge rotations and the flip loses nothing
+        # averaging omega over the charge rotations and the flip loses nothing,
+        # also at even m, whose self-paired block meets no flip-odd row
         model = cg.builtin_model(name, [0.5] if name == "xxz" else [])
         spec = MarginalProblemSpec(model, m, s, mode, placement)
         res = improved_anderson_bound(spec)
@@ -603,7 +584,7 @@ class TestAssemblyMargin:
         # without a charge
         spec = MarginalProblemSpec(make(), m, s)
         d, real, symmetry = spec.model.d, spec.model.is_real, reduction(spec.model)
-        ops, _, _ = window_basis(d, 2 * s, real, symmetry)
+        ops, _ = window_basis(d, 2 * s, real, symmetry)
         windows = [list(range(k, k + 2 * s)) for k in range(m - 2 * s + 1)]
         worst = 0.0
         for states, _ in _blocks(m, d, symmetry):

@@ -1,6 +1,5 @@
 """What a command loads: the SDP commands import neither scipy.linalg nor
-scipy.sparse unless a row set is rank-deficient, and the Anderson bound
-still loads both when it runs.
+scipy.sparse, and the Anderson bound still loads both when it runs.
 
 Each check starts a fresh interpreter, since this test process has imported
 both long ago.
@@ -34,6 +33,7 @@ print(json.dumps(seen))
 SDP_COMMANDS = (
     "moment --model heisenberg --l 3",
     "marginal --model heisenberg --m 5 --s 2",
+    "marginal --model heisenberg --m 6 --s 2",
     "sandwich --model heisenberg --moment-l 3 --marginal m=5,s=2",
 )
 
@@ -51,14 +51,6 @@ def test_sdp_commands_load_neither_scipy_linalg_nor_sparse():
     for argv in SDP_COMMANDS:
         code, loaded, _ = seen[argv]
         assert (argv, code, loaded) == (argv, 0, [])
-
-
-def test_rank_deficient_marginal_rows_load_scipy_linalg_only():
-    # 33 flip-odd rows of rank 30: the builder keeps an independent subset
-    # by scipy's pivoted QR, and nothing else loads
-    argv = "marginal --model heisenberg --m 6 --s 2"
-    code, loaded, _ = probe(argv)[argv]
-    assert (code, loaded) == (0, ["scipy.linalg"])
 
 
 def test_anderson_still_loads_scipy_and_proves():
