@@ -61,11 +61,13 @@ def _positive(text: str) -> float:
     return value
 
 
-def _at_least_one(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"{text} is less than 1")
-    return value
+def _at_least(low: int):
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"{text} is less than {low}")
+        return value
+    return parse
 
 
 def _add_common(p):
@@ -75,7 +77,7 @@ def _add_common(p):
     p.add_argument("--dim", type=int, default=1, help="lattice dimension D")
     p.add_argument("--tol", type=_positive, default=1e-8, help="eigensolver tolerance")
     p.add_argument("--gap-tol", type=_positive, default=1e-9, help="SDP duality-gap tolerance")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_at_least(0), default=0)
     p.add_argument("--json", help="write the JSON report to this path")
 
 
@@ -118,7 +120,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--anderson-m", type=int, default=None)
     p.add_argument("--moment-l", type=int, default=None)
     p.add_argument("--marginal", default=None, help="e.g. m=5,s=2")
-    p.add_argument("--restarts", type=_at_least_one, default=8,
+    p.add_argument("--restarts", type=_at_least(1), default=8,
                    help="product-state multistarts (at least 1)")
 
     p = sub.add_parser("models", help="list builtin models")

@@ -24,9 +24,9 @@ one variable X_q for 2q < (d - 1)m carries weight 2 in the trace row, the
 objective and every row, only flip-even window operators need rows (a
 flip-odd one vanishes on every flip-invariant omega), and
 sum_q w_q tr X_q = 1 bounds tr X_q by 1/w_q in the certificate. Without a
-charge, omega is one d^m block. Reflection and the flip of charge-free
-terms (tfim) would need a change of basis, not a selection of states, and
-are not used.
+charge, omega is one d^m block; a complex term gives Hermitian blocks of the
+same sizes. Reflection and the flip of charge-free terms (tfim) would need
+a change of basis, not a selection of states, and are not used.
 """
 
 from __future__ import annotations
@@ -263,8 +263,7 @@ def build_marginal_sdp(spec: MarginalProblemSpec) -> sdp.SdpProblem:
     and every objective block is gathered from the block's basis states
     alone (`_window_pairs`), so no d^m x d^m matrix is built: the objective
     adds the term on each of the m bonds of `_bonds` in turn. Real
-    models use the real-symmetric rows; complex ones are real-embedded block
-    by block (matrices halved so traces match the complex problem).
+    models use real-symmetric blocks, complex ones Hermitian blocks.
     `assembly_margin` bounds what the rounding in these sums can cost the
     certificate.
     """
@@ -287,29 +286,20 @@ def build_marginal_sdp(spec: MarginalProblemSpec) -> sdp.SdpProblem:
     for states, weight in blocks:
         size = states.size
         objective = _bond_sum(h, states, bonds, m, d)
-        # a complex term's rows are built one window group at a time in a
-        # complex buffer, then real-embedded into their rows
-        rows_block = np.zeros((n_rows, size, size)) if real else np.empty(
-            (n_rows, 2 * size, 2 * size))
-        rows_block[0] = np.eye(size) if real else sdp.real_embed(np.eye(size)) / 2.0
+        rows_block = np.zeros((n_rows, size, size), dtype=h.dtype)
+        rows_block[0] = np.eye(size)
         i0, j0, a0, b0 = _window_pairs(states, first, m, d)
         row = 1
         for win, ops in groups:
-            group = slice(row, row + len(ops))
-            diff = rows_block[group] if real else np.zeros((len(ops), size, size),
-                                                           dtype=complex)
+            diff = rows_block[row:row + len(ops)]
             i, j, a, b = _window_pairs(states, win, m, d)
             diff[:, i, j] += ops[:, a, b]
             diff[:, i0, j0] -= ops[:, a0, b0]
-            if not real:
-                diff /= 2.0  # exact, so this is real_embed(diff) / 2
-                sdp.real_embed(diff, out=rows_block[group])
             row += len(ops)
-        block = objective if real else sdp.real_embed(objective) / 2.0
         if weight != 1:
-            block *= weight
+            objective *= weight
             rows_block *= weight
-        C.append(block)
+        C.append(objective)
         A.append(rows_block)
     b = np.zeros(n_rows)
     b[0] = 1.0
@@ -329,17 +319,16 @@ def assembly_margin(spec: MarginalProblemSpec) -> float:
     floating-point sum of at most m bond contributions x, so its real and
     imaginary parts are each within gamma_m sum |x|, and the block is
     entrywise within gamma_m S_k of the exact one, S_k the bond-by-bond sum
-    of |Re h| + |Im h|. The block weight and the real embedding scale C_k by
-    c_k too, so block k costs at most gamma_m ||S_k||_F. Terms that pass
+    of |Re h| + |Im h|. The block weight scales C_k by c_k too, so block k
+    costs at most gamma_m ||S_k||_F, real or complex. Terms that pass
     `models.exact_sums` are summed exactly and cost nothing.
 
     Rows cost nothing. A row entry is one window operator entry, or the
-    difference of two (W_k's and W_0's), times the weight and the embedding's
-    1/2, which are exact. The nonzero entries of each `charge_basis` element
-    share one magnitude, so do those of each window operator B, whose orbit
-    sums add products on disjoint entries; such a difference is then 0 or
-    twice an entry, so every row is exactly lift_{W_k}(B) - lift_{W_0}(B) for
-    the computed B, a valid constraint.
+    difference of two (W_k's and W_0's), times the exact weight. The nonzero
+    entries of each `charge_basis` element share one magnitude, so do those
+    of each window operator B, whose orbit sums add products on disjoint
+    entries; such a difference is then 0 or twice an entry, so every row is
+    exactly lift_{W_k}(B) - lift_{W_0}(B) for the computed B, a valid constraint.
     """
     model, m, d = spec.model, spec.m, spec.model.d
     h = np.asarray(model.term, dtype=float if model.is_real else complex)
@@ -360,7 +349,7 @@ def improved_anderson_bound(spec: MarginalProblemSpec,
     iterate, so a solve that stalls just short of the target tolerances is
     still accepted as long as its duality gap and primal residual are below
     sdp.QUALITY_TOL (`sdp.certified_solve`). The trace row's coefficient on
-    each block, c_k there, is the block's weight, halved by a real embedding.
+    each block, c_k there, is the block's weight, for Hermitian blocks too.
     z also subtracts `assembly_margin`, rounded down, and z/m is rounded down
     (`models.divide_down`), so neither the rounding in assembling the SDP nor
     the division can invalidate the bound either. Only the consecutive reading

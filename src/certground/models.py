@@ -92,6 +92,13 @@ def _make_model(name: str, d: int, D: int, term: np.ndarray) -> ModelSpec:
     return ModelSpec(name, d, D, _realify(np.asarray(term, dtype=complex)))
 
 
+def _integer(value, what: str) -> int:
+    """`value` as an int; ValueError unless it is an integral number."""
+    if not float(value).is_integer():
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    return int(value)
+
+
 def builtin_model(name: str, params=(), D: int = 1) -> ModelSpec:
     """Builtin two-site models.
 
@@ -122,10 +129,11 @@ def builtin_model(name: str, params=(), D: int = 1) -> ModelSpec:
         return _make_model(f"tfim(g={g:g})", 2, D, term)
     if name == "random_twosite":
         need(1)
-        rng = np.random.default_rng(int(params[0]))
+        seed = _integer(params[0], "the random_twosite seed")
+        rng = np.random.default_rng(seed)
         a = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
         term = (a + a.conj().T) / 2.0
-        return _make_model(f"random_twosite(seed={int(params[0])})", 2, D, term)
+        return _make_model(f"random_twosite(seed={seed})", 2, D, term)
     raise ValueError(f"unknown builtin model {name!r}; known: {BUILTIN_MODELS}")
 
 
@@ -144,7 +152,7 @@ def parse_model(document: str) -> ModelSpec:
     for key in ("name", "d", "D", "term"):
         if key not in doc:
             raise ValueError(f"missing field {key!r}")
-    d, D = int(doc["d"]), int(doc["D"])
+    d, D = _integer(doc["d"], "d"), _integer(doc["D"], "D")
     if d < 2 or D < 1:
         raise ValueError("need d >= 2 and D >= 1")
     term_doc = doc["term"]

@@ -23,9 +23,9 @@ rho = rho(y) for its class expectations y.
 `coefficient_matrices` gives the consistency rows P_{c,s} - P_{c,0}. Real
 models are solved on a real 2^l block with the rows that have an even number
 of Y factors (the others vanish on a real symmetric rho, and
-(rho + conj(rho)) / 2 is feasible with the same energy); complex ones on the
-real-embedded 2^(l+1) block. The bound is `sdp.dual_lower_bound`, Jansson,
-Chaykin & Keil's bound, as for the marginal SDP.
+(rho + conj(rho)) / 2 is feasible with the same energy); complex ones on one
+Hermitian 2^l block with every row. The bound is `sdp.dual_lower_bound`,
+Jansson, Chaykin & Keil's bound, as for the marginal SDP.
 
 `build_structure` lists the translation classes by walking every product
 P_a^dag P_b of the 4^l strings through this module's `dagger`, `multiply`
@@ -143,13 +143,11 @@ def ti_moment_bound(model: ModelSpec, window: int,
     dim = 1 << window
     rows = [np.eye(dim), *coefficient_matrices(structure)]  # the trace row first
     objective = np.kron(np.asarray(model.term), np.eye(dim // 4))
-    if model.is_real:
-        C, A = objective.real, np.stack([r.real for r in rows if not r.imag.any()])
-    else:
-        C, A = sdp.real_embed(objective) / 2.0, sdp.real_embed(np.stack(rows)) / 2.0
-    b = np.zeros(len(A))
+    if model.is_real:  # rows with an odd number of Y factors vanish on a real rho
+        objective, rows = objective.real, [r.real for r in rows if not r.imag.any()]
+    b = np.zeros(len(rows))
     b[0] = 1.0
-    problem = sdp.SdpProblem(blocks=[C.shape[0]], C=[C], A=[A], b=b)
+    problem = sdp.SdpProblem(blocks=[dim], C=[objective], A=[np.stack(rows)], b=b)
     sol, bound = sdp.certified_solve(problem, "moment", gap_tol=gap_tol)
     return BoundReport(
         method="moment", model=model.name, params={"l": window},

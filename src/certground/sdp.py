@@ -1,11 +1,12 @@
 """Self-contained block-diagonal semidefinite programming.
 
-Primal standard form over symmetric blocks X_k >= 0:
+Primal standard form over real-symmetric or complex-Hermitian blocks
+X_k >= 0:
 
     minimize    sum_k tr(C_k X_k)
     subject to  sum_k tr(A_{i,k} X_k) = b_i,   i = 1..m
 
-solved by a dense symmetric primal-dual path-following method with a
+solved by a dense primal-dual path-following method with a
 Mehrotra predictor-corrector step (HKM direction). Each block's X and S are
 kept as one C-contiguous (2, n, n) pair, and each Newton direction (dX, dS)
 as another. Per block and per iterate that takes one Cholesky call on the
@@ -13,8 +14,8 @@ pair (X and S are factored one at a time only when it fails), one inverse
 of the two factors, one `eigvalsh` call per direction for the primal and
 dual step together, and one multiply-add for the update. The inverse
 factors give S^{-1}, both step-length searches (the step to the PSD
-boundary is read off L^{-1} D L^{-T}) and the Schur complement, assembled
-as the Gram matrix M_ij = <P_i, P_j> of
+boundary is read off L^{-1} D L^{-H}) and the Schur complement, assembled
+as the Gram matrix M_ij = Re <P_i, P_j> of
 P_i = L_S^{-1} A_i L_X. L_S^{-1} reaches the rows of P in batches of at
 most _SCHUR_BATCH_BYTES, so the one temporary beside P is one batch. M is
 factored once by Cholesky too, and its inverse factor turns every solve
@@ -34,7 +35,9 @@ row set is rank-deficient, before a restart that drops dependent rows.
 The solver's numbers are not certified. `dual_lower_bound` turns any dual
 vector y into a rigorous lower bound for trace-bounded problems, through a
 Cholesky proof on C - A^T y and a bound on every rounding in forming it.
-Complex Hermitian data enters through `real_embed` upstream.
+Complex blocks share every line with real ones: transposes are conjugate
+transposes, traces take real parts, and a complex matrix enters A(X) and M
+as its interleaved (Re, Im) pairs (`x.view(float)`), so both stay real.
 """
 
 from __future__ import annotations
@@ -64,10 +67,11 @@ class SdpProblem:
     """Block-diagonal SDP data.
 
     blocks: block sizes.
-    C: one symmetric matrix per block.
+    C: one real-symmetric or complex-Hermitian matrix per block.
     A: one array of shape (m, n_k, n_k) per block holding the constraint
-       matrices (stacked over constraints).
+       matrices (stacked over constraints), Hermitian like C.
     b: right-hand sides, length m.
+    C and A are kept C-contiguous, complex if any block is, else float.
     """
 
     blocks: list
@@ -79,6 +83,9 @@ class SdpProblem:
         self.b = np.asarray(self.b, dtype=float)
         if len(self.blocks) != len(self.C) or len(self.blocks) != len(self.A):
             raise ValueError("blocks, C and A must align")
+        dtype = np.result_type(*self.C, *self.A, float)
+        self.C = [np.ascontiguousarray(c, dtype=dtype) for c in self.C]
+        self.A = [np.ascontiguousarray(a, dtype=dtype) for a in self.A]
         if self.b.ndim != 1 or self.b.size < 1:
             raise ValueError("need at least one constraint")
         for n, c, a in zip(self.blocks, self.C, self.A):
@@ -86,14 +93,14 @@ class SdpProblem:
                 raise ValueError("block sizes must be >= 1")
             if c.shape != (n, n) or a.shape != (self.b.size, n, n):
                 raise ValueError("matrix shapes inconsistent with block sizes")
-            if np.max(np.abs(c - c.T)) > _SYM_TOL * max(1, _max_abs(c)):
-                raise ValueError("objective block is not symmetric")
+            if np.max(np.abs(c - c.conj().T)) > _SYM_TOL * max(1, _max_abs(c)):
+                raise ValueError("objective block is not symmetric (Hermitian)")
             # one constraint matrix at a time into one buffer: no temporary as large as `a`
             tol = _SYM_TOL * max(1, _max_abs(a))
             dev = np.empty_like(a[0])
             for ai in a:
-                if _max_abs(np.subtract(ai, ai.T, out=dev)) > tol:
-                    raise ValueError("constraint block is not symmetric")
+                if _max_abs(np.subtract(ai, ai.conj().T, out=dev)) > tol:
+                    raise ValueError("constraint block is not symmetric (Hermitian)")
 
     @property
     def n_constraints(self) -> int:
@@ -115,38 +122,26 @@ class SdpSolution:
     diagnostics: dict = field(default_factory=dict)
 
 
-def real_embed(h: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+def real_embed(h: np.ndarray) -> np.ndarray:
     """Real embedding [[Re h, -Im h], [Im h, Re h]] of a Hermitian matrix, or
-    of each matrix of a stack (..., n, n), written into `out` when given.
-
-    The embedding is PSD iff h is, and its trace is 2 tr(h). No temporary is
-    larger than Re h, so a stack can be embedded into its rows of a larger
-    array without a second copy.
+    of each matrix of a stack (..., n, n): PSD iff h is, with trace 2 tr(h).
+    The solver takes Hermitian blocks as they are; this is the real-symmetric
+    reference they are checked against.
     """
-    h = np.asarray(h, dtype=complex)
-    n, axes = h.shape[-1], (-2, -1)
-    re, im = h.real, h.imag
-    # |Re(h - h^H)|, |Im(h - h^H)| and |h|, in turn in one buffer
-    d = re - np.swapaxes(re, *axes)
-    asym = np.abs(d, out=d).max(axis=axes)
-    np.add(im, np.swapaxes(im, *axes), out=d)
-    asym = np.maximum(asym, np.abs(d, out=d).max(axis=axes))
-    if np.any(asym > 1e-10 * np.maximum(1, np.abs(h, out=d).max(axis=axes))):
+    h, axes = np.asarray(h, dtype=complex), (-2, -1)
+    if np.any(np.abs(h - np.swapaxes(h, *axes).conj()).max(axis=axes)
+              > 1e-10 * np.maximum(1, np.abs(h).max(axis=axes))):
         raise ValueError("matrix is not Hermitian")
-    if out is None:
-        out = np.empty(h.shape[:-2] + (2 * n, 2 * n))
-    out[..., :n, :n] = out[..., n:, n:] = re
-    out[..., n:, :n] = im
-    np.negative(im, out=out[..., :n, n:])
-    return out
+    return np.block([[h.real, -h.imag], [h.imag, h.real]])
 
 
 def _sym(m: np.ndarray) -> np.ndarray:
-    return (m + np.swapaxes(m, -1, -2)) / 2.0
+    return (m + np.swapaxes(m, -1, -2).conj()) / 2.0
 
 
 def _max_abs(x: np.ndarray) -> float:
-    """Largest |entry| of x without allocating |x|."""
+    """Largest |entry| (|Re|, |Im| if complex) of a C-contiguous x, not allocating |x|."""
+    x = x.view(float)
     return max(float(x.max()), -float(x.min()))
 
 
@@ -162,23 +157,25 @@ def _data_norm(C, A) -> float:
 
 
 def _op_A(A, Xs) -> np.ndarray:
-    """The constraint map: (sum_k tr(A_{i,k} X_k))_i."""
+    """The constraint map: (sum_k Re tr(A_{i,k} X_k))_i, one real GEMV per
+    block over the (Re, Im) pairs."""
     m = A[0].shape[0]
     out = np.zeros(m)
     for a, x in zip(A, Xs):
-        out += a.reshape(m, -1) @ x.ravel()
+        out += a.reshape(m, -1).view(float) @ x.ravel().view(float)
     return out
 
 
 def _op_At(A, y) -> list:
-    """Its adjoint: sum_i y_i A_{i,k} per block, one GEMV each."""
-    return [(y @ a.reshape(a.shape[0], -1)).reshape(a.shape[1:]) for a in A]
+    """Its adjoint: sum_i y_i A_{i,k} per block, one real GEMV each."""
+    return [(y @ a.reshape(a.shape[0], -1).view(float)).view(a.dtype).reshape(a.shape[1:])
+            for a in A]
 
 
 def _residuals(C, A, b, X, y, S, norm_data):
     """Objectives, normalized gap, primal and dual feasibility of an iterate,
     and the dual residual matrices R_d = C - S - A^T y, for `solve`."""
-    p_obj = sum(float(np.sum(c * x)) for c, x in zip(C, X))
+    p_obj = sum(float(np.sum(c * x.conj()).real) for c, x in zip(C, X))
     d_obj = float(b @ y)
     gap = abs(p_obj - d_obj) / (1.0 + abs(p_obj) + abs(d_obj))
     feas_p = float(np.linalg.norm(b - _op_A(A, X))) / max(1.0, float(np.linalg.norm(b)))
@@ -193,7 +190,7 @@ def _psd_factor(m_psd: np.ndarray) -> np.ndarray:
     try:
         return np.linalg.cholesky(m_psd)
     except np.linalg.LinAlgError:
-        return np.linalg.cholesky(m_psd + 1e-12 * np.trace(m_psd) * np.eye(m_psd.shape[0]))
+        return np.linalg.cholesky(m_psd + 1e-12 * np.trace(m_psd).real * np.eye(m_psd.shape[0]))
 
 
 def _factor_pairs(Z) -> list:
@@ -241,20 +238,22 @@ def _tri_inv(L: np.ndarray) -> np.ndarray:
 
 
 def _max_step(Linv: np.ndarray, direction: np.ndarray) -> np.ndarray:
-    """Largest alpha with M + alpha*direction staying PSD, where M = L L^T > 0
-    and Linv = L^{-1}: the step is -1/lambda_min(L^{-1} D L^{-T}).
+    """Largest alpha with M + alpha*direction staying PSD, where M = L L^H > 0
+    and Linv = L^{-1}: the step is -1/lambda_min(L^{-1} D L^{-H}).
 
     Linv and direction may be stacks (..., n, n); one `eigvalsh` call then
     gives one step per matrix, each as on its own.
     """
-    lam = np.linalg.eigvalsh(_sym(Linv @ direction @ np.swapaxes(Linv, -1, -2)))[..., 0]
+    lam = np.linalg.eigvalsh(_sym(Linv @ direction @ np.swapaxes(Linv, -1, -2).conj()))[..., 0]
     return np.divide(-1.0, lam, out=np.full_like(lam, np.inf), where=lam < -1e-14)
 
 
 def _schur(A, LX, LinvS) -> np.ndarray:
-    """Schur complement M_ij = sum_k tr(A_{i,k} X_k A_{j,k} S_k^{-1}) as a Gram
-    matrix: M_ij = <P_i, P_j> with P_i = L_S^{-1} A_i L_X, X = L_X L_X^T and
-    S = L_S L_S^T, so one temporary as large as A[k] holds every P_i.
+    """Schur complement M_ij = sum_k Re tr(A_{i,k} X_k A_{j,k} S_k^{-1}) as a
+    Gram matrix: M_ij = Re <P_i, P_j> with P_i = L_S^{-1} A_i L_X,
+    X = L_X L_X^H and S = L_S L_S^H, so one temporary as large as A[k] holds
+    every P_i. A complex P is read as its real (Re, Im) pairs, so M is one
+    real GEMM either way.
 
     L_S^{-1} reaches the rows of P in batches of at most _SCHUR_BATCH_BYTES,
     one `matmul` call each, so the only other temporary is one batch.
@@ -267,7 +266,7 @@ def _schur(A, LX, LinvS) -> np.ndarray:
         rows = max(1, _SCHUR_BATCH_BYTES // P[0].nbytes)
         for i in range(0, m, rows):
             P[i:i + rows] = lsi @ P[i:i + rows]
-        P = P.reshape(m, n * n)
+        P = P.reshape(m, n * n).view(float)
         M += P @ P.T
     return M
 
@@ -278,7 +277,7 @@ def _independent_rows(A, m: int, tol: float = 1e-11) -> np.ndarray:
     The rank comes from the singular values; the pivoted QR that picks the
     rows runs only when some row has to go.
     """
-    K = np.hstack([a.reshape(m, -1) for a in A])
+    K = np.hstack([a.reshape(m, -1).view(float) for a in A])
     sv = np.linalg.svd(K, compute_uv=False)
     rank = int(np.sum(sv > tol * max(sv[0], 1.0)))
     if rank == m:
@@ -304,9 +303,7 @@ def solve(problem: SdpProblem, gap_tol: float = 1e-9, feas_tol: float = 1e-9,
     if not (0 < gap_tol < math.inf and 0 < feas_tol < math.inf):
         raise ValueError("gap_tol and feas_tol must be positive and finite")
     m = problem.n_constraints
-    b = problem.b
-    C = [np.asarray(c, dtype=float) for c in problem.C]
-    A = [np.asarray(a, dtype=float) for a in problem.A]
+    b, C, A = problem.b, problem.C, problem.A
     n_tot = sum(problem.blocks)
     norm_data = _data_norm(C, A)
 
@@ -315,7 +312,8 @@ def solve(problem: SdpProblem, gap_tol: float = 1e-9, feas_tol: float = 1e-9,
     # block k's primal and dual matrix as one C-contiguous pair Z[k] = (X_k, S_k)
     # of shape (2, n, n); X[k] and S[k] are views of it. An update rebinds Z
     # and y and never writes into them, so the best iterate is kept by reference
-    Z = [np.stack((tau_p * np.eye(n), tau_d * np.eye(n))) for n in problem.blocks]
+    Z = [np.stack((tau_p * np.eye(n, dtype=c.dtype), tau_d * np.eye(n, dtype=c.dtype)))
+         for n, c in zip(problem.blocks, C)]
     y = np.zeros(m)
 
     status = "max_iter"
@@ -326,7 +324,7 @@ def solve(problem: SdpProblem, gap_tol: float = 1e-9, feas_tol: float = 1e-9,
     stall = 0
     for it in range(1, max_iter + 1):
         X, S = [z[0] for z in Z], [z[1] for z in Z]
-        mu = sum(float(np.sum(z[0] * z[1])) for z in Z) / n_tot
+        mu = sum(float(np.sum(z[0] * z[1].conj()).real) for z in Z) / n_tot
         p_obj, d_obj, gap, feas_p, feas_d, R_d = _residuals(C, A, b, X, y, S, norm_data)
 
         score = max(gap / gap_tol, feas_p / feas_tol, feas_d / feas_tol)
@@ -363,7 +361,7 @@ def solve(problem: SdpProblem, gap_tol: float = 1e-9, feas_tol: float = 1e-9,
             diagnostics["breakdown"] = "X or S factor inversion failed"
             break
         LinvS = [li[1] for li in Linv]
-        Sinv = [lsi.T @ lsi for lsi in LinvS]
+        Sinv = [lsi.conj().T @ lsi for lsi in LinvS]
         M = _schur(A, [lp[0] for lp in L], LinvS)
 
         try:
@@ -433,7 +431,7 @@ def solve(problem: SdpProblem, gap_tol: float = 1e-9, feas_tol: float = 1e-9,
                 t = sigma_mu * Sinv[k] - X[k] - X[k] @ ds @ Sinv[k]
                 if cross is not None:
                     t = t - cross[k] @ Sinv[k]
-                np.add(t, t.T, out=dx)              # _sym(t), written in place
+                np.add(t, t.conj().T, out=dx)       # _sym(t), written in place
                 dx /= 2.0
             return D, dy
 
@@ -446,7 +444,7 @@ def solve(problem: SdpProblem, gap_tol: float = 1e-9, feas_tol: float = 1e-9,
         # predictor
         Da, _ = newton(0.0)
         ap, ad = step_lengths(Da)
-        mu_aff = sum(float(np.sum((z[0] + ap * d[0]) * (z[1] + ad * d[1])))
+        mu_aff = sum(float(np.sum((z[0] + ap * d[0]) * (z[1] + ad * d[1]).conj()).real)
                      for z, d in zip(Z, Da)) / n_tot
         sigma = min(1.0, max(1e-8, (max(mu_aff, 0.0) / mu) ** 3))
 
@@ -470,7 +468,7 @@ def solve(problem: SdpProblem, gap_tol: float = 1e-9, feas_tol: float = 1e-9,
     p_obj, d_obj, gap, feas_p, feas_d, _ = _residuals(C, A, b, X, y, S, norm_data)
     if status != "infeasible" and gap <= gap_tol and feas_p <= feas_tol and feas_d <= feas_tol:
         status = "optimal"
-    diagnostics.setdefault("mu", sum(float(np.sum(z[0] * z[1])) for z in Z) / n_tot)
+    diagnostics.setdefault("mu", sum(float(np.sum(z[0] * z[1].conj()).real) for z in Z) / n_tot)
     return SdpSolution(status=status, X=X, y=y, S=S, primal_obj=p_obj, dual_obj=d_obj,
                        gap=gap, feas_primal=feas_p, feas_dual=feas_d,
                        iterations=it, diagnostics=diagnostics)
@@ -498,8 +496,10 @@ def dual_lower_bound(problem: SdpProblem, solution: SdpSolution,
 
     where t_k is the edge `eigensolver.numpy_cholesky_edge` proves for the
     computed Z_k and e_k = gamma_{m+2} (||C_k||_F + sum_i |y_i| ||A_{i,k}||_F)
-    bounds the rounding in forming it. Only (C, A, b, y) are read: any y gives a
-    valid bound, and the solver's S and X play no part.
+    bounds the rounding in forming it, for complex blocks too: Re Z_k and
+    Im Z_k are separate real sums, so the triangle inequality in R^2 gives the
+    same e_k. Only (C, A, b, y) are read: any y gives a valid bound, and the
+    solver's S and X play no part.
     """
     m = problem.n_constraints
     y = np.asarray(solution.y, dtype=float)
@@ -509,7 +509,8 @@ def dual_lower_bound(problem: SdpProblem, solution: SdpSolution,
     for tb, c, a, aty in zip(trace_bounds, problem.C, problem.A, _op_At(problem.A, y)):
         z = c - aty
         t = eigensolver.numpy_cholesky_edge(z, float(np.linalg.eigvalsh(z)[0]))
-        rows = np.sqrt(np.einsum("ijk,ijk->i", a, a))  # ||A_{i,k}||_F without a copy of A
+        pairs = a.view(float)  # ||A_{i,k}||_F without a copy of A
+        rows = np.sqrt(np.einsum("ijk,ijk->i", pairs, pairs))
         e = _gamma(m + 2) * (float(np.linalg.norm(c)) + float(np.abs(y) @ rows)) * (1 + 1e-6)
         # t - e, the product and the last factor round once each; 4u outweighs all three
         terms.append(tb * min(0.0, t - e) * (1 + 4 * _U))
@@ -521,7 +522,8 @@ def certified_solve(problem: SdpProblem, name: str, gap_tol: float = 1e-9) -> tu
     """`solve`, accepted when optimal or within QUALITY_TOL, then certified.
 
     Row 0 must be the trace row sum_k c_k tr(X_k) = 1 with A_k[0] = c_k I, so
-    tr(X_k) <= 1 / c_k is the trace bound. Returns the solution and
+    tr(X_k) <= 1 / c_k, with c_k = Re A_k[0][0, 0] for real and complex
+    blocks alike, is the trace bound. Returns the solution and
     `dual_lower_bound`'s value; raises RuntimeError when the solve failed.
     """
     sol = solve(problem, gap_tol=gap_tol)
@@ -531,4 +533,4 @@ def certified_solve(problem: SdpProblem, name: str, gap_tol: float = 1e-9) -> tu
             f"{name} SDP solve failed (status {sol.status}, "
             f"gap {sol.gap:g}, primal residual {sol.feas_primal:g})")
     return sol, dual_lower_bound(problem, sol,
-                                 trace_bounds=[1.0 / a[0, 0, 0] for a in problem.A])
+                                 trace_bounds=[1.0 / a[0, 0, 0].real for a in problem.A])

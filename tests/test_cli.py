@@ -150,9 +150,9 @@ class TestMarginalMoment:
         (["--model", "heisenberg", "--m", "5", "--s", "2"], [1, 5, 10], ["u1", "flip"]),
         (["--model", "heisenberg", "--m", "6", "--s", "1"], [1, 6, 15, 20], ["u1", "flip"]),
         (["--model", "tfim", "--params", "1", "--m", "4", "--s", "1"], [16], []),
-        (["--model", "random_twosite", "--params", "3", "--m", "4", "--s", "2"], [32], [])])
+        (["--model", "random_twosite", "--params", "3", "--m", "4", "--s", "2"], [16], [])])
     def test_marginal_reports_blocks_and_symmetry(self, capsys, argv, blocks, symmetry):
-        # the SDP blocks solved (real-embedded for complex models) and the
+        # the SDP blocks solved (complex Hermitian for complex models) and the
         # symmetries that produced them
         code, out = run_capture(capsys, ["marginal"] + argv)
         assert code == 0
@@ -478,10 +478,15 @@ class TestMisc:
         assert abs(json.loads(out)["lower"] + 1.0) < 1e-6
 
     def test_bad_model_file(self, capsys, tmp_path):
-        p = tmp_path / "bad.json"
-        p.write_text("{broken")
-        code = run(["anderson", "--model-file", str(p), "--m", "3"])
-        assert code == 2
+        # broken JSON, and d and D that are not integers
+        fractional = {"name": "zz", "d": 2.5, "D": 1.9,
+                      "term": {"pauli_sum": [{"paulis": "ZZ", "coeff": 1.0}]}}
+        for text in ("{broken", json.dumps(fractional)):
+            p = tmp_path / "bad.json"
+            p.write_text(text)
+            code = run(["anderson", "--model-file", str(p), "--m", "3"])
+            assert code == 2
+            assert capsys.readouterr().out == ""
 
     @pytest.mark.parametrize("argv", [["anderson", "--m", "3"],
                                       ["marginal", "--m", "4", "--s", "1"],
@@ -643,6 +648,12 @@ class TestMisc:
         assert capsys.readouterr().out == ""
         assert run(["anderson", "--model", "heisenberg", "--m", "4", "--tol", "inf"]) == 2
         assert capsys.readouterr().out == ""
+        # integer inputs must be integers: a negative seed, a fractional model seed
+        for argv in (["anderson", "--model", "heisenberg", "--m", "4", "--seed", "-1"],
+                     ["moment", "--model", "heisenberg", "--l", "3", "--seed", "-1"],
+                     ["anderson", "--model", "random_twosite", "--params", "3.7", "--m", "4"]):
+            assert run(argv) == 2
+            assert capsys.readouterr().out == ""
 
     @pytest.mark.parametrize("argv", [
         ["marginal", "--model", "heisenberg", "--m", "4", "--s", "1"],

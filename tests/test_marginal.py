@@ -135,7 +135,7 @@ def _rows_by_window(spec):
         for B in ops:
             diff = (embed_on_sites(B, range(k, k + w), m, d)
                     - embed_on_sites(B, range(w), m, d)).toarray()
-            expect.append(diff.real if spec.model.is_real else sdp.real_embed(diff) / 2.0)
+            expect.append(diff.real if spec.model.is_real else diff)
     return expect
 
 
@@ -152,12 +152,8 @@ def _unreduced_density(spec):
     """The bound of the one-block SDP over omega on the whole d^m space."""
     objective = _full_objective(spec)
     dim = objective.shape[0]
-    if spec.model.is_real:
-        blocks = [np.eye(dim)] + _rows_by_window(spec)
-        C, tb = objective.real, 1.0
-    else:
-        blocks = [sdp.real_embed(np.eye(dim)) / 2.0] + _rows_by_window(spec)
-        C, tb = sdp.real_embed(objective) / 2.0, 2.0
+    blocks = [np.eye(dim)] + _rows_by_window(spec)
+    C, tb = _as_solved(spec, objective), 1.0
     b = np.zeros(len(blocks))
     b[0] = 1.0
     prob = sdp.SdpProblem([C.shape[0]], [C], [np.stack(blocks)], b)
@@ -191,7 +187,7 @@ class TestBuildSdp:
         prob = build_marginal_sdp(
             MarginalProblemSpec(model, 4, 1, "consecutive", "middle"))
         assert prob.n_constraints == 28  # 1 trace + 15 + 12
-        assert prob.blocks == [32]   # real-embedded
+        assert prob.blocks == [16]   # one complex Hermitian block
 
     def test_constraint_rows_real(self, heisenberg):
         # each row is the restriction to a block of lift_{W_k}(B) - lift_{W_0}(B)
@@ -222,7 +218,7 @@ class TestBuildSdp:
         assert prob.n_constraints == 1 + len(expect)
         for row, ref in zip(prob.A[0][1:], expect):
             np.testing.assert_array_equal(row, ref)
-        np.testing.assert_array_equal(prob.A[0][0], np.eye(32) / 2.0)
+        np.testing.assert_array_equal(prob.A[0][0], np.eye(16))
 
     @pytest.mark.parametrize("m, s", [(4, 1), (5, 1), (5, 2)])
     def test_uncharged_rows_match_site_embedding(self, m, s):
@@ -380,11 +376,12 @@ class TestBuildSdp:
                 continue
             for s in range(1, m // 2 + 1):
                 spec = MarginalProblemSpec(model, m, s, mode, "middle")
-                n = d ** m if model.is_real else 2 * d ** m
-                if not reduction(model) and (1 + (m - 2 * s) * d ** (4 * s)) * n * n * 8 > 128e6:
+                nbytes = (8 if model.is_real else 16) * d ** (2 * m)  # one row of a d^m block
+                if not reduction(model) and (1 + (m - 2 * s) * d ** (4 * s)) * nbytes > 128e6:
                     continue
                 prob = build_marginal_sdp(spec)
-                K = np.hstack([a.reshape(prob.n_constraints, -1) for a in prob.A])
+                # rank over the reals: a complex row as its (Re, Im) pairs
+                K = np.hstack([a.reshape(prob.n_constraints, -1).view(float) for a in prob.A])
                 gram = np.linalg.eigvalsh(K @ K.T)
                 assert gram[0] > 1e-8 * gram[-1], (m, s)
                 checked += 1
@@ -421,12 +418,12 @@ class TestBuildSdp:
         assert abs(res.lower - _unreduced_density(spec)) < 1e-9
 
     @pytest.mark.parametrize("make, m, s, blocks, symmetry", [
-        (_dm_model, 4, 1, [2, 8, 12, 8, 2], ["u1"]),
+        (_dm_model, 4, 1, [1, 4, 6, 4, 1], ["u1"]),
         (_spin1_xxz, 4, 1, [1, 4, 10, 16, 19], ["u1", "flip"]),
-        (_complex_qutrit, 3, 1, [2, 6, 12, 14], ["u1", "flip"])],
+        (_complex_qutrit, 3, 1, [1, 3, 6, 7], ["u1", "flip"])],
         ids=["xx+dm", "spin1-xxz", "complex-qutrit"])
     def test_dense_model_file_is_reduced(self, make, m, s, blocks, symmetry):
-        # a complex charge-conserving term is real-embedded block by block; the
+        # a complex charge-conserving term has one Hermitian block per charge; the
         # flip-odd DM term keeps every charge block, the flip-symmetric terms
         # merge them
         spec = MarginalProblemSpec(make(), m, s)
@@ -457,10 +454,9 @@ class TestBuildSdp:
         assert abs(res.diagnostics["z"] - expect) < 1e-7
 
 
-def _embedded(spec, objective):
-    """A full-space objective as the SDP sees it: real, or real-embedded and
-    halved."""
-    return objective.real if spec.model.is_real else sdp.real_embed(objective) / 2.0
+def _as_solved(spec, objective):
+    """A full-space objective as the SDP sees it: real, or complex Hermitian."""
+    return objective.real if spec.model.is_real else objective
 
 
 def _two_sum_error(x, y):
@@ -500,16 +496,14 @@ class TestObjective:
         spec = MarginalProblemSpec(_objective_model(name), m, s, mode, placement)
         h = np.asarray(spec.model.term)
         weight = np.abs(h.real) + np.abs(h.imag)
-        reference = _embedded(spec, _full_objective(spec))
-        bound = _embedded(spec, _full_objective(
+        reference = _as_solved(spec, _full_objective(spec))
+        bound = _as_solved(spec, _full_objective(
             dataclasses.replace(spec, model=_dense_model("weight", weight))))
         gamma = sdp._gamma(m)
         prob = build_marginal_sdp(spec)
         blocks = _blocks(m, spec.model.d, reduction(spec.model))
         assert len(blocks) == len(prob.C)
         for (states, w), c in zip(blocks, prob.C):
-            if not spec.model.is_real:
-                states = np.concatenate([states, states + spec.model.d ** m])
             sub = np.ix_(states, states)
             expect = w * reference[sub]
             if exact_sums(h, m):
@@ -553,7 +547,8 @@ class TestAssemblyMargin:
         # the certificate of the assembled SDP, lowered by the margin
         prob = build_marginal_sdp(spec)
         sol = sdp.solve(prob)
-        z = sdp.dual_lower_bound(prob, sol, trace_bounds=[1.0 / a[0, 0, 0] for a in prob.A])
+        z = sdp.dual_lower_bound(prob, sol,
+                                 trace_bounds=[1.0 / a[0, 0, 0].real for a in prob.A])
         assert res.diagnostics["z"] == float(np.nextafter(z - margin, -np.inf))
         # z / m rounded down: the largest float at most the exact quotient
         exact = Fraction(res.diagnostics["z"]) / spec.m

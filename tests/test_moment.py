@@ -6,6 +6,7 @@ import scipy.sparse.linalg as spla
 
 from certground import sdp
 from certground.anderson import anderson_bound
+from certground.marginal import MarginalProblemSpec, improved_anderson_bound
 from certground.models import build_ring, builtin_model
 from certground.moment import (build_structure, check_window, coefficient_matrices,
                                ti_moment_bound)
@@ -130,8 +131,8 @@ class TestObjective:
         ti_moment_bound(model, 3)
         ((problem, _),) = seen
         rho, exact = ring_marginal(model, 4, 3)
-        X = rho.real if model.is_real else sdp.real_embed(rho)
-        assert abs(np.sum(problem.C[0] * X) - exact) < 1e-9
+        X = rho.real if model.is_real else rho  # tr(C X) = sum of C * conj(X)
+        assert abs(np.sum(problem.C[0] * X.conj()).real - exact) < 1e-9
 
     def test_heisenberg_energy(self, monkeypatch, heisenberg):
         seen = captured_solve(monkeypatch)
@@ -142,6 +143,14 @@ class TestObjective:
 
 
 class TestBound:
+    def test_complex_l3_matches_the_marginal_bound(self):
+        # a state on 3 sites whose 2-site marginals agree: moment l = 3 and
+        # marginal (3, 1) are one relaxation, for a complex model too
+        model = builtin_model("random_twosite", [3.0])
+        moment = ti_moment_bound(model, 3).lower
+        marginal = improved_anderson_bound(MarginalProblemSpec(model, 3, 1)).lower
+        assert abs(moment - marginal) < 1e-9
+
     def test_heisenberg_l2_l3_monotone(self, heisenberg):
         r2 = ti_moment_bound(heisenberg, 2)
         r3 = ti_moment_bound(heisenberg, 3)
@@ -276,10 +285,10 @@ class TestDensityMatrixLmi:
 
     @pytest.mark.parametrize("window", [2, 3])
     def test_solves_one_block_of_rho(self, monkeypatch, heisenberg, window):
-        # a real model on the real 2^l block, a complex one real-embedded
+        # a real model on the real 2^l block, a complex one on a Hermitian 2^l block
         seen = captured_solve(monkeypatch)
         complex_model = builtin_model("random_twosite", [3.0])
-        for model, block in ((heisenberg, 2 ** window), (complex_model, 2 ** (window + 1))):
+        for model, block in ((heisenberg, 2 ** window), (complex_model, 2 ** window)):
             r = ti_moment_bound(model, window)
             problem, _ = seen.pop()
             assert problem.blocks == [block]

@@ -8,6 +8,7 @@ from certground import builtin_model, eigensolver, sdp
 from certground.marginal import MarginalProblemSpec, build_marginal_sdp, improved_anderson_bound
 from certground.moment import ti_moment_bound
 from certground.sdp import SdpProblem, SdpSolution, dual_lower_bound, real_embed, solve
+from tests.test_moment import captured_solve
 
 
 def lambda_min_problem(h):
@@ -399,14 +400,12 @@ class TestRealEmbed:
             real_embed(np.array([[0.0, 1.0], [2.0, 0.0]]))
 
     def test_stack_embeds_each_matrix(self):
-        # the same bits as one matrix at a time, also when written into `out`
+        # the same bits as one matrix at a time
         rng = np.random.default_rng(5)
         b = rng.standard_normal((2, 3, 4, 4)) + 1j * rng.standard_normal((2, 3, 4, 4))
         h = (b + np.swapaxes(b, -1, -2).conj()) / 2
         each = np.array([[real_embed(m) for m in row] for row in h])
         assert np.array_equal(real_embed(h), each)
-        out = np.empty((2, 3, 8, 8))
-        assert real_embed(h, out=out) is out and np.array_equal(out, each)
 
     def test_stack_with_one_non_hermitian_matrix_rejected(self):
         h = np.stack([np.eye(2), np.array([[0.0, 1j], [1j, 0.0]])])
@@ -517,6 +516,21 @@ class TestCertificate:
         z = dual_lower_bound(prob, sol, trace_bounds=(1.0,))
         assert -1e-13 < z < min(-1e-14, np.linalg.eigvalsh(c)[0])
 
+    def test_hidden_negative_part_of_a_hermitian_block_is_charged(self, no_scipy_linalg):
+        # the complex twin of the test above: C = Q diag(-1e-14, 1, ..., 1) Q^H
+        # with a unitary Q, proven by numpy's complex Cholesky
+        rng = np.random.default_rng(9)
+        q, _ = np.linalg.qr(rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6)))
+        c = (q * np.array([-1e-14, 1, 1, 1, 1, 1])) @ q.conj().T
+        c = (c + c.conj().T) / 2
+        prob = lambda_min_problem(c)
+        assert prob.C[0].dtype == complex
+        sol = SdpSolution(status="max_iter", X=[np.eye(6) / 6], y=np.zeros(1), S=[c],
+                          primal_obj=0.0, dual_obj=0.0, gap=0.0, feas_primal=0.0,
+                          feas_dual=0.0, iterations=0)
+        z = dual_lower_bound(prob, sol, trace_bounds=(1.0,))
+        assert -1e-13 < z < min(-1e-14, np.linalg.eigvalsh(c)[0])
+
     def test_each_block_charges_its_trace_bound(self):
         # tr X_1 + tr X_2 = 1 with C_1 = diag(1, 2), C_2 = -1; at y = 0 only
         # C_2 is negative, so the bound is about -tb_2
@@ -573,6 +587,39 @@ class TestNumpyCertificate:
         assert sdp.dual_lower_bound(problem, sol, trace_bounds) == z
 
 
+def _embedded_twin(problem):
+    """The real-embedded twin of a Hermitian problem: every matrix h becomes
+    real_embed(h) / 2, so traces against embedded variables match."""
+    return SdpProblem([2 * n for n in problem.blocks],
+                      [real_embed(c) / 2.0 for c in problem.C],
+                      [real_embed(a) / 2.0 for a in problem.A], problem.b)
+
+
+class TestHermitianBlocks:
+    @pytest.mark.parametrize("case", ["marginal-4-1", "marginal-4-2", "moment-3", "moment-4"])
+    def test_embedded_twin_reaches_the_same_optimum_and_bound(self, monkeypatch, case):
+        # the Hermitian blocks and their real embeddings, twice as wide, are
+        # one relaxation: the optimum and the certificate agree. At the default
+        # gap of 1e-9 relative, the primal objective of marginal (4, 1) is
+        # only within 2.1e-9, so both solve to 1e-10
+        model = builtin_model("random_twosite", [3.0])
+        method, *size = case.split("-")
+        if method == "marginal":
+            problem = build_marginal_sdp(MarginalProblemSpec(model, *map(int, size)))
+        else:
+            seen = captured_solve(monkeypatch)
+            ti_moment_bound(model, int(size[0]))
+            ((problem, _),) = seen
+        assert all(a.dtype == complex for a in problem.A)
+        twin = _embedded_twin(problem)
+        assert all(a.dtype == float for a in twin.A)
+        (sol, z), (twin_sol, twin_z) = (sdp.certified_solve(p, case, gap_tol=1e-10)
+                                             for p in (problem, twin))
+        assert abs(sol.primal_obj - twin_sol.primal_obj) < 1e-9
+        assert abs(sol.dual_obj - twin_sol.dual_obj) < 1e-9
+        assert abs(z - twin_z) < 1e-9
+
+
 class TestValidation:
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
@@ -584,6 +631,20 @@ class TestValidation:
         bad[0, 0, 1] = 1.0
         with pytest.raises(ValueError):
             SdpProblem([2], [np.zeros((2, 2))], [bad], np.array([1.0]))
+
+    def test_non_hermitian_complex_blocks_rejected(self):
+        # complex symmetric is not Hermitian: [[0, i], [i, 0]] fails as an
+        # objective and as one row among Hermitian ones; its Hermitian
+        # counterpart [[0, i], [-i, 0]] passes
+        sym = np.array([[0.0, 1j], [1j, 0.0]])
+        herm = np.array([[0.0, 1j], [-1j, 0.0]])
+        eye = np.eye(2)[None]
+        with pytest.raises(ValueError, match="objective block is not symmetric"):
+            SdpProblem([2], [sym], [eye], np.array([1.0]))
+        with pytest.raises(ValueError, match="constraint block is not symmetric"):
+            SdpProblem([2], [herm], [np.stack([np.eye(2), herm, sym])], np.ones(3))
+        prob = SdpProblem([2], [herm], [np.stack([np.eye(2), herm])], np.ones(2))
+        assert prob.C[0].dtype == prob.A[0].dtype == complex
 
     def test_check_allocates_under_a_quarter_of_a(self):
         rng = np.random.default_rng(12)

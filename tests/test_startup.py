@@ -35,6 +35,8 @@ SDP_COMMANDS = (
     "marginal --model heisenberg --m 5 --s 2",
     "marginal --model heisenberg --m 6 --s 2",
     "sandwich --model heisenberg --moment-l 3 --marginal m=5,s=2",
+    "marginal --model random_twosite --params 3 --m 4 --s 2",
+    "moment --model random_twosite --params 3 --l 3",
 )
 
 
