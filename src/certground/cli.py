@@ -61,11 +61,13 @@ def _positive(text: str) -> float:
     return value
 
 
-def _at_least(low: int):
+def _at_least(low: int, high: float = math.inf):
     def parse(text: str) -> int:
         value = int(text)
         if value < low:
             raise argparse.ArgumentTypeError(f"{text} is less than {low}")
+        if value > high:
+            raise argparse.ArgumentTypeError(f"{text} is more than {high}")
         return value
     return parse
 
@@ -120,8 +122,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--anderson-m", type=int, default=None)
     p.add_argument("--moment-l", type=int, default=None)
     p.add_argument("--marginal", default=None, help="e.g. m=5,s=2")
-    p.add_argument("--restarts", type=_at_least(1), default=8,
-                   help="product-state multistarts (at least 1)")
+    p.add_argument("--restarts", type=_at_least(1, upper.MAX_RESTARTS), default=8,
+                   help=f"product-state multistarts (1 to {upper.MAX_RESTARTS})")
 
     p = sub.add_parser("models", help="list builtin models")
     p.add_argument("--json", help="write the JSON report to this path")

@@ -9,12 +9,14 @@ DENSE_CAP a successful factorization of h - sI proves lambda_min(h) above
 that it is the smallest one is not verified. The same shifted Cholesky
 proof, run by numpy (`numpy_cholesky_edge`), certifies the SDP
 bounds; scipy.linalg is imported only when Lanczos or the in-place proof
-first runs.
+first runs. A complex vector over a real scalar is one multiply of its
+(Re, Im) float view by the rounded reciprocal (`_divide`), as numpy rounds it.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 from types import SimpleNamespace
 
@@ -178,11 +180,11 @@ def min_eig_dense_certified(h, tol: float = 1e-8, seed: int = 0) -> EigResult:
         top = float(np.max(np.abs(y)))
         if not np.isfinite(top) or top == 0.0:
             break  # the shift sits within underflow of lambda_min: keep the Ritz pair
-        y /= top
-        y /= np.linalg.norm(y)
+        _divide(y, top, y)
+        _divide(y, _norm(y), y)
         hy = h @ y
         val = float(np.real(np.vdot(y, hy)))
-        res = float(np.linalg.norm(hy - val * y))
+        res = _norm(hy - val * y)
         if res < residual:
             value, residual = val, res
     return EigResult(value, residual, ritz.iterations, residual <= tol, proven,
@@ -214,9 +216,11 @@ def min_eig_lanczos(apply, dim: int, tol: float = 1e-8, seed: int = 0,
         apply = lambda v: op @ v
     if tol <= 0:
         raise ValueError("tol must be positive")
+    if dim < 1 or max_iter < 1:
+        raise ValueError(f"dim and max_iter must be at least 1, not {dim} and {max_iter}")
     rng = np.random.default_rng(seed)
     v = rng.standard_normal(dim)
-    v /= np.linalg.norm(v)
+    v /= _norm(v)
     w = apply(v)
     dtype = np.result_type(w.dtype, np.float64)
     kmax = min(max_iter, dim)
@@ -240,7 +244,7 @@ def min_eig_lanczos(apply, dim: int, tol: float = 1e-8, seed: int = 0,
         w = w - a * qj
         if j > 0:
             w -= beta[j] * qprev
-        b = float(np.linalg.norm(w))
+        b = _norm(w)
         anorm = max(anorm, abs(a) + beta[j] + b)
         if b > 1e-14:
             # beta_j omega_{j+1,k} = beta_k omega_{j,k+1} + (alpha_k - alpha_j) omega_{j,k}
@@ -255,10 +259,10 @@ def min_eig_lanczos(apply, dim: int, tol: float = 1e-8, seed: int = 0,
                 second = not second
                 reorthogonalized += 1
                 w = _orthogonalize(blocks, j + 1, w)
-                b0, b = b, float(np.linalg.norm(w))
+                b0, b = b, _norm(w)
                 if b < b0 / np.sqrt(2):
                     w = _orthogonalize(blocks, j + 1, w)
-                    b = float(np.linalg.norm(w))
+                    b = _norm(w)
                 omega_next[1:j + 2] = _EPS
         u = _lowest_ritz_vector(alpha[:j + 1], beta[1:j + 1])
         est = b * abs(u[-1])
@@ -267,21 +271,35 @@ def min_eig_lanczos(apply, dim: int, tol: float = 1e-8, seed: int = 0,
             for i, blk in enumerate(blocks):
                 part = u[i * _BASIS_ROWS:(i + 1) * _BASIS_ROWS]
                 vec += part @ blk[:len(part)]
-            vec /= np.linalg.norm(vec)
+            _divide(vec, _norm(vec), vec)
             mv = apply(vec)
             val = float(np.real(np.vdot(vec, mv)))
-            res = float(np.linalg.norm(mv - val * vec))
+            res = _norm(mv - val * vec)
             if res <= tol or b <= 1e-14 or j == kmax - 1:
                 return EigResult(val, res, j + 1, res <= tol,
                                  reorthogonalized=reorthogonalized)
         beta[j + 1] = b
         if (j + 1) % _BASIS_ROWS == 0:  # block full: start the next one
             blocks.append(np.empty((min(_BASIS_ROWS, kmax - j - 1), dim), dtype=dtype))
-        np.divide(w, b, out=blocks[-1][(j + 1) % _BASIS_ROWS])  # in place: no temporary
+        _divide(w, b, blocks[-1][(j + 1) % _BASIS_ROWS])  # no temporary
         qprev = qj
         omega_prev, omega, omega_next = omega, omega_next, omega_prev
 
     raise AssertionError("unreachable")  # loop always returns
+
+
+def _norm(x) -> float:
+    """numpy.linalg.norm of a 1-D x, bit for bit, without its dispatch."""
+    return math.sqrt(x.real @ x.real + x.imag @ x.imag if x.dtype.kind == "c" else x @ x)
+
+
+def _divide(x, s: float, out) -> None:
+    """out = x / s for a real s, as numpy rounds it: a complex x / s multiplies
+    both parts by the rounded 1 / s, done here on the (Re, Im) float view."""
+    if x.dtype.kind == "c":
+        np.multiply(x.view(np.float64), 1.0 / s, out=out.view(np.float64))
+    else:
+        np.divide(x, s, out=out)
 
 
 def _orthogonalize(blocks, rows, w):

@@ -1,8 +1,9 @@
-"""Reference states for the tests: reduced density matrices of explicit
-states, which no command needs.
+"""References for the tests, which no command needs.
 
-`partial_trace` gives a marginal, and `oracle_moment_matrix` the feasible
-point of the moment SDP that a ring state defines.
+`partial_trace` gives a marginal of an explicit state, `oracle_moment_matrix`
+the feasible point of the moment SDP that a ring state defines, and
+`product_state_upper_serial` the product-state multistart run one restart at
+a time, as `upper.product_state_upper` ran it before it ran them as a batch.
 """
 
 import numpy as np
@@ -52,3 +53,52 @@ def oracle_moment_matrix(state: np.ndarray, n_sites: int, window: int) -> np.nda
     omega = np.outer(state, state.conj())
     return sum(partial_trace(omega, [(j + k) % n_sites for k in range(window)])
                for j in range(n_sites)) / n_sites
+
+
+def _bond_energy(h: np.ndarray, a: np.ndarray, b: np.ndarray) -> float:
+    ab = np.kron(a, b)
+    ba = np.kron(b, a)
+    return float(np.real(np.vdot(ab, h @ ab) + np.vdot(ba, h @ ba)) / 2.0)
+
+
+def _site_effective(h: np.ndarray, other: np.ndarray, d: int) -> np.ndarray:
+    """Effective one-site operator: average of h with `other` on the partner
+    site, over both bond orientations."""
+    rho = np.outer(other.conj(), other)
+    t = h.reshape(d, d, d, d)  # (row left, row right, col left, col right)
+    right_traced = np.einsum("arbs,rs->ab", t, rho)   # other on the right site
+    left_traced = np.einsum("rasb,rs->ab", t, rho)    # other on the left site
+    return (right_traced + left_traced) / 2.0
+
+
+def product_state_upper_serial(model, restarts: int = 8, seed: int = 0,
+                               max_sweeps: int = 200, tol: float = 1e-13) -> float:
+    """`upper.product_state_upper`, one restart after another.
+
+    Each restart draws a (real part, then imaginary part) and then b from
+    one generator, alternates the two d x d ground-vector updates until a
+    sweep lowers the bond energy by less than tol * max(1, |energy|), and
+    keeps its last energy; the result is D times the lowest.
+    """
+    d = model.d
+    h = np.asarray(model.term, dtype=complex)
+    rng = np.random.default_rng(seed)
+    best = np.inf
+    for _ in range(restarts):
+        a = rng.standard_normal(d) + 1j * rng.standard_normal(d)
+        b = rng.standard_normal(d) + 1j * rng.standard_normal(d)
+        a /= np.linalg.norm(a)
+        b /= np.linalg.norm(b)
+        prev = _bond_energy(h, a, b)
+        for _ in range(max_sweeps):
+            w, v = np.linalg.eigh(_site_effective(h, b, d))
+            a = v[:, 0]
+            w, v = np.linalg.eigh(_site_effective(h, a, d))
+            b = v[:, 0]
+            cur = _bond_energy(h, a, b)
+            if prev - cur < tol * max(1.0, abs(cur)):
+                prev = cur
+                break
+            prev = cur
+        best = min(best, prev)
+    return model.D * best

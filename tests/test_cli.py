@@ -432,10 +432,11 @@ class TestSandwich:
         assert captured.out == ""
         assert captured.err == f"error: {message}\n"
 
-    @pytest.mark.parametrize("restarts", ["0", "-5"])
+    @pytest.mark.parametrize("restarts", ["0", "-5", "100001", "1000000000"])
     def test_restarts_must_be_at_least_one(self, capsys, monkeypatch, restarts):
+        # and at most upper.MAX_RESTARTS
         def no_solve(*args, **kwargs):
-            raise AssertionError("solved with fewer than one restart")
+            raise AssertionError("solved with a restart count out of range")
 
         monkeypatch.setattr(cli.anderson, "anderson_bound", no_solve)
         monkeypatch.setattr(cli.upper, "product_state_upper", no_solve)

@@ -200,6 +200,41 @@ class TestLanczos:
         res = min_eig_lanczos(h, 64, tol=1e-14, seed=0, max_iter=3)
         assert not res.converged
 
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"dim": 0}, "dim and max_iter must be at least 1, not 0 and 500"),
+        ({"max_iter": 0}, "dim and max_iter must be at least 1, not 3 and 0"),
+        ({"max_iter": -3}, "dim and max_iter must be at least 1, not 3 and -3"),
+        ({"tol": 0.0}, "tol must be positive"),
+        ({"tol": -1e-8}, "tol must be positive"),
+    ])
+    def test_input_checks(self, kwargs, message):
+        args = {"dim": 3, **kwargs}
+        with pytest.raises(ValueError, match=message):
+            min_eig_lanczos(np.diag([1.0, 2.0, 3.0]), **args)
+
+    @pytest.mark.parametrize("n", [1, 7, 8192])
+    def test_complex_division_by_a_real_scalar(self, n):
+        # the (Re, Im) multiply by the rounded 1 / s agrees with numpy's x / s
+        # (bit for bit with numpy 2.4 on x86-64; one ulp leaves room for
+        # another build's complex division)
+        rng = np.random.default_rng(n)
+        for _ in range(20):
+            x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+            s = float(np.exp(rng.uniform(-30, 30)))
+            want = x / s
+            got = np.empty_like(x)
+            eigensolver._divide(x, s, got)
+            ulp = np.spacing(np.abs(want.view(np.float64)))
+            assert np.all(np.abs(got.view(np.float64) - want.view(np.float64)) <= ulp)
+            y = x.copy()
+            eigensolver._divide(y, s, y)
+            assert np.array_equal(y, got)
+
+    @pytest.mark.parametrize("complex_", [False, True])
+    def test_norm_is_that_of_numpy(self, complex_):
+        x = _random_hermitian(40, 2, complex_)[0]
+        assert eigensolver._norm(x) == np.linalg.norm(x)
+
     def test_unconverged_lanczos_raises(self, monkeypatch):
         # above the dense cap min_eig refuses an uncertified Lanczos result
         monkeypatch.setattr(eigensolver, "min_eig_lanczos",
