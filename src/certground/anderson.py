@@ -18,7 +18,7 @@ import numpy as np
 
 from . import eigensolver
 from .models import (SYMMETRIES, ModelSpec, PatchSpec, assembly_margin, build_patch,
-                     charge_sectors, check_cap, divide_down, operator_norm)
+                     charge_sectors, check_cap, divide_down)
 from .reports import BoundReport
 
 def anderson_formula(lambda_min_patch: float, m: int, D: int) -> float:
@@ -83,7 +83,7 @@ def anderson_bound(model: ModelSpec, m: int, D: int = 1, tol: float = 1e-8,
         method="anderson", model=model.name,
         params={"m": m, "D": D, "tol": tol, "seed": seed},
         lower=divide_down(edge, (m - 1) ** D), certified=proven,
-        guarantee_width=guarantee_formula(eig.value, operator_norm(model), m, D),
+        guarantee_width=guarantee_formula(eig.value, model.norm, m, D),
         diagnostics={"bound_point_estimate": anderson_formula(eig.value, m, D),
                      "lambda_min_patch": eig.value,
                      "residual": eig.residual,

@@ -11,6 +11,10 @@ proof, run by numpy (`numpy_cholesky_edge`), certifies the SDP
 bounds; scipy.linalg is imported only when Lanczos or the in-place proof
 first runs. A complex vector over a real scalar is one multiply of its
 (Re, Im) float view by the rounded reciprocal (`_divide`), as numpy rounds it.
+Inner products, norms and Gram-Schmidt coefficients of vectors longer than
+10^4 entries sum equal chunks of at most 10^4 left to right (`_chunked`):
+OpenBLAS splits no such chunk across threads, so Lanczos results do not
+depend on the BLAS thread count.
 """
 
 from __future__ import annotations
@@ -29,6 +33,7 @@ _EPS = 2 * _U
 _BASIS_ROWS = 32  # rows per block of the Lanczos basis
 _SKEW_COLS = 16  # columns per panel of the asymmetry norm in `_shifted_edge`
 _REORTH_TOL = _EPS ** 0.75  # omega estimate above which Lanczos reorthogonalizes
+_CHUNK = 10 ** 4  # longest sum that OpenBLAS does not split across threads
 
 
 @functools.cache
@@ -183,7 +188,7 @@ def min_eig_dense_certified(h, tol: float = 1e-8, seed: int = 0) -> EigResult:
         _divide(y, top, y)
         _divide(y, _norm(y), y)
         hy = h @ y
-        val = float(np.real(np.vdot(y, hy)))
+        val = float(np.real(_chunked(np.vdot, y, hy)))
         res = _norm(hy - val * y)
         if res < residual:
             value, residual = val, res
@@ -239,7 +244,7 @@ def min_eig_lanczos(apply, dim: int, tol: float = 1e-8, seed: int = 0,
         qj = blocks[j // _BASIS_ROWS][j % _BASIS_ROWS]
         if j > 0:
             w = apply(qj)
-        a = float(np.real(np.vdot(qj, w)))
+        a = float(np.real(_chunked(np.vdot, qj, w)))
         alpha[j] = a
         w = w - a * qj
         if j > 0:
@@ -273,7 +278,7 @@ def min_eig_lanczos(apply, dim: int, tol: float = 1e-8, seed: int = 0,
                 vec += part @ blk[:len(part)]
             _divide(vec, _norm(vec), vec)
             mv = apply(vec)
-            val = float(np.real(np.vdot(vec, mv)))
+            val = float(np.real(_chunked(np.vdot, vec, mv)))
             res = _norm(mv - val * vec)
             if res <= tol or b <= 1e-14 or j == kmax - 1:
                 return EigResult(val, res, j + 1, res <= tol,
@@ -288,9 +293,20 @@ def min_eig_lanczos(apply, dim: int, tol: float = 1e-8, seed: int = 0,
     raise AssertionError("unreachable")  # loop always returns
 
 
+def _chunked(dot, x, y):
+    """dot(x, y) over x's last axis and the 1-D y: one call up to _CHUNK entries,
+    else the left-to-right sum over the fewest equal chunks of at most _CHUNK."""
+    if len(y) <= _CHUNK:
+        return dot(x, y)
+    step = -(-len(y) // -(-len(y) // _CHUNK))
+    return sum(dot(x[..., i:i + step], y[i:i + step]) for i in range(0, len(y), step))
+
+
 def _norm(x) -> float:
-    """numpy.linalg.norm of a 1-D x, bit for bit, without its dispatch."""
-    return math.sqrt(x.real @ x.real + x.imag @ x.imag if x.dtype.kind == "c" else x @ x)
+    """numpy.linalg.norm of a 1-D x without its dispatch, bit for bit up to _CHUNK entries."""
+    if x.dtype.kind == "c":
+        return math.sqrt(_chunked(np.matmul, x.real, x.real) + _chunked(np.matmul, x.imag, x.imag))
+    return math.sqrt(_chunked(np.matmul, x, x))
 
 
 def _divide(x, s: float, out) -> None:
@@ -306,7 +322,7 @@ def _orthogonalize(blocks, rows, w):
     """One Gram-Schmidt pass of w against the first `rows` basis rows, block by block."""
     for i, blk in enumerate(blocks):
         q = blk[:rows - i * _BASIS_ROWS]
-        w -= (q @ w.conj()).conj() @ q
+        w -= _chunked(np.matmul, q, w.conj()).conj() @ q
     return w
 
 

@@ -36,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import sdp
-from .models import ModelSpec, divide_down, exact_sums, state_charges, term_symmetries
+from .models import ModelSpec, divide_down, exact_sums, state_charges
 from .reports import BoundReport
 # unused here, but the benchmark tracer (perfbench/tracing.py) wraps them by name
 from .models import build_patch, embed_on_sites  # noqa: F401
@@ -180,8 +180,8 @@ def crossing_sites(s: int, placement: str) -> tuple:
 def reduction(model: ModelSpec) -> tuple:
     """The symmetries the marginal SDP is reduced by: "u1" when the term
     conserves the charge, and "flip" as well when it is also flip-symmetric
-    (`models.term_symmetries`)."""
-    symmetries = term_symmetries(model)
+    (`models.term_symmetries`, cached on the model)."""
+    symmetries = model.symmetries
     if "u1" not in symmetries:
         return ()
     return ("u1", "flip") if "flip" in symmetries else ("u1",)

@@ -11,6 +11,7 @@ lambda_min: conserved-charge blocks, each reduced to its reflection- and
 flip-symmetric sector when the term is stoquastic, directly or after
 Marshall's sublattice sign gauge (open patches are bipartite, so Heisenberg
 and XXZ qualify). `build_patch` assembles one such block from its states.
+What they need to know about the term is cached on its `ModelSpec`.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from typing import TYPE_CHECKING
 
@@ -44,25 +46,54 @@ def max_qubits() -> int:
 @dataclass(frozen=True)
 class ModelSpec:
     """A nearest-neighbour model: local dimension d, lattice dimension D and
-    the two-site Hermitian term as a dense d^2 x d^2 matrix."""
+    the two-site Hermitian term as a dense d^2 x d^2 matrix, stored read-only
+    so that the facts about it cached on first use below cannot go stale."""
 
     name: str
     d: int
     D: int
-    term: np.ndarray          # dense d^2 x d^2, Hermitian
+    term: np.ndarray          # dense d^2 x d^2, Hermitian, read-only
 
     def __post_init__(self):
-        t = np.asarray(self.term)
+        t = np.array(self.term)  # a copy: the caller's array stays writable
         if t.shape != (self.d ** 2, self.d ** 2):
             raise ValueError("term size inconsistent with local dimension")
         if not np.all(np.isfinite(t)):
             raise ValueError("interaction term has a non-finite entry")
         if np.max(np.abs(t - t.conj().T)) > _HERM_TOL:
             raise ValueError("interaction term is not Hermitian")
+        t.flags.writeable = False
+        object.__setattr__(self, "term", t)
 
     @property
     def is_real(self) -> bool:
-        return bool(np.max(np.abs(np.asarray(self.term).imag)) < 1e-14)
+        return bool(np.max(np.abs(self.term.imag)) < 1e-14)
+
+    @cached_property
+    def symmetries(self) -> tuple:
+        """`term_symmetries`: the term's exact structural symmetries."""
+        return _symmetries(self.term, self.d)
+
+    @cached_property
+    def reductions(self) -> tuple:
+        """The "sign_gauge", "reflection" and "flip" that `charge_sectors` may apply."""
+        term, tested, gauge = self.term, self.symmetries, ()
+        if "u1" in tested and not _stoquastic(term) and _stoquastic(sign_gauge(term, self.d)):
+            term, gauge = sign_gauge(term, self.d), ("sign_gauge",)
+            tested = _symmetries(term, self.d)
+        stoquastic = _stoquastic(term)
+        return gauge + tuple(r for r in ("reflection", "flip") if stoquastic and r in tested)
+
+    @cached_property
+    def norm(self) -> float:
+        """`operator_norm`: the term's spectral norm."""
+        return float(np.max(np.abs(np.linalg.eigvalsh(self.term))))
+
+    @cached_property
+    def tables(self) -> dict:
+        """`_patch_tables` of the term and of its `sign_gauge`, by whether it is gauged."""
+        term, d = _realify(np.asarray(self.term, dtype=complex)), self.d
+        return {False: _patch_tables(term, d), True: _patch_tables(sign_gauge(term, d), d)}
 
 
 @dataclass(frozen=True)
@@ -272,8 +303,8 @@ class Sector(np.ndarray):
 
 
 def _images(states, symmetry, n: int, d: int) -> list:
-    """Every group element but the identity, as (images of `states`, reverse,
-    flip): reverse the site order, then complement every digit (k to d - 1 - k)."""
+    """The images of `states` under every group element but the identity:
+    reverse the site order, complement every digit (k to d - 1 - k), both."""
     top = d ** n - 1
     out = []
     if "reflection" in symmetry:
@@ -281,11 +312,11 @@ def _images(states, symmetry, n: int, d: int) -> list:
         h = n // 2
         hi, lo = np.divmod(states, d ** h)
         rev = _reversals(h, d)[lo] * d ** (n - h) + _reversals(n - h, d)[hi]
-        out.append((rev, True, False))
+        out.append(rev)
     if "flip" in symmetry:
-        out.append((top - states, False, True))
+        out.append(top - states)
         if "reflection" in symmetry:
-            out.append((top - rev, True, True))
+            out.append(top - rev)
     return out
 
 
@@ -304,15 +335,34 @@ def check_cap(n: int, d: int) -> None:
         raise ValueError(f"{n} sites of dimension {d} exceed the {max_qubits()}-qubit cap")
 
 
+def _patch_tables(term: np.ndarray, d: int) -> tuple:
+    """(term, first, second, moves, outs), read-only: the one-site changes x -> y
+    of a bond's first site, with the coefficient first[x, y, pair] = <x b|term|y b>
+    at the digit pair (x, b), and of its second site, second[x, y, pair] =
+    <a x|term|a y> at (a, x); the digits y != x that some bond moves each digit
+    x to (a site that none of its own bonds moves so writes zeros, which
+    eliminate_zeros drops); and the two-site changes c of each digit pair a."""
+    t4, pair, same = term.reshape(d, d, d, d), np.arange(d * d), np.arange(d)
+    first = np.einsum("xbyb->xyb", t4)[:, :, pair % d]
+    second = np.einsum("axay->xya", t4)[:, :, pair // d]
+    first[same, same] = second[same, same] = 0  # x == y is the diagonal
+    moves = [list(np.flatnonzero(row)) for row in np.any(first, axis=2) | np.any(second, axis=2)]
+    outs = [[c for c in np.flatnonzero(term[a]) if c // d != a // d and c % d != a % d]
+            for a in range(d * d)]
+    term.flags.writeable = first.flags.writeable = second.flags.writeable = False
+    return term, first, second, moves, outs
+
+
 def build_patch(model: ModelSpec, patch: PatchSpec, sector=None) -> sp.csr_matrix:
     """The patch Hamiltonian on one block, one write per distinct change.
 
     `sector` is one block from `charge_sectors` (a plain sorted index array
     is read as a block of charge alone); None is the whole space. A
     "sign_gauge" sector is a block of the gauged patch, `sign_gauge(term)` on
-    every bond, and needs an open patch. The term is split once into its
-    diagonal, its one-site changes (a bond's site goes from digit x to y, with
-    a coefficient set by the other site's digit) and its two-site changes:
+    every bond, and needs an open patch. The term is split once per model
+    (`ModelSpec.tables`) into its diagonal, its one-site changes (a bond's
+    site goes from digit x to y, with a coefficient set by the other site's
+    digit) and its two-site changes:
 
     - the diagonal is summed per bond, in bond order, by one table lookup on
       each state's digit pair;
@@ -323,9 +373,9 @@ def build_patch(model: ModelSpec, patch: PatchSpec, sector=None) -> sp.csr_matri
     - for every bond and every two-site entry <a|term|c>, one pass over the
       states whose digits on the bond read a writes <a|term|c>.
 
-    Each moved state t is mapped to its orbit representative r in O(1) from
-    the precomputed images of its source s under the sector's symmetries, and
-    r to its column by a d^n rank table; the entry is the coefficient times
+    A d^n rank table holds the column of each orbit's representative r for
+    every member of the orbit, so a state that a change moves s to is mapped
+    to its column by one lookup; the entry is the coefficient times
     sqrt(|O_s| / |O_r|), the matrix element between normalized orbit sums.
     Row lengths are counted first, so every entry is written straight into
     its CSR row, unsorted and never merged, and the d^n matrix exists only
@@ -338,47 +388,34 @@ def build_patch(model: ModelSpec, patch: PatchSpec, sector=None) -> sp.csr_matri
     import scipy.sparse as sp
     n, d = patch.sites, model.d
     check_cap(n, d)
-    term = _realify(np.asarray(model.term, dtype=complex))
     states = np.arange(d ** n) if sector is None else np.asarray(sector)
     symmetry = getattr(sector, "symmetry", ())
-    if "sign_gauge" in symmetry:
-        if patch.boundary != "open":
-            raise ValueError("a sign-gauged sector needs an open (bipartite) patch")
-        term = sign_gauge(term, d)
+    if "sign_gauge" in symmetry and patch.boundary != "open":
+        raise ValueError("a sign-gauged sector needs an open (bipartite) patch")
+    term, first, second, moves, outs = model.tables["sign_gauge" in symmetry]
     dim = states.size
     images = _images(states, symmetry, n, d)
     if images:  # orbit sizes |G| / |stabilizer|: 1, 2 or 4, so ratios are exact
-        size = (len(images) + 1) / (1.0 + sum(img == states for img, _, _ in images))
+        size = (len(images) + 1) / (1.0 + sum(img == states for img in images))
     rank = None  # the whole space: a state is its own column
-    if dim < d ** n:  # the column of each representative, by state
+    if dim < d ** n:  # the column of each orbit's representative, by member
         rank = np.empty(d ** n, dtype=np.int32)
-        rank[states] = np.arange(dim, dtype=np.int32)
+        for members in images + [states]:
+            rank[members] = np.arange(dim, dtype=np.int32)
     strides = d ** np.arange(n - 1, -1, -1, dtype=np.int64)
     bonds = patch_bonds(patch)
-    # each site's digit in every state, and the digit pair (a, b) on each bond, as a d + b
+    # each site's digit in every state, and the digit pair (a, b) on each bond, as a d + b;
+    # without one-site changes, no pass reads the sites' digits
     digits = [(states // stride % d).astype(np.min_scalar_type(d * d - 1)) for stride in strides]
     pairs = [digits[p] * d + digits[q] for p, q in bonds]
-    # one-site changes x -> y of a bond's first site, with the coefficient
-    # first[x, y, pair] = <x b|term|y b> at the digit pair (x, b), and of its
-    # second site, second[x, y, pair] = <a x|term|a y> at (a, x)
-    t4, pair, same = term.reshape(d, d, d, d), np.arange(d * d), np.arange(d)
-    first = np.einsum("xbyb->xyb", t4)[:, :, pair % d]
-    second = np.einsum("axay->xya", t4)[:, :, pair // d]
-    first[same, same] = second[same, same] = 0  # x == y is the diagonal
-    # the digits y != x that some bond moves each digit x to (a site that none
-    # of its own bonds moves so writes zeros, which eliminate_zeros drops);
-    # without one-site changes, no pass reads the sites' digits
-    moves = [list(np.flatnonzero(row)) for row in np.any(first, axis=2) | np.any(second, axis=2)]
     if not any(moves):
         digits = []
+    pair, same = np.arange(d * d), np.arange(d)
     # each site's bonds: their digit pairs, coefficients and the site's digit in a pair
     touching = [[] for _ in range(n)]
     for (p, q), local in zip(bonds, pairs):
         touching[p].append((local, first, pair // d))
         touching[q].append((local, second, pair % d))
-    # the two-site changes c of each digit pair a
-    outs = [[c for c in np.flatnonzero(term[a]) if c // d != a // d and c % d != a % d]
-            for a in range(d * d)]
     # row s holds its diagonal, one entry per site and one-site change of its
     # digit, and one per bond and two-site change
     length = 1 + sum(np.array([len(o) for o in outs])[local] for local in pairs)
@@ -397,17 +434,13 @@ def build_patch(model: ModelSpec, patch: PatchSpec, sector=None) -> sp.csr_matri
 
     def write(src, changes):
         """One entry in each row of `src` per (value, shifts) in `changes`: the
-        state moved by the (site, digit shift) pairs `shifts`, taken to its
-        orbit representative."""
+        state moved by the (site, digit shift) pairs `shifts`, in the column
+        of its orbit's representative."""
         # slot advances past each change and is stored back into free (in
         # place already when src is a slice, and slot a view of free)
         base, slot = states[src], free[src]
-        moved = [(img[src], rev, flip) for img, rev, flip in images]
         for value, shifts in changes:
             t = base + sum(shift * strides[j] for j, shift in shifts)
-            for img, rev, flip in moved:
-                step = sum(shift * strides[n - 1 - j if rev else j] for j, shift in shifts)
-                np.minimum(t, img + (-step if flip else step), out=t)
             col = t if rank is None else rank[t]
             indices[slot] = col
             data[slot] = value * np.sqrt(size[src] / size[col]) if images else value
@@ -490,7 +523,12 @@ def divide_down(x: float, n: int) -> float:
 
 
 def term_symmetries(model: ModelSpec) -> tuple:
-    """The exact structural symmetries of the two-site term, in the order of
+    """`ModelSpec.symmetries`, the model's `_symmetries`."""
+    return model.symmetries
+
+
+def _symmetries(term: np.ndarray, d: int) -> tuple:
+    """The exact structural symmetries of a two-site term, in the order of
     `SYMMETRIES`. Every test compares entries exactly:
 
     - "su2": d = 2 and the term equals a I + b SWAP entrywise, so it commutes
@@ -502,8 +540,6 @@ def term_symmetries(model: ModelSpec) -> tuple:
     - "flip": the term is unchanged when every digit k becomes d - 1 - k, which
       maps charge q on n sites to (d - 1) n - q.
     """
-    d = model.d
-    term = np.asarray(model.term)
     swap = np.arange(d * d).reshape(d, d).T.ravel()  # index of (b, a) for (a, b)
     pair = np.add.outer(np.arange(d), np.arange(d)).ravel()
     su2 = d == 2 and np.array_equal(term, term[1, 1] * np.eye(4) + term[1, 2] * np.eye(4)[swap])
@@ -569,22 +605,14 @@ def charge_sectors(model: ModelSpec, n: int, D: int | None = None) -> list[Secto
       XXZ) is reduced the same way on the gauged patch, with every test run on
       the gauged term; a block so reduced carries "sign_gauge", and
       `build_patch` assembles it from the gauged term, on open patches only.
+    The tests on the term are cached on the model (`ModelSpec.reductions`).
     """
     d = model.d
     check_cap(n, d)
-    symmetries = term_symmetries(model)
-    term, tested, gauge = np.asarray(model.term), symmetries, ()
-    reductions = []
-    if D is not None and "u1" in symmetries and not _stoquastic(term):
-        gauged = sign_gauge(term, d)
-        if _stoquastic(gauged):
-            term, gauge = gauged, ("sign_gauge",)
-            tested = term_symmetries(ModelSpec(model.name, d, model.D, gauged))
-    if D is not None and _stoquastic(term):
-        if D == 1 and "reflection" in tested:
-            reductions.append("reflection")
-        if d == 2 and "flip" in tested:
-            reductions.append("flip")
+    symmetries, tested = model.symmetries, () if D is None else model.reductions
+    gauge = ("sign_gauge",) if "sign_gauge" in tested else ()
+    reductions = [name for name in tested
+                  if (name == "reflection" and D == 1) or (name == "flip" and d == 2)]
     if "u1" not in symmetries:
         blocks = [(np.arange(d ** n), (), None)]
     else:
@@ -604,7 +632,7 @@ def charge_sectors(model: ModelSpec, n: int, D: int | None = None) -> list[Secto
         used = tuple(r for r in reductions if r != "flip" or q is None or 2 * q == (d - 1) * n)
         symmetry += (gauge if used else ()) + used
         keep = np.ones(states.size, dtype=bool)
-        for img, _, _ in _images(states, symmetry, n, d):  # the smallest state of each orbit
+        for img in _images(states, symmetry, n, d):  # the smallest state of each orbit
             keep &= states <= img
         sector = states[keep].view(Sector)
         sector.symmetry = symmetry
@@ -618,5 +646,5 @@ def build_ring(model: ModelSpec, n: int) -> sp.csr_matrix:
 
 
 def operator_norm(model: ModelSpec) -> float:
-    """Spectral norm of the two-site term (dense diagonalization)."""
-    return float(np.max(np.abs(np.linalg.eigvalsh(np.asarray(model.term)))))
+    """Spectral norm of the two-site term (dense diagonalization), cached as `ModelSpec.norm`."""
+    return model.norm

@@ -1,4 +1,8 @@
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -241,6 +245,56 @@ class TestLanczos:
                             lambda *args, **kwargs: EigResult(0.0, 1.0, 500, False))
         with pytest.raises(RuntimeError, match="did not converge"):
             min_eig(sp.identity(DENSE_CAP + 1, format="csr"))
+
+
+class TestChunkedInnerProducts:
+    @staticmethod
+    def _vectors(n, seed):
+        rng = np.random.default_rng(seed)
+        return [rng.standard_normal(n) + 1j * rng.standard_normal(n) for _ in range(2)]
+
+    @pytest.mark.parametrize("n", [1, 7, 4096, 10 ** 4])
+    def test_one_call_up_to_the_chunk(self, n):
+        x, y = self._vectors(n, n)
+        assert eigensolver._chunked(np.vdot, x, y) == np.vdot(x, y)
+        real = np.ascontiguousarray(x.real)
+        assert eigensolver._norm(x) == np.linalg.norm(x)
+        assert eigensolver._norm(real) == np.linalg.norm(real)
+
+    @pytest.mark.parametrize("n, step", [(10 ** 4 + 1, 5001), (2 * 10 ** 4, 10 ** 4),
+                                         (2 * 10 ** 4 + 3, 6668), (35000, 8750)])
+    def test_equal_chunks_summed_left_to_right(self, n, step):
+        x, y = self._vectors(n, n)
+        q, real = np.stack([x, y, x.conj()]), np.ascontiguousarray(x.real)
+        total, rows, square = 0.0, 0.0, 0.0
+        for i in range(0, n, step):
+            total += np.vdot(x[i:i + step], y[i:i + step])
+            rows = rows + q[:, i:i + step] @ y[i:i + step]
+            square += real[i:i + step] @ real[i:i + step]
+        assert eigensolver._chunked(np.vdot, x, y) == total
+        assert np.array_equal(eigensolver._chunked(np.matmul, q, y), rows)
+        assert eigensolver._norm(real) == np.sqrt(square)
+
+    def test_lanczos_does_not_depend_on_the_blas_thread_count(self):
+        # a random complex tridiagonal operator: a dense spectrum, so the run
+        # reorthogonalizes, and every vector is longer than one chunk
+        script = (
+            "import numpy as np, scipy.sparse as sp\n"
+            "from certground.eigensolver import min_eig_lanczos\n"
+            "n = 2 * 10 ** 4\n"
+            "rng = np.random.default_rng(0)\n"
+            "off = rng.standard_normal(n - 1) + 1j * rng.standard_normal(n - 1)\n"
+            "h = sp.diags([off.conj(), rng.standard_normal(n), off], [-1, 0, 1], format='csr')\n"
+            "r = min_eig_lanczos(h, n, tol=1e-8)\n"
+            "assert r.reorthogonalized > 0\n"
+            "print(repr(r.value), repr(r.residual))\n")
+        src = str(Path(eigensolver.__file__).resolve().parents[1])
+        outs = [subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                               check=True, timeout=120,
+                               env={**os.environ, "PYTHONPATH": src,
+                                    "OPENBLAS_NUM_THREADS": threads}).stdout
+                for threads in ("1", "2")]
+        assert outs[0] and outs[0] == outs[1]
 
 
 class TestMinimalityProof:

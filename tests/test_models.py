@@ -7,10 +7,14 @@ import pytest
 import scipy.sparse as sp
 
 import certground as cg
+from certground import models
+from certground.cli import run
 from certground.models import (PatchSpec, Sector, assembly_margin, build_patch, build_ring,
                                builtin_model, charge_sectors, divide_down, embed_on_sites,
-                               operator_norm, parse_model, patch_bonds, term_symmetries)
+                               operator_norm, parse_model, patch_bonds, sign_gauge,
+                               term_symmetries)
 from tests.conftest import CHAIN, RING
+from tests.test_marginal import _qutrit_model, _spin1_xxz
 
 
 _I, _X, _Z = np.eye(2), np.array([[0.0, 1.0], [1.0, 0.0]]), np.diag([1.0, -1.0])
@@ -437,6 +441,80 @@ class TestSectorAssembly:
         assert block.shape == (12283, 12283)
         assert peak < 3 * block_bytes
         assert peak < full_bytes / 2
+
+
+def _fresh_facts(model) -> dict:
+    """Every fact `ModelSpec` caches, recomputed from an independent copy of
+    its term the way `charge_sectors`, `build_patch` and `operator_norm`
+    derived them per call."""
+    term, d = np.array(model.term), model.d
+    symmetries = models._symmetries(term, d)
+    tested, gauge, reductions = term, (), ()
+    if ("u1" in symmetries and not models._stoquastic(term)
+            and models._stoquastic(sign_gauge(term, d))):
+        tested, gauge = sign_gauge(term, d), ("sign_gauge",)
+    if models._stoquastic(tested):
+        reductions = gauge + tuple(name for name in ("reflection", "flip")
+                                   if name in models._symmetries(tested, d))
+    plain = models._realify(np.asarray(term, dtype=complex))
+    return {"symmetries": symmetries, "reductions": reductions,
+            "norm": float(np.max(np.abs(np.linalg.eigvalsh(term)))),
+            "tables": {False: models._patch_tables(plain, d),
+                       True: models._patch_tables(sign_gauge(plain, d), d)}}
+
+
+FACT_MODELS = {
+    **{f"{name}-D{D}": (lambda name=name, params=params, D=D: builtin_model(name, params, D))
+       for name, params in [("heisenberg", []), ("xxz", [0.5]), ("tfim", [1.0]),
+                            ("random_twosite", [3.0])] for D in (1, 2)},
+    "spin1-xxz": _spin1_xxz,
+    "qutrit": _qutrit_model,
+}
+
+
+class TestModelFacts:
+    @pytest.mark.parametrize("name", list(FACT_MODELS) + ["heisenberg", "zz_model", "zero_model"])
+    def test_cached_facts_equal_a_fresh_computation(self, name, request):
+        model = FACT_MODELS[name]() if name in FACT_MODELS else request.getfixturevalue(name)
+        patch = PatchSpec(4) if model.D == 1 else PatchSpec(2, 2)
+        for sector in charge_sectors(model, patch.sites, patch.D):  # fill the cache first
+            build_patch(model, patch, sector)
+        operator_norm(model)
+        fresh = _fresh_facts(model)
+        assert term_symmetries(model) == model.symmetries == fresh["symmetries"]
+        assert model.reductions == fresh["reductions"]
+        assert operator_norm(model) == model.norm == fresh["norm"]
+        for gauged in (False, True):
+            (*arrays, moves, outs), (*expected, fresh_moves, fresh_outs) = (
+                model.tables[gauged], fresh["tables"][gauged])
+            for got, want in zip(arrays, expected):
+                assert got.dtype == want.dtype and np.array_equal(got, want)
+                assert not got.flags.writeable
+            assert moves == fresh_moves and outs == fresh_outs
+
+    def test_term_is_a_read_only_copy(self):
+        term = np.kron(_Z, _Z)
+        model = cg.ModelSpec("zz", 2, 1, term)
+        with pytest.raises(ValueError):
+            model.term[0, 0] = 2.0
+        term[0, 0] = 2.0  # the caller's array stays writable and apart
+        assert model.term[0, 0] == 1.0
+
+    def test_a_sweep_tests_the_term_once_plain_and_once_gauged(self, capsys, monkeypatch):
+        tested = []
+        symmetries = models._symmetries
+
+        def counted(term, d):
+            tested.append(np.array(term))
+            return symmetries(term, d)
+
+        monkeypatch.setattr(models, "_symmetries", counted)
+        assert run(["sweep", "--method", "anderson", "--model", "heisenberg", "--m", "2..8"]) == 0
+        capsys.readouterr()
+        heisenberg = builtin_model("heisenberg")
+        assert len(tested) == 2
+        assert np.array_equal(tested[0], heisenberg.term)
+        assert np.array_equal(tested[1], sign_gauge(heisenberg.term, 2))
 
 
 class TestOperatorNorm:
