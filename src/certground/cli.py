@@ -6,7 +6,7 @@ A run checks the whole request (the model, every sweep point and every
 sandwich method) before it solves anything. Exit codes: 0 success, 2 a bad
 request or an unwritable --json/--csv path, 3 solver failure (a ValueError or
 RuntimeError raised inside a solve). Reports go to stdout as JSON unless
---json/--csv paths are given.
+--json/--csv paths are given; a sweep given both writes both files.
 """
 
 from __future__ import annotations
@@ -46,12 +46,13 @@ def _load_model(args) -> ModelSpec:
 
 
 def _emit(args, payload):
-    if getattr(args, "csv", None):  # sweep's rows
-        reports.emit_csv(payload["rows"], reports.CSV_COLUMNS[args.method], args.csv)
-        return
-    text = reports.emit_json(payload, args.json)
-    if not args.json:
-        sys.stdout.write(text)
+    csv_path = getattr(args, "csv", None)  # sweep's rows
+    if csv_path:
+        reports.emit_csv(payload["rows"], reports.CSV_COLUMNS[args.method], csv_path)
+    if args.json or not csv_path:
+        text = reports.emit_json(payload, args.json)
+        if not args.json:
+            sys.stdout.write(text)
 
 
 def _positive(text: str) -> float:
@@ -172,7 +173,7 @@ def _sweep(model, args):
         except Exception as e:  # an Anderson point's failure is recorded, the sweep goes on
             if method != "anderson":
                 raise
-            return {"m": point, "D": args.dim, "error": str(e)}
+            return {"model": model.name, "m": point, "D": args.dim, "error": str(e)}
         return reports.sweep_row(report, time.perf_counter() - t0)
 
     return lambda: {"sweep": method, "model": model.name,

@@ -31,6 +31,7 @@ a change of basis, not a selection of states, and are not used.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,6 +43,7 @@ from .reports import BoundReport
 from .models import build_patch, embed_on_sites  # noqa: F401
 
 _SDP_SITE_CAP = 10  # dense SDP blocks; qubit-equivalents
+_MAX_BYTES = 2 ** 31  # the window products and constraint matrices of one request
 
 
 @dataclass(frozen=True)
@@ -63,6 +65,9 @@ class MarginalProblemSpec:
             raise ValueError("the marginal bound is one-dimensional")
         if self.m * np.log2(self.model.d) > _SDP_SITE_CAP:
             raise ValueError(f"patch exceeds the dense SDP cap of {_SDP_SITE_CAP} qubits")
+        if (need := _request_bytes(self)) > _MAX_BYTES:
+            raise ValueError(f"the SDP's window products and constraints need "
+                             f"{need / 2 ** 30:.1f} GiB, over the {_MAX_BYTES >> 30} GiB limit")
 
 
 def charge_basis(d: int) -> tuple:
@@ -180,11 +185,39 @@ def crossing_sites(s: int, placement: str) -> tuple:
 def reduction(model: ModelSpec) -> tuple:
     """The symmetries the marginal SDP is reduced by: "u1" when the term
     conserves the charge, and "flip" as well when it is also flip-symmetric
-    (`models.term_symmetries`, cached on the model)."""
+    (`ModelSpec.symmetries`, cached on the model)."""
     symmetries = model.symmetries
     if "u1" not in symmetries:
         return ()
     return ("u1", "flip") if "flip" in symmetries else ("u1",)
+
+
+@functools.cache  # a handful of (d, sites) per process, as the caps bound them
+def _basis_size(d: int, sites: int, real: bool, symmetry: tuple) -> int:
+    """len(window_basis(d, sites, real, symmetry)[0]): the symmetric (Hermitian)
+    matrices on each charge block n_q; under "flip" on one block of each flip
+    pair, and on the (n_q + f) / 2 even and (n_q - f) / 2 odd states of a
+    self-paired block, f = d mod 2 of them fixed by the flip."""
+    n = np.bincount(state_charges(sites, d)) if "u1" in symmetry else np.array([d ** sites])
+    if "flip" in symmetry:
+        mid, f = n[len(n) // 2] * (len(n) % 2), d % 2
+        n = np.append(n[:len(n) // 2], [(mid + f) // 2, (mid - f) // 2])
+    return int(np.sum(n * (n + 1) // 2 if real else n * n))
+
+
+def _request_bytes(spec: MarginalProblemSpec) -> int:
+    """The bytes of the SDP's constraint matrices A and window products (at most
+    one real d^2s x d^2s matrix per charge-conserving word), counted unbuilt."""
+    d, w, real, symmetry = spec.model.d, 2 * spec.s, spec.model.is_real, reduction(spec.model)
+    later, rows, products = len(_windows(spec)) - 1, 1, 0
+    if later:  # W_1's rows, then each later window's not ending in the identity
+        full = _basis_size(d, w, real, symmetry)
+        rows += full - 1 + (later - 1) * (full - _basis_size(d, w - 1, real, symmetry))
+        # one product per word that conserves the charge: the Hermitian count
+        # under the charge alone (symmetry[:1] is "u1" or nothing)
+        products = _basis_size(d, w, False, symmetry[:1]) * d ** (2 * w) * 8
+    block = sum(states.size ** 2 for states, _ in _blocks(spec.m, d, symmetry))
+    return products + rows * block * (8 if real else 16)
 
 
 def _blocks(m: int, d: int, symmetry) -> list:

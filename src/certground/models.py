@@ -6,12 +6,12 @@ operators. One-site fields are not separate inputs: fold them into the
 two-site term, symmetrized as (g/2)(X otimes I + I otimes X) per bond in 1D
 (divide by the coordination number 2D in higher dimensions).
 
-`charge_sectors` splits a patch into the blocks whose minima give its
-lambda_min: conserved-charge blocks, each reduced to its reflection- and
+`charge_sectors` splits an open patch into the blocks whose minima give
+its lambda_min: conserved-charge blocks, each reduced to its reflection- and
 flip-symmetric sector when the term is stoquastic, directly or after
 Marshall's sublattice sign gauge (open patches are bipartite, so Heisenberg
-and XXZ qualify). `build_patch` assembles one such block from its states.
-What they need to know about the term is cached on its `ModelSpec`.
+and XXZ qualify). `build_patch` assembles one such block, or a whole patch
+or ring. What they need to know about the term is cached on its `ModelSpec`.
 """
 
 from __future__ import annotations
@@ -71,7 +71,7 @@ class ModelSpec:
 
     @cached_property
     def symmetries(self) -> tuple:
-        """`term_symmetries`: the term's exact structural symmetries."""
+        """The term's exact structural symmetries (`_symmetries`)."""
         return _symmetries(self.term, self.d)
 
     @cached_property
@@ -86,7 +86,7 @@ class ModelSpec:
 
     @cached_property
     def norm(self) -> float:
-        """`operator_norm`: the term's spectral norm."""
+        """The term's spectral norm."""
         return float(np.max(np.abs(np.linalg.eigvalsh(self.term))))
 
     @cached_property
@@ -98,7 +98,7 @@ class ModelSpec:
 
 @dataclass(frozen=True)
 class PatchSpec:
-    """A cubic m^D patch with open or periodic boundary."""
+    """A cubic m^D patch with open boundary, or a periodic ring (D = 1)."""
 
     m: int
     D: int = 1
@@ -109,6 +109,8 @@ class PatchSpec:
             raise ValueError("patch size m must be >= 2")
         if self.boundary not in ("open", "periodic"):
             raise ValueError("boundary must be 'open' or 'periodic'")
+        if self.boundary == "periodic" and self.D != 1:
+            raise ValueError("a periodic patch must be a ring (D = 1)")
 
     @property
     def sites(self) -> int:
@@ -263,26 +265,18 @@ def embed_on_sites(m: np.ndarray, positions, total_sites: int, d: int = 2) -> sp
 def patch_bonds(patch: PatchSpec) -> list[tuple[int, int]]:
     """Nearest-neighbour bonds of the patch, row-major site indexing for D = 2."""
     m, D = patch.m, patch.D
-    periodic = patch.boundary == "periodic"
     if D == 1:
         bonds = [(i, i + 1) for i in range(m - 1)]
-        if periodic:
+        if patch.boundary == "periodic":
             bonds.append((m - 1, 0))
         return bonds
     if D == 2:
-        def site(r, c):
-            return r * m + c
         bonds = []
-        for r in range(m):
-            for c in range(m):
-                if c + 1 < m:
-                    bonds.append((site(r, c), site(r, c + 1)))
-                elif periodic:
-                    bonds.append((site(r, c), site(r, 0)))
-                if r + 1 < m:
-                    bonds.append((site(r, c), site(r + 1, c)))
-                elif periodic:
-                    bonds.append((site(r, c), site(0, c)))
+        for site in range(m * m):  # each site's right, then lower neighbour
+            if site % m + 1 < m:
+                bonds.append((site, site + 1))
+            if site + m < m * m:
+                bonds.append((site, site + m))
         return bonds
     raise ValueError("explicit patch construction supports D in {1, 2} only")
 
@@ -522,11 +516,6 @@ def divide_down(x: float, n: int) -> float:
     return float(np.nextafter(q, -np.inf) if Fraction(q) > Fraction(x) / n else q)
 
 
-def term_symmetries(model: ModelSpec) -> tuple:
-    """`ModelSpec.symmetries`, the model's `_symmetries`."""
-    return model.symmetries
-
-
 def _symmetries(term: np.ndarray, d: int) -> tuple:
     """The exact structural symmetries of a two-site term, in the order of
     `SYMMETRIES`. Every test compares entries exactly:
@@ -577,11 +566,11 @@ def state_charges(n: int, d: int) -> np.ndarray:
     return charge
 
 
-def charge_sectors(model: ModelSpec, n: int, D: int | None = None) -> list[Sector]:
-    """Blocks of an n-site patch whose minima give its lambda_min, as `Sector`
-    arrays of sorted basis states.
+def charge_sectors(model: ModelSpec, n: int, D: int) -> list[Sector]:
+    """Blocks of an open n-site patch of lattice dimension D whose minima give
+    its lambda_min, as `Sector` arrays of sorted basis states.
 
-    The charge reductions follow `term_symmetries`:
+    The charge reductions follow `ModelSpec.symmetries`:
 
     - SU(2): every multiplet of the ground eigenspace has a member in the
       floor(n/2) sector; only it is returned.
@@ -589,8 +578,7 @@ def charge_sectors(model: ModelSpec, n: int, D: int | None = None) -> list[Secto
       returned.
     - Otherwise the whole space is one sector.
 
-    Given the patch's lattice dimension D (None: the charge alone), the open
-    patch is reduced further:
+    The patch is then reduced further:
 
     - U(1) and flip symmetric: the flip maps block q onto block
       (d - 1) n - q, so the two have the same spectrum, and only the blocks
@@ -609,7 +597,7 @@ def charge_sectors(model: ModelSpec, n: int, D: int | None = None) -> list[Secto
     """
     d = model.d
     check_cap(n, d)
-    symmetries, tested = model.symmetries, () if D is None else model.reductions
+    symmetries, tested = model.symmetries, model.reductions
     gauge = ("sign_gauge",) if "sign_gauge" in tested else ()
     reductions = [name for name in tested
                   if (name == "reflection" and D == 1) or (name == "flip" and d == 2)]
@@ -622,7 +610,7 @@ def charge_sectors(model: ModelSpec, n: int, D: int | None = None) -> list[Secto
         else:
             order = np.argsort(charge, kind="stable")
             split = np.split(order, np.cumsum(np.bincount(charge))[:-1])
-            if D is not None and "flip" in symmetries:  # block q and its flip partner
+            if "flip" in symmetries:  # block q and its flip partner
                 split = split[:(d - 1) * n // 2 + 1]
             blocks = [(idx, ("u1",), q) for q, idx in enumerate(split)]
     sectors = []
@@ -638,13 +626,3 @@ def charge_sectors(model: ModelSpec, n: int, D: int | None = None) -> list[Secto
         sector.symmetry = symmetry
         sectors.append(sector)
     return sectors
-
-
-def build_ring(model: ModelSpec, n: int) -> sp.csr_matrix:
-    """Periodic 1D ring on n sites."""
-    return build_patch(model, PatchSpec(n, 1, "periodic"))
-
-
-def operator_norm(model: ModelSpec) -> float:
-    """Spectral norm of the two-site term (dense diagonalization), cached as `ModelSpec.norm`."""
-    return model.norm

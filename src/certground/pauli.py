@@ -6,7 +6,8 @@ Bit k of a mask refers to site k; site 0 is the leftmost tensor factor.
 Products and adjoints are phase-exact integer arithmetic. `multiply`,
 `dagger` and `hermitian_class` are the inner loop of the moment hierarchy's
 class walk, so they skip the constructor's checks: XOR of in-range masks and
-a phase reduced mod 4 are valid by construction.
+a phase reduced mod 4 are valid by construction. The module holds only what
+the moment hierarchy and the builtin terms use.
 """
 
 from __future__ import annotations
@@ -25,7 +26,6 @@ _SINGLE = {
 }
 
 _LABEL_TO_BITS = {"I": (0, 0), "X": (1, 0), "Y": (1, 1), "Z": (0, 1)}
-_BITS_TO_LABEL = {v: k for k, v in _LABEL_TO_BITS.items()}
 _PHASE_FACTORS = tuple(1j ** k for k in range(4))
 
 
@@ -68,23 +68,6 @@ class PauliString:
         n_y = (x & z).bit_count()
         return cls(len(label), x, z, (n_y + phase_exp) % 4)
 
-    @property
-    def label(self) -> str:
-        chars = []
-        for k in range(self.width):
-            chars.append(_BITS_TO_LABEL[(self.x_mask >> k) & 1, (self.z_mask >> k) & 1])
-        return "".join(chars)
-
-    @property
-    def support_mask(self) -> int:
-        return self.x_mask | self.z_mask
-
-    def is_identity(self) -> bool:
-        return self.support_mask == 0
-
-    def __mul__(self, other: "PauliString") -> "PauliString":
-        return multiply(self, other)
-
 
 def _trusted(width: int, x_mask: int, z_mask: int, phase_exp: int) -> PauliString:
     """A PauliString from fields already known to be valid, without the checks
@@ -113,29 +96,14 @@ def dagger(p: PauliString) -> PauliString:
     return _trusted(p.width, p.x_mask, p.z_mask, phase)
 
 
-def canonicalize(p: PauliString) -> tuple[int, PauliString]:
-    """Return (offset, canonical) with the leftmost non-identity site at 0.
-
-    The canonical string is trimmed to its support length, so translates of
-    the same pattern on different windows share one canonical form. The
-    identity canonicalizes to a width-1 identity with offset 0. The phase
-    stays on the string.
-    """
-    supp = p.support_mask
-    if supp == 0:
-        return 0, PauliString(1, 0, 0, p.phase_exp)
-    offset = (supp & -supp).bit_length() - 1
-    length = supp.bit_length() - offset
-    return offset, PauliString(length, p.x_mask >> offset, p.z_mask >> offset, p.phase_exp)
-
-
 def hermitian_class(p: PauliString) -> tuple[tuple[int, int, int], complex]:
     """Split p into (canonical Hermitian class key, scalar factor).
 
     The key identifies the translation class of the standard (phase
     convention i^{#Y}) Hermitian Pauli pattern under p; the factor is the
     residual global phase in {1, i, -1, -i} with p = factor * (a translate of std).
-    The key is that of `canonicalize(p)`, computed from the masks directly.
+    The key is (width, x, z) of p shifted so that its leftmost non-identity
+    site is site 0 and trimmed to its support; the identity's key is (1, 0, 0).
     """
     x, z = p.x_mask, p.z_mask
     supp = x | z

@@ -28,10 +28,11 @@ class BoundReport:
 # Each method's sweep columns. The certified column carries the report's
 # `lower` and `certified` its flag, `seconds` the sweep's timing of the point,
 # and every other column the params or diagnostics entry of its name;
-# Anderson's `bound` is its point estimate.
+# Anderson's `bound` is its point estimate, and its `error` is filled only in
+# the row of a point that failed, which holds nothing else but model, D and m.
 CSV_COLUMNS = {
     "anderson": ("model", "D", "m", "lambda_min_patch", "bound", "certified_bound",
-                 "certified", "guarantee_width", "residual", "seconds"),
+                 "certified", "guarantee_width", "residual", "seconds", "error"),
     "marginal": ("model", "m", "s", "mode", "placement", "z", "density_bound",
                  "certified", "gap", "seconds"),
     "moment": ("model", "l", "variables", "matrix_size", "bound", "certified", "gap",
@@ -48,7 +49,8 @@ def sweep_row(report: BoundReport, seconds: float) -> dict:
               **report.params, **report.diagnostics,
               CERTIFIED_COLUMN[report.method]: report.lower,
               "certified": report.certified, "seconds": seconds}
-    return {column: values[column] for column in CSV_COLUMNS[report.method]}
+    return {column: values[column] for column in CSV_COLUMNS[report.method]
+            if column != "error"}
 
 
 def _round12(x: float) -> float:

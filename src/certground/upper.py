@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from .eigensolver import min_eig
-from .models import ModelSpec, build_ring, max_qubits
+from .models import ModelSpec, PatchSpec, build_patch, max_qubits
 
 MAX_RESTARTS = 100_000  # each batch array holds restarts x d^2 entries
 
@@ -77,7 +77,8 @@ def ring_reference(model: ModelSpec, n: int, tol: float = 1e-10, seed: int = 0) 
     are one-dimensional, so a model with D != 1 is rejected.
     """
     check_ring(model, n)
-    return min_eig(build_ring(model, n), tol=tol, seed=seed).value / n
+    ring = build_patch(model, PatchSpec(n, 1, "periodic"))
+    return min_eig(ring, tol=tol, seed=seed).value / n
 
 
 def check_ring(model: ModelSpec, n: int) -> None:

@@ -4,9 +4,57 @@
 the feasible point of the moment SDP that a ring state defines, and
 `product_state_upper_serial` the product-state multistart run one restart at
 a time, as `upper.product_state_upper` ran it before it ran them as a batch.
+`canonicalize` and `label` are the plain Pauli-string references that
+`pauli.hermitian_class` and the moment classes are checked against, and
+`charge_blocks` gives a patch's charge blocks before `charge_sectors`
+reduces them.
 """
 
 import numpy as np
+
+from certground.models import Sector, state_charges
+from certground.pauli import PauliString
+
+_BITS_TO_LABEL = {(0, 0): "I", (1, 0): "X", (1, 1): "Y", (0, 1): "Z"}
+
+
+def label(p: PauliString) -> str:
+    """The string's letters, site 0 first; the phase is not shown."""
+    return "".join(_BITS_TO_LABEL[(p.x_mask >> k) & 1, (p.z_mask >> k) & 1]
+                   for k in range(p.width))
+
+
+def canonicalize(p: PauliString) -> tuple[int, PauliString]:
+    """Return (offset, canonical) with the leftmost non-identity site at 0.
+
+    The canonical string is trimmed to its support length, so translates of
+    the same pattern on different windows share one canonical form. The
+    identity canonicalizes to a width-1 identity with offset 0. The phase
+    stays on the string.
+    """
+    supp = p.x_mask | p.z_mask
+    if supp == 0:
+        return 0, PauliString(1, 0, 0, p.phase_exp)
+    offset = (supp & -supp).bit_length() - 1
+    length = supp.bit_length() - offset
+    return offset, PauliString(length, p.x_mask >> offset, p.z_mask >> offset, p.phase_exp)
+
+
+def charge_blocks(model, n: int) -> list:
+    """The charge blocks of an n-site patch as `Sector` arrays, unreduced: the
+    floor(n/2) block of an SU(2) term, every block of a U(1) term, or else
+    the whole space."""
+    def block(states, symmetry):
+        sector = states.view(Sector)
+        sector.symmetry = symmetry
+        return sector
+
+    if "u1" not in model.symmetries:
+        return [block(np.arange(model.d ** n), ())]
+    charge = state_charges(n, model.d)
+    if "su2" in model.symmetries:
+        return [block(np.flatnonzero(charge == n // 2), ("su2",))]
+    return [block(np.flatnonzero(charge == q), ("u1",)) for q in range(charge.max() + 1)]
 
 
 def partial_trace(rho: np.ndarray, keep, d: int = 2) -> np.ndarray:

@@ -14,7 +14,7 @@ import scipy.sparse.linalg as spla
 import certground as cg
 from certground.anderson import anderson_bound
 from certground.marginal import MarginalProblemSpec, improved_anderson_bound
-from certground.models import PatchSpec, build_patch, build_ring
+from certground.models import PatchSpec, build_patch
 from certground.moment import build_structure, coefficient_matrices, ti_moment_bound
 from certground.sdp import SdpProblem, solve
 from certground.upper import product_state_upper, ring_reference
@@ -202,7 +202,7 @@ def test_criterion_7_moment_bounds(capsys, heisenberg, zz_model):
     ok_mono = r3.lower >= r2.lower - 1e-7
     rzz = ti_moment_bound(zz_model, 2)
     ok_zz = abs(rzz.lower + 1.0) < 1e-6
-    H = build_ring(heisenberg, 8)
+    H = build_patch(heisenberg, PatchSpec(8, 1, "periodic"))
     vals, vecs = spla.eigsh(H.tocsc().astype(float), k=1, which="SA")
     psi = vecs[:, 0]
     ok_state = True

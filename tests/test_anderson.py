@@ -10,6 +10,7 @@ from certground.eigensolver import min_eig, min_eig_lanczos
 from certground.models import (PatchSpec, assembly_margin, build_patch, builtin_model,
                                charge_sectors, parse_model)
 from tests.conftest import CHAIN, EMIN
+from tests.oracles import charge_blocks
 
 # SU(2) invariant with a fully polarized ground multiplet: -(XX + YY + ZZ)/2
 FERROMAGNET = json.dumps({
@@ -161,7 +162,7 @@ class TestSectors:
         diag = anderson_bound(heisenberg, m, 1).diagnostics
         assert (diag["minimality"], diag["sector_dim"]) == ("cholesky", sector_dim)
         # Lanczos on the unreduced S^z = 0 block
-        (block,) = charge_sectors(heisenberg, m)
+        (block,) = charge_blocks(heisenberg, m)
         whole = min_eig_lanczos(build_patch(heisenberg, PatchSpec(m), block), len(block))
         assert whole.value - 1e-7 <= diag["lambda_min_certified"] <= whole.value
         assert abs(diag["lambda_min_patch"] - whole.value) < 1e-8
@@ -174,7 +175,7 @@ class TestSectors:
     ])
     def test_2d_matches_the_unreduced_charge_blocks(self, name, m, symmetry):
         model, patch = SECTOR_MODELS[name](), PatchSpec(m, 2)
-        blocks = charge_sectors(model, patch.sites)
+        blocks = charge_blocks(model, patch.sites)
         ref = min(min_eig_lanczos(build_patch(model, patch, b), len(b)).value for b in blocks)
         diag = anderson_bound(model, m, 2).diagnostics
         assert diag["symmetry"] == list(symmetry)

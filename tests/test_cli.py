@@ -236,15 +236,17 @@ SWEEPS = {
 class TestSweep:
     @pytest.mark.parametrize("method", sorted(SWEEPS))
     def test_rows_follow_the_column_table(self, capsys, tmp_path, method):
-        # every row has its method's CSV columns in order, and the certified
-        # column is the `lower` that the single command reports
+        # every row has its method's CSV columns in order (a solved point has
+        # no `error`), and the certified column is the `lower` that the single
+        # command reports
         sweep_argv, points = SWEEPS[method]
         model = ["--model", "xxz", "--params", "0.5"]
         code, out = run_capture(capsys, ["sweep", "--method", method] + model + sweep_argv)
         assert code == 0
         rows = json.loads(out)["rows"]
         columns = reports.CSV_COLUMNS[method]
-        assert [list(row) for row in rows] == [list(columns)] * len(points)
+        solved = [column for column in columns if column != "error"]
+        assert [list(row) for row in rows] == [solved] * len(points)
         for row, point in zip(rows, points):
             code, out = run_capture(capsys, [method] + model + point)
             assert code == 0
@@ -267,12 +269,48 @@ class TestSweep:
                                          "heisenberg", "--m", "2..3"])
         assert code == 0
         solved, failed = json.loads(out)["rows"]
-        assert failed == {"m": 3, "D": 1, "error": "Lanczos did not converge"}
+        assert failed == {"model": "heisenberg", "m": 3, "D": 1,
+                          "error": "Lanczos did not converge"}
         assert solved["certified_bound"] == -1.5
+        assert "error" not in solved
         p = tmp_path / "sweep.csv"
         assert run(["sweep", "--method", "anderson", "--model", "heisenberg",
                     "--m", "2..3", "--csv", str(p)]) == 0
-        assert p.read_text().split("\n")[2] == ",1,3,,,,,,,"
+        lines = p.read_text().split("\n")
+        assert lines[0].endswith(",seconds,error")
+        assert lines[1].endswith(",")  # a solved point's error column is empty
+        assert lines[2] == "heisenberg,1,3,,,,,,,,Lanczos did not converge"
+
+    def test_unconverged_anderson_points_keep_their_model_and_reason(self, capsys, tmp_path):
+        # a tolerance no eigensolver meets fails every point; the CSV names the
+        # model and the reason in each row, as the JSON rows do
+        argv = ["sweep", "--method", "anderson", "--model", "heisenberg", "--m", "3..4",
+                "--tol", "1e-300"]
+        code, out = run_capture(capsys, argv)
+        assert code == 0
+        rows = json.loads(out)["rows"]
+        p = tmp_path / "sweep.csv"
+        assert run(argv + ["--csv", str(p)]) == 0
+        with p.open() as f:
+            written = list(csv.DictReader(f))
+        assert [(r["model"], r["D"], r["m"]) for r in written] == [("heisenberg", "1", "3"),
+                                                                   ("heisenberg", "1", "4")]
+        assert [r["error"] for r in written] == [row["error"] for row in rows]
+        assert all("did not converge" in r["error"] and r["certified_bound"] == ""
+                   for r in written)
+
+    def test_json_and_csv_are_both_written(self, capsys, tmp_path):
+        json_path, csv_path = tmp_path / "sweep.json", tmp_path / "sweep.csv"
+        argv = ["sweep", "--method", "anderson", "--model", "heisenberg", "--m", "2..3"]
+        code, out = run_capture(capsys, argv)
+        assert code == 0
+        assert run(argv + ["--json", str(json_path), "--csv", str(csv_path)]) == 0
+        assert capsys.readouterr().out == ""
+        printed, written = json.loads(out), json.loads(json_path.read_text())
+        for row in printed["rows"] + written["rows"]:
+            row.pop("seconds")  # the sweep's timing of each point
+        assert written == printed
+        assert csv_path.read_text().count("\n") == 3  # header + two rows
 
     @pytest.mark.parametrize("argv, certified", [
         (["--method", "anderson", "--m", "2..4"], [True, True, True]),
@@ -643,6 +681,28 @@ class TestMisc:
         assert code == 2
         assert captured.out == ""
         assert captured.err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("argv", [
+        ["marginal", "--model", "heisenberg", "--m", "10", "--s", "4"],
+        ["marginal", "--model", "tfim", "--params", "1", "--m", "10", "--s", "2"],
+        ["sandwich", "--model", "random_twosite", "--params", "3", "--marginal", "m=10,s=3"],
+        ["sweep", "--method", "marginal", "--model", "heisenberg", "--m", "8..9", "--s", "4"],
+    ], ids=["heisenberg-10-4", "tfim-10-2", "sandwich-random_twosite-10-3", "sweep"])
+    def test_oversized_marginal_request_is_refused(self, capsys, monkeypatch, argv):
+        # counted, not built: many GiB of window products or constraint matrices
+        def no_build(*args, **kwargs):
+            raise AssertionError("built before the size was checked")
+
+        monkeypatch.setattr(cli.marginal, "window_basis", no_build)
+        monkeypatch.setattr(cli.marginal, "build_marginal_sdp", no_build)
+        t0 = time.perf_counter()
+        code = run(argv)
+        seconds = time.perf_counter() - t0
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and "GiB limit" in captured.err
+        assert seconds < 1.0
 
     def test_tolerance_must_be_positive(self, capsys):
         assert run(["anderson", "--model", "heisenberg", "--m", "4", "--tol", "0"]) == 2

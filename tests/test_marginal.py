@@ -7,11 +7,11 @@ import pytest
 import scipy.linalg
 
 import certground as cg
-from certground import marginal, models, sdp
-from certground.marginal import (MarginalProblemSpec, _blocks, _window_pairs,
-                                 boundary_sites, build_marginal_sdp, charge_basis,
-                                 crossing_sites, improved_anderson_bound, reduction,
-                                 window_basis)
+from certground import cli, marginal, models, sdp
+from certground.marginal import (MarginalProblemSpec, _basis_size, _blocks, _request_bytes,
+                                 _window_pairs, boundary_sites, build_marginal_sdp,
+                                 charge_basis, crossing_sites, improved_anderson_bound,
+                                 reduction, window_basis)
 from certground.models import (PatchSpec, build_patch, embed_on_sites, exact_sums,
                                parse_model, state_charges)
 from certground.pauli import labels_to_dense
@@ -681,6 +681,69 @@ class TestSolverPath:
         res = improved_anderson_bound(spec)
         assert res.diagnostics["status"] == "optimal"
         assert abs(res.lower - (-0.91277335224)) < 1e-9
+
+
+class TestRequestSize:
+    @pytest.mark.parametrize("d, sites", [(2, 1), (2, 2), (2, 3), (2, 4), (2, 5), (3, 1),
+                                          (3, 2), (3, 3), (4, 1), (4, 2)])
+    def test_basis_size_counts_the_window_basis(self, d, sites):
+        # the operators on `sites` sites, and those whose last factor is the
+        # identity: the basis on one site fewer
+        for real in (True, False):
+            for symmetry in ((), ("u1",), ("u1", "flip")):
+                ops, ends_in_identity = window_basis(d, sites, real, symmetry)
+                assert _basis_size(d, sites, real, symmetry) == len(ops)
+                if sites > 1:
+                    assert _basis_size(d, sites - 1, real, symmetry) == ends_in_identity.sum()
+
+    @pytest.mark.parametrize("make, m, s, mode", [
+        (lambda: cg.builtin_model("heisenberg"), 6, 2, "consecutive"),
+        (lambda: cg.builtin_model("heisenberg"), 4, 2, "consecutive"),
+        (lambda: cg.builtin_model("heisenberg"), 6, 1, "wrap"),
+        (lambda: cg.builtin_model("xxz", [0.5]), 7, 2, "consecutive"),
+        (lambda: cg.builtin_model("tfim", [1.0]), 5, 2, "consecutive"),
+        (lambda: cg.builtin_model("random_twosite", [3.0]), 5, 2, "consecutive"),
+        (_qutrit_model, 4, 1, "consecutive"),
+        (_spin1_xxz, 5, 1, "consecutive")],
+        ids=["heisenberg", "heisenberg-m=2s", "heisenberg-wrap", "xxz", "tfim",
+             "random_twosite", "qutrit", "spin1-xxz"])
+    def test_request_bytes_are_the_window_products_and_A(self, monkeypatch, make, m, s, mode):
+        # A to the byte, and one real d^2s x d^2s matrix per charge-conserving
+        # word when the window basis is built, which happens at most once
+        spec = MarginalProblemSpec(make(), m, s, mode)
+        d, w = spec.model.d, 2 * s
+        charge = charge_basis(d)[1][np.indices((d * d,) * w).reshape(w, -1)].sum(axis=0)
+        words = np.sum(charge == 0) if "u1" in reduction(spec.model) else len(charge)
+        built = []
+        basis = marginal.window_basis
+        monkeypatch.setattr(marginal, "window_basis", lambda *args: built.append(args)
+                            or basis(*args))
+        A = build_marginal_sdp(spec).A
+        assert len(built) == (mode == "consecutive" and m > w)
+        assert _request_bytes(spec) == (sum(a.nbytes for a in A)
+                                        + len(built) * words * d ** (2 * w) * 8)
+
+    @pytest.mark.parametrize("name, params, m, s", [
+        ("tfim", [1.0], 8, 2), ("tfim", [1.0], 9, 2), ("heisenberg", [], 10, 2),
+        ("heisenberg", [], 9, 3), ("heisenberg", [], 10, 5), ("tfim", [1.0], 10, 5),
+        ("random_twosite", [3.0], 8, 2)])
+    def test_sizes_in_use_stay_accepted(self, name, params, m, s):
+        spec = MarginalProblemSpec(cg.builtin_model(name, params), m, s)
+        assert _request_bytes(spec) <= marginal._MAX_BYTES
+
+    def test_dense_tfim_constraints_at_9_2(self):
+        # one 512 block, 536 rows, and 256 window products of 16 x 16
+        spec = MarginalProblemSpec(cg.builtin_model("tfim", [1.0]), 9, 2)
+        assert _request_bytes(spec) == 536 * 512 ** 2 * 8 + 256 * 16 ** 2 * 8
+
+    def test_a_request_builds_its_window_basis_once(self, capsys, monkeypatch):
+        built = []
+        basis = marginal.window_basis
+        monkeypatch.setattr(marginal, "window_basis", lambda *args: built.append(args)
+                            or basis(*args))
+        assert cli.run(["marginal", "--model", "heisenberg", "--m", "6", "--s", "2"]) == 0
+        capsys.readouterr()
+        assert len(built) == 1
 
 
 class TestOracle:

@@ -9,11 +9,11 @@ import scipy.sparse as sp
 import certground as cg
 from certground import models
 from certground.cli import run
-from certground.models import (PatchSpec, Sector, assembly_margin, build_patch, build_ring,
+from certground.models import (PatchSpec, Sector, assembly_margin, build_patch,
                                builtin_model, charge_sectors, divide_down, embed_on_sites,
-                               operator_norm, parse_model, patch_bonds, sign_gauge,
-                               term_symmetries)
+                               parse_model, patch_bonds, sign_gauge)
 from tests.conftest import CHAIN, RING
+from tests.oracles import charge_blocks
 from tests.test_marginal import _qutrit_model, _spin1_xxz
 
 
@@ -119,7 +119,7 @@ class TestPatch:
 
     def test_ring_density(self, heisenberg):
         for n in (2, 3, 4, 6):
-            h = build_ring(heisenberg, n).toarray()
+            h = build_patch(heisenberg, PatchSpec(n, 1, "periodic")).toarray()
             assert abs(np.linalg.eigvalsh(h)[0] / n - RING[n]) < 1e-10
 
     def test_cap_enforced(self, heisenberg, monkeypatch):
@@ -145,7 +145,7 @@ class TestChargeSectors:
     ], ids=["xxz", "spin1"])
     def test_u1_sectors_partition_a_block_diagonal_patch(self, make, count):
         model = make()
-        sectors = charge_sectors(model, 6)
+        sectors = charge_blocks(model, 6)
         assert len(sectors) == count
         label = np.empty(model.d ** 6, dtype=int)
         for k, idx in enumerate(sectors):
@@ -156,7 +156,7 @@ class TestChargeSectors:
         assert np.array_equal(label[rows], label[cols])
 
     def test_su2_term_keeps_the_middle_sector(self, heisenberg):
-        (idx,) = charge_sectors(heisenberg, 7)
+        (idx,) = charge_blocks(heisenberg, 7)
         assert len(idx) == 35  # C(7, 3)
         assert np.all(np.diff(idx) > 0)
         assert all(bin(i).count("1") == 3 for i in idx)
@@ -170,7 +170,7 @@ class TestChargeSectors:
     ], ids=["heisenberg", "xxz", "tfim", "random_twosite", "spin1"])
     def test_term_symmetries(self, make, symmetries):
         # the structural tests that charge_sectors and the marginal SDP share
-        assert term_symmetries(make()) == symmetries
+        assert make().symmetries == symmetries
 
     def test_flip_partners_are_solved_once(self):
         # xxz(0.5) at m = 15: blocks q and 15 - q have the same spectrum
@@ -189,8 +189,22 @@ class TestChargeSectors:
 
     def test_no_charge_gives_the_whole_space(self):
         for model in (builtin_model("tfim", [1.0]), builtin_model("random_twosite", [3.0])):
-            (idx,) = charge_sectors(model, 5)
+            (idx,) = charge_blocks(model, 5)
             assert np.array_equal(idx, np.arange(32))
+
+    @pytest.mark.parametrize("make, n, D", [
+        (lambda: builtin_model("random_twosite", [3.0]), 5, 1),  # not stoquastic
+        (lambda: builtin_model("heisenberg", D=2), 9, 2),  # odd n: no self-paired block
+        (_spin_one_heisenberg, 4, 2),  # d = 3: neither reflection (2D) nor flip (d != 2)
+    ], ids=["random_twosite", "heisenberg-3x3", "spin1-2x2"])
+    def test_unreduced_sectors_are_the_charge_blocks(self, make, n, D):
+        # where no reflection or flip applies, charge_sectors returns the charge
+        # blocks themselves, one of each flip pair
+        sectors, blocks = charge_sectors(make(), n, D), charge_blocks(make(), n)
+        assert 0 < len(sectors) <= len(blocks)
+        for got, want in zip(sectors, blocks):
+            assert got.symmetry == want.symmetry
+            assert np.array_equal(got, want)
 
 
 def _spin_one_field():
@@ -266,18 +280,21 @@ class TestSectorAssembly:
     def test_block_equals_sliced_full_patch(self, name, patch):
         model = ASSEMBLY_MODELS[name]()
         full = build_patch(model, patch)
-        for idx in charge_sectors(model, patch.sites):
+        for idx in charge_blocks(model, patch.sites):
             block = build_patch(model, patch, idx)
             assert np.array_equal(block.toarray(), full[idx][:, idx].toarray())
 
-    @pytest.mark.parametrize("patch", PATCHES + [PatchSpec(2, 1, "periodic"),
-                                           PatchSpec(5, 1, "periodic"),
-                                           PatchSpec(3, 2, "periodic")],
-                             ids=lambda p: f"{p.m}^{p.D}-{p.boundary}")
+    @pytest.mark.parametrize("shape", [(p.m, p.D, p.boundary) for p in PATCHES]
+                             + [(2, 1, "periodic"), (5, 1, "periodic"), (3, 2, "periodic")],
+                             ids=lambda shape: "{}^{}-{}".format(*shape))
     @pytest.mark.parametrize("name", ASSEMBLY_MODELS)
-    def test_whole_patch_equals_the_bond_sum(self, name, patch):
+    def test_whole_patch_equals_the_bond_sum(self, name, shape):
+        if shape == (3, 2, "periodic"):  # periodic patches are rings: none is built in 2D
+            with pytest.raises(ValueError, match="ring"):
+                PatchSpec(*shape)
+            return
         # reference: the term embedded on every bond and summed, in bond order
-        model = ASSEMBLY_MODELS[name]()
+        model, patch = ASSEMBLY_MODELS[name](), PatchSpec(*shape)
         term = np.asarray(model.term)
         ref = sum(embed_on_sites(term, bond, patch.sites, model.d)
                   for bond in patch_bonds(patch))
@@ -324,14 +341,14 @@ class TestSectorAssembly:
         # the same orbits of the gauged antiferromagnet's middle block
         (lambda: builtin_model("heisenberg"), 8, 1, ("su2", "sign_gauge", "reflection", "flip"),
          23),
-        (lambda: builtin_model("heisenberg"), 8, None, ("su2",), 70),  # the charge alone
+        (lambda: builtin_model("heisenberg"), 8, None, ("su2",), 70),  # charge_blocks
         # 2D: the flip only; the 3x3 middle block does not map to itself
         (lambda: builtin_model("heisenberg"), 16, 2, ("su2", "sign_gauge", "flip"), 6435),
         (lambda: builtin_model("heisenberg"), 9, 2, ("su2",), 126),
     ], ids=["tfim", "tfim-odd", "tfim-2d", "tfim(-1)", "tfim-h", "ferro-even", "ferro-odd",
             "heisenberg", "heisenberg-charge", "heisenberg-4x4", "heisenberg-3x3"])
     def test_reductions(self, make, n, D, symmetry, dim):
-        (sector,) = charge_sectors(make(), n, D)
+        (sector,) = charge_sectors(make(), n, D) if D else charge_blocks(make(), n)
         assert sector.symmetry == symmetry
         assert len(sector) == dim
         assert np.all(np.diff(sector) > 0)
@@ -391,7 +408,8 @@ class TestSectorAssembly:
         monkeypatch.setattr(sp.csr_matrix, "sum_duplicates", refuse)
         monkeypatch.setattr(sp.csr_matrix, "sort_indices", refuse)
         model = make()
-        for sector in charge_sectors(model, patch.sites, patch.D if reduced else None):
+        for sector in (charge_sectors(model, patch.sites, patch.D) if reduced
+                       else charge_blocks(model, patch.sites)):
             block = build_patch(model, patch, sector)
             if not {"reflection", "flip"} & set(getattr(sector, "symmetry", ())):
                 assert _repeated_entries(block) == 0
@@ -399,7 +417,7 @@ class TestSectorAssembly:
     def test_dyadic_charge_blocks_are_exact(self):
         for name in ("heisenberg", "xxz"):
             model = ASSEMBLY_MODELS[name]()
-            for sector in charge_sectors(model, 9):
+            for sector in charge_blocks(model, 9):
                 assert assembly_margin(model, PatchSpec(9), sector) == 0.0
 
     @pytest.mark.parametrize("patch", [PatchSpec(7), PatchSpec(8), PatchSpec(3, 2)],
@@ -411,7 +429,7 @@ class TestSectorAssembly:
         n, d = patch.sites, model.d
         even = [s for s in range(n) if sum(divmod(s, patch.m)) % 2 == 0]
         digits = np.arange(d ** n)[:, None] // d ** (n - 1 - np.array(even)) % d
-        for states in charge_sectors(model, n):
+        for states in charge_blocks(model, n):
             gauged = states.view(Sector)
             gauged.symmetry = states.symmetry + ("sign_gauge",)
             u = 1 - 2 * (digits[states].sum(axis=1) % 2)
@@ -445,7 +463,7 @@ class TestSectorAssembly:
 
 def _fresh_facts(model) -> dict:
     """Every fact `ModelSpec` caches, recomputed from an independent copy of
-    its term the way `charge_sectors`, `build_patch` and `operator_norm`
+    its term the way `charge_sectors`, `build_patch` and `anderson_bound`
     derived them per call."""
     term, d = np.array(model.term), model.d
     symmetries = models._symmetries(term, d)
@@ -479,11 +497,11 @@ class TestModelFacts:
         patch = PatchSpec(4) if model.D == 1 else PatchSpec(2, 2)
         for sector in charge_sectors(model, patch.sites, patch.D):  # fill the cache first
             build_patch(model, patch, sector)
-        operator_norm(model)
+        norm = model.norm
         fresh = _fresh_facts(model)
-        assert term_symmetries(model) == model.symmetries == fresh["symmetries"]
+        assert model.symmetries == fresh["symmetries"]
         assert model.reductions == fresh["reductions"]
-        assert operator_norm(model) == model.norm == fresh["norm"]
+        assert norm == model.norm == fresh["norm"]
         for gauged in (False, True):
             (*arrays, moves, outs), (*expected, fresh_moves, fresh_outs) = (
                 model.tables[gauged], fresh["tables"][gauged])
@@ -519,15 +537,15 @@ class TestModelFacts:
 
 class TestOperatorNorm:
     def test_heisenberg(self, heisenberg):
-        assert abs(operator_norm(heisenberg) - 1.5) < 1e-12
+        assert abs(heisenberg.norm - 1.5) < 1e-12
 
     def test_zero(self, zero_model):
-        assert operator_norm(zero_model) == 0.0
+        assert zero_model.norm == 0.0
 
     def test_homogeneity(self, heisenberg):
         import dataclasses
         scaled = dataclasses.replace(heisenberg, term=3.0 * np.asarray(heisenberg.term))
-        assert abs(operator_norm(scaled) - 3.0 * operator_norm(heisenberg)) < 1e-10
+        assert abs(scaled.norm - 3.0 * heisenberg.norm) < 1e-10
 
 
 class TestDivideDown:

@@ -7,13 +7,13 @@ import scipy.sparse.linalg as spla
 from certground import sdp
 from certground.anderson import anderson_bound
 from certground.marginal import MarginalProblemSpec, improved_anderson_bound
-from certground.models import build_ring, builtin_model
+from certground.models import PatchSpec, build_patch, builtin_model
 from certground.moment import (build_structure, check_window, coefficient_matrices,
                                ti_moment_bound)
-from certground.pauli import (PauliString, all_strings, canonicalize, dagger,
-                              hermitian_class, multiply, string_to_dense)
+from certground.pauli import (PauliString, all_strings, dagger, hermitian_class, multiply,
+                              string_to_dense)
 from tests.conftest import EMIN, RING
-from tests.oracles import oracle_moment_matrix
+from tests.oracles import canonicalize, label, oracle_moment_matrix
 
 # l = 3 bounds at the CLI's gap_tol 1e-9, frozen from the 4^l moment-matrix LMI
 FROZEN_L3 = {
@@ -49,7 +49,7 @@ class TestBasis:
         assert build_structure(window).class_reps == tuple(reps.values())
 
     def test_contains_standard_elements(self):
-        labels = {rep.label for rep in build_structure(2).class_reps}
+        labels = {label(rep) for rep in build_structure(2).class_reps}
         assert {"I", "X", "Y", "Z", "XX", "YZ"} <= labels
 
     def test_closed_under_dagger(self):
@@ -109,7 +109,8 @@ def captured_solve(monkeypatch):
 def ring_marginal(model, n, window):
     """The n-site ring ground state's reduced state on `window` consecutive
     sites, averaged over the ring's translations, and its energy density."""
-    vals, vecs = np.linalg.eigh(build_ring(model, n).toarray())
+    ring = build_patch(model, PatchSpec(n, 1, "periodic"))
+    vals, vecs = np.linalg.eigh(ring.toarray())
     return oracle_moment_matrix(vecs[:, 0], n, window), vals[0] / n
 
 
@@ -208,7 +209,7 @@ class TestOracleMatrix:
         assert row_residual(rho) < 1e-10
 
     def test_ring_ground_state_psd_and_dominates(self, heisenberg):
-        H = build_ring(heisenberg, 8)
+        H = build_patch(heisenberg, PatchSpec(8, 1, "periodic"))
         vals, vecs = spla.eigsh(H.tocsc().astype(float), k=1, which="SA")
         psi = vecs[:, 0]
         for window in (2, 3):
@@ -266,7 +267,8 @@ class TestDensityMatrixLmi:
 
     def test_reduced_state_satisfies_every_row(self, heisenberg):
         # the 8-site ring ground state's 3-site marginal is consistent
-        vals, vecs = np.linalg.eigh(build_ring(heisenberg, 8).toarray())
+        ring = build_patch(heisenberg, PatchSpec(8, 1, "periodic"))
+        vals, vecs = np.linalg.eigh(ring.toarray())
         psi = vecs[:, 0].reshape(8, 32)  # site 0 is the leftmost factor
         rho = psi @ psi.conj().T
         rows = coefficient_matrices(build_structure(3))
