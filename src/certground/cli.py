@@ -188,6 +188,8 @@ def _parse_marginal(text: str):
         if not eq or key not in ("m", "s", "mode", "placement"):
             raise ValueError(f"bad --marginal item {item!r}; "
                              "expected m=..,s=..[,mode=..][,placement=..]")
+        if key in kv:
+            raise ValueError(f"--marginal gives {key} twice")
         kv[key] = value
     if "m" not in kv or "s" not in kv:
         raise ValueError("--marginal needs both m and s")

@@ -37,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import sdp
-from .models import ModelSpec, divide_down, exact_sums, state_charges
+from .models import ModelSpec, charge_blocks, divide_down, exact_sums
 from .reports import BoundReport
 # unused here, but the benchmark tracer (perfbench/tracing.py) wraps them by name
 from .models import build_patch, embed_on_sites  # noqa: F401
@@ -197,12 +197,11 @@ def _basis_size(d: int, sites: int, real: bool, symmetry: tuple) -> int:
     """len(window_basis(d, sites, real, symmetry)[0]): the symmetric (Hermitian)
     matrices on each charge block n_q; under "flip" on one block of each flip
     pair, and on the (n_q + f) / 2 even and (n_q - f) / 2 odd states of a
-    self-paired block, f = d mod 2 of them fixed by the flip."""
-    n = np.bincount(state_charges(sites, d)) if "u1" in symmetry else np.array([d ** sites])
-    if "flip" in symmetry:
-        mid, f = n[len(n) // 2] * (len(n) % 2), d % 2
-        n = np.append(n[:len(n) // 2], [(mid + f) // 2, (mid - f) // 2])
-    return int(np.sum(n * (n + 1) // 2 if real else n * n))
+    self-paired block, f = d mod 2 of them fixed by the flip (`_blocks`)."""
+    n, f = [states.size for states, _ in _blocks(sites, d, symmetry)], d % 2
+    if "flip" in symmetry and (d - 1) * sites % 2 == 0:  # the last block is self-paired
+        n[-1:] = [(n[-1] + f) // 2, (n[-1] - f) // 2]
+    return sum(k * (k + 1) // 2 if real else k * k for k in n)
 
 
 def _request_bytes(spec: MarginalProblemSpec) -> int:
@@ -225,13 +224,13 @@ def _blocks(m: int, d: int, symmetry) -> list:
 
     Under "u1" omega is block diagonal in the charge q; under "flip" as well,
     its block at (d - 1) m - q is F omega_q F^T, so the blocks with
-    2q < (d - 1) m stand for both and carry weight 2.
+    2q < (d - 1) m (`models.charge_blocks`) stand for both and carry weight 2.
     """
     if "u1" not in symmetry:
         return [(np.arange(d ** m), 1)]
-    charge, top, flip = state_charges(m, d), (d - 1) * m, "flip" in symmetry
-    return [(np.flatnonzero(charge == q), 2 if flip and 2 * q < top else 1)
-            for q in range(top // 2 + 1 if flip else top + 1)]
+    flip = "flip" in symmetry
+    return [(states, 2 if flip and 2 * q < (d - 1) * m else 1)
+            for q, states in enumerate(charge_blocks(m, d, flip))]
 
 
 def _window_pairs(states: np.ndarray, sites, m: int, d: int) -> tuple:
@@ -301,12 +300,11 @@ def build_marginal_sdp(spec: MarginalProblemSpec) -> sdp.SdpProblem:
     certificate.
     """
     model, m, s = spec.model, spec.m, spec.s
-    d, real = model.d, model.is_real
+    d, real, h = model.d, model.is_real, model.term
     symmetry = reduction(model)
     windows = _windows(spec)
     first, later = windows[0], windows[1:]
 
-    h = np.asarray(model.term, dtype=float if real else complex)
     bonds = _bonds(spec)
     blocks = _blocks(m, d, symmetry)
     groups = []  # (window, window operators) per later window
@@ -363,13 +361,12 @@ def assembly_margin(spec: MarginalProblemSpec) -> float:
     entries; such a difference is then 0 or twice an entry, so every row is
     exactly lift_{W_k}(B) - lift_{W_0}(B) for the computed B, a valid constraint.
     """
-    model, m, d = spec.model, spec.m, spec.model.d
-    h = np.asarray(model.term, dtype=float if model.is_real else complex)
+    h, m, d = spec.model.term, spec.m, spec.model.d
     if exact_sums(h, m):
         return 0.0
     weight, bonds = np.abs(h.real) + np.abs(h.imag), _bonds(spec)
     norms = [np.linalg.norm(_bond_sum(weight, states, bonds, m, d))
-             for states, _ in _blocks(m, d, reduction(model))]
+             for states, _ in _blocks(m, d, reduction(spec.model))]
     # the factor covers the rounding of the margin's own sums
     return sdp._gamma(m) * float(sum(norms)) * (1 + 1e-6)
 

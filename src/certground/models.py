@@ -4,7 +4,8 @@ A model is a two-site Hermitian interaction term on a D-dimensional cubic
 lattice; patches are open or periodic m^D regions assembled as sparse
 operators. One-site fields are not separate inputs: fold them into the
 two-site term, symmetrized as (g/2)(X otimes I + I otimes X) per bond in 1D
-(divide by the coordination number 2D in higher dimensions).
+(divide by the coordination number 2D in higher dimensions). `pauli_term`
+builds the builtin and `pauli_sum` terms, and `ModelSpec` settles their dtype.
 
 `charge_sectors` splits an open patch into the blocks whose minima give
 its lambda_min: conserved-charge blocks, each reduced to its reflection- and
@@ -17,6 +18,7 @@ or ring. What they need to know about the term is cached on its `ModelSpec`.
 from __future__ import annotations
 
 import json
+import math
 import os
 from dataclasses import dataclass
 from functools import cached_property
@@ -24,8 +26,6 @@ from fractions import Fraction
 from typing import TYPE_CHECKING
 
 import numpy as np
-
-from .pauli import labels_to_dense
 
 if TYPE_CHECKING:  # imported where used: SDP commands never load scipy.sparse
     import scipy.sparse as sp
@@ -36,6 +36,8 @@ _U = float(np.finfo(np.float64).eps) / 2  # unit roundoff
 
 BUILTIN_MODELS = ("heisenberg", "xxz", "tfim", "random_twosite")
 SYMMETRIES = ("su2", "u1", "sign_gauge", "reflection", "flip")  # the order reports list them in
+_PAULIS = {"I": np.eye(2, dtype=complex), "X": np.array([[0, 1], [1, 0]], dtype=complex),
+           "Y": np.array([[0, -1j], [1j, 0]]), "Z": np.diag([1, -1]).astype(complex)}
 
 
 def max_qubits() -> int:
@@ -46,8 +48,10 @@ def max_qubits() -> int:
 @dataclass(frozen=True)
 class ModelSpec:
     """A nearest-neighbour model: local dimension d, lattice dimension D and
-    the two-site Hermitian term as a dense d^2 x d^2 matrix, stored read-only
-    so that the facts about it cached on first use below cannot go stale."""
+    the two-site Hermitian term as a dense d^2 x d^2 matrix. The term is
+    stored as a read-only copy, so that the facts about it cached on first
+    use below cannot go stale, and real (float) unless an imaginary part
+    reaches 1e-14: complex otherwise."""
 
     name: str
     d: int
@@ -55,19 +59,20 @@ class ModelSpec:
     term: np.ndarray          # dense d^2 x d^2, Hermitian, read-only
 
     def __post_init__(self):
-        t = np.array(self.term)  # a copy: the caller's array stays writable
+        t = np.array(self.term, dtype=complex)  # a copy: the caller's array stays writable
         if t.shape != (self.d ** 2, self.d ** 2):
             raise ValueError("term size inconsistent with local dimension")
         if not np.all(np.isfinite(t)):
             raise ValueError("interaction term has a non-finite entry")
         if np.max(np.abs(t - t.conj().T)) > _HERM_TOL:
             raise ValueError("interaction term is not Hermitian")
+        t = t.real.copy() if np.max(np.abs(t.imag)) < 1e-14 else t
         t.flags.writeable = False
         object.__setattr__(self, "term", t)
 
     @property
     def is_real(self) -> bool:
-        return bool(np.max(np.abs(self.term.imag)) < 1e-14)
+        return not np.iscomplexobj(self.term)
 
     @cached_property
     def symmetries(self) -> tuple:
@@ -92,7 +97,7 @@ class ModelSpec:
     @cached_property
     def tables(self) -> dict:
         """`_patch_tables` of the term and of its `sign_gauge`, by whether it is gauged."""
-        term, d = _realify(np.asarray(self.term, dtype=complex)), self.d
+        term, d = self.term, self.d
         return {False: _patch_tables(term, d), True: _patch_tables(sign_gauge(term, d), d)}
 
 
@@ -117,19 +122,27 @@ class PatchSpec:
         return self.m ** self.D
 
 
-def _realify(m: np.ndarray) -> np.ndarray:
-    return m.real.copy() if np.max(np.abs(m.imag)) < 1e-14 else m
+def pauli_term(pairs) -> np.ndarray:
+    """The two-site term, sum c P (x) Q over (c, "PQ") pairs, site 0 leftmost.
 
-
-def _make_model(name: str, d: int, D: int, term: np.ndarray) -> ModelSpec:
-    return ModelSpec(name, d, D, _realify(np.asarray(term, dtype=complex)))
-
-
-def _integer(value, what: str) -> int:
-    """`value` as an int; ValueError unless it is an integral number."""
-    if not float(value).is_integer():
-        raise ValueError(f"{what} must be an integer, got {value!r}")
-    return int(value)
+    Repeated labels add up. Each entry is a correctly rounded sum (`math.fsum`
+    of the real and of the imaginary parts): it does not depend on the order
+    of the pairs, so the mirrored entries of a reflection-symmetric term are
+    bitwise equal. A coefficient that is not finite is refused before it
+    multiplies a zero; an entry whose sum overflows raises OverflowError.
+    """
+    products = []
+    for c, label in pairs:
+        if not isinstance(label, str) or len(label) != 2 or not set(label) <= _PAULIS.keys():
+            raise ValueError(f"invalid Pauli label {label!r}: two of I, X, Y, Z")
+        if not np.isfinite(c):
+            raise ValueError(f"the coefficient of {label} is not finite: {c!r}")
+        products.append(c * np.kron(_PAULIS[label[0]], _PAULIS[label[1]]))
+    terms = np.stack(products)
+    out = np.zeros((4, 4), dtype=complex)
+    for i, j in zip(*np.nonzero(np.any(terms != 0, axis=0))):
+        out[i, j] = complex(math.fsum(terms[:, i, j].real), math.fsum(terms[:, i, j].imag))
+    return out
 
 
 def builtin_model(name: str, params=(), D: int = 1) -> ModelSpec:
@@ -148,78 +161,81 @@ def builtin_model(name: str, params=(), D: int = 1) -> ModelSpec:
 
     if name == "heisenberg":
         need(0)
-        term = labels_to_dense([(0.5, "XX"), (0.5, "YY"), (0.5, "ZZ")])
-        return _make_model("heisenberg", 2, D, term)
+        term = pauli_term([(0.5, "XX"), (0.5, "YY"), (0.5, "ZZ")])
+        return ModelSpec("heisenberg", 2, D, term)
     if name == "xxz":
         need(1)
         delta = float(params[0])
-        term = labels_to_dense([(0.5, "XX"), (0.5, "YY"), (0.5 * delta, "ZZ")])
-        return _make_model(f"xxz(delta={delta:g})", 2, D, term)
+        term = pauli_term([(0.5, "XX"), (0.5, "YY"), (0.5 * delta, "ZZ")])
+        return ModelSpec(f"xxz(delta={delta:g})", 2, D, term)
     if name == "tfim":
         need(1)
         g = float(params[0])
-        term = labels_to_dense([(-1.0, "ZZ"), (-0.5 * g, "XI"), (-0.5 * g, "IX")])
-        return _make_model(f"tfim(g={g:g})", 2, D, term)
+        term = pauli_term([(-1.0, "ZZ"), (-0.5 * g, "XI"), (-0.5 * g, "IX")])
+        return ModelSpec(f"tfim(g={g:g})", 2, D, term)
     if name == "random_twosite":
         need(1)
-        seed = _integer(params[0], "the random_twosite seed")
+        if not float(params[0]).is_integer():
+            raise ValueError(f"the random_twosite seed must be an integer, got {params[0]!r}")
+        seed = int(params[0])
         rng = np.random.default_rng(seed)
         a = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
         term = (a + a.conj().T) / 2.0
-        return _make_model(f"random_twosite(seed={seed})", 2, D, term)
+        return ModelSpec(f"random_twosite(seed={seed})", 2, D, term)
     raise ValueError(f"unknown builtin model {name!r}; known: {BUILTIN_MODELS}")
 
 
 def parse_model(document: str) -> ModelSpec:
     """Parse a model JSON document.
 
-    Schema: { "name": str, "d": int, "D": int, "term": {...} } where "term"
-    holds exactly one of
+    Schema: { "name": str, "d": int, "D": int, "term": {...} } where d and D
+    are JSON integers and "term" holds exactly one of
       "pauli_sum": [{"paulis": "XX", "coeff": 0.5}, ...]   (d = 2 only)
       "dense": row-major d^2 x d^2 list of [re, im] pairs.
+    Every number of the term must be finite, and so must every entry it sums to.
     """
     try:
         doc = json.loads(document)
     except json.JSONDecodeError as e:
         raise ValueError(f"invalid JSON: {e}")
+    if not isinstance(doc, dict):
+        raise ValueError("a model document must be a JSON object")
     for key in ("name", "d", "D", "term"):
         if key not in doc:
             raise ValueError(f"missing field {key!r}")
-    d, D = _integer(doc["d"], "d"), _integer(doc["D"], "D")
+    d, D, term_doc = doc["d"], doc["D"], doc["term"]
+    if any(isinstance(n, bool) or not isinstance(n, int) for n in (d, D)):
+        raise ValueError(f"d and D must be integers, got {d!r} and {D!r}")
     if d < 2 or D < 1:
         raise ValueError("need d >= 2 and D >= 1")
-    term_doc = doc["term"]
-    has_ps, has_dense = "pauli_sum" in term_doc, "dense" in term_doc
-    if has_ps == has_dense:
-        raise ValueError("term must contain exactly one of 'pauli_sum' or 'dense'")
-    if has_ps:
-        if d != 2:
-            raise ValueError("pauli_sum terms require d = 2")
-        entries = term_doc["pauli_sum"]
-        if not isinstance(entries, list) or not entries:
-            raise ValueError("pauli_sum must be a non-empty list")
-        for e in entries:
-            if not isinstance(e, dict) or not {"paulis", "coeff"} <= e.keys():
-                raise ValueError(f"pauli_sum entry {e!r} is not an object with "
-                                 "'paulis' and 'coeff'")
-            coeff = e["coeff"]
-            if isinstance(coeff, bool) or not isinstance(coeff, (int, float)):
-                raise ValueError(f"pauli_sum coeff {coeff!r} is not a number")
-            if not isinstance(e["paulis"], str) or len(e["paulis"]) != 2:
-                raise ValueError("pauli_sum entries must be two-site labels")
-        term = labels_to_dense([(float(e["coeff"]), e["paulis"]) for e in entries])
-    else:
-        rows = term_doc["dense"]
-        if not isinstance(rows, list) or len(rows) != d ** 4:
-            raise ValueError(f"dense term must be a list of {d ** 4} entries "
-                             "(row-major d^2 x d^2)")
-        for e in rows:
-            if (not isinstance(e, list) or len(e) != 2
-                    or any(isinstance(x, bool) or not isinstance(x, (int, float)) for x in e)):
-                raise ValueError(f"dense entry {e!r} is not an [re, im] pair of numbers")
-        flat = np.array([complex(re, im) for re, im in rows])
-        term = flat.reshape(d ** 2, d ** 2)
-    return _make_model(str(doc["name"]), d, D, term)
+    if not isinstance(term_doc, dict) or ("pauli_sum" in term_doc) == ("dense" in term_doc):
+        raise ValueError("term must be an object with exactly one of 'pauli_sum' or 'dense'")
+    try:  # a JSON integer, or a sum of entries, beyond the float range overflows
+        if "pauli_sum" in term_doc:
+            if d != 2:
+                raise ValueError("pauli_sum terms require d = 2")
+            entries = term_doc["pauli_sum"]
+            if not isinstance(entries, list) or not entries:
+                raise ValueError("pauli_sum must be a non-empty list")
+            for e in entries:
+                if (not isinstance(e, dict) or not {"paulis", "coeff"} <= e.keys()
+                        or type(e["coeff"]) not in (int, float)):  # bool is not a number here
+                    raise ValueError(f"pauli_sum entry {e!r} is not an object with "
+                                     "'paulis' and a number 'coeff'")
+            term = pauli_term([(float(e["coeff"]), e["paulis"]) for e in entries])
+        else:
+            rows = term_doc["dense"]
+            if not isinstance(rows, list) or len(rows) != d ** 4:
+                raise ValueError(f"dense term must be a list of {d ** 4} entries "
+                                 "(row-major d^2 x d^2)")
+            for e in rows:
+                if (not isinstance(e, list) or len(e) != 2
+                        or any(isinstance(x, bool) or not isinstance(x, (int, float)) for x in e)):
+                    raise ValueError(f"dense entry {e!r} is not an [re, im] pair of numbers")
+            term = np.array([complex(re, im) for re, im in rows]).reshape(d ** 2, d ** 2)
+    except OverflowError as e:
+        raise ValueError(f"a term entry is out of range: {e}") from None
+    return ModelSpec(str(doc["name"]), d, D, term)
 
 
 def embed_on_sites(m: np.ndarray, positions, total_sites: int, d: int = 2) -> sp.csr_matrix:
@@ -489,11 +505,10 @@ def assembly_margin(model: ModelSpec, patch: PatchSpec, sector=None) -> float:
     dim = model.d ** patch.sites if sector is None else len(sector)
     bonds = len(patch_bonds(patch))
     k = bonds + 2 * patch.D * order
-    term = np.asarray(model.term)
-    if order == 1 and exact_sums(term, k):
+    if order == 1 and exact_sums(model.term, k):
         return 0.0
     gamma = (k + 2) * _U / (1 - (k + 2) * _U)
-    row = float(np.max(np.linalg.norm(term, axis=1)))
+    row = float(np.max(np.linalg.norm(model.term, axis=1)))
     return gamma * float(np.sqrt(k * order * bonds * dim)) * row * (1 + 1e-6)
 
 
@@ -502,7 +517,6 @@ def exact_sums(term: np.ndarray, k: int) -> bool:
     and imaginary parts apart, is exact: entries that are multiples of 2^-30
     with k max|entry| < 2^23 have partial sums that are multiples of 2^-30
     below 2^23, which 53 bits hold."""
-    term = np.asarray(term)
     parts = np.stack([term.real, term.imag])
     scaled = np.ldexp(parts, 30)
     return bool(np.all(scaled == np.round(scaled)) and k * np.max(np.abs(parts)) < 2.0 ** 23)
@@ -553,9 +567,8 @@ def sign_gauge(term: np.ndarray, d: int) -> np.ndarray:
 
 
 def _stoquastic(term: np.ndarray) -> bool:
-    """Real with no positive off-diagonal entry."""
-    real = not np.iscomplexobj(term) or not np.any(term.imag)
-    return bool(real and np.all(term.real[~np.eye(len(term), dtype=bool)] <= 0))
+    """Real (a real dtype, as `ModelSpec` stores real terms), no positive off-diagonal entry."""
+    return not np.iscomplexobj(term) and bool(np.all(term[~np.eye(len(term), dtype=bool)] <= 0))
 
 
 def state_charges(n: int, d: int) -> np.ndarray:
@@ -564,6 +577,15 @@ def state_charges(n: int, d: int) -> np.ndarray:
     for _ in range(n):  # state index in base d, site 0 most significant
         charge = (charge[:, None] + np.arange(d, dtype=np.int32)).ravel()
     return charge
+
+
+def charge_blocks(n: int, d: int, flip: bool) -> list:
+    """The sorted basis states of each charge q = 0, 1, ... of n sites. The flip
+    (every digit k to d - 1 - k) maps block q onto block (d - 1) n - q; with
+    `flip`, one block of each such pair is listed: those with 2q <= (d - 1) n."""
+    charge = state_charges(n, d)
+    blocks = np.split(np.argsort(charge, kind="stable"), np.cumsum(np.bincount(charge))[:-1])
+    return blocks[:(d - 1) * n // 2 + 1] if flip else blocks
 
 
 def charge_sectors(model: ModelSpec, n: int, D: int) -> list[Sector]:
@@ -581,8 +603,8 @@ def charge_sectors(model: ModelSpec, n: int, D: int) -> list[Sector]:
     The patch is then reduced further:
 
     - U(1) and flip symmetric: the flip maps block q onto block
-      (d - 1) n - q, so the two have the same spectrum, and only the blocks
-      with q <= (d - 1) n / 2 are returned.
+      (d - 1) n - q, so the two have the same spectrum, and only one block
+      of each pair is returned (`charge_blocks`).
     - A stoquastic term (real, with no positive off-diagonal entry) reduces
       each block to its sector that is symmetric under site reflection (D = 1
       and a reflection-symmetric term) and the global flip (d = 2, a
@@ -603,16 +625,11 @@ def charge_sectors(model: ModelSpec, n: int, D: int) -> list[Sector]:
                   if (name == "reflection" and D == 1) or (name == "flip" and d == 2)]
     if "u1" not in symmetries:
         blocks = [(np.arange(d ** n), (), None)]
+    elif "su2" in symmetries:
+        blocks = [(np.flatnonzero(state_charges(n, d) == n // 2), ("su2",), n // 2)]
     else:
-        charge = state_charges(n, d)
-        if "su2" in symmetries:
-            blocks = [(np.flatnonzero(charge == n // 2), ("su2",), n // 2)]
-        else:
-            order = np.argsort(charge, kind="stable")
-            split = np.split(order, np.cumsum(np.bincount(charge))[:-1])
-            if "flip" in symmetries:  # block q and its flip partner
-                split = split[:(d - 1) * n // 2 + 1]
-            blocks = [(idx, ("u1",), q) for q, idx in enumerate(split)]
+        blocks = [(states, ("u1",), q)
+                  for q, states in enumerate(charge_blocks(n, d, "flip" in symmetries))]
     sectors = []
     for states, symmetry, q in blocks:
         # the flip maps charge q to (d - 1) n - q; a block that no permutation

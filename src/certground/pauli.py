@@ -7,23 +7,13 @@ Products and adjoints are phase-exact integer arithmetic. `multiply`,
 `dagger` and `hermitian_class` are the inner loop of the moment hierarchy's
 class walk, so they skip the constructor's checks: XOR of in-range masks and
 a phase reduced mod 4 are valid by construction. The module holds only what
-the moment hierarchy and the builtin terms use.
+the moment hierarchy imports; the two-site terms are built in `models`.
 """
 
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
-
-import numpy as np
-
-_SINGLE = {
-    (0, 0): np.array([[1, 0], [0, 1]], dtype=complex),
-    (1, 0): np.array([[0, 1], [1, 0]], dtype=complex),
-    (0, 1): np.array([[1, 0], [0, -1]], dtype=complex),
-    (1, 1): np.array([[0, -1], [1, 0]], dtype=complex),  # X @ Z
-}
 
 _LABEL_TO_BITS = {"I": (0, 0), "X": (1, 0), "Y": (1, 1), "Z": (0, 1)}
 _PHASE_FACTORS = tuple(1j ** k for k in range(4))
@@ -112,36 +102,6 @@ def hermitian_class(p: PauliString) -> tuple[tuple[int, int, int], complex]:
     offset = (supp & -supp).bit_length() - 1
     key = (supp.bit_length() - offset, x >> offset, z >> offset)
     return key, _PHASE_FACTORS[(p.phase_exp - (x & z).bit_count()) % 4]
-
-
-_MAX_DENSE_SITES = 12
-
-
-def string_to_dense(p: PauliString) -> np.ndarray:
-    """Dense 2^width matrix of p, site 0 as the leftmost Kronecker factor."""
-    if p.width > _MAX_DENSE_SITES:
-        raise ValueError(f"dense conversion capped at {_MAX_DENSE_SITES} sites")
-    m = np.array([[1]], dtype=complex)
-    for k in range(p.width):
-        m = np.kron(m, _SINGLE[(p.x_mask >> k) & 1, (p.z_mask >> k) & 1])
-    return (1j ** p.phase_exp) * m
-
-
-def labels_to_dense(pairs) -> np.ndarray:
-    """Dense sum of c * P over (coefficient, label) pairs such as (0.5, "XX").
-
-    All labels must have one width; repeated labels add up. Each entry is a
-    correctly rounded sum (`math.fsum` of the real and of the imaginary
-    parts), so it does not depend on the order of the pairs, and entries that
-    hold the same terms in another order, such as the mirrored diagonal
-    entries of a reflection-symmetric term, come out bitwise equal.
-    """
-    terms = np.stack([c * string_to_dense(PauliString.from_label(label))
-                      for c, label in pairs])
-    out = np.zeros(terms.shape[1:], dtype=complex)
-    for i, j in zip(*np.nonzero(np.any(terms != 0, axis=0))):
-        out[i, j] = complex(math.fsum(terms[:, i, j].real), math.fsum(terms[:, i, j].imag))
-    return out
 
 
 def all_strings(width: int):

@@ -5,10 +5,14 @@ the feasible point of the moment SDP that a ring state defines, and
 `product_state_upper_serial` the product-state multistart run one restart at
 a time, as `upper.product_state_upper` ran it before it ran them as a batch.
 `canonicalize` and `label` are the plain Pauli-string references that
-`pauli.hermitian_class` and the moment classes are checked against, and
+`pauli.hermitian_class` and the moment classes are checked against,
+`string_to_dense` the dense matrix of a string and `labels_to_dense` the
+Pauli sum built from it that `models.pauli_term` must match, and
 `charge_blocks` gives a patch's charge blocks before `charge_sectors`
 reduces them.
 """
+
+import math
 
 import numpy as np
 
@@ -16,6 +20,12 @@ from certground.models import Sector, state_charges
 from certground.pauli import PauliString
 
 _BITS_TO_LABEL = {(0, 0): "I", (1, 0): "X", (1, 1): "Y", (0, 1): "Z"}
+_SINGLE = {  # X^x Z^z by its bits (x, z)
+    (0, 0): np.array([[1, 0], [0, 1]], dtype=complex),
+    (1, 0): np.array([[0, 1], [1, 0]], dtype=complex),
+    (0, 1): np.array([[1, 0], [0, -1]], dtype=complex),
+    (1, 1): np.array([[0, -1], [1, 0]], dtype=complex),  # X @ Z
+}
 
 
 def label(p: PauliString) -> str:
@@ -38,6 +48,26 @@ def canonicalize(p: PauliString) -> tuple[int, PauliString]:
     offset = (supp & -supp).bit_length() - 1
     length = supp.bit_length() - offset
     return offset, PauliString(length, p.x_mask >> offset, p.z_mask >> offset, p.phase_exp)
+
+
+def string_to_dense(p: PauliString) -> np.ndarray:
+    """Dense 2^width matrix of p, site 0 as the leftmost Kronecker factor."""
+    m = np.array([[1]], dtype=complex)
+    for k in range(p.width):
+        m = np.kron(m, _SINGLE[(p.x_mask >> k) & 1, (p.z_mask >> k) & 1])
+    return (1j ** p.phase_exp) * m
+
+
+def labels_to_dense(pairs) -> np.ndarray:
+    """Dense sum of c * P over (coefficient, label) pairs such as (0.5, "XX"),
+    each P from `string_to_dense`, and each entry the `math.fsum` of its real
+    and of its imaginary parts."""
+    terms = np.stack([c * string_to_dense(PauliString.from_label(label))
+                      for c, label in pairs])
+    out = np.zeros(terms.shape[1:], dtype=complex)
+    for i, j in zip(*np.nonzero(np.any(terms != 0, axis=0))):
+        out[i, j] = complex(math.fsum(terms[:, i, j].real), math.fsum(terms[:, i, j].imag))
+    return out
 
 
 def charge_blocks(model, n: int) -> list:

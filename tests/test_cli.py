@@ -485,7 +485,8 @@ class TestSandwich:
         assert captured.out == ""
         assert "--restarts" in captured.err
 
-    @pytest.mark.parametrize("spec", ["m=5", "s=2", "m=5,s=2,k=1", "m=5,s", "m=x,s=2"])
+    @pytest.mark.parametrize("spec", ["m=5", "s=2", "m=5,s=2,k=1", "m=5,s", "m=x,s=2",
+                                      "m=4,s=1,s=2"])
     def test_bad_marginal_spec(self, capsys, spec):
         code = run(["sandwich", "--model", "heisenberg", "--marginal", spec])
         captured = capsys.readouterr()
@@ -526,6 +527,40 @@ class TestMisc:
             code = run(["anderson", "--model-file", str(p), "--m", "3"])
             assert code == 2
             assert capsys.readouterr().out == ""
+
+    @pytest.mark.parametrize("text", [
+        '{"name": "t", "d": 2, "D": 1, "term": 5}',
+        '{"name": "t", "d": 2, "D": 1, "term": "pauli_sum"}',
+        '{"name": "t", "d": 2, "D": 1, "term": {"pauli_sum": ['
+        '{"paulis": "XX", "coeff": 1e308}, {"paulis": "XX", "coeff": 1e308}]}}',
+        '{"name": "t", "d": 2, "D": 1, "term": {"pauli_sum": ['
+        '{"paulis": "ZZ", "coeff": 1' + 400 * "0" + '}]}}',
+        '{"name": "t", "d": 2, "D": 1, "term": {"pauli_sum": ['
+        '{"paulis": "ZZ", "coeff": 1.0}, {"paulis": "XI", "coeff": Infinity}]}}',
+        '{"name": "t", "d": 2, "D": true, "term": {"pauli_sum": [{"paulis": "ZZ", "coeff": 1.0}]}}',
+        '{"name": "t", "d": "2", "D": 1, "term": {"pauli_sum": [{"paulis": "ZZ", "coeff": 1.0}]}}',
+        '5',
+    ], ids=["term-number", "term-string", "sum-overflows", "huge-integer-coeff",
+            "infinite-coeff", "bool-D", "string-d", "not-an-object"])
+    def test_malformed_model_document(self, capsys, tmp_path, text):
+        # a validation error: exit 2, empty stdout, no traceback and no warning
+        p = tmp_path / "model.json"
+        p.write_text(text)
+        code = run(["anderson", "--model-file", str(p), "--m", "3"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err.startswith("error: cannot load model file:")
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("model", ["tfim", "xxz"])
+    def test_non_finite_parameter(self, capsys, model):
+        # an infinite coefficient is refused before it multiplies a zero; under
+        # this suite's error::RuntimeWarning filter a warning would raise here
+        code = run(["anderson", "--model", model, "--params", "1e400", "--m", "4"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err.startswith("error:") and "not finite" in captured.err
+        assert captured.out == ""
 
     @pytest.mark.parametrize("argv", [["anderson", "--m", "3"],
                                       ["marginal", "--m", "4", "--s", "1"],

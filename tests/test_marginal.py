@@ -13,8 +13,7 @@ from certground.marginal import (MarginalProblemSpec, _basis_size, _blocks, _req
                                  charge_basis, crossing_sites, improved_anderson_bound,
                                  reduction, window_basis)
 from certground.models import (PatchSpec, build_patch, embed_on_sites, exact_sums,
-                               parse_model, state_charges)
-from certground.pauli import labels_to_dense
+                               parse_model, pauli_term, state_charges)
 from certground.upper import ring_reference
 from tests.conftest import CHAIN, EMIN, RING
 from tests.oracles import partial_trace
@@ -100,7 +99,7 @@ def _dense_model(name, term):
 def _dm_model():
     # XX + YY plus a Dzyaloshinskii-Moriya term: complex, charge conserving,
     # and odd under the flip
-    return _dense_model("xx+dm", labels_to_dense(
+    return _dense_model("xx+dm", pauli_term(
         [(0.5, "XX"), (0.5, "YY"), (0.3, "XY"), (-0.3, "YX")]))
 
 

@@ -9,7 +9,7 @@ import scipy.sparse as sp
 import certground as cg
 from certground import models
 from certground.cli import run
-from certground.models import (PatchSpec, Sector, assembly_margin, build_patch,
+from certground.models import (ModelSpec, PatchSpec, Sector, assembly_margin, build_patch,
                                builtin_model, charge_sectors, divide_down, embed_on_sites,
                                parse_model, patch_bonds, sign_gauge)
 from tests.conftest import CHAIN, RING
@@ -49,6 +49,48 @@ class TestBuiltins:
     def test_unknown_name(self):
         with pytest.raises(ValueError):
             builtin_model("nope")
+
+
+class TestTermDtype:
+    # ModelSpec settles the term's dtype once: real unless an imaginary part reaches 1e-14
+    def test_complex_term_with_zero_imaginary_part_is_stored_real(self):
+        zz = np.kron(_Z, _Z)
+        model = ModelSpec("zz", 2, 1, zz.astype(complex))
+        assert model.term.dtype == np.float64 and model.is_real
+        assert model.term.tobytes() == zz.tobytes()
+
+    def test_negligible_imaginary_part_is_dropped(self):
+        model = ModelSpec("zz", 2, 1, np.kron(_Z, _Z) + 1e-15 * np.kron(_X, _Y))
+        assert model.term.dtype == np.float64 and model.is_real
+
+    def test_complex_term_stays_complex(self):
+        term = np.kron(_Z, _Z) + 0.3 * (np.kron(_X, _Y) - np.kron(_Y, _X))
+        model = ModelSpec("dm", 2, 1, term)
+        assert model.term.dtype == np.complex128 and not model.is_real
+        assert model.term.tobytes() == term.tobytes()
+
+    @pytest.mark.parametrize("name, params", [("heisenberg", []), ("xxz", [0.5]), ("tfim", [1.0])])
+    def test_builtin_pauli_terms_are_real(self, name, params):
+        assert builtin_model(name, params).term.dtype == np.float64
+
+
+class TestChargeBlocks:
+    @pytest.mark.parametrize("make, n", [(lambda: builtin_model("xxz", [0.5]), 6),
+                                         (lambda: builtin_model("xxz", [0.5]), 7),
+                                         (_spin1_xxz, 4), (_spin1_xxz, 5)],
+                             ids=["d2-n6", "d2-n7", "d3-n4", "d3-n5"])
+    def test_blocks_match_the_oracle(self, make, n):
+        model = make()
+        d, top = model.d, (model.d - 1) * n
+        want = [np.asarray(block) for block in charge_blocks(model, n)]
+        got = models.charge_blocks(n, d, flip=False)
+        assert len(got) == len(want) == top + 1
+        assert all(np.array_equal(g, w) and g.dtype == w.dtype for g, w in zip(got, want))
+        paired = models.charge_blocks(n, d, flip=True)
+        assert len(paired) == top // 2 + 1
+        for q, states in enumerate(paired):  # one block of each flip pair
+            assert np.array_equal(states, want[q])
+            assert np.array_equal(np.sort(d ** n - 1 - states), want[top - q])
 
 
 class TestParseModel:
@@ -474,11 +516,10 @@ def _fresh_facts(model) -> dict:
     if models._stoquastic(tested):
         reductions = gauge + tuple(name for name in ("reflection", "flip")
                                    if name in models._symmetries(tested, d))
-    plain = models._realify(np.asarray(term, dtype=complex))
     return {"symmetries": symmetries, "reductions": reductions,
             "norm": float(np.max(np.abs(np.linalg.eigvalsh(term)))),
-            "tables": {False: models._patch_tables(plain, d),
-                       True: models._patch_tables(sign_gauge(plain, d), d)}}
+            "tables": {False: models._patch_tables(term, d),
+                       True: models._patch_tables(sign_gauge(term, d), d)}}
 
 
 FACT_MODELS = {

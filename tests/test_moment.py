@@ -10,10 +10,9 @@ from certground.marginal import MarginalProblemSpec, improved_anderson_bound
 from certground.models import PatchSpec, build_patch, builtin_model
 from certground.moment import (build_structure, check_window, coefficient_matrices,
                                ti_moment_bound)
-from certground.pauli import (PauliString, all_strings, dagger, hermitian_class, multiply,
-                              string_to_dense)
+from certground.pauli import PauliString, all_strings, dagger, hermitian_class, multiply
 from tests.conftest import EMIN, RING
-from tests.oracles import canonicalize, label, oracle_moment_matrix
+from tests.oracles import canonicalize, label, oracle_moment_matrix, string_to_dense
 
 # l = 3 bounds at the CLI's gap_tol 1e-9, frozen from the 4^l moment-matrix LMI
 FROZEN_L3 = {

@@ -1,11 +1,10 @@
 import numpy as np
 import pytest
 
-from certground.models import ModelSpec, embed_on_sites
+from certground.models import ModelSpec, embed_on_sites, pauli_term
 from certground.moment import ti_moment_bound
-from certground.pauli import (PauliString, all_strings, dagger, hermitian_class,
-                              labels_to_dense, multiply, string_to_dense)
-from tests.oracles import canonicalize, label
+from certground.pauli import PauliString, all_strings, dagger, hermitian_class, multiply
+from tests.oracles import canonicalize, label, labels_to_dense, string_to_dense
 
 
 def rand_string(rng, width):
@@ -218,11 +217,11 @@ class TestDense:
 
 class TestPauliSum:
     def test_heisenberg_spectrum(self):
-        h = labels_to_dense([(0.5, "XX"), (0.5, "YY"), (0.5, "ZZ")])
+        h = pauli_term([(0.5, "XX"), (0.5, "YY"), (0.5, "ZZ")])
         np.testing.assert_allclose(np.linalg.eigvalsh(h), [-1.5, 0.5, 0.5, 0.5], atol=1e-12)
 
     def test_merge_and_drop(self):
-        h = labels_to_dense([(1.0, "XX"), (-1.0, "XX"), (2.0, "ZI")])
+        h = pauli_term([(1.0, "XX"), (-1.0, "XX"), (2.0, "ZI")])
         np.testing.assert_array_equal(h, 2.0 * np.kron(np.diag([1.0, -1.0]), np.eye(2)))
 
     @pytest.mark.parametrize("pairs", [
@@ -237,26 +236,49 @@ class TestPauliSum:
         plain = np.zeros((4, 4), dtype=complex)
         for c, label in pairs:
             plain += c * string_to_dense(PauliString.from_label(label))
-        assert labels_to_dense(pairs).tobytes() == plain.tobytes()
+        assert pauli_term(pairs).tobytes() == plain.tobytes()
 
     def test_sum_does_not_depend_on_order(self):
         pairs = [(-1.0, "ZZ"), (-0.5, "XI"), (-0.5, "IX"), (-0.15, "ZI"), (-0.15, "IZ")]
-        h = labels_to_dense(pairs)
+        h = pauli_term(pairs)
         # the plain sum gives 1 - 0.15 + 0.15 = 0.9999999999999999 at |10>
         assert h[1, 1] == h[2, 2] == 1.0
-        assert labels_to_dense(pairs[::-1]).tobytes() == h.tobytes()
+        assert pauli_term(pairs[::-1]).tobytes() == h.tobytes()
         swap = np.eye(4)[[0, 2, 1, 3]]
         assert np.array_equal(swap @ h @ swap, h)
 
     def test_non_hermitian_rejected(self):
         with pytest.raises(ValueError, match="not Hermitian"):
-            ModelSpec("iz", 2, 1, labels_to_dense([(1j, "ZI")]))
+            ModelSpec("iz", 2, 1, pauli_term([(1j, "ZI")]))
 
     def test_bad_label(self):
         with pytest.raises(ValueError, match="invalid Pauli label"):
-            labels_to_dense([(1.0, "XQ")])
+            pauli_term([(1.0, "XQ")])
         with pytest.raises(ValueError):
-            labels_to_dense([(1.0, "XX"), (1.0, "Z")])
+            pauli_term([(1.0, "XX"), (1.0, "Z")])
+
+    def test_matches_the_string_reference(self):
+        # random sums over all 16 labels, repeats allowed, with real, complex,
+        # dyadic, cancelling and signed-zero coefficients: the same bits as the
+        # sum built from PauliString and string_to_dense, signed zeros included
+        rng = np.random.default_rng(11)
+        labels = [label(p) for p in all_strings(2)]
+        special = [0.5, -0.25, -0.0, 0.0, 1e-300, 3j, -0.5 + 0.5j]
+        for _ in range(300):
+            k = int(rng.integers(1, 9))
+            coeffs = [complex(*rng.standard_normal(2)) if rng.random() < 0.4
+                      else float(rng.standard_normal()) if rng.random() < 0.6
+                      else special[rng.integers(len(special))] for _ in range(k)]
+            pairs = [(c, str(rng.choice(labels))) for c in coeffs]
+            if rng.random() < 0.3:  # a label and its exact negative
+                pairs += [(-pairs[0][0], pairs[0][1])]
+            assert pauli_term(pairs).tobytes() == labels_to_dense(pairs).tobytes()
+
+    @pytest.mark.parametrize("c", [np.inf, -np.inf, np.nan, complex(1.0, np.inf)])
+    def test_non_finite_coefficient_rejected(self, c):
+        # refused before it multiplies a zero, so no RuntimeWarning
+        with pytest.raises(ValueError, match="not finite"):
+            pauli_term([(1.0, "ZZ"), (c, "XI")])
 
 
 class TestDecompose:
@@ -272,7 +294,7 @@ class TestDecompose:
             h = (b + b.conj().T) / 2
             pairs = [(np.trace(string_to_dense(p) @ h).real / 4, label(p))
                      for p in all_strings(2)]
-            np.testing.assert_allclose(labels_to_dense(pairs), h, atol=1e-12)
+            np.testing.assert_allclose(pauli_term(pairs), h, atol=1e-12)
 
 
 def test_all_strings_count():
