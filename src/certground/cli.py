@@ -33,16 +33,21 @@ def _parse_range(text: str) -> list:
 
 
 def _load_model(args) -> ModelSpec:
+    """The model the request names; every method reads its lattice dimension
+    from it. A model file gives its own D, which --dim may only repeat."""
     if args.model_file:
         try:
             with open(args.model_file) as f:
-                return parse_model(f.read())
+                model = parse_model(f.read())
         except (OSError, ValueError) as e:
             raise ValueError(f"cannot load model file: {e}")
+        if args.dim not in (None, model.D):
+            raise ValueError(f"--dim {args.dim} disagrees with the model file's D = {model.D}")
+        return model
     if not args.model:
         raise ValueError("one of --model or --model-file is required")
     params = [float(p) for p in args.params.split(",")] if args.params else []
-    return builtin_model(args.model, params, D=args.dim)
+    return builtin_model(args.model, params, D=1 if args.dim is None else args.dim)
 
 
 def _emit(args, payload):
@@ -77,7 +82,7 @@ def _add_common(p):
     p.add_argument("--model", choices=BUILTIN_MODELS, help="builtin model name")
     p.add_argument("--params", default="", help="comma-separated model parameters")
     p.add_argument("--model-file", help="JSON model document (see README)")
-    p.add_argument("--dim", type=int, default=1, help="lattice dimension D")
+    p.add_argument("--dim", type=int, help="lattice dimension D (default 1, or a model file's D)")
     p.add_argument("--tol", type=_positive, default=1e-8, help="eigensolver tolerance")
     p.add_argument("--gap-tol", type=_positive, default=1e-9, help="SDP duality-gap tolerance")
     p.add_argument("--seed", type=_at_least(0), default=0)
@@ -140,8 +145,8 @@ def _checked_bound(model, args, method: str, point):
     marginal (m, s, mode, placement)); ValueError unless it can be solved.
     Returns a zero-argument function that solves it and gives its BoundReport."""
     if method == "anderson":
-        anderson.open_patch(model, point, args.dim)
-        return lambda: anderson.anderson_bound(model, point, args.dim, tol=args.tol,
+        anderson.open_patch(model, point, model.D)
+        return lambda: anderson.anderson_bound(model, point, model.D, tol=args.tol,
                                                seed=args.seed)
     if method == "moment":
         moment.check_request(model, point)
@@ -173,7 +178,7 @@ def _sweep(model, args):
         except Exception as e:  # an Anderson point's failure is recorded, the sweep goes on
             if method != "anderson":
                 raise
-            return {"model": model.name, "m": point, "D": args.dim, "error": str(e)}
+            return {"model": model.name, "m": point, "D": model.D, "error": str(e)}
         return reports.sweep_row(report, time.perf_counter() - t0)
 
     return lambda: {"sweep": method, "model": model.name,

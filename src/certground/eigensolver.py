@@ -8,9 +8,9 @@ DENSE_CAP a successful factorization of h - sI proves lambda_min(h) above
 `proven_edge`; above it `value - residual` brackets some eigenvalue, and
 that it is the smallest one is not verified. The same shifted Cholesky
 proof, run by numpy (`numpy_cholesky_edge`), certifies the SDP
-bounds; scipy.linalg is imported only when Lanczos or the in-place proof
-first runs. A complex vector over a real scalar is one multiply of its
-(Re, Im) float view by the rounded reciprocal (`_divide`), as numpy rounds it.
+bounds; numpy alone solves operators of at most NUMPY_CAP rows. A complex
+vector over a real scalar is one multiply of its (Re, Im) float view by
+the rounded reciprocal (`_divide`), as numpy rounds it.
 Inner products, norms and Gram-Schmidt coefficients of vectors longer than
 10^4 entries sum equal chunks of at most 10^4 left to right (`_chunked`):
 OpenBLAS splits no such chunk across threads, so Lanczos results do not
@@ -27,6 +27,8 @@ from types import SimpleNamespace
 import numpy as np
 
 DENSE_CAP = 1 << 12  # largest dimension whose minimality is proven
+NUMPY_CAP = 256  # largest dimension solved, and built by `models.build_patch`, without scipy
+_CHECK = 8  # the most Lanczos steps between convergence tests on the numpy route
 _U = np.finfo(np.float64).eps / 2  # unit roundoff
 _ETA = float(np.nextafter(0.0, 1.0))  # smallest subnormal
 _EPS = 2 * _U
@@ -38,11 +40,10 @@ _CHUNK = 10 ** 4  # longest sum that OpenBLAS does not split across threads
 
 @functools.cache
 def _scipy_linalg() -> SimpleNamespace:
-    """What this module calls from scipy.linalg, imported on first use:
-    bisection and inverse iteration on a real symmetric tridiagonal matrix
-    (?stebz, ?stein), and the in-place Cholesky of `cholesky_edge` with its
-    solve. The SDP commands need none of them, and importing scipy.linalg
-    costs more than a small SDP solve.
+    """What this module calls from scipy.linalg for operators above NUMPY_CAP,
+    imported on first use (the import costs more than a small SDP solve or
+    Anderson block): bisection and inverse iteration on a real symmetric
+    tridiagonal matrix (?stebz, ?stein), and `cholesky_edge`'s Cholesky and solve.
     """
     import scipy.linalg
     stebz, stein = scipy.linalg.get_lapack_funcs(("stebz", "stein"), (np.empty(0),))
@@ -153,35 +154,36 @@ def cholesky_edge(a: np.ndarray, estimate: float):
 
 
 def numpy_cholesky_edge(a: np.ndarray, estimate: float) -> float:
-    """`cholesky_edge`'s t, from numpy's Cholesky of `a` - sI.
-
-    The shift is subtracted from the diagonal of `a` in place; numpy's
-    Cholesky leaves the rest of `a` as it is, and scipy.linalg is not
-    loaded. The edge depends only on whether the factorization completes,
-    so when both routes complete they prove the same t for the same `a`
-    and `estimate`.
-    """
+    """`cholesky_edge`'s t from numpy's Cholesky of `a` - sI, which leaves `a`
+    shifted in place and otherwise unchanged. The edge depends only on whether
+    the factorization completes, so when both routes complete they prove the
+    same t for the same `a` and `estimate`."""
     return _shifted_edge(a, estimate, a, np.linalg.cholesky)[0]
 
 
 def min_eig_dense_certified(h, tol: float = 1e-8, seed: int = 0) -> EigResult:
     """Smallest eigenpair with a proof that it is the smallest.
 
-    Lanczos gives a Ritz value theta and residual r; `cholesky_edge` proves
-    lambda_min(h) above a dense copy's edge from theta - r. Two
-    inverse-iteration steps through the same factor then give a value and
-    residual of dense-eigensolver quality. Sized for dimensions up to
-    DENSE_CAP; `min_eig` sends nothing larger here.
+    Lanczos gives a Ritz value theta and residual r; `cholesky_edge`
+    (`numpy_cholesky_edge` up to NUMPY_CAP) proves lambda_min(h) above a dense
+    copy's edge from theta - r. Two inverse-iteration steps through its factor
+    (LU solves of the shifted copy up to NUMPY_CAP) give a value and residual
+    of dense-eigensolver quality. Sized for dimensions up to DENSE_CAP.
     """
     dim = h.shape[0]
     ritz = min_eig_lanczos(h, dim, tol=tol, seed=seed)
     dense = h.toarray() if hasattr(h, "toarray") else np.array(h, dtype=np.result_type(h, 1.0))
-    proven, r = cholesky_edge(dense, ritz.value - ritz.residual)
+    if dim <= NUMPY_CAP:  # the proof leaves A - sI in `dense`; each step solves it by LU
+        proven, solve = numpy_cholesky_edge(dense, ritz.value - ritz.residual), np.linalg.solve
+    else:  # A y = x  <=>  conj(A) conj(y) = conj(x), through the factor of conj(A) - sI
+        proven, r = cholesky_edge(dense, ritz.value - ritz.residual)
+        solve = lambda _, y: _scipy_linalg().cho_solve((r, False), y.conj(),
+                                                       check_finite=False).conj()
 
     value, residual = ritz.value, ritz.residual
     y = np.random.default_rng(seed).standard_normal(dim)
-    for _ in range(2):  # inverse iteration: A y = x  <=>  conj(A) conj(y) = conj(x)
-        y = _scipy_linalg().cho_solve((r, False), y.conj(), check_finite=False).conj()
+    for _ in range(2):  # inverse iteration
+        y = solve(dense, y)
         top = float(np.max(np.abs(y)))
         if not np.isfinite(top) or top == 0.0:
             break  # the shift sits within underflow of lambda_min: keep the Ritz pair
@@ -209,8 +211,8 @@ def min_eig_lanczos(apply, dim: int, tol: float = 1e-8, seed: int = 0,
     Math. Comp. 30, 1976). Convergence is decided on the tridiagonal Ritz pair
     and certified by recomputing the residual with a final matvec.
     Deterministic for a fixed seed. `apply` may be a callable or anything
-    supporting `@` (e.g. a scipy sparse matrix); it is always given a
-    contiguous vector.
+    supporting `@` (e.g. a `models.CsrBlock` or a scipy sparse matrix); it is
+    always given a contiguous vector.
 
     The basis is stored one contiguous row per Lanczos vector, in blocks of
     `_BASIS_ROWS` rows that are allocated as needed and never copied, so
@@ -238,7 +240,10 @@ def min_eig_lanczos(apply, dim: int, tol: float = 1e-8, seed: int = 0,
     omega[1] = 1.0
     anorm = 0.0  # running estimate of ||T_j||, the scale of rounding errors
     second = False  # the step after a reorthogonalization reorthogonalizes too
-    reorthogonalized = 0
+    reorthogonalized, counts = 0, []  # counts[j]: reorthogonalizations up to step j
+    if small := dim <= NUMPY_CAP:  # T's lower triangle, next checkpoint, last (step, estimate)
+        tri, due, seen = np.zeros((kmax + 1, kmax + 1)), _CHECK, (-1, 0.0)
+        ritz = functools.cache(lambda k: np.linalg.eigh(tri[:k + 1, :k + 1])[1][:, 0].copy())
 
     for j in range(kmax):
         qj = blocks[j // _BASIS_ROWS][j % _BASIS_ROWS]
@@ -269,21 +274,38 @@ def min_eig_lanczos(apply, dim: int, tol: float = 1e-8, seed: int = 0,
                     w = _orthogonalize(blocks, j + 1, w)
                     b = _norm(w)
                 omega_next[1:j + 2] = _EPS
-        u = _lowest_ritz_vector(alpha[:j + 1], beta[1:j + 1])
-        est = b * abs(u[-1])
-        if est <= 0.1 * tol or b <= 1e-14 or j == kmax - 1:
-            vec = np.zeros(dim, dtype=dtype)
-            for i, blk in enumerate(blocks):
-                part = u[i * _BASIS_ROWS:(i + 1) * _BASIS_ROWS]
-                vec += part @ blk[:len(part)]
-            _divide(vec, _norm(vec), vec)
-            mv = apply(vec)
-            val = float(np.real(_chunked(np.vdot, vec, mv)))
-            res = _norm(mv - val * vec)
-            if res <= tol or b <= 1e-14 or j == kmax - 1:
-                return EigResult(val, res, j + 1, res <= tol,
-                                 reorthogonalized=reorthogonalized)
-        beta[j + 1] = b
+        beta[j + 1], last = b, b <= 1e-14 or j == kmax - 1
+        counts.append(reorthogonalized)
+        steps = (j,)  # the steps whose convergence is tested now, in order
+        if small:
+            # no Ritz vector feeds the recurrence, so steps are tested at checkpoints, the
+            # next one step on after a pass, else where the last two estimates' rate predicts
+            # one (at most _CHECK on); a pass tests the steps back to the first that fails
+            tri[j, j], tri[j + 1, j], steps = a, b, ()
+            if last or j + 1 == due:
+                est, ahead = b * abs(ritz(j)[-1]), _CHECK
+                if last or est <= 0.1 * tol:
+                    k = j
+                    while k > seen[0] + 1 and beta[k] * abs(ritz(k - 1)[-1]) <= 0.1 * tol:
+                        k -= 1
+                    steps, ahead = range(k, j + 1), 1
+                elif est < seen[1]:  # steps to a pass at the rate since the last checkpoint
+                    ahead = min(max(1, math.ceil((j - seen[0]) * math.log(est / (0.1 * tol))
+                                                 / max(math.log(seen[1] / est), _EPS))), _CHECK)
+                due, seen = j + 1 + ahead, (j, est)
+        for k in steps:
+            u = ritz(k) if small else _lowest_ritz_vector(alpha[:j + 1], beta[1:j + 1])
+            if beta[k + 1] * abs(u[-1]) <= 0.1 * tol or (k == j and last):
+                vec = np.zeros(dim, dtype=dtype)
+                for i, blk in zip(range(0, k + 1, _BASIS_ROWS), blocks):
+                    part = u[i:i + _BASIS_ROWS]
+                    vec += part @ blk[:len(part)]
+                _divide(vec, _norm(vec), vec)
+                mv = apply(vec)
+                val = float(np.real(_chunked(np.vdot, vec, mv)))
+                res = _norm(mv - val * vec)
+                if res <= tol or (k == j and last):
+                    return EigResult(val, res, k + 1, res <= tol, reorthogonalized=counts[k])
         if (j + 1) % _BASIS_ROWS == 0:  # block full: start the next one
             blocks.append(np.empty((min(_BASIS_ROWS, kmax - j - 1), dim), dtype=dtype))
         _divide(w, b, blocks[-1][(j + 1) % _BASIS_ROWS])  # no temporary

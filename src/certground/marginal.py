@@ -43,7 +43,7 @@ from .reports import BoundReport
 from .models import build_patch, embed_on_sites  # noqa: F401
 
 _SDP_SITE_CAP = 10  # dense SDP blocks; qubit-equivalents
-_MAX_BYTES = 2 ** 31  # the window products and constraint matrices of one request
+_MAX_BYTES = 5 * 2 ** 29  # 2.5 GiB: what one request's solve holds at its peak
 
 
 @dataclass(frozen=True)
@@ -66,8 +66,8 @@ class MarginalProblemSpec:
         if self.m * np.log2(self.model.d) > _SDP_SITE_CAP:
             raise ValueError(f"patch exceeds the dense SDP cap of {_SDP_SITE_CAP} qubits")
         if (need := _request_bytes(self)) > _MAX_BYTES:
-            raise ValueError(f"the SDP's window products and constraints need "
-                             f"{need / 2 ** 30:.1f} GiB, over the {_MAX_BYTES >> 30} GiB limit")
+            raise ValueError(f"a solve of the SDP needs {need / 2 ** 30:.1f} GiB at its peak, "
+                             f"over the {_MAX_BYTES / 2 ** 30:g} GiB limit")
 
 
 def charge_basis(d: int) -> tuple:
@@ -205,8 +205,11 @@ def _basis_size(d: int, sites: int, real: bool, symmetry: tuple) -> int:
 
 
 def _request_bytes(spec: MarginalProblemSpec) -> int:
-    """The bytes of the SDP's constraint matrices A and window products (at most
-    one real d^2s x d^2s matrix per charge-conserving word), counted unbuilt."""
+    """The bytes a solve of the SDP holds at its peak, counted unbuilt: the
+    window products (at most one real d^2s x d^2s matrix per charge-conserving
+    word), the constraint matrices A, `sdp._schur`'s temporary P (as large as
+    A's largest block), X, S and their two factors (4 n^2 per block) and the
+    Schur complement M."""
     d, w, real, symmetry = spec.model.d, 2 * spec.s, spec.model.is_real, reduction(spec.model)
     later, rows, products = len(_windows(spec)) - 1, 1, 0
     if later:  # W_1's rows, then each later window's not ending in the identity
@@ -215,8 +218,9 @@ def _request_bytes(spec: MarginalProblemSpec) -> int:
         # one product per word that conserves the charge: the Hermitian count
         # under the charge alone (symmetry[:1] is "u1" or nothing)
         products = _basis_size(d, w, False, symmetry[:1]) * d ** (2 * w) * 8
-    block = sum(states.size ** 2 for states, _ in _blocks(spec.m, d, symmetry))
-    return products + rows * block * (8 if real else 16)
+    squares = [states.size ** 2 for states, _ in _blocks(spec.m, d, symmetry)]
+    matrices = (rows * (sum(squares) + max(squares)) + 4 * sum(squares)) * (8 if real else 16)
+    return products + matrices + rows * rows * 8
 
 
 def _blocks(m: int, d: int, symmetry) -> list:

@@ -23,12 +23,10 @@ import os
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
-from typing import TYPE_CHECKING
 
 import numpy as np
 
-if TYPE_CHECKING:  # imported where used: SDP commands never load scipy.sparse
-    import scipy.sparse as sp
+from .eigensolver import NUMPY_CAP
 
 DEFAULT_MAX_QUBITS = 26
 _HERM_TOL = 1e-12
@@ -64,6 +62,12 @@ class ModelSpec:
             raise ValueError("term size inconsistent with local dimension")
         if not np.all(np.isfinite(t)):
             raise ValueError("interaction term has a non-finite entry")
+        # no sum over a patch's bonds (at most 2 per site under the qubit cap) may
+        # overflow: max |entry| d^2 bonds <= 2^1000, computed scaled by 2^-512
+        bonds = 2 * max_qubits()
+        if np.max(np.abs(t * 2.0 ** -512), initial=0.0) * self.d ** 2 * bonds > 2.0 ** 488:
+            raise ValueError("interaction term too large: max |entry| * d^2 * bonds exceeds "
+                             f"2^1000 for patches of up to {max_qubits()} qubits")
         if np.max(np.abs(t - t.conj().T)) > _HERM_TOL:
             raise ValueError("interaction term is not Hermitian")
         t = t.real.copy() if np.max(np.abs(t.imag)) < 1e-14 else t
@@ -238,8 +242,9 @@ def parse_model(document: str) -> ModelSpec:
     return ModelSpec(str(doc["name"]), d, D, term)
 
 
-def embed_on_sites(m: np.ndarray, positions, total_sites: int, d: int = 2) -> sp.csr_matrix:
-    """Embed an operator on k local factors at the listed positions.
+def embed_on_sites(m: np.ndarray, positions, total_sites: int, d: int = 2):
+    """Embed an operator on k local factors at the listed positions, as a
+    scipy.sparse CSR matrix (imported here: SDP commands never load it).
 
     The j-th tensor factor of `m` acts on site positions[j]; all other sites
     carry the identity. Site 0 is the leftmost factor (most significant digit
@@ -363,7 +368,34 @@ def _patch_tables(term: np.ndarray, d: int) -> tuple:
     return term, first, second, moves, outs
 
 
-def build_patch(model: ModelSpec, patch: PatchSpec, sector=None) -> sp.csr_matrix:
+class CsrBlock:
+    """A block of at most `NUMPY_CAP` states as its CSR arrays, zeros dropped. `@`
+    and `toarray` add each row's entries in order from zero, as scipy does, with
+    complex products in real arithmetic (numpy's may fuse them): scipy's bits."""
+
+    def __init__(self, data, indices, indptr):
+        keep = data != 0
+        self.data, self.indices = data[keep], indices[keep].astype(np.intp)  # a fast gather
+        self.indptr = np.concatenate(([0], np.cumsum(keep)))[indptr]
+        self.rows = np.repeat(np.arange(len(indptr) - 1), np.diff(self.indptr))
+        self.shape, self.nnz = (len(indptr) - 1,) * 2, len(self.data)
+
+    def __matmul__(self, v):
+        a, x, n = self.data, v[self.indices], self.shape[0]
+        if a.dtype.kind != "c" and x.dtype.kind != "c":
+            return np.bincount(self.rows, a * x, n)
+        out = np.empty(n, dtype=complex)  # a real x: its zero imaginary part, as scipy has it
+        out.real = np.bincount(self.rows, a.real * x.real - a.imag * x.imag, n)
+        out.imag = np.bincount(self.rows, a.real * x.imag + a.imag * x.real, n)
+        return out
+
+    def toarray(self) -> np.ndarray:
+        out = np.zeros(self.shape, dtype=self.data.dtype)
+        np.add.at(out, (self.rows, self.indices), self.data)
+        return out
+
+
+def build_patch(model: ModelSpec, patch: PatchSpec, sector=None):
     """The patch Hamiltonian on one block, one write per distinct change.
 
     `sector` is one block from `charge_sectors` (a plain sorted index array
@@ -393,9 +425,8 @@ def build_patch(model: ModelSpec, patch: PatchSpec, sector=None) -> sp.csr_matri
     where two changes of a state with a nontrivial stabilizer reach one
     representative; the matvec and `toarray` add such entries. Entries are
     rounded sums; `assembly_margin` bounds how far the block is from the
-    exact one.
+    exact one. A block of at most `NUMPY_CAP` states is a `CsrBlock`.
     """
-    import scipy.sparse as sp
     n, d = patch.sites, model.d
     check_cap(n, d)
     states = np.arange(d ** n) if sector is None else np.asarray(sector)
@@ -473,6 +504,9 @@ def build_patch(model: ModelSpec, patch: PatchSpec, sector=None) -> sp.csr_matri
                       [(term[a, c], ((p, c // d - a // d), (q, c % d - a % d)))
                        for c in outs[a]])
     data[indptr[:-1]] = diag
+    if dim <= NUMPY_CAP:
+        return CsrBlock(data, indices, indptr)
+    import scipy.sparse as sp
     h = sp.csr_matrix((data, indices, indptr), shape=(dim, dim))
     h.eliminate_zeros()
     return h

@@ -9,7 +9,8 @@ a time, as `upper.product_state_upper` ran it before it ran them as a batch.
 `string_to_dense` the dense matrix of a string and `labels_to_dense` the
 Pauli sum built from it that `models.pauli_term` must match, and
 `charge_blocks` gives a patch's charge blocks before `charge_sectors`
-reduces them.
+reduces them. `as_csr` turns a small `build_patch` block into the scipy
+matrix with the same stored entries, for tests that slice it or add to it.
 """
 
 import math
@@ -68,6 +69,13 @@ def labels_to_dense(pairs) -> np.ndarray:
     for i, j in zip(*np.nonzero(np.any(terms != 0, axis=0))):
         out[i, j] = complex(math.fsum(terms[:, i, j].real), math.fsum(terms[:, i, j].imag))
     return out
+
+
+def as_csr(h):
+    """`h` as a scipy.sparse CSR matrix: a `models.CsrBlock` with its stored
+    entries, in their order; a scipy matrix as it is."""
+    import scipy.sparse as sp
+    return h if sp.issparse(h) else sp.csr_matrix((h.data, h.indices, h.indptr), shape=h.shape)
 
 
 def charge_blocks(model, n: int) -> list:

@@ -19,7 +19,7 @@ from certground.moment import build_structure, coefficient_matrices, ti_moment_b
 from certground.sdp import SdpProblem, solve
 from certground.upper import product_state_upper, ring_reference
 from tests.conftest import CHAIN, EMIN, PATCH2D_3
-from tests.oracles import oracle_moment_matrix
+from tests.oracles import as_csr, oracle_moment_matrix
 
 
 def report(capsys, name, ok, detail=""):
@@ -202,7 +202,7 @@ def test_criterion_7_moment_bounds(capsys, heisenberg, zz_model):
     ok_mono = r3.lower >= r2.lower - 1e-7
     rzz = ti_moment_bound(zz_model, 2)
     ok_zz = abs(rzz.lower + 1.0) < 1e-6
-    H = build_patch(heisenberg, PatchSpec(8, 1, "periodic"))
+    H = as_csr(build_patch(heisenberg, PatchSpec(8, 1, "periodic")))
     vals, vecs = spla.eigsh(H.tocsc().astype(float), k=1, which="SA")
     psi = vecs[:, 0]
     ok_state = True

@@ -3,14 +3,15 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from certground import cli, eigensolver
 from certground.anderson import anderson_bound, anderson_formula, guarantee_formula
 from certground.eigensolver import min_eig, min_eig_lanczos
-from certground.models import (PatchSpec, assembly_margin, build_patch, builtin_model,
-                               charge_sectors, parse_model)
+from certground.models import (CsrBlock, PatchSpec, assembly_margin, build_patch,
+                               builtin_model, charge_sectors, parse_model)
 from tests.conftest import CHAIN, EMIN
-from tests.oracles import charge_blocks
+from tests.oracles import as_csr, charge_blocks
 
 # SU(2) invariant with a fully polarized ground multiplet: -(XX + YY + ZZ)/2
 FERROMAGNET = json.dumps({
@@ -223,3 +224,98 @@ class TestSectors:
         assert res.diagnostics["minimality"] == minimality
         assert res.certified is (minimality == "cholesky")
         assert res.diagnostics["sectors"] == m // 2 + 1
+
+
+# (model, params, D, m, lower, certified, iterations, reorthogonalized_steps),
+# frozen from scipy's route (scipy.sparse blocks, ?stebz/?stein Ritz vectors at
+# every Lanczos step, scipy's Cholesky and cho_solve); the comment is the
+# largest block. Every block is proven ("cholesky")
+FROZEN_ROUTE = [
+    ("heisenberg", [], 1, 2, -1.5000000000000095, True, 1, 0),  # 1
+    ("heisenberg", [], 1, 3, -1.000000000000007, True, 2, 0),  # 2
+    ("heisenberg", [], 1, 4, -1.0773502691896424, True, 3, 0),  # 3
+    ("heisenberg", [], 1, 5, -0.9639431266590175, True, 6, 1),  # 6
+    ("heisenberg", [], 1, 6, -0.9974308535552043, True, 7, 1),  # 7
+    ("heisenberg", [], 1, 7, -0.945413226967676, True, 17, 3),  # 19
+    ("heisenberg", [], 1, 8, -0.964266456892139, True, 19, 3),  # 23
+    ("heisenberg", [], 1, 9, -0.934080426711196, True, 25, 4),  # 66
+    ("heisenberg", [], 1, 10, -0.9462300461269972, True, 26, 2),  # 71
+    ("heisenberg", [], 1, 11, -0.926418660549048, True, 33, 2),  # 236
+    ("heisenberg", [], 1, 12, -0.9349255696580234, True, 31, 2),  # 252
+    ("heisenberg", [], 1, 13, -0.9208870163975045, True, 42, 2),  # 868
+    ("heisenberg", [], 1, 14, -0.9271884097143657, True, 37, 2),  # 890
+    ("heisenberg", [], 1, 15, -0.9167029295019583, True, 44, 2),  # 3235
+    ("heisenberg", [], 1, 16, -0.9215649549263636, True, 46, 2),  # 3299
+    ("tfim", [1.0], 1, 2, -1.4142135623731138, True, 2, 0),  # 2
+    ("tfim", [1.0], 1, 3, -1.3406653218025104, True, 3, 0),  # 3
+    ("tfim", [1.0], 1, 4, -1.3175514066707525, True, 5, 0),  # 6
+    ("tfim", [1.0], 1, 5, -1.3061876269796284, True, 10, 2),  # 10
+    ("tfim", [1.0], 1, 6, -1.2994230719252045, True, 20, 4),  # 20
+    ("tfim", [1.0], 1, 7, -1.294937540017911, True, 27, 4),  # 36
+    ("tfim", [1.0], 1, 8, -1.291747911779449, True, 33, 4),  # 72
+    ("tfim", [1.0], 1, 9, -1.289365398188554, True, 36, 4),  # 136
+    ("tfim", [1.0], 1, 10, -1.2875193635431053, True, 43, 6),  # 272
+    ("tfim", [1.0], 1, 11, -1.2860478226763308, True, 48, 6),  # 528
+    ("tfim", [1.0], 1, 12, -1.2848479080590778, True, 55, 6),  # 1056
+    ("tfim", [1.0], 1, 13, -1.283851175738623, True, 54, 6),  # 2080
+    ("random_twosite", [3.0], 1, 2, -1.7095387529584625, True, 4, 0),  # 4
+    ("random_twosite", [3.0], 1, 3, -1.3757781739725146, True, 8, 1),  # 8
+    ("random_twosite", [3.0], 1, 4, -1.337322871249401, True, 16, 2),  # 16
+    ("random_twosite", [3.0], 1, 5, -1.3016795228118232, True, 30, 6),  # 32
+    ("random_twosite", [3.0], 1, 6, -1.2765162192149369, True, 42, 8),  # 64
+    ("random_twosite", [3.0], 1, 7, -1.2651227088489643, True, 53, 9),  # 128
+    ("random_twosite", [3.0], 1, 8, -1.2531049181617475, True, 63, 10),  # 256
+    ("random_twosite", [3.0], 1, 9, -1.2458069315048501, True, 74, 12),  # 512
+    ("heisenberg", [], 2, 2, -4.000000000000053, True, 3, 0),  # 3
+    ("heisenberg", [], 2, 3, -2.374663629461463, True, 28, 4),  # 126
+]
+
+
+class TestNumpyRoute:
+    """Blocks of at most NUMPY_CAP states are built and solved by numpy alone,
+    and give the bounds and counts of scipy's route."""
+
+    @pytest.mark.parametrize("name, params, D, m, lower, certified, iterations, reorth",
+                             FROZEN_ROUTE, ids=[f"{c[0]}-D{c[2]}-{c[3]}" for c in FROZEN_ROUTE])
+    def test_reproduces_the_scipy_route(self, name, params, D, m, lower, certified,
+                                        iterations, reorth):
+        report = anderson_bound(builtin_model(name, params, D=D), m, D)
+        # lower moves only by the rounding of the Ritz pair that places the shift
+        assert abs(report.lower - lower) <= 1e-12
+        assert report.certified is certified
+        assert report.diagnostics["minimality"] == "cholesky"
+        assert report.diagnostics["iterations"] == iterations
+        assert report.diagnostics["reorthogonalized_steps"] == reorth
+
+    @pytest.mark.parametrize("name, params, m, dim", [
+        ("heisenberg", [], 11, 236), ("tfim", [1.0], 9, 136), ("random_twosite", [3.0], 8, 256),
+    ])
+    def test_matvec_and_toarray_are_scipys(self, name, params, m, dim):
+        # bit for bit: each row summed from zero in CSR order, and complex
+        # products in real arithmetic, as scipy's csr_matvec does
+        model = builtin_model(name, params)
+        blocks = [build_patch(model, PatchSpec(m), s) for s in charge_sectors(model, m, 1)]
+        block = max(blocks, key=lambda b: b.shape[0])
+        assert isinstance(block, CsrBlock) and block.shape == (dim, dim)
+        assert dim <= eigensolver.NUMPY_CAP
+        ref = sp.csr_matrix((block.data, block.indices, block.indptr), shape=block.shape)
+        rng = np.random.default_rng(1)
+        vectors = [rng.standard_normal(dim)]
+        if block.data.dtype.kind == "c":
+            vectors.append(vectors[0] + 1j * rng.standard_normal(dim))
+        for v in vectors:
+            assert (block @ v).tobytes() == (ref @ v).tobytes()
+        assert block.toarray().tobytes() == ref.toarray().tobytes()
+        assert block.nnz == ref.nnz == np.count_nonzero(block.data)
+
+    def test_larger_blocks_stay_scipy_matrices(self, heisenberg):
+        (sector,) = charge_sectors(heisenberg, 13, 1)
+        assert len(sector) > eigensolver.NUMPY_CAP
+        assert sp.issparse(build_patch(heisenberg, PatchSpec(13), sector))
+
+    def test_explicit_zeros_are_dropped(self, zero_model):
+        # as scipy's eliminate_zeros drops them above the cap
+        block = build_patch(zero_model, PatchSpec(4))
+        assert block.nnz == 0 and not np.any(block.toarray())
+        assert as_csr(block).nnz == 0
+        assert not np.any(block @ np.ones(16))

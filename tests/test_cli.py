@@ -495,6 +495,11 @@ class TestSandwich:
         assert captured.out == ""
 
 
+# finite coefficients whose sums over a patch's bonds overflow
+HUGE_TERM = ('{"name": "t", "d": 2, "D": 1, "term": {"pauli_sum": ['
+             '{"paulis": "XX", "coeff": 1e308}, {"paulis": "ZZ", "coeff": 1e308}]}}')
+
+
 class TestMisc:
     def test_models_list(self, capsys):
         code, out = run_capture(capsys, ["models"])
@@ -540,8 +545,9 @@ class TestMisc:
         '{"name": "t", "d": 2, "D": true, "term": {"pauli_sum": [{"paulis": "ZZ", "coeff": 1.0}]}}',
         '{"name": "t", "d": "2", "D": 1, "term": {"pauli_sum": [{"paulis": "ZZ", "coeff": 1.0}]}}',
         '5',
+        HUGE_TERM,
     ], ids=["term-number", "term-string", "sum-overflows", "huge-integer-coeff",
-            "infinite-coeff", "bool-D", "string-d", "not-an-object"])
+            "infinite-coeff", "bool-D", "string-d", "not-an-object", "huge-finite-term"])
     def test_malformed_model_document(self, capsys, tmp_path, text):
         # a validation error: exit 2, empty stdout, no traceback and no warning
         p = tmp_path / "model.json"
@@ -550,6 +556,44 @@ class TestMisc:
         captured = capsys.readouterr()
         assert code == 2
         assert captured.err.startswith("error: cannot load model file:")
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("argv", [
+        ["anderson", "--m", "4"], ["marginal", "--m", "4", "--s", "1"], ["moment", "--l", "3"],
+    ], ids=["anderson", "marginal", "moment"])
+    def test_huge_finite_term_is_refused_before_it_overflows(self, capsys, tmp_path, argv):
+        # finite entries whose bond sums overflow: exit 2 at load, where the
+        # solvers exited 3 after RuntimeWarnings (errors under this suite's filter)
+        p = tmp_path / "huge.json"
+        p.write_text(HUGE_TERM)
+        code = run(argv + ["--model-file", str(p)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert "interaction term too large" in captured.err
+        assert captured.out == ""
+
+    def test_model_file_gives_its_own_dimension(self, capsys, tmp_path):
+        # a D = 2 Heisenberg file is bounded as the 2D model, with or without a
+        # --dim that repeats its D, and never as the 1D one
+        p = tmp_path / "heisenberg-2d.json"
+        p.write_text(json.dumps({"name": "heisenberg", "d": 2, "D": 2, "term": {"pauli_sum": [
+            {"paulis": q, "coeff": 0.5} for q in ("XX", "YY", "ZZ")]}}))
+        for argv in (["anderson", "--m", "3"], ["sandwich", "--anderson-m", "3"]):
+            assert run(argv + ["--model", "heisenberg", "--dim", "2"]) == 0
+            want = capsys.readouterr().out
+            for extra in ([], ["--dim", "2"]):
+                assert run(argv + ["--model-file", str(p)] + extra) == 0
+                assert capsys.readouterr().out == want
+        assert json.loads(want)["rows"][0]["params"]["D"] == 2
+
+    def test_dim_that_disagrees_with_the_model_file(self, capsys, tmp_path):
+        p = tmp_path / "heisenberg-2d.json"
+        p.write_text(json.dumps({"name": "h", "d": 2, "D": 2, "term": {"pauli_sum": [
+            {"paulis": "ZZ", "coeff": 1.0}]}}))
+        code = run(["anderson", "--model-file", str(p), "--dim", "1", "--m", "3"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err == "error: --dim 1 disagrees with the model file's D = 2\n"
         assert captured.out == ""
 
     @pytest.mark.parametrize("model", ["tfim", "xxz"])
@@ -722,9 +766,12 @@ class TestMisc:
         ["marginal", "--model", "tfim", "--params", "1", "--m", "10", "--s", "2"],
         ["sandwich", "--model", "random_twosite", "--params", "3", "--marginal", "m=10,s=3"],
         ["sweep", "--method", "marginal", "--model", "heisenberg", "--m", "8..9", "--s", "4"],
-    ], ids=["heisenberg-10-4", "tfim-10-2", "sandwich-random_twosite-10-3", "sweep"])
+        # 1.9 GB of A and as much again for the Schur temporary: 3.8 GiB at the peak
+        ["marginal", "--model", "tfim", "--params", "1", "--m", "8", "--s", "3"],
+    ], ids=["heisenberg-10-4", "tfim-10-2", "sandwich-random_twosite-10-3", "sweep", "tfim-8-3"])
     def test_oversized_marginal_request_is_refused(self, capsys, monkeypatch, argv):
-        # counted, not built: many GiB of window products or constraint matrices
+        # counted, not built: many GiB of window products, constraint matrices
+        # or the solve's temporaries
         def no_build(*args, **kwargs):
             raise AssertionError("built before the size was checked")
 

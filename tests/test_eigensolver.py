@@ -15,6 +15,7 @@ from certground.eigensolver import (DENSE_CAP, EigResult, min_eig, min_eig_dense
                                     min_eig_lanczos)
 from certground.models import PatchSpec, build_patch, builtin_model
 from tests.conftest import CHAIN
+from tests.oracles import as_csr
 
 
 def _random_hermitian(n, seed, complex_=False):
@@ -28,7 +29,7 @@ def _random_hermitian(n, seed, complex_=False):
 def _xxz_all_up_block():
     # the 1-state all-up sector of xxz(0.5) at m = 6: the matrix [[1.25]]
     h = build_patch(builtin_model("xxz", [0.5]), PatchSpec(6))
-    return h[[0]][:, [0]]
+    return as_csr(h)[[0]][:, [0]]
 
 
 class TestDense:

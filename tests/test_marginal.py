@@ -16,7 +16,7 @@ from certground.models import (PatchSpec, build_patch, embed_on_sites, exact_sum
                                parse_model, pauli_term, state_charges)
 from certground.upper import ring_reference
 from tests.conftest import CHAIN, EMIN, RING
-from tests.oracles import partial_trace
+from tests.oracles import as_csr, partial_trace
 
 
 class TestPartialTrace:
@@ -144,7 +144,7 @@ def _full_objective(spec):
     first = boundary_sites(m, s) if spec.mode == "wrap" else list(range(2 * s))
     cross = embed_on_sites(np.asarray(model.term),
                            [first[j] for j in crossing_sites(s, spec.placement)], m, model.d)
-    return (build_patch(model, PatchSpec(m, 1, "open")) + cross).toarray()
+    return (as_csr(build_patch(model, PatchSpec(m, 1, "open"))) + cross).toarray()
 
 
 def _unreduced_density(spec):
@@ -374,10 +374,10 @@ class TestBuildSdp:
             if m * np.log2(d) > 8:  # d = 3: m <= 5
                 continue
             for s in range(1, m // 2 + 1):
-                spec = MarginalProblemSpec(model, m, s, mode, "middle")
                 nbytes = (8 if model.is_real else 16) * d ** (2 * m)  # one row of a d^m block
                 if not reduction(model) and (1 + (m - 2 * s) * d ** (4 * s)) * nbytes > 128e6:
-                    continue
+                    continue  # before the spec, which refuses the largest of these
+                spec = MarginalProblemSpec(model, m, s, mode, "middle")
                 prob = build_marginal_sdp(spec)
                 # rank over the reals: a complex row as its (Re, Im) pairs
                 K = np.hstack([a.reshape(prob.n_constraints, -1).view(float) for a in prob.A])
@@ -708,7 +708,9 @@ class TestRequestSize:
              "random_twosite", "qutrit", "spin1-xxz"])
     def test_request_bytes_are_the_window_products_and_A(self, monkeypatch, make, m, s, mode):
         # A to the byte, and one real d^2s x d^2s matrix per charge-conserving
-        # word when the window basis is built, which happens at most once
+        # word when the window basis is built, which happens at most once; then
+        # what the solve adds: a P as large as A's largest block, four n x n
+        # matrices per block (X, S and their factors) and the m x m Schur complement
         spec = MarginalProblemSpec(make(), m, s, mode)
         d, w = spec.model.d, 2 * s
         charge = charge_basis(d)[1][np.indices((d * d,) * w).reshape(w, -1)].sum(axis=0)
@@ -719,8 +721,10 @@ class TestRequestSize:
                             or basis(*args))
         A = build_marginal_sdp(spec).A
         assert len(built) == (mode == "consecutive" and m > w)
+        solve = (max(a.nbytes for a in A) + sum(4 * a[0].nbytes for a in A)
+                 + A[0].shape[0] ** 2 * 8)
         assert _request_bytes(spec) == (sum(a.nbytes for a in A)
-                                        + len(built) * words * d ** (2 * w) * 8)
+                                        + len(built) * words * d ** (2 * w) * 8 + solve)
 
     @pytest.mark.parametrize("name, params, m, s", [
         ("tfim", [1.0], 8, 2), ("tfim", [1.0], 9, 2), ("heisenberg", [], 10, 2),
@@ -731,9 +735,11 @@ class TestRequestSize:
         assert _request_bytes(spec) <= marginal._MAX_BYTES
 
     def test_dense_tfim_constraints_at_9_2(self):
-        # one 512 block, 536 rows, and 256 window products of 16 x 16
+        # one 512 block, 536 rows, and 256 window products of 16 x 16; the
+        # solve adds P (as large as A), X, S and their factors, and M
         spec = MarginalProblemSpec(cg.builtin_model("tfim", [1.0]), 9, 2)
-        assert _request_bytes(spec) == 536 * 512 ** 2 * 8 + 256 * 16 ** 2 * 8
+        assert _request_bytes(spec) == (2 * 536 * 512 ** 2 * 8 + 256 * 16 ** 2 * 8
+                                        + 4 * 512 ** 2 * 8 + 536 ** 2 * 8)
 
     def test_a_request_builds_its_window_basis_once(self, capsys, monkeypatch):
         built = []

@@ -13,7 +13,7 @@ from certground.models import (ModelSpec, PatchSpec, Sector, assembly_margin, bu
                                builtin_model, charge_sectors, divide_down, embed_on_sites,
                                parse_model, patch_bonds, sign_gauge)
 from tests.conftest import CHAIN, RING
-from tests.oracles import charge_blocks
+from tests.oracles import as_csr, charge_blocks
 from tests.test_marginal import _qutrit_model, _spin1_xxz
 
 
@@ -72,6 +72,22 @@ class TestTermDtype:
     @pytest.mark.parametrize("name, params", [("heisenberg", []), ("xxz", [0.5]), ("tfim", [1.0])])
     def test_builtin_pauli_terms_are_real(self, name, params):
         assert builtin_model(name, params).term.dtype == np.float64
+
+
+class TestTermSize:
+    # max |entry| d^2 bonds must stay within 2^1000, with 2 bonds per site of
+    # the largest patch the qubit cap admits (52 bonds at 26 qubits)
+    def test_the_largest_admitted_entry(self, monkeypatch):
+        monkeypatch.delenv("CERTGROUND_MAX_QUBITS", raising=False)
+        top = 2.0 ** 1000 / (4 * 52)
+        ModelSpec("zz", 2, 1, top * np.kron(_Z, _Z))
+        with pytest.raises(ValueError, match="interaction term too large"):
+            ModelSpec("zz", 2, 1, np.nextafter(top, np.inf) * np.kron(_Z, _Z))
+
+    def test_complex_entries_are_measured_without_overflow(self):
+        # |1.5e308 (1 + i)| is beyond the float range; the test must not warn
+        with pytest.raises(ValueError, match="interaction term too large"):
+            ModelSpec("big", 2, 1, 1.5e308 * np.diag([1 + 1j, 1 - 1j, 1 + 1j, 1 - 1j]))
 
 
 class TestChargeBlocks:
@@ -194,7 +210,7 @@ class TestChargeSectors:
             assert np.all(np.diff(idx) > 0)
             label[idx] = k
         assert sorted(np.concatenate(sectors)) == list(range(model.d ** 6))
-        rows, cols = build_patch(model, PatchSpec(6)).nonzero()
+        rows, cols = as_csr(build_patch(model, PatchSpec(6))).nonzero()
         assert np.array_equal(label[rows], label[cols])
 
     def test_su2_term_keeps_the_middle_sector(self, heisenberg):
@@ -321,7 +337,7 @@ class TestSectorAssembly:
     @pytest.mark.parametrize("name", ASSEMBLY_MODELS)
     def test_block_equals_sliced_full_patch(self, name, patch):
         model = ASSEMBLY_MODELS[name]()
-        full = build_patch(model, patch)
+        full = as_csr(build_patch(model, patch))
         for idx in charge_blocks(model, patch.sites):
             block = build_patch(model, patch, idx)
             assert np.array_equal(block.toarray(), full[idx][:, idx].toarray())
@@ -340,7 +356,7 @@ class TestSectorAssembly:
         term = np.asarray(model.term)
         ref = sum(embed_on_sites(term, bond, patch.sites, model.d)
                   for bond in patch_bonds(patch))
-        assert abs(build_patch(model, patch) - ref).max() < 1e-13
+        assert abs(as_csr(build_patch(model, patch)) - ref).max() < 1e-13
 
     @pytest.mark.parametrize("patch", PATCHES, ids=lambda p: f"{p.m}^{p.D}")
     @pytest.mark.parametrize("make", [lambda: builtin_model("tfim", [0.3]),
@@ -361,7 +377,7 @@ class TestSectorAssembly:
         model = _spin_one_field()
         term = np.asarray(model.term)
         ref = sum(embed_on_sites(term, bond, patch.sites, 3) for bond in patch_bonds(patch))
-        assert abs(build_patch(model, patch) - ref).max() < 1e-13
+        assert abs(as_csr(build_patch(model, patch)) - ref).max() < 1e-13
         (sector,) = charge_sectors(model, patch.sites, patch.D)
         assert sector.symmetry == (("reflection",) if patch.D == 1 else ())
         assert abs(_lambda_min(model, patch)

@@ -12,7 +12,7 @@ from certground.moment import (build_structure, check_window, coefficient_matric
                                ti_moment_bound)
 from certground.pauli import PauliString, all_strings, dagger, hermitian_class, multiply
 from tests.conftest import EMIN, RING
-from tests.oracles import canonicalize, label, oracle_moment_matrix, string_to_dense
+from tests.oracles import as_csr, canonicalize, label, oracle_moment_matrix, string_to_dense
 
 # l = 3 bounds at the CLI's gap_tol 1e-9, frozen from the 4^l moment-matrix LMI
 FROZEN_L3 = {
@@ -208,7 +208,7 @@ class TestOracleMatrix:
         assert row_residual(rho) < 1e-10
 
     def test_ring_ground_state_psd_and_dominates(self, heisenberg):
-        H = build_patch(heisenberg, PatchSpec(8, 1, "periodic"))
+        H = as_csr(build_patch(heisenberg, PatchSpec(8, 1, "periodic")))
         vals, vecs = spla.eigsh(H.tocsc().astype(float), k=1, which="SA")
         psi = vecs[:, 0]
         for window in (2, 3):

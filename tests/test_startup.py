@@ -1,5 +1,6 @@
-"""What a command loads: the SDP commands import neither scipy.linalg nor
-scipy.sparse, and the Anderson bound still loads both when it runs.
+"""What a command loads: the SDP commands and the Anderson commands whose
+blocks all fit `eigensolver.NUMPY_CAP` import neither scipy.linalg nor
+scipy.sparse, and an Anderson bound with a larger block still loads both.
 
 Each check starts a fresh interpreter, since this test process has imported
 both long ago.
@@ -39,6 +40,13 @@ SDP_COMMANDS = (
     "moment --model random_twosite --params 3 --l 3",
 )
 
+# blocks of at most 236 states: numpy alone builds, solves and proves them
+SMALL_ANDERSON = (
+    "anderson --model heisenberg --m 10",
+    "anderson --model heisenberg --dim 2 --m 3",
+    "sweep --method anderson --model heisenberg --m 2..11",
+)
+
 
 def probe(*argv) -> dict:
     env = dict(os.environ, PYTHONPATH=str(SRC), OPENBLAS_NUM_THREADS="1")
@@ -55,11 +63,23 @@ def test_sdp_commands_load_neither_scipy_linalg_nor_sparse():
         assert (argv, code, loaded) == (argv, 0, [])
 
 
+def test_small_anderson_commands_load_neither_and_prove():
+    seen = probe(*SMALL_ANDERSON)
+    for argv in SMALL_ANDERSON:
+        code, loaded, out = seen[argv]
+        assert (argv, code, loaded) == (argv, 0, [])
+        doc = json.loads(out)
+        for row in doc.get("rows", [doc]):
+            assert row["certified"] is True
+
+
 def test_anderson_still_loads_scipy_and_proves():
-    argv = "anderson --model heisenberg --m 8"
+    # the S^z = 0 block of m = 13 has 868 states, above NUMPY_CAP
+    argv = "anderson --model heisenberg --m 13"
     code, loaded, out = probe(argv)[argv]
     assert code == 0
     assert loaded == ["scipy.linalg", "scipy.sparse"]
     doc = json.loads(out)
+    assert doc["diagnostics"]["sector_dim"] == 868
     assert doc["certified"] is True
     assert doc["diagnostics"]["minimality"] == "cholesky"
