@@ -35,19 +35,16 @@ def guarantee_formula(lambda_min_patch: float, h_norm: float, m: int, D: int) ->
     return D / m * h_norm - lambda_min_patch * (1.0 / (m - 1) ** D - 1.0 / m ** D)
 
 
-def open_patch(model: ModelSpec, m: int, D: int) -> PatchSpec:
-    """The open m^D patch that `anderson_bound` solves; ValueError unless D is
-    1 or 2, m >= 2 and the patch fits the qubit cap (`models.check_cap`)."""
-    if D not in (1, 2):
-        raise ValueError("patch diagonalization supports D in {1, 2} only")
-    patch = PatchSpec(m, D, "open")
+def open_patch(model: ModelSpec, m: int) -> PatchSpec:
+    """The open m^D patch, D the model's, that `anderson_bound` solves; ValueError
+    unless D is 1 or 2, m >= 2 and the patch fits the qubit cap (`models.check_cap`)."""
+    patch = PatchSpec(m, model.D)
     check_cap(patch.sites, model.d)
     return patch
 
 
-def anderson_bound(model: ModelSpec, m: int, D: int = 1, tol: float = 1e-8,
-                   seed: int = 0) -> BoundReport:
-    """The Anderson bound with guarantee for one patch size.
+def anderson_bound(model: ModelSpec, m: int, *, tol: float = 1e-8, seed: int = 0) -> BoundReport:
+    """The Anderson bound with guarantee on the m^D patch, D the model's (`open_patch`).
 
     The patch is solved one block at a time (`models.charge_sectors`), each
     block assembled on its own (`models.build_patch`): lambda_min and its
@@ -62,8 +59,8 @@ def anderson_bound(model: ModelSpec, m: int, D: int = 1, tol: float = 1e-8,
     block exceeds DENSE_CAP the result is "unverified" whatever happens, so no
     block is then factored: all of them are solved by Lanczos alone.
     """
-    patch = open_patch(model, m, D)
-    sectors = charge_sectors(model, patch.sites, D)
+    patch, D = open_patch(model, m), model.D
+    sectors = charge_sectors(model, patch.sites)
     prove = max(len(s) for s in sectors) <= eigensolver.DENSE_CAP
     eigs, edges, margins = [], [], []
     for sector in sectors:

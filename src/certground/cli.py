@@ -145,9 +145,8 @@ def _checked_bound(model, args, method: str, point):
     marginal (m, s, mode, placement)); ValueError unless it can be solved.
     Returns a zero-argument function that solves it and gives its BoundReport."""
     if method == "anderson":
-        anderson.open_patch(model, point, model.D)
-        return lambda: anderson.anderson_bound(model, point, model.D, tol=args.tol,
-                                               seed=args.seed)
+        anderson.open_patch(model, point)
+        return lambda: anderson.anderson_bound(model, point, tol=args.tol, seed=args.seed)
     if method == "moment":
         moment.check_request(model, point)
         return lambda: moment.ti_moment_bound(model, point, gap_tol=args.gap_tol)

@@ -7,8 +7,9 @@ Rayleigh quotient (an upper bound on the smallest eigenvalue). Up to
 DENSE_CAP a successful factorization of h - sI proves lambda_min(h) above
 `proven_edge`; above it `value - residual` brackets some eigenvalue, and
 that it is the smallest one is not verified. The same shifted Cholesky
-proof, run by numpy (`numpy_cholesky_edge`), certifies the SDP
-bounds; numpy alone solves operators of at most NUMPY_CAP rows. A complex
+proof, run by numpy (`numpy_cholesky_edge`), certifies the SDP bounds.
+NUMPY_CAP picks only kernels: numpy alone solves operators of at most
+NUMPY_CAP rows, on the Lanczos schedule of every size. A complex
 vector over a real scalar is one multiply of its (Re, Im) float view by
 the rounded reciprocal (`_divide`), as numpy rounds it.
 Inner products, norms and Gram-Schmidt coefficients of vectors longer than
@@ -28,7 +29,7 @@ import numpy as np
 
 DENSE_CAP = 1 << 12  # largest dimension whose minimality is proven
 NUMPY_CAP = 256  # largest dimension solved, and built by `models.build_patch`, without scipy
-_CHECK = 8  # the most Lanczos steps between convergence tests on the numpy route
+_CHECK = 8  # the most Lanczos steps between convergence tests
 _U = np.finfo(np.float64).eps / 2  # unit roundoff
 _ETA = float(np.nextafter(0.0, 1.0))  # smallest subnormal
 _EPS = 2 * _U
@@ -209,8 +210,9 @@ def min_eig_lanczos(apply, dim: int, tol: float = 1e-8, seed: int = 0,
     step makes one Gram-Schmidt pass, and a second one when the pass removed
     more than 1 - 1/sqrt(2) of the norm (Daniel, Gragg, Kaufman & Stewart,
     Math. Comp. 30, 1976). Convergence is decided on the tridiagonal Ritz pair
-    and certified by recomputing the residual with a final matvec.
-    Deterministic for a fixed seed. `apply` may be a callable or anything
+    at checkpoints, on one schedule at every dimension (NUMPY_CAP picks only the
+    Ritz vector's kernel), and certified by recomputing the residual with a final
+    matvec. Deterministic for a fixed seed. `apply` may be a callable or anything
     supporting `@` (e.g. a `models.CsrBlock` or a scipy sparse matrix); it is
     always given a contiguous vector.
 
@@ -241,9 +243,14 @@ def min_eig_lanczos(apply, dim: int, tol: float = 1e-8, seed: int = 0,
     anorm = 0.0  # running estimate of ||T_j||, the scale of rounding errors
     second = False  # the step after a reorthogonalization reorthogonalizes too
     reorthogonalized, counts = 0, []  # counts[j]: reorthogonalizations up to step j
-    if small := dim <= NUMPY_CAP:  # T's lower triangle, next checkpoint, last (step, estimate)
-        tri, due, seen = np.zeros((kmax + 1, kmax + 1)), _CHECK, (-1, 0.0)
-        ritz = functools.cache(lambda k: np.linalg.eigh(tri[:k + 1, :k + 1])[1][:, 0].copy())
+    due, seen = _CHECK, (-1, 0.0)  # the next checkpoint, the last (step, estimate)
+
+    @functools.cache
+    def ritz(k):  # the lowest Ritz vector of T_k: ?stebz/?stein above NUMPY_CAP, else eigh
+        if dim > NUMPY_CAP:
+            return _lowest_ritz_vector(alpha[:k + 1], beta[1:k + 1])
+        t = np.diag(alpha[:k + 1]) + np.diag(beta[1:k + 1], -1)  # eigh reads the lower triangle
+        return np.linalg.eigh(t)[1][:, 0].copy()
 
     for j in range(kmax):
         qj = blocks[j // _BASIS_ROWS][j % _BASIS_ROWS]
@@ -276,36 +283,32 @@ def min_eig_lanczos(apply, dim: int, tol: float = 1e-8, seed: int = 0,
                 omega_next[1:j + 2] = _EPS
         beta[j + 1], last = b, b <= 1e-14 or j == kmax - 1
         counts.append(reorthogonalized)
-        steps = (j,)  # the steps whose convergence is tested now, in order
-        if small:
-            # no Ritz vector feeds the recurrence, so steps are tested at checkpoints, the
-            # next one step on after a pass, else where the last two estimates' rate predicts
-            # one (at most _CHECK on); a pass tests the steps back to the first that fails
-            tri[j, j], tri[j + 1, j], steps = a, b, ()
-            if last or j + 1 == due:
-                est, ahead = b * abs(ritz(j)[-1]), _CHECK
-                if last or est <= 0.1 * tol:
-                    k = j
-                    while k > seen[0] + 1 and beta[k] * abs(ritz(k - 1)[-1]) <= 0.1 * tol:
-                        k -= 1
-                    steps, ahead = range(k, j + 1), 1
-                elif est < seen[1]:  # steps to a pass at the rate since the last checkpoint
-                    ahead = min(max(1, math.ceil((j - seen[0]) * math.log(est / (0.1 * tol))
-                                                 / max(math.log(seen[1] / est), _EPS))), _CHECK)
-                due, seen = j + 1 + ahead, (j, est)
-        for k in steps:
-            u = ritz(k) if small else _lowest_ritz_vector(alpha[:j + 1], beta[1:j + 1])
-            if beta[k + 1] * abs(u[-1]) <= 0.1 * tol or (k == j and last):
-                vec = np.zeros(dim, dtype=dtype)
-                for i, blk in zip(range(0, k + 1, _BASIS_ROWS), blocks):
-                    part = u[i:i + _BASIS_ROWS]
-                    vec += part @ blk[:len(part)]
-                _divide(vec, _norm(vec), vec)
-                mv = apply(vec)
-                val = float(np.real(_chunked(np.vdot, vec, mv)))
-                res = _norm(mv - val * vec)
-                if res <= tol or (k == j and last):
-                    return EigResult(val, res, k + 1, res <= tol, reorthogonalized=counts[k])
+        # no Ritz vector feeds the recurrence, so steps are tested at checkpoints, the
+        # next one step on after a pass, else where the last two estimates' rate predicts
+        # one (at most _CHECK on); a pass tests the steps back to the first that fails
+        steps = ()
+        if last or j + 1 == due:
+            est, ahead = b * abs(ritz(j)[-1]), _CHECK
+            if last or est <= 0.1 * tol:
+                k = j
+                while k > seen[0] + 1 and beta[k] * abs(ritz(k - 1)[-1]) <= 0.1 * tol:
+                    k -= 1
+                steps, ahead = range(k, j + 1), 1
+            elif est < seen[1]:  # steps to a pass at the rate since the last checkpoint
+                ahead = min(max(1, math.ceil((j - seen[0]) * math.log(est / (0.1 * tol))
+                                             / max(math.log(seen[1] / est), _EPS))), _CHECK)
+            due, seen = j + 1 + ahead, (j, est)
+        for k in steps:  # each passes the Ritz test, or is the last step
+            vec = np.zeros(dim, dtype=dtype)
+            for i, blk in zip(range(0, k + 1, _BASIS_ROWS), blocks):
+                part = ritz(k)[i:i + _BASIS_ROWS]
+                vec += part @ blk[:len(part)]
+            _divide(vec, _norm(vec), vec)
+            mv = apply(vec)
+            val = float(np.real(_chunked(np.vdot, vec, mv)))
+            res = _norm(mv - val * vec)
+            if res <= tol or (k == j and last):
+                return EigResult(val, res, k + 1, res <= tol, reorthogonalized=counts[k])
         if (j + 1) % _BASIS_ROWS == 0:  # block full: start the next one
             blocks.append(np.empty((min(_BASIS_ROWS, kmax - j - 1), dim), dtype=dtype))
         _divide(w, b, blocks[-1][(j + 1) % _BASIS_ROWS])  # no temporary
@@ -374,7 +377,7 @@ def _lowest_ritz_vector(alpha, beta):
     The LAPACK pair behind `scipy.linalg.eigh_tridiagonal(alpha, beta,
     select="i", select_range=(0, 0))`, bisection (?stebz) then inverse
     iteration (?stein), called directly: the same vector, bit for bit,
-    without the wrapper's argument checks at every Lanczos step.
+    without the wrapper's argument checks at every convergence checkpoint.
     """
     if len(alpha) == 1:
         return np.ones(1)

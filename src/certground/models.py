@@ -57,6 +57,8 @@ class ModelSpec:
     term: np.ndarray          # dense d^2 x d^2, Hermitian, read-only
 
     def __post_init__(self):
+        if self.d < 2 or self.D < 1:
+            raise ValueError(f"need d >= 2 and D >= 1, got d = {self.d} and D = {self.D}")
         t = np.array(self.term, dtype=complex)  # a copy: the caller's array stays writable
         if t.shape != (self.d ** 2, self.d ** 2):
             raise ValueError("term size inconsistent with local dimension")
@@ -107,13 +109,15 @@ class ModelSpec:
 
 @dataclass(frozen=True)
 class PatchSpec:
-    """A cubic m^D patch with open boundary, or a periodic ring (D = 1)."""
+    """A cubic m^D patch, D = 1 or 2, with open boundary, or a periodic ring (D = 1)."""
 
     m: int
     D: int = 1
     boundary: str = "open"
 
     def __post_init__(self):
+        if self.D not in (1, 2):
+            raise ValueError("patch diagonalization supports D in {1, 2} only")
         if self.m < 2:
             raise ValueError("patch size m must be >= 2")
         if self.boundary not in ("open", "periodic"):
@@ -210,8 +214,6 @@ def parse_model(document: str) -> ModelSpec:
     d, D, term_doc = doc["d"], doc["D"], doc["term"]
     if any(isinstance(n, bool) or not isinstance(n, int) for n in (d, D)):
         raise ValueError(f"d and D must be integers, got {d!r} and {D!r}")
-    if d < 2 or D < 1:
-        raise ValueError("need d >= 2 and D >= 1")
     if not isinstance(term_doc, dict) or ("pauli_sum" in term_doc) == ("dense" in term_doc):
         raise ValueError("term must be an object with exactly one of 'pauli_sum' or 'dense'")
     try:  # a JSON integer, or a sum of entries, beyond the float range overflows
@@ -291,15 +293,13 @@ def patch_bonds(patch: PatchSpec) -> list[tuple[int, int]]:
         if patch.boundary == "periodic":
             bonds.append((m - 1, 0))
         return bonds
-    if D == 2:
-        bonds = []
-        for site in range(m * m):  # each site's right, then lower neighbour
-            if site % m + 1 < m:
-                bonds.append((site, site + 1))
-            if site + m < m * m:
-                bonds.append((site, site + m))
-        return bonds
-    raise ValueError("explicit patch construction supports D in {1, 2} only")
+    bonds = []
+    for site in range(m * m):  # each site's right, then lower neighbour
+        if site % m + 1 < m:
+            bonds.append((site, site + 1))
+        if site + m < m * m:
+            bonds.append((site, site + m))
+    return bonds
 
 
 class Sector(np.ndarray):
@@ -622,9 +622,9 @@ def charge_blocks(n: int, d: int, flip: bool) -> list:
     return blocks[:(d - 1) * n // 2 + 1] if flip else blocks
 
 
-def charge_sectors(model: ModelSpec, n: int, D: int) -> list[Sector]:
-    """Blocks of an open n-site patch of lattice dimension D whose minima give
-    its lambda_min, as `Sector` arrays of sorted basis states.
+def charge_sectors(model: ModelSpec, n: int) -> list[Sector]:
+    """Blocks of an open n-site patch of the model's lattice dimension D whose
+    minima give its lambda_min, as `Sector` arrays of sorted basis states.
 
     The charge reductions follow `ModelSpec.symmetries`:
 
@@ -656,7 +656,7 @@ def charge_sectors(model: ModelSpec, n: int, D: int) -> list[Sector]:
     symmetries, tested = model.symmetries, model.reductions
     gauge = ("sign_gauge",) if "sign_gauge" in tested else ()
     reductions = [name for name in tested
-                  if (name == "reflection" and D == 1) or (name == "flip" and d == 2)]
+                  if (name == "reflection" and model.D == 1) or (name == "flip" and d == 2)]
     if "u1" not in symmetries:
         blocks = [(np.arange(d ** n), (), None)]
     elif "su2" in symmetries:

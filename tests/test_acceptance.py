@@ -14,7 +14,7 @@ import scipy.sparse.linalg as spla
 import certground as cg
 from certground.anderson import anderson_bound
 from certground.marginal import MarginalProblemSpec, improved_anderson_bound
-from certground.models import PatchSpec, build_patch
+from certground.models import PatchSpec, build_patch, builtin_model
 from certground.moment import build_structure, coefficient_matrices, ti_moment_bound
 from certground.sdp import SdpProblem, solve
 from certground.upper import product_state_upper, ring_reference
@@ -31,7 +31,7 @@ def report(capsys, name, ok, detail=""):
 @pytest.fixture(scope="module")
 def sweep_rows(heisenberg):
     t0 = time.perf_counter()
-    rows = [anderson_bound(heisenberg, m, 1) for m in range(2, 16)]
+    rows = [anderson_bound(heisenberg, m) for m in range(2, 16)]
     return rows, time.perf_counter() - t0
 
 
@@ -75,8 +75,8 @@ def test_criterion_3_guarantee(capsys, sweep_rows, heisenberg):
     for r in rows:
         if not (r.lower - 1e-9 <= EMIN <= r.lower + r.guarantee_width + 1e-9):
             ok_window = False
-    eps2 = anderson_bound(heisenberg, 2, 1).guarantee_width
-    eps3 = anderson_bound(heisenberg, 3, 1).guarantee_width
+    eps2 = anderson_bound(heisenberg, 2).guarantee_width
+    eps3 = anderson_bound(heisenberg, 3).guarantee_width
     ok_spot = abs(eps2 - 1.5) < 1e-9 and abs(eps3 - 5.0 / 6.0) < 1e-9
     ok = ok_window and ok_spot
     assert report(capsys, "criterion 3 (guarantee windows m=2..15)", ok,
@@ -228,7 +228,7 @@ def test_criterion_8_sandwich_consistency(capsys):
         model = cg.builtin_model(name, params)
         upper = product_state_upper(model, restarts=8, seed=0)
         lows = {
-            "anderson": anderson_bound(model, 6, 1).lower,
+            "anderson": anderson_bound(model, 6).lower,
             "moment": ti_moment_bound(model, 2).lower,
             "marginal": improved_anderson_bound(
                 MarginalProblemSpec(model, 5, 2, "consecutive", "middle")).lower,
@@ -241,17 +241,17 @@ def test_criterion_8_sandwich_consistency(capsys):
                   "; ".join(detail))
 
 
-def test_criterion_9_2d_smoke(capsys, heisenberg):
+def test_criterion_9_2d_smoke(capsys):
     """D = 2, m = 3: Lanczos matches the dense 9-qubit oracle; under budget."""
+    heisenberg_2d = builtin_model("heisenberg", D=2)
     t0 = time.perf_counter()
-    res = anderson_bound(heisenberg, 3, 2)
+    res = anderson_bound(heisenberg_2d, 3)
     seconds = time.perf_counter() - t0
     dense_bound = PATCH2D_3 / 4.0
     point = res.diagnostics["bound_point_estimate"]
     ok_match = abs(point - dense_bound) < 1e-8
-    upper = product_state_upper(heisenberg, restarts=8, seed=0)
-    # D = 2 upper bound: two bonds per site
-    upper_2d = 2.0 * upper
+    # D = 2 upper bound: two bonds per site, counted by product_state_upper
+    upper_2d = product_state_upper(heisenberg_2d, restarts=8, seed=0)
     ok = ok_match and point <= upper_2d and seconds <= 120.0
     assert report(capsys, "criterion 9 (2D smoke test)", ok,
                   f"A(3,2)={point:.9f} vs dense {dense_bound:.9f}, "

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 from fractions import Fraction
 
@@ -56,26 +57,26 @@ class TestFormulas:
 
 class TestBound:
     def test_m2(self, heisenberg):
-        res = anderson_bound(heisenberg, 2, 1)
+        res = anderson_bound(heisenberg, 2)
         assert abs(res.lower + 1.5) < 1e-9
         assert res.certified
 
     def test_m3(self, heisenberg):
-        res = anderson_bound(heisenberg, 3, 1)
+        res = anderson_bound(heisenberg, 3)
         assert abs(res.lower + 1.0) < 1e-9
 
     def test_zero_model(self, zero_model):
-        res = anderson_bound(zero_model, 4, 1)
+        res = anderson_bound(zero_model, 4)
         assert abs(res.lower) < 1e-9
-        assert anderson_bound(zero_model, 4, 1).guarantee_width == 0.0
+        assert anderson_bound(zero_model, 4).guarantee_width == 0.0
 
     def test_certified_below_point_estimate(self, heisenberg):
-        res = anderson_bound(heisenberg, 12, 1)
+        res = anderson_bound(heisenberg, 12)
         assert res.lower <= res.diagnostics["bound_point_estimate"] + 1e-15
 
     def test_invalid_m(self, heisenberg):
         with pytest.raises(ValueError):
-            anderson_bound(heisenberg, 1, 1)
+            anderson_bound(heisenberg, 1)
 
 
 class TestSweep:
@@ -83,11 +84,11 @@ class TestSweep:
         assert cli.run(["sweep", "--method", "anderson", "--model", "heisenberg",
                         "--m", "5..5"]) == 0
         (row,) = json.loads(capsys.readouterr().out)["rows"]
-        single = anderson_bound(heisenberg, 5, 1)
+        single = anderson_bound(heisenberg, 5)
         assert row["certified_bound"] == float(f"{single.lower:.12g}")
 
     def test_parity_subsequences_monotone(self, heisenberg):
-        bounds = {m: anderson_bound(heisenberg, m, 1).lower for m in range(2, 11)}
+        bounds = {m: anderson_bound(heisenberg, m).lower for m in range(2, 11)}
         for m in range(2, 9):
             assert bounds[m + 2] >= bounds[m] - 1e-9
 
@@ -96,7 +97,7 @@ class TestSweep:
         # above the exact quotient at m = 7, 8, 12..15); a division by a power
         # of two is exact and stays as it is
         for m in range(3, 16):
-            r = anderson_bound(heisenberg, m, 1)
+            r = anderson_bound(heisenberg, m)
             edge = r.diagnostics["lambda_min_certified"]
             exact = Fraction(edge) / (m - 1)
             assert Fraction(r.lower) <= exact < Fraction(np.nextafter(r.lower, np.inf))
@@ -105,7 +106,7 @@ class TestSweep:
 
     def test_guarantee_covers_emin(self, heisenberg):
         for m in (2, 3, 6, 9):
-            res = anderson_bound(heisenberg, m, 1)
+            res = anderson_bound(heisenberg, m)
             eps = res.guarantee_width
             assert res.lower - 1e-9 <= EMIN <= res.lower + eps + 1e-9
 
@@ -115,7 +116,7 @@ class TestSectors:
     @pytest.mark.parametrize("name", SECTOR_MODELS)
     def test_sector_minimum_is_lambda_min(self, name, m):
         model = SECTOR_MODELS[name]()
-        diag = anderson_bound(model, m, 1).diagnostics
+        diag = anderson_bound(model, m).diagnostics
         ref = np.linalg.eigvalsh(build_patch(model, PatchSpec(m)).toarray())[0]
         assert abs(diag["lambda_min_patch"] - ref) < 1e-9
         assert diag["lambda_min_certified"] <= ref
@@ -133,16 +134,16 @@ class TestSectors:
         ("tfim(1)", 1, 272),
     ])
     def test_sector_counts(self, name, sectors, sector_dim):
-        diag = anderson_bound(SECTOR_MODELS[name](), 10, 1).diagnostics
+        diag = anderson_bound(SECTOR_MODELS[name](), 10).diagnostics
         assert diag["sectors"] == sectors
         assert diag["sector_dim"] == sector_dim
 
     def test_counts_sum_over_sectors(self):
         model, patch = SECTOR_MODELS["xxz(0.5)"](), PatchSpec(6)
-        sectors = charge_sectors(model, 6, 1)
+        sectors = charge_sectors(model, 6)
         eigs = [min_eig(build_patch(model, patch, s)) for s in sectors]
         margins = [assembly_margin(model, patch, s) for s in sectors]
-        diag = anderson_bound(model, 6, 1).diagnostics
+        diag = anderson_bound(model, 6).diagnostics
         assert diag["iterations"] == sum(e.iterations for e in eigs)
         assert diag["reorthogonalized_steps"] == sum(e.reorthogonalized for e in eigs)
         assert diag["lambda_min_certified"] == min(
@@ -152,7 +153,7 @@ class TestSectors:
     @pytest.mark.parametrize("m", [13, 14])
     def test_proven_to_m14(self, heisenberg, m):
         # the S^z = 0 block has C(14, 7) = 3432 <= DENSE_CAP states at m = 14
-        diag = anderson_bound(heisenberg, m, 1).diagnostics
+        diag = anderson_bound(heisenberg, m).diagnostics
         assert diag["minimality"] == "cholesky"
         assert CHAIN[m] - 1e-7 <= diag["lambda_min_certified"] <= CHAIN[m]
 
@@ -160,7 +161,7 @@ class TestSectors:
     # (C(15, 7) + 35) / 2 = 3235 and (C(16, 8) + 70 + 0 + 256) / 4 = 3299
     @pytest.mark.parametrize("m, sector_dim", [(15, 3235), (16, 3299)])
     def test_heisenberg_proven_to_m16(self, heisenberg, m, sector_dim):
-        diag = anderson_bound(heisenberg, m, 1).diagnostics
+        diag = anderson_bound(heisenberg, m).diagnostics
         assert (diag["minimality"], diag["sector_dim"]) == ("cholesky", sector_dim)
         # Lanczos on the unreduced S^z = 0 block
         (block,) = charge_blocks(heisenberg, m)
@@ -175,10 +176,10 @@ class TestSectors:
         ("xxz(-2)", 4, ("u1", "sign_gauge", "flip")),
     ])
     def test_2d_matches_the_unreduced_charge_blocks(self, name, m, symmetry):
-        model, patch = SECTOR_MODELS[name](), PatchSpec(m, 2)
+        model, patch = dataclasses.replace(SECTOR_MODELS[name](), D=2), PatchSpec(m, 2)
         blocks = charge_blocks(model, patch.sites)
         ref = min(min_eig_lanczos(build_patch(model, patch, b), len(b)).value for b in blocks)
-        diag = anderson_bound(model, m, 2).diagnostics
+        diag = anderson_bound(model, m).diagnostics
         assert diag["symmetry"] == list(symmetry)
         assert abs(diag["lambda_min_patch"] - ref) < 1e-8
         assert diag["lambda_min_certified"] <= ref
@@ -186,7 +187,7 @@ class TestSectors:
     def test_tfim_proven_at_m13(self):
         # the symmetric sector of 2^13 states has 2080 <= DENSE_CAP orbits
         model = builtin_model("tfim", [1.0])
-        diag = anderson_bound(model, 13, 1).diagnostics
+        diag = anderson_bound(model, 13).diagnostics
         assert (diag["minimality"], diag["sector_dim"], diag["symmetry"]) == (
             "cholesky", 2080, ["reflection", "flip"])
         whole = min_eig_lanczos(build_patch(model, PatchSpec(13)), 2 ** 13)
@@ -196,10 +197,10 @@ class TestSectors:
     @pytest.mark.parametrize("name", ["tfim(1)", "random_twosite(3)"])
     def test_edges_subtract_the_assembly_margin(self, name):
         model, patch = SECTOR_MODELS[name](), PatchSpec(8)
-        (sector,) = charge_sectors(model, 8, 1)
+        (sector,) = charge_sectors(model, 8)
         margin = assembly_margin(model, patch, sector)
         edge = min_eig(build_patch(model, patch, sector)).lower_edge
-        diag = anderson_bound(model, 8, 1).diagnostics
+        diag = anderson_bound(model, 8).diagnostics
         assert margin > 0
         assert diag["assembly_margin"] == margin
         assert diag["lambda_min_certified"] == np.nextafter(edge - margin, -np.inf)
@@ -219,7 +220,7 @@ class TestSectors:
             return dense(h, *args, **kwargs)
 
         monkeypatch.setattr(eigensolver, "min_eig_dense_certified", counting)
-        res = anderson_bound(SECTOR_MODELS["xxz(0.5)"](), m, 1)
+        res = anderson_bound(SECTOR_MODELS["xxz(0.5)"](), m)
         assert len(factored) == calls
         assert res.diagnostics["minimality"] == minimality
         assert res.certified is (minimality == "cholesky")
@@ -279,7 +280,7 @@ class TestNumpyRoute:
                              FROZEN_ROUTE, ids=[f"{c[0]}-D{c[2]}-{c[3]}" for c in FROZEN_ROUTE])
     def test_reproduces_the_scipy_route(self, name, params, D, m, lower, certified,
                                         iterations, reorth):
-        report = anderson_bound(builtin_model(name, params, D=D), m, D)
+        report = anderson_bound(builtin_model(name, params, D=D), m)
         # lower moves only by the rounding of the Ritz pair that places the shift
         assert abs(report.lower - lower) <= 1e-12
         assert report.certified is certified
@@ -294,7 +295,7 @@ class TestNumpyRoute:
         # bit for bit: each row summed from zero in CSR order, and complex
         # products in real arithmetic, as scipy's csr_matvec does
         model = builtin_model(name, params)
-        blocks = [build_patch(model, PatchSpec(m), s) for s in charge_sectors(model, m, 1)]
+        blocks = [build_patch(model, PatchSpec(m), s) for s in charge_sectors(model, m)]
         block = max(blocks, key=lambda b: b.shape[0])
         assert isinstance(block, CsrBlock) and block.shape == (dim, dim)
         assert dim <= eigensolver.NUMPY_CAP
@@ -309,7 +310,7 @@ class TestNumpyRoute:
         assert block.nnz == ref.nnz == np.count_nonzero(block.data)
 
     def test_larger_blocks_stay_scipy_matrices(self, heisenberg):
-        (sector,) = charge_sectors(heisenberg, 13, 1)
+        (sector,) = charge_sectors(heisenberg, 13)
         assert len(sector) > eigensolver.NUMPY_CAP
         assert sp.issparse(build_patch(heisenberg, PatchSpec(13), sector))
 

@@ -495,6 +495,12 @@ class TestSandwich:
         assert captured.out == ""
 
 
+# builtin models as command-line arguments, and their terms as a pauli_sum
+FILE_MODELS = {
+    "heisenberg": (["--model", "heisenberg"], {"XX": 0.5, "YY": 0.5, "ZZ": 0.5}),
+    "xxz(0.5)": (["--model", "xxz", "--params", "0.5"], {"XX": 0.5, "YY": 0.5, "ZZ": 0.25}),
+    "tfim(1)": (["--model", "tfim", "--params", "1"], {"ZZ": -1.0, "XI": -0.5, "IX": -0.5}),
+}
 # finite coefficients whose sums over a patch's bonds overflow
 HUGE_TERM = ('{"name": "t", "d": 2, "D": 1, "term": {"pauli_sum": ['
              '{"paulis": "XX", "coeff": 1e308}, {"paulis": "ZZ", "coeff": 1e308}]}}')
@@ -572,19 +578,28 @@ class TestMisc:
         assert "interaction term too large" in captured.err
         assert captured.out == ""
 
-    def test_model_file_gives_its_own_dimension(self, capsys, tmp_path):
-        # a D = 2 Heisenberg file is bounded as the 2D model, with or without a
-        # --dim that repeats its D, and never as the 1D one
-        p = tmp_path / "heisenberg-2d.json"
-        p.write_text(json.dumps({"name": "heisenberg", "d": 2, "D": 2, "term": {"pauli_sum": [
-            {"paulis": q, "coeff": 0.5} for q in ("XX", "YY", "ZZ")]}}))
-        for argv in (["anderson", "--m", "3"], ["sandwich", "--anderson-m", "3"]):
-            assert run(argv + ["--model", "heisenberg", "--dim", "2"]) == 0
-            want = capsys.readouterr().out
-            for extra in ([], ["--dim", "2"]):
+    @pytest.mark.parametrize("name, D", [(name, D) for name in FILE_MODELS for D in (1, 2)],
+                             ids=[f"{name}-D{D}" for name in FILE_MODELS for D in (1, 2)])
+    def test_model_file_gives_its_own_dimension(self, capsys, tmp_path, name, D):
+        # a file holding a builtin term is bounded as the builtin model of the
+        # file's D, with or without a --dim that repeats it, by every method
+        builtin, paulis = FILE_MODELS[name]
+        commands = [["anderson", "--m", "3"], ["sandwich", "--anderson-m", "3"]]
+        if D == 1:  # the SDP bounds are one-dimensional
+            commands += [["marginal", "--m", "4", "--s", "1"], ["moment", "--l", "2"]]
+        wants = []
+        for argv in commands:
+            assert run(argv + builtin + ["--dim", str(D)]) == 0
+            wants.append(capsys.readouterr().out)
+        assert json.loads(wants[0])["params"]["D"] == D
+        p = tmp_path / "model.json"
+        p.write_text(json.dumps({"name": json.loads(wants[0])["model"], "d": 2, "D": D,
+                                 "term": {"pauli_sum": [{"paulis": q, "coeff": c}
+                                                        for q, c in paulis.items()]}}))
+        for argv, want in zip(commands, wants):
+            for extra in ([], ["--dim", str(D)]):
                 assert run(argv + ["--model-file", str(p)] + extra) == 0
                 assert capsys.readouterr().out == want
-        assert json.loads(want)["rows"][0]["params"]["D"] == 2
 
     def test_dim_that_disagrees_with_the_model_file(self, capsys, tmp_path):
         p = tmp_path / "heisenberg-2d.json"

@@ -142,6 +142,28 @@ class TestLanczos:
         assert res.iterations == iterations
         assert abs(res.value - value) < 1e-10
 
+    # above NUMPY_CAP, LAPACK gives the lowest Ritz vector at the convergence
+    # checkpoints only, not at every step, and the step counts stay frozen
+    @pytest.mark.parametrize("name, params, m, tol, iterations", [
+        pytest.param("heisenberg", [], 13, 1e-8, 46, id="13-46"),
+        pytest.param("tfim", [1.0], 14, 1e-10, 105, id="tfim-14-105"),
+    ])
+    def test_ritz_vectors_at_checkpoints_only(self, monkeypatch, name, params, m, tol,
+                                              iterations):
+        calls = []
+        lowest = eigensolver._lowest_ritz_vector
+
+        def counting(alpha, beta):
+            calls.append(len(alpha))
+            return lowest(alpha, beta)
+
+        monkeypatch.setattr(eigensolver, "_lowest_ritz_vector", counting)
+        h = build_patch(builtin_model(name, params), PatchSpec(m))
+        assert h.shape[0] > eigensolver.NUMPY_CAP
+        res = min_eig_lanczos(h, h.shape[0], tol=tol, seed=0)
+        assert res.converged and res.iterations == iterations
+        assert 0 < len(calls) <= iterations / 4
+
     def test_ritz_vector_is_that_of_eigh_tridiagonal(self):
         # the same LAPACK bisection and inverse iteration, bit for bit
         rng = np.random.default_rng(0)

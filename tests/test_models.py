@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import tracemalloc
 from fractions import Fraction
@@ -88,6 +89,22 @@ class TestTermSize:
         # |1.5e308 (1 + i)| is beyond the float range; the test must not warn
         with pytest.raises(ValueError, match="interaction term too large"):
             ModelSpec("big", 2, 1, 1.5e308 * np.diag([1 + 1j, 1 - 1j, 1 + 1j, 1 - 1j]))
+
+
+class TestDimensions:
+    def test_below_the_smallest_are_refused(self, capsys):
+        # d >= 2 and D >= 1 for every model, builtin or from a file
+        with pytest.raises(ValueError, match="need d >= 2 and D >= 1"):
+            builtin_model("heisenberg", D=0)
+        with pytest.raises(ValueError, match="need d >= 2 and D >= 1"):
+            ModelSpec("one-level", 1, 1, np.zeros((1, 1)))
+        with pytest.raises(ValueError, match="need d >= 2 and D >= 1"):
+            parse_model(json.dumps({"name": "x", "d": 2, "D": 0, "term": {
+                "pauli_sum": [{"paulis": "ZZ", "coeff": 1.0}]}}))
+        assert run(["anderson", "--model", "heisenberg", "--dim", "0", "--m", "3"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: need d >= 2 and D >= 1, got d = 2 and D = 0\n"
+        assert captured.out == ""
 
 
 class TestChargeBlocks:
@@ -186,13 +203,13 @@ class TestPatch:
             build_patch(heisenberg, PatchSpec(5))
 
 
-def _spin_one_heisenberg():
+def _spin_one_heisenberg(D=1):
     # S.S for spin 1 (d = 3): conserves the digit sum; only the U(1) test applies
     sz = np.diag([1.0, 0.0, -1.0])
     sp_ = np.sqrt(2.0) * np.eye(3, k=1)
     term = np.kron(sz, sz) + 0.5 * (np.kron(sp_, sp_.T) + np.kron(sp_.T, sp_))
     return parse_model(json.dumps({
-        "name": "spin1", "d": 3, "D": 1,
+        "name": "spin1", "d": 3, "D": D,
         "term": {"dense": [[float(x), 0.0] for x in term.ravel()]}}))
 
 
@@ -232,7 +249,7 @@ class TestChargeSectors:
 
     def test_flip_partners_are_solved_once(self):
         # xxz(0.5) at m = 15: blocks q and 15 - q have the same spectrum
-        sectors = charge_sectors(builtin_model("xxz", [0.5]), 15, 1)
+        sectors = charge_sectors(builtin_model("xxz", [0.5]), 15)
         assert len(sectors) == 8
         assert [len(s) for s in sectors] == [1, 8, 56, 231, 693, 1512, 2520, 3235]
 
@@ -241,7 +258,7 @@ class TestChargeSectors:
         term = np.kron(_X, _Y) - np.kron(_Y, _X)
         model = parse_model(json.dumps({"name": "xy-yx", "d": 2, "D": 1, "term": {
             "dense": [[x.real, x.imag] for x in term.ravel()]}}))
-        sectors = charge_sectors(model, 6, 1)
+        sectors = charge_sectors(model, 6)
         assert [s.symmetry for s in sectors] == [("u1",)] * 7
         assert sorted(np.concatenate(sectors)) == list(range(2 ** 6))
 
@@ -250,29 +267,31 @@ class TestChargeSectors:
             (idx,) = charge_blocks(model, 5)
             assert np.array_equal(idx, np.arange(32))
 
-    @pytest.mark.parametrize("make, n, D", [
-        (lambda: builtin_model("random_twosite", [3.0]), 5, 1),  # not stoquastic
-        (lambda: builtin_model("heisenberg", D=2), 9, 2),  # odd n: no self-paired block
-        (_spin_one_heisenberg, 4, 2),  # d = 3: neither reflection (2D) nor flip (d != 2)
+    @pytest.mark.parametrize("make, n", [
+        (lambda: builtin_model("random_twosite", [3.0]), 5),  # not stoquastic
+        (lambda: builtin_model("heisenberg", D=2), 9),  # odd n: no self-paired block
+        # d = 3: neither reflection (2D) nor flip (d != 2)
+        (lambda: _spin_one_heisenberg(D=2), 4),
     ], ids=["random_twosite", "heisenberg-3x3", "spin1-2x2"])
-    def test_unreduced_sectors_are_the_charge_blocks(self, make, n, D):
+    def test_unreduced_sectors_are_the_charge_blocks(self, make, n):
         # where no reflection or flip applies, charge_sectors returns the charge
         # blocks themselves, one of each flip pair
-        sectors, blocks = charge_sectors(make(), n, D), charge_blocks(make(), n)
+        model = make()
+        sectors, blocks = charge_sectors(model, n), charge_blocks(model, n)
         assert 0 < len(sectors) <= len(blocks)
         for got, want in zip(sectors, blocks):
             assert got.symmetry == want.symmetry
             assert np.array_equal(got, want)
 
 
-def _spin_one_field():
+def _spin_one_field(D=1):
     # -Sz Sz - (Sx I + I Sx)/2 for spin 1 (d = 3): stoquastic and reflection
     # symmetric; Sx moves digit 1 to 0 or 2 but 0 and 2 only to 1
     sz = np.diag([1.0, 0.0, -1.0])
     sx = np.sqrt(0.5) * (np.eye(3, k=1) + np.eye(3, k=-1))
     term = -np.kron(sz, sz) - 0.5 * (np.kron(sx, np.eye(3)) + np.kron(np.eye(3), sx))
     return parse_model(json.dumps({
-        "name": "spin1-field", "d": 3, "D": 1,
+        "name": "spin1-field", "d": 3, "D": D,
         "term": {"dense": [[float(x), 0.0] for x in term.ravel()]}}))
 
 
@@ -304,7 +323,7 @@ PATCHES = [PatchSpec(m) for m in range(2, 10)] + [PatchSpec(2, 2), PatchSpec(3, 
 
 def _lambda_min(model, patch):
     """Smallest eigenvalue over the reduced sectors, each block diagonalized densely."""
-    sectors = charge_sectors(model, patch.sites, patch.D)
+    sectors = charge_sectors(model, patch.sites)
     return min(np.linalg.eigvalsh(build_patch(model, patch, s).toarray())[0] for s in sectors)
 
 
@@ -365,7 +384,7 @@ class TestSectorAssembly:
                                       _ferromagnet, _tfim_longitudinal],
                              ids=["tfim(0.3)", "tfim(1)", "tfim(2)", "ferromagnet", "tfim-h"])
     def test_symmetric_sector_keeps_lambda_min(self, make, patch):
-        model = make()
+        model = dataclasses.replace(make(), D=patch.D)
         ref = np.linalg.eigvalsh(build_patch(model, patch).toarray())[0]
         assert abs(_lambda_min(model, patch) - ref) < 1e-10
 
@@ -374,11 +393,11 @@ class TestSectorAssembly:
     def test_one_site_moves_of_unequal_count(self, patch):
         # d = 3, where digit 1 has two one-site moves and digits 0 and 2 one:
         # the second pass covers only the states whose digit there is 1
-        model = _spin_one_field()
+        model = _spin_one_field(D=patch.D)
         term = np.asarray(model.term)
         ref = sum(embed_on_sites(term, bond, patch.sites, 3) for bond in patch_bonds(patch))
         assert abs(as_csr(build_patch(model, patch)) - ref).max() < 1e-13
-        (sector,) = charge_sectors(model, patch.sites, patch.D)
+        (sector,) = charge_sectors(model, patch.sites)
         assert sector.symmetry == (("reflection",) if patch.D == 1 else ())
         assert abs(_lambda_min(model, patch)
                    - np.linalg.eigvalsh(ref.toarray())[0]) < 1e-10
@@ -388,7 +407,7 @@ class TestSectorAssembly:
         (lambda: builtin_model("tfim", [1.0]), 8, 1, ("reflection", "flip"), 72),
         # odd n: no state is fixed by the flip or by reflection x flip
         (lambda: builtin_model("tfim", [1.0]), 13, 1, ("reflection", "flip"), 2080),
-        (lambda: builtin_model("tfim", [1.0]), 9, 2, ("flip",), 256),
+        (lambda: builtin_model("tfim", [1.0], D=2), 9, 2, ("flip",), 256),
         # positive off-diagonal entries: not stoquastic, so not reduced
         (lambda: builtin_model("tfim", [-1.0]), 8, 1, (), 256),
         (_tfim_longitudinal, 8, 1, ("reflection",), 136),  # (256 + 16) / 2
@@ -401,12 +420,13 @@ class TestSectorAssembly:
          23),
         (lambda: builtin_model("heisenberg"), 8, None, ("su2",), 70),  # charge_blocks
         # 2D: the flip only; the 3x3 middle block does not map to itself
-        (lambda: builtin_model("heisenberg"), 16, 2, ("su2", "sign_gauge", "flip"), 6435),
-        (lambda: builtin_model("heisenberg"), 9, 2, ("su2",), 126),
+        (lambda: builtin_model("heisenberg", D=2), 16, 2, ("su2", "sign_gauge", "flip"), 6435),
+        (lambda: builtin_model("heisenberg", D=2), 9, 2, ("su2",), 126),
     ], ids=["tfim", "tfim-odd", "tfim-2d", "tfim(-1)", "tfim-h", "ferro-even", "ferro-odd",
             "heisenberg", "heisenberg-charge", "heisenberg-4x4", "heisenberg-3x3"])
     def test_reductions(self, make, n, D, symmetry, dim):
-        (sector,) = charge_sectors(make(), n, D) if D else charge_blocks(make(), n)
+        model = make()
+        (sector,) = charge_sectors(model, n) if D else charge_blocks(model, n)
         assert sector.symmetry == symmetry
         assert len(sector) == dim
         assert np.all(np.diff(sector) > 0)
@@ -417,7 +437,7 @@ class TestSectorAssembly:
         model = parse_model(json.dumps({"name": "tfim-h", "d": 2, "D": 1, "term": {
             "pauli_sum": [{"paulis": p, "coeff": c} for p, c in (
                 ("ZZ", -1.0), ("XI", -0.5), ("IX", -0.5), ("ZI", -0.15), ("IZ", -0.15))]}}))
-        (sector,) = charge_sectors(model, 8, 1)
+        (sector,) = charge_sectors(model, 8)
         assert sector.symmetry == ("reflection",)
 
     def test_margin_covers_the_assembly_rounding(self):
@@ -426,7 +446,7 @@ class TestSectorAssembly:
         # one-site coefficient sums four bonds
         for patch in (PatchSpec(7), PatchSpec(3, 2)):
             model = builtin_model("tfim", [0.3], D=patch.D)
-            (sector,) = charge_sectors(model, patch.sites, patch.D)
+            (sector,) = charge_sectors(model, patch.sites)
             error = np.linalg.norm((build_patch(model, patch, sector).toarray()
                                     - _orbit_sum_block(model, patch, sector)).astype(float), 2)
             margin = assembly_margin(model, patch, sector)
@@ -437,7 +457,7 @@ class TestSectorAssembly:
         # mirrored sites; the row keeps both entries, which toarray and the
         # matvec add up
         model, patch = builtin_model("tfim", [1.0]), PatchSpec(8)
-        (sector,) = charge_sectors(model, 8, 1)
+        (sector,) = charge_sectors(model, 8)
         assert sector.symmetry == ("reflection", "flip")
         block = build_patch(model, patch, sector)
         assert _repeated_entries(block) > 0
@@ -466,7 +486,7 @@ class TestSectorAssembly:
         monkeypatch.setattr(sp.csr_matrix, "sum_duplicates", refuse)
         monkeypatch.setattr(sp.csr_matrix, "sort_indices", refuse)
         model = make()
-        for sector in (charge_sectors(model, patch.sites, patch.D) if reduced
+        for sector in (charge_sectors(model, patch.sites) if reduced
                        else charge_blocks(model, patch.sites)):
             block = build_patch(model, patch, sector)
             if not {"reflection", "flip"} & set(getattr(sector, "symmetry", ())):
@@ -496,7 +516,7 @@ class TestSectorAssembly:
                                   u[:, None] * block * u[None, :])
 
     def test_gauged_sector_needs_an_open_patch(self, heisenberg):
-        (sector,) = charge_sectors(heisenberg, 6, 1)
+        (sector,) = charge_sectors(heisenberg, 6)
         assert "sign_gauge" in sector.symmetry
         with pytest.raises(ValueError, match="open"):
             build_patch(heisenberg, PatchSpec(6, 1, "periodic"), sector)
@@ -508,7 +528,7 @@ class TestSectorAssembly:
         full_bytes = (2 ** 18 + 17 * 2 ** 17) * 12 + (2 ** 18 + 1) * 4
         tracemalloc.start()
         try:
-            (sector,) = charge_sectors(heisenberg, 18, 1)
+            (sector,) = charge_sectors(heisenberg, 18)
             block = build_patch(heisenberg, PatchSpec(18), sector)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
@@ -552,7 +572,7 @@ class TestModelFacts:
     def test_cached_facts_equal_a_fresh_computation(self, name, request):
         model = FACT_MODELS[name]() if name in FACT_MODELS else request.getfixturevalue(name)
         patch = PatchSpec(4) if model.D == 1 else PatchSpec(2, 2)
-        for sector in charge_sectors(model, patch.sites, patch.D):  # fill the cache first
+        for sector in charge_sectors(model, patch.sites):  # fill the cache first
             build_patch(model, patch, sector)
         norm = model.norm
         fresh = _fresh_facts(model)

@@ -70,7 +70,7 @@ class TestProductState:
         model = cg.builtin_model("random_twosite", [3.0])
         up = product_state_upper(model, restarts=8, seed=0)
         # any upper bound must sit above a valid certified lower bound
-        low = cg.anderson_bound(model, 6, 1).lower
+        low = cg.anderson_bound(model, 6).lower
         assert low <= up + 1e-9
 
     def test_2d_doubles_bond_value(self, heisenberg):
