@@ -5,9 +5,10 @@ DENSE_CAP. `min_eig` is the one entry point that chooses between them.
 Every result carries an explicitly recomputed residual; `value` is a
 Rayleigh quotient (an upper bound on the smallest eigenvalue). Up to
 DENSE_CAP a successful factorization of h - sI proves lambda_min(h) above
-`proven_edge`; above it `value - residual` brackets some eigenvalue, and
-that it is the smallest one is not verified. The same shifted Cholesky
-proof, run by numpy (`numpy_cholesky_edge`), certifies the SDP bounds.
+`proven_edge`, and adds nothing else to Lanczos's result; above it
+`value - residual` brackets some eigenvalue, and that it is the smallest one
+is not verified. The same shifted Cholesky proof, run by numpy
+(`numpy_cholesky_edge`), certifies the SDP bounds.
 NUMPY_CAP picks only kernels: numpy alone solves operators of at most
 NUMPY_CAP rows, on the Lanczos schedule of every size. A complex
 vector over a real scalar is one multiply of its (Re, Im) float view by
@@ -15,14 +16,15 @@ the rounded reciprocal (`_divide`), as numpy rounds it.
 Inner products, norms and Gram-Schmidt coefficients of vectors longer than
 10^4 entries sum equal chunks of at most 10^4 left to right (`_chunked`):
 OpenBLAS splits no such chunk across threads, so Lanczos results do not
-depend on the BLAS thread count.
+depend on the BLAS thread count, and neither does a proven edge, which is
+set by the matrix, the estimate and whether the factorization completes.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -44,12 +46,11 @@ def _scipy_linalg() -> SimpleNamespace:
     """What this module calls from scipy.linalg for operators above NUMPY_CAP,
     imported on first use (the import costs more than a small SDP solve or
     Anderson block): bisection and inverse iteration on a real symmetric
-    tridiagonal matrix (?stebz, ?stein), and `cholesky_edge`'s Cholesky and solve.
+    tridiagonal matrix (?stebz, ?stein), and `cholesky_edge`'s Cholesky.
     """
     import scipy.linalg
     stebz, stein = scipy.linalg.get_lapack_funcs(("stebz", "stein"), (np.empty(0),))
-    return SimpleNamespace(stebz=stebz, stein=stein, cholesky=scipy.linalg.cholesky,
-                           cho_solve=scipy.linalg.cho_solve)
+    return SimpleNamespace(stebz=stebz, stein=stein, cholesky=scipy.linalg.cholesky)
 
 
 @dataclass(frozen=True)
@@ -105,8 +106,7 @@ def _shifted_edge(a: np.ndarray, estimate: float, target: np.ndarray, factor):
     diagonal of `target` (a or a view of it), and `factor(target)`
     factors it once. Success proves lambda_min(a) > s - c' (Sylvester's law
     of inertia, with c' the margin of the matrix actually factored),
-    whatever the factor's entries; failure raises RuntimeError. Returns
-    (t, the factor).
+    whatever the factor's entries; failure raises RuntimeError. Returns t.
     """
     n = a.shape[0]
     idx = np.arange(n)
@@ -128,7 +128,7 @@ def _shifted_edge(a: np.ndarray, estimate: float, target: np.ndarray, factor):
     asym = float(np.sqrt(sq)) * (1 + 1e-6) / 2
     target[idx, idx] -= shift
     try:
-        r = factor(target)
+        factor(target)
     except np.linalg.LinAlgError:
         raise RuntimeError(
             f"minimality not proven at dimension {n}: the Cholesky factorization "
@@ -136,18 +136,18 @@ def _shifted_edge(a: np.ndarray, estimate: float, target: np.ndarray, factor):
             f"{estimate:.17g} is the smallest eigenvalue") from None
     proven = shift - _cholesky_margin(diag - shift) - asym
     # one step down per rounded subtraction
-    return float(np.nextafter(np.nextafter(proven, -np.inf), -np.inf)), r
+    return float(np.nextafter(np.nextafter(proven, -np.inf), -np.inf))
 
 
-def cholesky_edge(a: np.ndarray, estimate: float):
+def cholesky_edge(a: np.ndarray, estimate: float) -> float:
     """Proven t < lambda_min(a) from one shifted Cholesky factorization, in place.
 
     `a` is a dense Hermitian array, overwritten by the factor, and `estimate`
     an estimate of lambda_min(a) that only places the shift (`_shifted_edge`).
     a^T in Fortran order is the same memory: conj(a) for Hermitian a, which
     has the same spectrum, so scipy's potrf factors conj(a) - sI without a
-    second n x n array. Returns (t, r) with r^H r = conj(a) - sI, r upper
-    triangular; raises RuntimeError when the factorization fails.
+    second n x n array. Returns t; raises RuntimeError when the factorization
+    fails.
     """
     cholesky = _scipy_linalg().cholesky
     return _shifted_edge(a, estimate, a.T,
@@ -159,44 +159,23 @@ def numpy_cholesky_edge(a: np.ndarray, estimate: float) -> float:
     shifted in place and otherwise unchanged. The edge depends only on whether
     the factorization completes, so when both routes complete they prove the
     same t for the same `a` and `estimate`."""
-    return _shifted_edge(a, estimate, a, np.linalg.cholesky)[0]
+    return _shifted_edge(a, estimate, a, np.linalg.cholesky)
 
 
 def min_eig_dense_certified(h, tol: float = 1e-8, seed: int = 0) -> EigResult:
-    """Smallest eigenpair with a proof that it is the smallest.
+    """Lanczos's smallest Ritz pair and a proven edge below lambda_min(h).
 
-    Lanczos gives a Ritz value theta and residual r; `cholesky_edge`
+    `min_eig_lanczos` gives a Ritz value theta and residual r; `cholesky_edge`
     (`numpy_cholesky_edge` up to NUMPY_CAP) proves lambda_min(h) above a dense
-    copy's edge from theta - r. Two inverse-iteration steps through its factor
-    (LU solves of the shifted copy up to NUMPY_CAP) give a value and residual
-    of dense-eigensolver quality. Sized for dimensions up to DENSE_CAP.
+    copy's edge from theta - r. The result is that Ritz pair, every field as
+    Lanczos returns it, with the edge as `proven_edge`. Sized for dimensions up
+    to DENSE_CAP.
     """
     dim = h.shape[0]
     ritz = min_eig_lanczos(h, dim, tol=tol, seed=seed)
     dense = h.toarray() if hasattr(h, "toarray") else np.array(h, dtype=np.result_type(h, 1.0))
-    if dim <= NUMPY_CAP:  # the proof leaves A - sI in `dense`; each step solves it by LU
-        proven, solve = numpy_cholesky_edge(dense, ritz.value - ritz.residual), np.linalg.solve
-    else:  # A y = x  <=>  conj(A) conj(y) = conj(x), through the factor of conj(A) - sI
-        proven, r = cholesky_edge(dense, ritz.value - ritz.residual)
-        solve = lambda _, y: _scipy_linalg().cho_solve((r, False), y.conj(),
-                                                       check_finite=False).conj()
-
-    value, residual = ritz.value, ritz.residual
-    y = np.random.default_rng(seed).standard_normal(dim)
-    for _ in range(2):  # inverse iteration
-        y = solve(dense, y)
-        top = float(np.max(np.abs(y)))
-        if not np.isfinite(top) or top == 0.0:
-            break  # the shift sits within underflow of lambda_min: keep the Ritz pair
-        _divide(y, top, y)
-        _divide(y, _norm(y), y)
-        hy = h @ y
-        val = float(np.real(_chunked(np.vdot, y, hy)))
-        res = _norm(hy - val * y)
-        if res < residual:
-            value, residual = val, res
-    return EigResult(value, residual, ritz.iterations, residual <= tol, proven,
-                     ritz.reorthogonalized)
+    edge = numpy_cholesky_edge if dim <= NUMPY_CAP else cholesky_edge
+    return replace(ritz, proven_edge=edge(dense, ritz.value - ritz.residual))
 
 
 def min_eig_lanczos(apply, dim: int, tol: float = 1e-8, seed: int = 0,

@@ -229,8 +229,8 @@ class TestSectors:
 
 # (model, params, D, m, lower, certified, iterations, reorthogonalized_steps),
 # frozen from scipy's route (scipy.sparse blocks, ?stebz/?stein Ritz vectors at
-# every Lanczos step, scipy's Cholesky and cho_solve); the comment is the
-# largest block. Every block is proven ("cholesky")
+# every Lanczos step, scipy's Cholesky); the comment is the largest block.
+# Every block is proven ("cholesky")
 FROZEN_ROUTE = [
     ("heisenberg", [], 1, 2, -1.5000000000000095, True, 1, 0),  # 1
     ("heisenberg", [], 1, 3, -1.000000000000007, True, 2, 0),  # 2
