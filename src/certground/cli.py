@@ -17,7 +17,7 @@ import math
 import sys
 import time
 
-from . import anderson, marginal, moment, reports, upper
+from . import reports, upper
 from .models import BUILTIN_MODELS, ModelSpec, builtin_model, parse_model
 
 
@@ -143,13 +143,17 @@ def build_parser() -> argparse.ArgumentParser:
 def _checked_bound(model, args, method: str, point):
     """Check one point of `method` (an Anderson m, a moment window, or a
     marginal (m, s, mode, placement)); ValueError unless it can be solved.
-    Returns a zero-argument function that solves it and gives its BoundReport."""
+    Returns a zero-argument function that solves it and gives its BoundReport.
+    Only `method`'s module is imported, so a command loads only what it runs."""
     if method == "anderson":
+        from . import anderson
         anderson.open_patch(model, point)
         return lambda: anderson.anderson_bound(model, point, tol=args.tol, seed=args.seed)
     if method == "moment":
+        from . import moment
         moment.check_request(model, point)
         return lambda: moment.ti_moment_bound(model, point, gap_tol=args.gap_tol)
+    from . import marginal
     spec = marginal.MarginalProblemSpec(model, *point)
     return lambda: marginal.improved_anderson_bound(spec, gap_tol=args.gap_tol)
 

@@ -173,6 +173,8 @@ def min_eig_dense_certified(h, tol: float = 1e-8, seed: int = 0) -> EigResult:
     """
     dim = h.shape[0]
     ritz = min_eig_lanczos(h, dim, tol=tol, seed=seed)
+    if not ritz.converged:  # `min_eig` refuses it, so there is nothing to prove
+        return ritz
     dense = h.toarray() if hasattr(h, "toarray") else np.array(h, dtype=np.result_type(h, 1.0))
     edge = numpy_cholesky_edge if dim <= NUMPY_CAP else cholesky_edge
     return replace(ritz, proven_edge=edge(dense, ritz.value - ritz.residual))

@@ -17,16 +17,12 @@ or ring. What they need to know about the term is cached on its `ModelSpec`.
 
 from __future__ import annotations
 
-import json
 import math
 import os
 from dataclasses import dataclass
 from functools import cached_property
-from fractions import Fraction
 
 import numpy as np
-
-from .eigensolver import NUMPY_CAP
 
 DEFAULT_MAX_QUBITS = 26
 _HERM_TOL = 1e-12
@@ -202,6 +198,7 @@ def parse_model(document: str) -> ModelSpec:
       "dense": row-major d^2 x d^2 list of [re, im] pairs.
     Every number of the term must be finite, and so must every entry it sums to.
     """
+    import json  # here, like `Fraction` below: importing models loads neither
     try:
         doc = json.loads(document)
     except json.JSONDecodeError as e:
@@ -504,6 +501,7 @@ def build_patch(model: ModelSpec, patch: PatchSpec, sector=None):
                       [(term[a, c], ((p, c // d - a // d), (q, c % d - a % d)))
                        for c in outs[a]])
     data[indptr[:-1]] = diag
+    from .eigensolver import NUMPY_CAP  # here, so that importing models loads no solver
     if dim <= NUMPY_CAP:
         return CsrBlock(data, indices, indptr)
     import scipy.sparse as sp
@@ -560,6 +558,7 @@ def divide_down(x: float, n: int) -> float:
     """x / n rounded down: fl(x / n), or the float just below it when it lies
     above the exact quotient, so a lower bound divided stays one; exact
     quotients are returned as they are."""
+    from fractions import Fraction
     q = x / n
     return float(np.nextafter(q, -np.inf) if Fraction(q) > Fraction(x) / n else q)
 

@@ -5,7 +5,7 @@ import time
 import numpy as np
 import pytest
 
-from certground import cli, eigensolver, reports, sdp, upper
+from certground import anderson, cli, eigensolver, marginal, reports, sdp, upper
 from certground.cli import run
 
 
@@ -257,14 +257,14 @@ class TestSweep:
 
     def test_failed_anderson_point_is_recorded(self, capsys, monkeypatch, tmp_path):
         # a point whose solve fails gets an error row, and the sweep goes on
-        solve = cli.anderson.anderson_bound
+        solve = anderson.anderson_bound
 
         def fails_at_3(model, m, *args, **kwargs):
             if m == 3:
                 raise RuntimeError("Lanczos did not converge")
             return solve(model, m, *args, **kwargs)
 
-        monkeypatch.setattr(cli.anderson, "anderson_bound", fails_at_3)
+        monkeypatch.setattr(anderson, "anderson_bound", fails_at_3)
         code, out = run_capture(capsys, ["sweep", "--method", "anderson", "--model",
                                          "heisenberg", "--m", "2..3"])
         assert code == 0
@@ -340,7 +340,7 @@ class TestSweep:
         def no_solve(*args, **kwargs):
             raise AssertionError("solved before the range was checked")
 
-        monkeypatch.setattr(cli.anderson, "anderson_bound", no_solve)
+        monkeypatch.setattr(anderson, "anderson_bound", no_solve)
         code = run(["sweep", "--method", "anderson", "--model", "heisenberg"] + argv)
         captured = capsys.readouterr()
         assert code == 2
@@ -382,7 +382,7 @@ class TestSweep:
         def no_solve(*args, **kwargs):
             raise AssertionError("solved before the range was checked")
 
-        monkeypatch.setattr(cli.marginal, "improved_anderson_bound", no_solve)
+        monkeypatch.setattr(marginal, "improved_anderson_bound", no_solve)
         for m, s, message in (("10..11", "2", "SDP cap"),
                               ("4..5", "3", "no point with 2s <= m")):
             code = run(["sweep", "--model", "heisenberg", "--method", "marginal",
@@ -463,7 +463,7 @@ class TestSandwich:
         def no_solve(*args, **kwargs):
             raise AssertionError("solved before the request was checked")
 
-        monkeypatch.setattr(cli.anderson, "anderson_bound", no_solve)
+        monkeypatch.setattr(anderson, "anderson_bound", no_solve)
         code = run(["sandwich", "--model", "heisenberg", "--anderson-m", "4"] + argv)
         captured = capsys.readouterr()
         assert code == 2
@@ -476,7 +476,7 @@ class TestSandwich:
         def no_solve(*args, **kwargs):
             raise AssertionError("solved with a restart count out of range")
 
-        monkeypatch.setattr(cli.anderson, "anderson_bound", no_solve)
+        monkeypatch.setattr(anderson, "anderson_bound", no_solve)
         monkeypatch.setattr(cli.upper, "product_state_upper", no_solve)
         code = run(["sandwich", "--model", "heisenberg", "--anderson-m", "6",
                     "--restarts", restarts])
@@ -768,7 +768,7 @@ class TestMisc:
     def test_size_checked_before_any_solve(self, capsys, monkeypatch, argv, message):
         def no_solve(*args, **kwargs):
             raise AssertionError("solved before the size was checked")
-        monkeypatch.setattr(cli.anderson, "anderson_bound", no_solve)
+        monkeypatch.setattr(anderson, "anderson_bound", no_solve)
         monkeypatch.setattr(cli.upper, "ring_reference", no_solve)
         code = run(argv + ["--model", "heisenberg"])
         captured = capsys.readouterr()
@@ -790,8 +790,8 @@ class TestMisc:
         def no_build(*args, **kwargs):
             raise AssertionError("built before the size was checked")
 
-        monkeypatch.setattr(cli.marginal, "window_basis", no_build)
-        monkeypatch.setattr(cli.marginal, "build_marginal_sdp", no_build)
+        monkeypatch.setattr(marginal, "window_basis", no_build)
+        monkeypatch.setattr(marginal, "build_marginal_sdp", no_build)
         t0 = time.perf_counter()
         code = run(argv)
         seconds = time.perf_counter() - t0

@@ -350,6 +350,22 @@ class TestMinimalityProof:
         assert "minimality not proven" in captured.err
         assert captured.out == ""
 
+    def test_unconverged_block_is_not_factored(self, monkeypatch, capsys):
+        # Lanczos stops short of 1e-13 on the 256-state block of random_twosite(3)
+        # m = 8, which min_eig refuses: nothing is factored for it. At the default
+        # tolerance the same block converges and is proven by one factorization
+        calls = []
+        for name in ("numpy_cholesky_edge", "cholesky_edge"):
+            edge = getattr(eigensolver, name)
+            monkeypatch.setattr(eigensolver, name,
+                                lambda *args, edge=edge: calls.append(1) or edge(*args))
+        argv = ["anderson", "--model", "random_twosite", "--params", "3", "--m", "8"]
+        assert run(argv + ["--tol", "1e-13"]) == 3
+        assert "did not converge" in capsys.readouterr().err
+        assert calls == []
+        assert run(argv) == 0
+        assert calls == [1]
+
     @pytest.mark.parametrize("complex_", [False, True], ids=["real", "complex"])
     @pytest.mark.parametrize("n", [8, 40, 300])
     def test_edge_below_lambda_min(self, n, complex_):
